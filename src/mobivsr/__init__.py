@@ -42,7 +42,22 @@ from .energy import (
     energy_per_inference,
     impact_report,
 )
-from .engine import RunResult, counted_forward, init_weights, run_graph
+from .engine import (
+    RunResult,
+    batchnorm_inference,
+    conv2d,
+    conv3d,
+    counted_forward,
+    ds_conv2d,
+    ds_conv3d,
+    fully_connected,
+    init_weights,
+    maxpool,
+    relu,
+    run_graph,
+    softmax,
+    temporal_conv1d,
+)
 from .errors import (
     DimensionMismatch,
     GraphValidationError,
@@ -53,18 +68,6 @@ from .errors import (
     ValidationError,
 )
 from .graph import LayerGraph, LayerSpec, layer_output_shape, shape_infer, weight_shapes
-from .kernels import (
-    batchnorm_inference,
-    conv2d,
-    conv3d,
-    ds_conv2d,
-    ds_conv3d,
-    fully_connected,
-    maxpool,
-    relu,
-    softmax,
-    temporal_conv1d,
-)
 from .model_io import (
     Clip,
     load_clip_dir,
@@ -81,7 +84,7 @@ from .model_io import (
     write_ppm,
     write_weights,
 )
-from .quantize import dequantize_tensor, quantize_tensor, quantize_weights
+from .quantize import quantize_tensor, quantize_weights
 from .tensor import CounterLedger, QuantParams, Tensor
 
 __version__ = "0.1.0"

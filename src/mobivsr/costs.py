@@ -1,31 +1,33 @@
 """Analytical parameter, memory-access and FLOP accounting.
 
 The closed forms below mirror the counting conventions of the reference
-kernels. With V_in and V_out the full input and output volumes, K the square
-kernel side, T the temporal kernel size, C_in/C_out the channel counts and
-I/Q the fully-connected widths:
+kernels. With K the square kernel side, T the temporal kernel size, C_in and
+C_out the channel counts and I/Q the fully-connected widths, a layer's
+parameter count P is:
 
-================  ==================  =====================================
-layer             parameters          memory accesses
-================  ==================  =====================================
-conv2d            K^2 C_in C_out      P + V_in K^2 C_out + V_out
-conv3d            K^2 T C_in C_out    P + V_in K^2 C_out T + V_out
-ds_conv2d         C_in (K^2 + C_out)  P + V_in (K^2 + C_out) + V_out
-ds_conv3d         C_in (K^2+C_out) T  P + V_in (K^2 + C_out) T + V_out
-temporal_conv1d   K C_in C_out        P + V_in K C_out + V_out
-fc                I Q                 P + V_in + V_out
-================  ==================  =====================================
+================  ================================================
+layer             parameters P
+================  ================================================
+conv2d            K^2 C_in C_out
+conv3d            K^2 T C_in C_out
+ds_conv2d         C_in (K^2 + C_out)
+ds_conv3d         C_in (T K^2 + Tp C_out), Tp = T partial, 1 full
+temporal_conv1d   K C_in C_out
+fc                I Q
+================  ================================================
 
-FLOPs are twice the multiply count: 2 (K^2 C_in) V_out for conv2d,
-2 (K^2 T C_in) V_out for conv3d, 2 C_in (K^2 + C_out) V_out / C_out for the
-separable forms (evaluated without the division to stay in exact integers),
-K C_in in place of K^2 C_in for the temporal form, and 2 I Q for fc.
+Each weight takes part in one multiply per output position, and there are
+V_out / C_out positions for an output volume V_out (one for fc). Convolutions
+read one activation per multiply, so P / C_in reads per input element over
+the input volume V_in; fc reads its input once. At 2 FLOPs per multiply:
 
-The memory-access read terms assume stride 1 and same padding, where the
-output position count equals the input's; for strided or valid-padded layers
-they are an upper bound on the instrumented counts. Activations, pooling,
-normalization, softmax and residual adds cost nothing. The 1-D temporal form
-is the one-axis specialization of the conv2d row.
+    FLOPs            = 2 P V_out / C_out           (an exact integer)
+    memory accesses  = P + P V_in / C_in + V_out   (fc: P + V_in + V_out)
+
+The read term assumes stride 1 and same padding, where each channel has as
+many output positions as input positions; for strided or valid-padded
+layers it is an upper bound on the instrumented counts. Activations,
+pooling, normalization, softmax and residual adds cost nothing.
 """
 
 from __future__ import annotations
@@ -76,10 +78,9 @@ def params_of(layer: LayerSpec) -> int:
     if kind == "ds_conv2d":
         return layer.in_channels * (layer.kernel_size**2 + layer.out_channels)
     if kind == "ds_conv3d":
-        return (
-            layer.in_channels
-            * (layer.kernel_size**2 + layer.out_channels)
-            * layer.temporal_size
+        tp = layer.temporal_size if layer.pointwise_mode == "partial" else 1
+        return layer.in_channels * (
+            layer.temporal_size * layer.kernel_size**2 + tp * layer.out_channels
         )
     if kind == "temporal_conv1d":
         return layer.kernel_size * layer.in_channels * layer.out_channels
@@ -88,50 +89,26 @@ def params_of(layer: LayerSpec) -> int:
     return 0
 
 
+def _cost(spec: LayerSpec, in_shape, out_shape=None) -> LayerCost:
+    """Closed-form cost of one layer from its parameter count and the volumes
+    around it; ``out_shape`` is inferred when not given."""
+    if spec.kind not in COSTED_KINDS:
+        return LayerCost()
+    if out_shape is None:
+        out_shape = layer_output_shape(spec, in_shape)
+    p, vi, vo = params_of(spec), volume(in_shape), volume(out_shape)
+    reads = vi if spec.kind == "fc" else p * vi // in_shape[0]
+    return LayerCost(params=p, memory_accesses=p + reads + vo, flops=2 * p * vo // out_shape[0])
+
+
 def mem_access_of(layer: LayerSpec, input_shape) -> int:
     """Memory accesses of one layer: weight reads + activation reads + writes."""
-    kind = layer.kind
-    if kind not in COSTED_KINDS:
-        return 0
-    vi = volume(input_shape)
-    vo = volume(layer_output_shape(layer, input_shape))
-    p = params_of(layer)
-    k2 = (layer.kernel_size or 0) ** 2
-    if kind == "conv2d":
-        return p + vi * k2 * layer.out_channels + vo
-    if kind == "conv3d":
-        return p + vi * k2 * layer.out_channels * layer.temporal_size + vo
-    if kind == "ds_conv2d":
-        return p + vi * (k2 + layer.out_channels) + vo
-    if kind == "ds_conv3d":
-        return p + vi * (k2 + layer.out_channels) * layer.temporal_size + vo
-    if kind == "temporal_conv1d":
-        return p + vi * layer.kernel_size * layer.out_channels + vo
-    return p + vi + vo  # fc
+    return _cost(layer, input_shape).memory_accesses
 
 
 def flops_of(layer: LayerSpec, input_shape) -> int:
     """FLOPs of one layer under the 2-per-multiply convention."""
-    kind = layer.kind
-    if kind not in COSTED_KINDS:
-        return 0
-    if kind == "fc":
-        return 2 * layer.in_features * layer.out_features
-    vo = volume(layer_output_shape(layer, input_shape))
-    k2 = layer.kernel_size**2
-    if kind == "conv2d":
-        return 2 * k2 * layer.in_channels * vo
-    if kind == "conv3d":
-        return 2 * k2 * layer.temporal_size * layer.in_channels * vo
-    if kind == "temporal_conv1d":
-        return 2 * layer.kernel_size * layer.in_channels * vo
-    positions, rem = divmod(vo, layer.out_channels)
-    if rem:
-        raise ValueError(f"output volume {vo} not divisible by channels {layer.out_channels}")
-    base = 2 * layer.in_channels * (k2 + layer.out_channels) * positions
-    if kind == "ds_conv3d":
-        return base * layer.temporal_size
-    return base
+    return _cost(layer, input_shape).flops
 
 
 def _costed_tensor_count(graph: LayerGraph) -> int:
@@ -158,12 +135,7 @@ def aggregate(graph: LayerGraph, input_shape=None, dtype: str = "fp32") -> CostR
     per_layer = []
     totals = LayerCost()
     for node_id, spec in graph.nodes:
-        in_shape = shapes[node_id][0]
-        cost = LayerCost(
-            params=params_of(spec),
-            memory_accesses=mem_access_of(spec, in_shape),
-            flops=flops_of(spec, in_shape),
-        )
+        cost = _cost(spec, *shapes[node_id])
         per_layer.append((node_id, cost))
         totals = totals + cost
     if dtype == "fp32":

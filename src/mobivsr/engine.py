@@ -14,30 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import GraphValidationError, ValidationError
-from .graph import LayerGraph, LayerSpec, weight_shapes
+from .costs import COSTED_KINDS
+from .errors import DimensionMismatch, GraphValidationError, ValidationError
+from .graph import LAYER_KINDS, LayerGraph, LayerSpec, weight_shapes
 from .tensor import CounterLedger, Tensor
 
-_COSTED_KINDS = ("conv2d", "ds_conv2d", "conv3d", "ds_conv3d", "temporal_conv1d", "fc")
-
-
-def _fan_in(spec: LayerSpec, name: str) -> int:
-    k2 = (spec.kernel_size or 1) ** 2
-    if spec.kind == "conv2d":
-        return spec.in_channels * k2
-    if spec.kind == "conv3d":
-        return spec.in_channels * k2 * spec.temporal_size
-    if spec.kind == "ds_conv2d":
-        return k2 if name == "depthwise" else spec.in_channels
-    if spec.kind == "ds_conv3d":
-        if name == "depthwise":
-            return k2 * spec.temporal_size
-        return spec.in_channels * (spec.temporal_size if spec.pointwise_mode == "partial" else 1)
-    if spec.kind == "temporal_conv1d":
-        return spec.in_channels * spec.kernel_size
-    if spec.kind == "fc":
-        return spec.in_features
-    return 1
+# batchnorm statistics start as the identity transform
+_IDENTITY_STATS = {"mean": 0.0, "var": 1.0, "gamma": 1.0, "beta": 0.0}
 
 
 def init_weights(graph: LayerGraph, seed: int = 0) -> dict:
@@ -57,40 +40,41 @@ def init_weights(graph: LayerGraph, seed: int = 0) -> dict:
         tensors = {}
         for name, shape in shapes.items():
             n = math.prod(shape)
-            if spec.kind == "batchnorm":
-                value = {"mean": 0.0, "var": 1.0, "gamma": 1.0, "beta": 0.0}[name]
-                data = np.full(n, value, dtype=np.float32)
+            if name in _IDENTITY_STATS:
+                data = np.full(n, _IDENTITY_STATS[name], dtype=np.float32)
             else:
-                std = math.sqrt(1.0 / _fan_in(spec, name))
+                # fan-in: every axis but the output-channel one
+                std = math.sqrt(1.0 / math.prod(shape[1:]))
                 data = rng.normal(0.0, std, size=n).astype(np.float32)
             tensors[name] = Tensor(shape=shape, data=data)
         bundle[node_id] = tensors
     return bundle
 
 
-def _fold_time(x: np.ndarray) -> np.ndarray:
-    # (C, L, H, W) -> (L, C, H, W): frames become the batch axis
-    return x.swapaxes(0, 1)
+def _array(value) -> np.ndarray:
+    return value.as_array() if isinstance(value, Tensor) else np.asarray(value, dtype=np.float32)
+
+
+def _per_frame(kernel, x: np.ndarray, *args) -> np.ndarray:
+    """Run a batched 2-D kernel on a (C,H,W) frame, or on the L frames of a
+    (C,L,H,W) value folded into the batch axis and unfolded after."""
+    if x.ndim == 4:
+        return kernel(x.swapaxes(0, 1), *args).swapaxes(0, 1)
+    return kernel(x[None], *args)[0]
 
 
 def forward_layer(spec: LayerSpec, x: np.ndarray, weights: dict | None,
                   ledger: CounterLedger | None = None) -> np.ndarray:
     """Run one layer on an array value; residual_add is handled by run_graph."""
     kind = spec.kind
-    if kind in ("conv2d", "ds_conv2d") and x.ndim not in (3, 4):
-        raise ValidationError(f"{kind} expects a rank 3 or 4 value, got rank {x.ndim}")
+    if x.ndim not in LAYER_KINDS[kind].ranks:
+        raise ValidationError(f"{kind} cannot take a rank {x.ndim} value")
     if kind == "conv2d":
-        w = weights["weights"]
-        folded = x.ndim == 4
-        xb = _fold_time(x) if folded else x[None]
-        out = kernels.conv2d_array(xb, w, spec.stride, spec.padding, ledger)
-        out = _fold_time(out) if folded else out[0]
+        out = _per_frame(kernels.conv2d_array, x, weights["weights"], spec.stride,
+                         spec.padding, ledger)
     elif kind == "ds_conv2d":
-        dw, pw = weights["depthwise"], weights["pointwise"]
-        folded = x.ndim == 4
-        xb = _fold_time(x) if folded else x[None]
-        out = kernels.ds_conv2d_array(xb, dw, pw, spec.stride, spec.padding, ledger)
-        out = _fold_time(out) if folded else out[0]
+        out = _per_frame(kernels.ds_conv2d_array, x, weights["depthwise"],
+                         weights["pointwise"], spec.stride, spec.padding, ledger)
     elif kind == "conv3d":
         out = kernels.conv3d_array(x, weights["weights"], stride=spec.stride,
                                    temporal_stride=1, padding=spec.padding, ledger=ledger)
@@ -117,9 +101,18 @@ def forward_layer(spec: LayerSpec, x: np.ndarray, weights: dict | None,
         out = x.mean(axis=-1)
     else:
         raise ValueError(f"cannot execute layer kind {kind!r} standalone")
-    if ledger is not None and kind in _COSTED_KINDS:
+    if ledger is not None and kind in COSTED_KINDS:
         ledger.output_writes += int(out.size)
     return np.asarray(out, dtype=np.float32)
+
+
+def _apply(spec: LayerSpec, x: np.ndarray, weights: dict | None = None,
+           ledger: CounterLedger | None = None) -> Tensor:
+    """Check the weights against the spec's shapes, then run the layer."""
+    for name, shape in weight_shapes(spec).items():
+        if weights[name].shape != shape:
+            raise DimensionMismatch(name, shape, weights[name].shape, f"{spec.kind} weights")
+    return Tensor.from_array(forward_layer(spec, x, weights, ledger))
 
 
 def counted_forward(layer: LayerSpec, input, weights: dict | None = None):
@@ -129,19 +122,12 @@ def counted_forward(layer: LayerSpec, input, weights: dict | None = None):
     The output is bit-identical to an uncounted call; cost-free kinds yield
     an all-zero ledger.
     """
-    ledger = CounterLedger()
-    x = input.as_array() if isinstance(input, Tensor) else np.asarray(input, dtype=np.float32)
-    wmap = None
     needed = weight_shapes(layer)
-    if needed:
-        if weights is None:
-            raise ValidationError(f"layer kind {layer.kind!r} needs weights {sorted(needed)}")
-        wmap = {
-            name: (t.as_array() if isinstance(t, Tensor) else np.asarray(t, dtype=np.float32))
-            for name, t in weights.items()
-        }
-    out = forward_layer(layer, x, wmap, ledger)
-    return Tensor.from_array(out), ledger
+    if needed and weights is None:
+        raise ValidationError(f"layer kind {layer.kind!r} needs weights {sorted(needed)}")
+    wmap = {name: _array(t) for name, t in weights.items()} if needed else None
+    ledger = CounterLedger()
+    return _apply(layer, _array(input), wmap, ledger), ledger
 
 
 @dataclass
@@ -160,7 +146,7 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
     over all layers; with ``keep_outputs`` every node's output array is kept.
     """
     incoming = graph.validate()
-    x = input.as_array() if isinstance(input, Tensor) else np.asarray(input, dtype=np.float32)
+    x = _array(input)
     ledger = CounterLedger() if counted else None
     outputs = {}
     value = x
@@ -187,3 +173,98 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
         outputs[node_id] = value
     return RunResult(output=Tensor.from_array(value), ledger=ledger,
                      node_outputs=outputs if keep_outputs else None)
+
+
+# ---------------------------------------------------------------------------
+# tensor-level API: one layer on Tensors (or arrays), hyperparameters read
+# off the weight shapes, executed by forward_layer
+# ---------------------------------------------------------------------------
+
+
+def _ranked(value, rank, what) -> np.ndarray:
+    a = _array(value)
+    if a.ndim != rank:
+        raise DimensionMismatch("rank", rank, a.ndim, what)
+    return a
+
+
+def conv2d(input, weights, stride=1, padding="same", ledger=None) -> Tensor:
+    """2-D convolution of a (Ci,H,W) tensor with (Co,Ci,K,K) weights, no bias."""
+    x = _ranked(input, 3, "conv2d input")
+    w = _ranked(weights, 4, "conv2d weights")
+    co, ci, k = w.shape[:3]
+    spec = LayerSpec("conv2d", in_channels=ci, out_channels=co, kernel_size=k,
+                     stride=stride, padding=padding)
+    return _apply(spec, x, {"weights": w}, ledger)
+
+
+def conv3d(input, weights, stride=1, padding="same", ledger=None) -> Tensor:
+    """3-D convolution of (Ci,L,H,W) with (Co,Ci,T,K,K); temporal stride is 1."""
+    x = _ranked(input, 4, "conv3d input")
+    w = _ranked(weights, 5, "conv3d weights")
+    co, ci, t, k = w.shape[:4]
+    spec = LayerSpec("conv3d", in_channels=ci, out_channels=co, kernel_size=k,
+                     temporal_size=t, stride=stride, padding=padding)
+    return _apply(spec, x, {"weights": w}, ledger)
+
+
+def ds_conv2d(input, depthwise_weights, pointwise_weights, stride=1, padding="same",
+              ledger=None) -> Tensor:
+    """Depthwise-separable 2-D convolution: grouped (Ci,K,K) stage then 1x1 mix."""
+    x = _ranked(input, 3, "ds_conv2d input")
+    dw = _ranked(depthwise_weights, 3, "depthwise weights")
+    pw = _ranked(pointwise_weights, 4, "pointwise weights")
+    spec = LayerSpec("ds_conv2d", in_channels=dw.shape[0], out_channels=pw.shape[0],
+                     kernel_size=dw.shape[1], stride=stride, padding=padding)
+    return _apply(spec, x, {"depthwise": dw, "pointwise": pw}, ledger)
+
+
+def ds_conv3d(input, depthwise_weights, pointwise_weights, stride=1,
+              pointwise_mode="partial", padding="same", ledger=None) -> Tensor:
+    """Depthwise-separable 3-D convolution with a partial (Tx1x1) or full (1x1x1)
+    pointwise stage."""
+    x = _ranked(input, 4, "ds_conv3d input")
+    dw = _ranked(depthwise_weights, 4, "depthwise weights")
+    pw = _ranked(pointwise_weights, 5, "pointwise weights")
+    spec = LayerSpec("ds_conv3d", in_channels=dw.shape[0], out_channels=pw.shape[0],
+                     kernel_size=dw.shape[2], temporal_size=dw.shape[1], stride=stride,
+                     pointwise_mode=pointwise_mode, padding=padding)
+    return _apply(spec, x, {"depthwise": dw, "pointwise": pw}, ledger)
+
+
+def temporal_conv1d(input, weights, stride=1, padding="same", ledger=None) -> Tensor:
+    """1-D convolution along the time axis of a (Ci,L) tensor."""
+    x = _ranked(input, 2, "temporal conv input")
+    w = _ranked(weights, 3, "temporal conv weights")
+    co, ci, k = w.shape
+    spec = LayerSpec("temporal_conv1d", in_channels=ci, out_channels=co, kernel_size=k,
+                     stride=stride, padding=padding)
+    return _apply(spec, x, {"weights": w}, ledger)
+
+
+def fully_connected(input, weights, ledger=None) -> Tensor:
+    """Matrix-vector product of an (I,) input with (Q,I) weights, no bias."""
+    x = _ranked(input, 1, "fully connected input")
+    w = _ranked(weights, 2, "fully connected weights")
+    spec = LayerSpec("fc", in_features=w.shape[1], out_features=w.shape[0])
+    return _apply(spec, x, {"weights": w}, ledger)
+
+
+def maxpool(input, window, stride=None) -> Tensor:
+    """Max pooling over the last axis; the stride defaults to the window."""
+    spec = LayerSpec("maxpool", window=window, stride=window if stride is None else stride)
+    return _apply(spec, _array(input))
+
+
+def relu(input) -> Tensor:
+    return _apply(LayerSpec("relu"), _array(input))
+
+
+def batchnorm_inference(input, mean, var, gamma, beta, eps=1e-5) -> Tensor:
+    x = _array(input)
+    stats = dict(zip(("mean", "var", "gamma", "beta"), map(_array, (mean, var, gamma, beta))))
+    return _apply(LayerSpec("batchnorm", in_channels=x.shape[0], eps=eps), x, stats)
+
+
+def softmax(input) -> Tensor:
+    return _apply(LayerSpec("softmax"), _array(input))

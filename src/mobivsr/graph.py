@@ -15,44 +15,109 @@ construction.
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 from .errors import DimensionMismatch, GraphValidationError, MissingDimension
 from .kernels import out_extent
 
-KINDS = (
-    "conv2d",
-    "conv3d",
-    "ds_conv2d",
-    "ds_conv3d",
-    "temporal_conv1d",
-    "fc",
-    "maxpool",
-    "relu",
-    "batchnorm",
-    "softmax",
-    "residual_add",
-    "spatial_avg",
-    "temporal_avg",
-)
 
-_REQUIRED = {
-    "conv2d": ("in_channels", "out_channels", "kernel_size"),
-    "conv3d": ("in_channels", "out_channels", "kernel_size", "temporal_size"),
-    "ds_conv2d": ("in_channels", "out_channels", "kernel_size"),
-    "ds_conv3d": ("in_channels", "out_channels", "kernel_size", "temporal_size"),
-    "temporal_conv1d": ("in_channels", "out_channels", "kernel_size"),
-    "fc": ("in_features", "out_features"),
-    "maxpool": ("window",),
-    "batchnorm": ("in_channels",),
-    "relu": (),
-    "softmax": (),
-    "residual_add": (),
-    "spatial_avg": (),
-    "temporal_avg": (),
+def _spatial(spec, in_shape) -> tuple:
+    return (out_extent(in_shape[-2], spec.kernel_size, spec.stride, spec.padding, "height"),
+            out_extent(in_shape[-1], spec.kernel_size, spec.stride, spec.padding, "width"))
+
+
+def _conv2d_out(spec, in_shape) -> tuple:
+    # a rank-4 (C,L,H,W) input keeps its time axis: frames run as a batch
+    return (spec.out_channels,) + in_shape[1:-2] + _spatial(spec, in_shape)
+
+
+def _conv3d_out(spec, in_shape) -> tuple:
+    frames = out_extent(in_shape[1], spec.temporal_size, 1, spec.padding, "time")
+    return (spec.out_channels, frames) + _spatial(spec, in_shape)
+
+
+def _pooled(spec, in_shape) -> tuple:
+    n = in_shape[-1]
+    if n < spec.window:
+        raise DimensionMismatch("time", f"extent >= window {spec.window}", n, spec.kind)
+    return in_shape[:-1] + ((n - spec.window) // spec.stride + 1,)
+
+
+@dataclass(frozen=True)
+class LayerKind:
+    """Everything the graph module knows about one layer kind.
+
+    ``required`` names the LayerSpec fields the kind must set to positive
+    ints; ``ranks`` holds the accepted input ranks; ``lead`` names the field
+    the leading input extent must equal (None: unchecked); ``modes`` lists
+    the accepted pointwise modes, default first (empty: the field is
+    ignored); ``weights(spec)`` gives {tensor name: shape} in storage and
+    initialization order; ``output(spec, in_shape)`` gives the output shape
+    once rank and leading extent have been checked.
+    """
+
+    required: tuple = ()
+    ranks: range = range(1, sys.maxsize)
+    lead: str | None = None
+    weights: Callable = lambda spec: {}
+    output: Callable = lambda spec, in_shape: in_shape
+    modes: tuple = ()
+
+
+_CONV = ("in_channels", "out_channels", "kernel_size")
+_CONV_T = _CONV + ("temporal_size",)
+
+LAYER_KINDS = {
+    "conv2d": LayerKind(
+        _CONV, range(3, 5), "in_channels",
+        lambda s: {"weights": (s.out_channels, s.in_channels, s.kernel_size, s.kernel_size)},
+        _conv2d_out),
+    "conv3d": LayerKind(
+        _CONV_T, range(4, 5), "in_channels",
+        lambda s: {"weights": (s.out_channels, s.in_channels, s.temporal_size,
+                               s.kernel_size, s.kernel_size)},
+        _conv3d_out),
+    "ds_conv2d": LayerKind(
+        _CONV, range(3, 5), "in_channels",
+        lambda s: {"depthwise": (s.in_channels, s.kernel_size, s.kernel_size),
+                   "pointwise": (s.out_channels, s.in_channels, 1, 1)},
+        _conv2d_out),
+    "ds_conv3d": LayerKind(
+        _CONV_T, range(4, 5), "in_channels",
+        lambda s: {"depthwise": (s.in_channels, s.temporal_size, s.kernel_size, s.kernel_size),
+                   # partial mode mixes T frames per output, full mode one
+                   "pointwise": (s.out_channels, s.in_channels,
+                                 s.temporal_size if s.pointwise_mode == "partial" else 1, 1, 1)},
+        _conv3d_out, modes=("partial", "full")),
+    "temporal_conv1d": LayerKind(
+        _CONV, range(2, 3), "in_channels",
+        lambda s: {"weights": (s.out_channels, s.in_channels, s.kernel_size)},
+        lambda s, x: (s.out_channels,
+                      out_extent(x[1], s.kernel_size, s.stride, s.padding, "time"))),
+    "fc": LayerKind(
+        ("in_features", "out_features"), range(1, 2), "in_features",
+        lambda s: {"weights": (s.out_features, s.in_features)},
+        lambda s, x: (s.out_features,)),
+    "maxpool": LayerKind(("window",), output=_pooled),
+    "relu": LayerKind(),
+    "batchnorm": LayerKind(
+        ("in_channels",), lead="in_channels",
+        weights=lambda s: {name: (s.in_channels,) for name in ("mean", "var", "gamma", "beta")}),
+    "softmax": LayerKind(),
+    "residual_add": LayerKind(),
+    "spatial_avg": LayerKind(ranks=range(3, sys.maxsize), output=lambda s, x: x[:-2]),
+    "temporal_avg": LayerKind(ranks=range(2, 3), output=lambda s, x: x[:1]),
 }
 
-_CONV_KINDS = ("conv2d", "conv3d", "ds_conv2d", "ds_conv3d", "temporal_conv1d")
+KINDS = tuple(LAYER_KINDS)
+
+
+def _rank_text(ranks: range) -> str:
+    if ranks.stop == sys.maxsize:
+        return f">= {ranks.start}"
+    return " or ".join(str(r) for r in ranks)
 
 
 @dataclass(frozen=True)
@@ -73,21 +138,23 @@ class LayerSpec:
     eps: float = 1e-5
 
     def __post_init__(self):
-        if self.kind not in _REQUIRED:
+        kind = LAYER_KINDS.get(self.kind)
+        if kind is None:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        for name in _REQUIRED[self.kind]:
+        for name in kind.required:
             value = getattr(self, name)
             if value is None:
                 raise MissingDimension(self.kind, name)
-            if not isinstance(value, int) or value < 1:
+            # bool is an int subclass, but True is no extent
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{self.kind}.{name} must be a positive int, got {value!r}")
         if self.stride < 1:
             raise ValueError(f"stride must be positive, got {self.stride}")
         if self.padding not in ("same", "valid"):
             raise ValueError(f"padding must be 'same' or 'valid', got {self.padding!r}")
-        if self.kind == "ds_conv3d":
-            mode = self.pointwise_mode or "partial"
-            if mode not in ("partial", "full"):
+        if kind.modes:
+            mode = self.pointwise_mode or kind.modes[0]
+            if mode not in kind.modes:
                 raise ValueError(f"pointwise_mode must be 'partial' or 'full', got {mode!r}")
             object.__setattr__(self, "pointwise_mode", mode)
 
@@ -116,15 +183,6 @@ class LayerGraph:
         self.residual_edges = [(str(a), str(b)) for a, b in self.residual_edges]
         if self.input_shape is not None:
             self.input_shape = tuple(int(v) for v in self.input_shape)
-
-    def node_ids(self):
-        return [i for i, _ in self.nodes]
-
-    def spec(self, node_id) -> LayerSpec:
-        for i, s in self.nodes:
-            if i == node_id:
-                return s
-        raise KeyError(node_id)
 
     def validate(self):
         order = {}
@@ -163,89 +221,19 @@ class LayerGraph:
 
 def weight_shapes(spec: LayerSpec) -> dict:
     """Shapes of the weight tensors a layer needs, keyed by tensor name."""
-    k = spec.kernel_size
-    if spec.kind == "conv2d":
-        return {"weights": (spec.out_channels, spec.in_channels, k, k)}
-    if spec.kind == "conv3d":
-        return {"weights": (spec.out_channels, spec.in_channels, spec.temporal_size, k, k)}
-    if spec.kind == "ds_conv2d":
-        return {
-            "depthwise": (spec.in_channels, k, k),
-            "pointwise": (spec.out_channels, spec.in_channels, 1, 1),
-        }
-    if spec.kind == "ds_conv3d":
-        tp = spec.temporal_size if spec.pointwise_mode == "partial" else 1
-        return {
-            "depthwise": (spec.in_channels, spec.temporal_size, k, k),
-            "pointwise": (spec.out_channels, spec.in_channels, tp, 1, 1),
-        }
-    if spec.kind == "temporal_conv1d":
-        return {"weights": (spec.out_channels, spec.in_channels, k)}
-    if spec.kind == "fc":
-        return {"weights": (spec.out_features, spec.in_features)}
-    if spec.kind == "batchnorm":
-        c = (spec.in_channels,)
-        return {"mean": c, "var": c, "gamma": c, "beta": c}
-    return {}
+    return LAYER_KINDS[spec.kind].weights(spec)
 
 
 def layer_output_shape(spec: LayerSpec, in_shape) -> tuple:
-    """Output shape of one layer. 2-D conv kinds accept (C,H,W) or (C,L,H,W);
-    the time axis of a rank-4 input rides along as a per-frame batch."""
+    """Output shape of one layer, after checking the input's rank and leading
+    extent against the kind's record."""
     in_shape = tuple(in_shape)
-    kind = spec.kind
-    if kind in ("conv2d", "ds_conv2d"):
-        if len(in_shape) not in (3, 4):
-            raise DimensionMismatch("rank", "3 or 4", len(in_shape), kind)
-        if in_shape[0] != spec.in_channels:
-            raise DimensionMismatch("channel", spec.in_channels, in_shape[0], kind)
-        h, w = in_shape[-2], in_shape[-1]
-        ho = out_extent(h, spec.kernel_size, spec.stride, spec.padding, "height")
-        wo = out_extent(w, spec.kernel_size, spec.stride, spec.padding, "width")
-        return (spec.out_channels,) + in_shape[1:-2] + (ho, wo)
-    if kind in ("conv3d", "ds_conv3d"):
-        if len(in_shape) != 4:
-            raise DimensionMismatch("rank", 4, len(in_shape), kind)
-        if in_shape[0] != spec.in_channels:
-            raise DimensionMismatch("channel", spec.in_channels, in_shape[0], kind)
-        c, ln, h, w = in_shape
-        lo = out_extent(ln, spec.temporal_size, 1, spec.padding, "time")
-        ho = out_extent(h, spec.kernel_size, spec.stride, spec.padding, "height")
-        wo = out_extent(w, spec.kernel_size, spec.stride, spec.padding, "width")
-        return (spec.out_channels, lo, ho, wo)
-    if kind == "temporal_conv1d":
-        if len(in_shape) != 2:
-            raise DimensionMismatch("rank", 2, len(in_shape), kind)
-        if in_shape[0] != spec.in_channels:
-            raise DimensionMismatch("channel", spec.in_channels, in_shape[0], kind)
-        lo = out_extent(in_shape[1], spec.kernel_size, spec.stride, spec.padding, "time")
-        return (spec.out_channels, lo)
-    if kind == "fc":
-        if len(in_shape) != 1:
-            raise DimensionMismatch("rank", 1, len(in_shape), kind)
-        if in_shape[0] != spec.in_features:
-            raise DimensionMismatch("features", spec.in_features, in_shape[0], kind)
-        return (spec.out_features,)
-    if kind == "maxpool":
-        n = in_shape[-1]
-        stride = spec.stride
-        if n < spec.window:
-            raise DimensionMismatch("time", f"extent >= window {spec.window}", n, kind)
-        return in_shape[:-1] + ((n - spec.window) // stride + 1,)
-    if kind == "batchnorm":
-        if in_shape[0] != spec.in_channels:
-            raise DimensionMismatch("channel", spec.in_channels, in_shape[0], kind)
-        return in_shape
-    if kind == "spatial_avg":
-        if len(in_shape) < 3:
-            raise DimensionMismatch("rank", ">= 3", len(in_shape), kind)
-        return in_shape[:-2]
-    if kind == "temporal_avg":
-        if len(in_shape) != 2:
-            raise DimensionMismatch("rank", 2, len(in_shape), kind)
-        return in_shape[:1]
-    # relu, softmax, residual_add preserve shape
-    return in_shape
+    kind = LAYER_KINDS[spec.kind]
+    if len(in_shape) not in kind.ranks:
+        raise DimensionMismatch("rank", _rank_text(kind.ranks), len(in_shape), spec.kind)
+    if kind.lead is not None and in_shape[0] != getattr(spec, kind.lead):
+        raise DimensionMismatch(kind.lead, getattr(spec, kind.lead), in_shape[0], spec.kind)
+    return kind.output(spec, in_shape)
 
 
 def shape_infer(graph: LayerGraph, input_shape):

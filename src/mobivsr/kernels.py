@@ -24,15 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .tensor import CounterLedger, Tensor
 
 _PADDINGS = ("same", "valid")
-
-
-def _as_array(x) -> np.ndarray:
-    if isinstance(x, Tensor):
-        return x.as_array()
-    return np.asarray(x, dtype=np.float32)
 
 
 def _check_padding(padding):
@@ -74,11 +67,6 @@ def _tally(ledger, n):
 def _tally_params(ledger, weights):
     if ledger is not None:
         ledger.param_reads += int(weights.size)
-
-
-def _tally_writes(ledger, out):
-    if ledger is not None:
-        ledger.output_writes += int(out.size)
 
 
 # ---------------------------------------------------------------------------
@@ -282,24 +270,6 @@ def maxpool1d_array(x, window, stride=None):
     return out
 
 
-def maxpool2d_array(x, window, stride=None):
-    """Max pooling over the trailing two axes."""
-    wh, ww = window
-    stride = window if stride is None else stride
-    sh, sw = (stride, stride) if isinstance(stride, int) else stride
-    h, wd = x.shape[-2], x.shape[-1]
-    if h < wh or wd < ww:
-        raise DimensionMismatch("spatial", f"extent >= window {window}", (h, wd), "maxpool")
-    ho = (h - wh) // sh + 1
-    wo = (wd - ww) // sw + 1
-    out = np.full(x.shape[:-2] + (ho, wo), -np.inf, dtype=x.dtype)
-    for jy in range(wh):
-        for jx in range(ww):
-            np.maximum(out, x[..., jy : jy + (ho - 1) * sh + 1 : sh,
-                              jx : jx + (wo - 1) * sw + 1 : sw], out=out)
-    return out
-
-
 def relu_array(x):
     return np.maximum(x, 0)
 
@@ -316,109 +286,3 @@ def softmax_array(x):
     shifted = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=-1, keepdims=True)
-
-
-# ---------------------------------------------------------------------------
-# tensor-level API
-# ---------------------------------------------------------------------------
-
-
-def _require_rank(x, rank, what):
-    if x.ndim != rank:
-        raise DimensionMismatch("rank", rank, x.ndim, what)
-
-
-def conv2d(input, weights, stride=1, padding="same", ledger=None) -> Tensor:
-    """2-D convolution of a (Ci,H,W) tensor with (Co,Ci,K,K) weights, no bias."""
-    x, w = _as_array(input), _as_array(weights)
-    _require_rank(x, 3, "conv2d input")
-    _require_rank(w, 4, "conv2d weights")
-    out = conv2d_array(x[None], w, stride, padding, ledger)[0]
-    _tally_writes(ledger, out)
-    return Tensor.from_array(out)
-
-
-def conv3d(input, weights, stride=1, padding="same", ledger=None) -> Tensor:
-    """3-D convolution of (Ci,L,H,W) with (Co,Ci,T,K,K); temporal stride is 1."""
-    x, w = _as_array(input), _as_array(weights)
-    _require_rank(x, 4, "conv3d input")
-    _require_rank(w, 5, "conv3d weights")
-    out = conv3d_array(x, w, stride=stride, temporal_stride=1, padding=padding, ledger=ledger)
-    _tally_writes(ledger, out)
-    return Tensor.from_array(out)
-
-
-def ds_conv2d(input, depthwise_weights, pointwise_weights, stride=1, padding="same",
-              ledger=None) -> Tensor:
-    """Depthwise-separable 2-D convolution: grouped (Ci,K,K) stage then 1x1 mix."""
-    x = _as_array(input)
-    dw, pw = _as_array(depthwise_weights), _as_array(pointwise_weights)
-    _require_rank(x, 3, "ds_conv2d input")
-    _require_rank(dw, 3, "depthwise weights")
-    _require_rank(pw, 4, "pointwise weights")
-    if pw.shape[2:] != (1, 1):
-        raise DimensionMismatch("kernel", "1x1", pw.shape[2:], "pointwise weights")
-    out = ds_conv2d_array(x[None], dw, pw, stride, padding, ledger)[0]
-    _tally_writes(ledger, out)
-    return Tensor.from_array(out)
-
-
-def ds_conv3d(input, depthwise_weights, pointwise_weights, stride=1,
-              pointwise_mode="partial", padding="same", ledger=None) -> Tensor:
-    """Depthwise-separable 3-D convolution with a partial (Tx1x1) or full (1x1x1)
-    pointwise stage."""
-    x = _as_array(input)
-    dw, pw = _as_array(depthwise_weights), _as_array(pointwise_weights)
-    _require_rank(x, 4, "ds_conv3d input")
-    _require_rank(dw, 4, "depthwise weights")
-    _require_rank(pw, 5, "pointwise weights")
-    if pw.shape[3:] != (1, 1):
-        raise DimensionMismatch("kernel", "Tx1x1", pw.shape[2:], "pointwise weights")
-    out = ds_conv3d_array(x, dw, pw, stride, pointwise_mode, padding, ledger)
-    _tally_writes(ledger, out)
-    return Tensor.from_array(out)
-
-
-def temporal_conv1d(input, weights, stride=1, padding="same", ledger=None) -> Tensor:
-    """1-D convolution along the time axis of a (Ci,L) tensor."""
-    x, w = _as_array(input), _as_array(weights)
-    _require_rank(x, 2, "temporal conv input")
-    _require_rank(w, 3, "temporal conv weights")
-    out = conv1d_array(x, w, stride, padding, ledger)
-    _tally_writes(ledger, out)
-    return Tensor.from_array(out)
-
-
-def fully_connected(input, weights, ledger=None) -> Tensor:
-    """Matrix-vector product of an (I,) input with (Q,I) weights, no bias."""
-    x, w = _as_array(input), _as_array(weights)
-    _require_rank(x, 1, "fully connected input")
-    _require_rank(w, 2, "fully connected weights")
-    out = fc_array(x, w, ledger)
-    _tally_writes(ledger, out)
-    return Tensor.from_array(out)
-
-
-def maxpool(input, window, stride=None) -> Tensor:
-    """Max pooling; an int window pools the last axis, a pair pools H and W."""
-    x = _as_array(input)
-    if isinstance(window, int):
-        return Tensor.from_array(maxpool1d_array(x, window, stride))
-    return Tensor.from_array(maxpool2d_array(x, tuple(window), stride))
-
-
-def relu(input) -> Tensor:
-    return Tensor.from_array(relu_array(_as_array(input)))
-
-
-def batchnorm_inference(input, mean, var, gamma, beta, eps=1e-5) -> Tensor:
-    x = _as_array(input)
-    stats = [_as_array(v) for v in (mean, var, gamma, beta)]
-    for name, s in zip(("mean", "var", "gamma", "beta"), stats):
-        if s.shape != (x.shape[0],):
-            raise DimensionMismatch("channel", x.shape[0], s.shape, f"batchnorm {name}")
-    return Tensor.from_array(batchnorm_array(x, *stats, eps=eps))
-
-
-def softmax(input) -> Tensor:
-    return Tensor.from_array(softmax_array(_as_array(input)))

@@ -40,13 +40,6 @@ def quantize_tensor(tensor: Tensor) -> Tensor:
     return Tensor(shape=tensor.shape, data=codes, quant=QuantParams(scale, zero_point))
 
 
-def dequantize_tensor(tensor: Tensor) -> Tensor:
-    """Expand int8 codes back to an fp32 tensor (identity for fp32 input)."""
-    if tensor.quant is None:
-        return tensor
-    return Tensor.from_array(tensor.as_array())
-
-
 def quantize_weights(bundle: dict) -> dict:
     """Quantize every tensor of a {node id: {name: Tensor}} bundle."""
     return {

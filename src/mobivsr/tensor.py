@@ -98,11 +98,6 @@ class CounterLedger:
     def memory_accesses(self) -> int:
         return self.param_reads + self.activation_reads + self.output_writes
 
-    def validate(self):
-        for name in ("multiplies", "adds", "param_reads", "activation_reads", "output_writes"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"counter {name} is negative")
-
     def __add__(self, other: "CounterLedger") -> "CounterLedger":
         return CounterLedger(
             self.multiplies + other.multiplies,

@@ -1,8 +1,12 @@
 """Instrumented counting: ledgers versus hand counts, scalar-loop counts,
 and the analytical formulas."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobivsr import (
     CounterLedger,
@@ -11,12 +15,12 @@ from mobivsr import (
     conv2d,
     counted_forward,
     flops_of,
-    fully_connected,
-    maxpool,
     mem_access_of,
-    relu,
-    softmax,
+    params_of,
+    weight_shapes,
 )
+from mobivsr.costs import COSTED_KINDS
+from mobivsr.graph import LAYER_KINDS
 
 import _reference as ref
 
@@ -144,3 +148,39 @@ def test_ledger_parity_with_cost_model_on_random_configs():
         _, ledger = counted_forward(spec, x, weights)
         assert ledger.flops() == flops_of(spec, in_shape), spec
         assert ledger.memory_accesses() == mem_access_of(spec, in_shape), spec
+
+
+@st.composite
+def _costed_layer(draw):
+    """A costed layer at stride 1 and same padding, in either pointwise mode,
+    with an input of one of its accepted ranks."""
+    kind = draw(st.sampled_from(COSTED_KINDS))
+    if kind == "fc":
+        spec = LayerSpec("fc", in_features=draw(st.integers(1, 12)),
+                         out_features=draw(st.integers(1, 12)))
+        return spec, (spec.in_features,)
+    ranks = [r for r in (2, 3, 4) if r in LAYER_KINDS[kind].ranks]
+    rank = draw(st.sampled_from(ranks))
+    spec = LayerSpec(
+        kind,
+        in_channels=draw(st.integers(1, 5)),
+        out_channels=draw(st.integers(1, 5)),
+        kernel_size=draw(st.integers(1, 3)),
+        temporal_size=draw(st.integers(1, 3)) if "temporal_size" in LAYER_KINDS[kind].required
+        else None,
+        pointwise_mode=draw(st.sampled_from(["partial", "full"])),
+    )
+    extents = draw(st.lists(st.integers(1, 6), min_size=rank - 1, max_size=rank - 1))
+    return spec, (spec.in_channels, *extents)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_costed_layer())
+def test_ledger_formulas_and_weight_shapes_agree(layer):
+    spec, in_shape = layer
+    weights = {name: np.ones(shape, dtype=np.float32)
+               for name, shape in weight_shapes(spec).items()}
+    _, ledger = counted_forward(spec, np.ones(in_shape, dtype=np.float32), weights)
+    assert ledger.flops() == flops_of(spec, in_shape)
+    assert ledger.memory_accesses() == mem_access_of(spec, in_shape)
+    assert params_of(spec) == sum(math.prod(s) for s in weight_shapes(spec).values())

@@ -12,6 +12,8 @@ from mobivsr import (
     Tensor,
     build_mobivsr,
     init_weights,
+    layer_output_shape,
+    params_of,
     parse_graph,
     parse_weights,
     quantize_weights,
@@ -20,11 +22,42 @@ from mobivsr import (
     shape_infer,
     weight_shapes,
 )
+from mobivsr.costs import COSTED_KINDS
+from mobivsr.engine import forward_layer
+from mobivsr.graph import LAYER_KINDS
 
 
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         LayerSpec("lstm")
+
+
+def test_bool_dimensions_rejected():
+    with pytest.raises(ValueError):
+        LayerSpec("fc", in_features=True, out_features=2)
+    text = """
+    {"schema_version": 1, "residual_edges": [],
+     "nodes": [{"id": "c", "kind": "conv2d", "in_channels": true, "out_channels": 2,
+                "kernel_size": 3}]}
+    """
+    with pytest.raises(SchemaError) as exc:
+        parse_graph(text)
+    assert exc.value.node_id == "c"
+
+
+@pytest.mark.parametrize("kind", [k for k in LAYER_KINDS if k != "residual_add"])
+def test_every_kind_runs_with_its_recorded_shapes(kind):
+    record = LAYER_KINDS[kind]
+    spec = LayerSpec(kind, **{name: 2 for name in record.required})
+    weights = {name: np.ones(shape, dtype=np.float32)
+               for name, shape in weight_shapes(spec).items()}
+    ranks = [r for r in range(1, 5) if r in record.ranks]
+    assert ranks
+    for rank in ranks:
+        x = np.ones((2,) * rank, dtype=np.float32)
+        out = forward_layer(spec, x, weights or None)
+        assert out.shape == layer_output_shape(spec, x.shape)
+    assert (params_of(spec) > 0) == (kind in COSTED_KINDS)
 
 
 def test_shape_infer_simple_chain():

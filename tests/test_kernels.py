@@ -216,11 +216,6 @@ class TestElementwise:
         np.testing.assert_array_equal(maxpool(t([1.0, 3.0, 2.0, 0.0]), 2, 2).as_array(),
                                       [3.0, 2.0])
 
-    def test_maxpool_spatial(self):
-        x = np.arange(16, dtype=np.float32).reshape(1, 4, 4)
-        out = maxpool(t(x), (2, 2), 2).as_array()
-        np.testing.assert_array_equal(out[0], [[5.0, 7.0], [13.0, 15.0]])
-
     def test_batchnorm_identity_stats(self):
         x = rng(15).normal(size=(3, 4, 4)).astype(np.float32)
         out = batchnorm_inference(t(x), np.zeros(3), np.ones(3), np.ones(3), np.zeros(3),
