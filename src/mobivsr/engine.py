@@ -137,40 +137,51 @@ class RunResult:
     node_outputs: dict | None = None
 
 
+def _node_weights(weights: dict, node_id: str, spec: LayerSpec) -> dict | None:
+    """The node's weights as arrays, int8 tensors dequantized."""
+    if node_id in weights:
+        return {name: t.as_array() if isinstance(t, Tensor) else t
+                for name, t in weights[node_id].items()}
+    if weight_shapes(spec):
+        raise ValidationError(f"missing weights for node {node_id!r}")
+    return None
+
+
 def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
               keep_outputs: bool = False) -> RunResult:
     """Execute a graph end to end.
 
     ``weights`` is the {node id: {name: Tensor}} bundle; int8 tensors are
     dequantized before execution. With ``counted`` a single ledger accumulates
-    over all layers; with ``keep_outputs`` every node's output array is kept.
+    over all layers. Each node's output is freed after its last reader (the
+    next node, or the last node its residual edges feed), so memory stays flat
+    in depth; with ``keep_outputs`` every node's output array is retained and
+    returned in ``node_outputs``.
     """
     incoming = graph.validate()
-    x = _array(input)
+    # the last node, in graph order, that reads each edge source
+    last_reader = {incoming[n]: n for n, _ in graph.nodes if n in incoming}
     ledger = CounterLedger() if counted else None
     outputs = {}
-    value = x
+    value = _array(input)
     for node_id, spec in graph.nodes:
         src = incoming.get(node_id)
         if spec.kind == "residual_add":
-            other = outputs[src]
-            if value.shape != other.shape:
+            if value.shape != outputs[src].shape:
                 raise GraphValidationError(
                     f"residual edge ({src!r}, {node_id!r}) joins shapes "
-                    f"{other.shape} and {value.shape}",
+                    f"{outputs[src].shape} and {value.shape}",
                     edge=(src, node_id),
                 )
-            value = value + other
+            value = value + outputs[src]
         else:
-            xin = outputs[src] if src is not None else value
-            wmap = None
-            if node_id in weights:
-                wmap = {name: t.as_array() if isinstance(t, Tensor) else t
-                        for name, t in weights[node_id].items()}
-            elif weight_shapes(spec):
-                raise ValidationError(f"missing weights for node {node_id!r}")
-            value = forward_layer(spec, xin, wmap, ledger)
-        outputs[node_id] = value
+            if src is not None:
+                value = outputs[src]
+            value = forward_layer(spec, value, _node_weights(weights, node_id, spec), ledger)
+        if not keep_outputs and last_reader.get(src) == node_id:
+            del outputs[src]
+        if keep_outputs or node_id in last_reader:
+            outputs[node_id] = value
     return RunResult(output=Tensor.from_array(value), ledger=ledger,
                      node_outputs=outputs if keep_outputs else None)
 

@@ -2,7 +2,10 @@
 
 Every convolution is computed as a direct cross-correlation: an explicit sum
 over kernel offsets, vectorized across positions and channels but never
-rearranged (no im2col, no FFT). These kernels are the correctness and
+rearranged (no im2col, no FFT). The 1x1 stage of the separable 2-D
+convolution has a single offset, so it runs as one batched matmul over the
+positions; it is still that direct correlation, and it is counted exactly
+as a 1x1 convolution would be. These kernels are the correctness and
 counting oracle for the analytical cost formulas, not a performance target.
 
 Counting conventions, applied whenever a CounterLedger is passed in:
@@ -211,7 +214,11 @@ def ds_conv2d_array(x, dw, pw, stride=1, padding="same", ledger=None):
     if ciw != c:
         raise DimensionMismatch("channel", ciw, c, "pointwise weights vs depthwise stage")
     mid = depthwise2d_array(x, dw, stride, padding, ledger)
-    out = conv2d_array(mid, pw.reshape(co, ciw, 1, 1), 1, "valid", ledger)
+    ho, wo = mid.shape[2:]
+    # the 1x1 stage as one (Co,Ci) x (B,Ci,Ho*Wo) matmul, tallied as a 1x1 conv2d
+    out = np.matmul(pw.reshape(co, ciw), mid.reshape(b, ciw, ho * wo)).reshape(b, co, ho, wo)
+    _tally(ledger, b * ciw * co * ho * wo)
+    _tally_params(ledger, pw)
     return out
 
 

@@ -179,14 +179,21 @@ def parse_weights(blob: bytes, graph: LayerGraph | None = None) -> dict:
         manifest = json.loads(blob[header_len : header_len + manifest_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"manifest is not valid JSON: {exc}", position=header_len) from exc
+    if not isinstance(manifest, dict):
+        raise SchemaError(f"manifest must be a JSON object, got {type(manifest).__name__}",
+                          position=header_len)
     if manifest.get("schema_version") != WEIGHTS_SCHEMA_VERSION:
         raise SchemaError(
             f"unsupported weights schema_version {manifest.get('schema_version')!r}"
         )
+    tensors = manifest.get("tensors", [])
+    if not isinstance(tensors, list):
+        raise SchemaError(f"manifest tensors must be a list, got {type(tensors).__name__}",
+                          position=header_len)
     payload = blob[header_len + manifest_len :]
     bundle: dict = {}
     seen_spans = []
-    for index, entry in enumerate(manifest.get("tensors", [])):
+    for index, entry in enumerate(tensors):
         try:
             layer, name = entry["layer"], entry["name"]
             shape = tuple(int(v) for v in entry["shape"])
@@ -279,8 +286,9 @@ class Clip:
             raise ValidationError(
                 f"clip must be {FRAME_COUNT}x{CROP_SIDE}x{CROP_SIDE}, got {frames.shape}"
             )
-        if frames.min() < 0 or frames.max() > 1:
-            raise ValidationError("clip values must lie in [0, 1]")
+        # written so that NaN fails it too: every comparison with NaN is false
+        if not (frames.min() >= 0 and frames.max() <= 1):
+            raise ValidationError("clip values must be finite and lie in [0, 1]")
         object.__setattr__(self, "frames", frames)
 
     def as_input(self) -> Tensor:

@@ -1,5 +1,7 @@
 """Architecture builders: block structure, shape flow, and calibration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,53 @@ def test_downsample_skip_is_a_stride2_conv_of_the_block_input():
     result = run_graph(graph, weights, Tensor.from_array(x), keep_outputs=True)
     direct = conv2d(Tensor.from_array(x), weights["skip"]["weights"], stride=2).as_array()
     np.testing.assert_array_equal(result.node_outputs["skip"], direct)
+
+
+def skip_edge_graph():
+    """A non-residual node ("mix") reads a skip edge, and one source ("stem")
+    feeds two later nodes."""
+    nodes = [
+        ("stem", LayerSpec("relu")),
+        ("dw", LayerSpec("ds_conv2d", in_channels=3, out_channels=3, kernel_size=3)),
+        ("mix", LayerSpec("conv2d", in_channels=3, out_channels=3, kernel_size=1)),
+        ("add1", LayerSpec("residual_add")),
+        ("act", LayerSpec("relu")),
+        ("add2", LayerSpec("residual_add")),
+    ]
+    edges = [("stem", "mix"), ("dw", "add1"), ("stem", "add2")]
+    return LayerGraph(nodes=nodes, residual_edges=edges), (3, 6, 6)
+
+
+@pytest.mark.parametrize("case", ["alpha1", "alpha2", "skip_edge"])
+def test_freeing_outputs_changes_no_value_or_count(case):
+    if case == "skip_edge":
+        graph, shape = skip_edge_graph()
+    else:
+        graph, shape = build_mobivsr(int(case[-1])), CLIP_INPUT_SHAPE
+    weights = init_weights(graph, seed=4)
+    x = Tensor.from_array(np.random.default_rng(5).random(shape, dtype=np.float32))
+    kept = run_graph(graph, weights, x, counted=True, keep_outputs=True)
+    freed = run_graph(graph, weights, x, counted=True)
+    np.testing.assert_array_equal(freed.output.as_array(), kept.output.as_array())
+    assert freed.ledger == kept.ledger
+    assert freed.node_outputs is None
+    assert list(kept.node_outputs) == [node_id for node_id, _ in graph.nodes]
+    assert run_graph(graph, weights, x).node_outputs is None
+
+
+def test_peak_memory_is_flat_in_depth():
+    x = np.ones((16, 32, 32), dtype=np.float32)
+
+    def peak(depth):
+        graph = LayerGraph(nodes=[(f"r{i}", LayerSpec("relu")) for i in range(depth)])
+        tracemalloc.start()
+        try:
+            run_graph(graph, {}, x)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(32) - peak(4) <= x.nbytes
 
 
 def test_parameter_increment_constant_in_alpha():

@@ -143,6 +143,16 @@ def test_infer_quantize_preprocess_flow(tmp_path, capsys):
     assert clip_file.exists()
 
 
+@pytest.mark.parametrize("manifest", [b"[]", b'{"schema_version": 1, "tensors": 5}'])
+def test_quantize_malformed_manifest_is_validation_error(tmp_path, capsys, manifest):
+    bad = tmp_path / "bad.mvw"
+    bad.write_bytes(b"MVSRW1" + len(manifest).to_bytes(4, "little") + manifest)
+    code, _, err = run(capsys, "quantize", str(bad), "--out", str(tmp_path / "q.mvw"))
+    assert code == 2
+    assert "manifest" in err
+    assert "Traceback" not in err
+
+
 def test_infer_missing_weights_is_io_error(tmp_path, graph_path, capsys):
     clipdir = tmp_path / "frames"
     clipdir.mkdir()

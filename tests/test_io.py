@@ -1,13 +1,17 @@
 """Clip preprocessing and the file-level round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
 from mobivsr import (
     Clip,
+    SchemaError,
     ValidationError,
     build_mobivsr,
     load_clip_dir,
+    parse_weights,
     preprocess_clip,
     read_clip,
     read_graph,
@@ -69,6 +73,26 @@ def test_clip_invariants_enforced():
         Clip(frames=np.zeros((28, 96, 96), dtype=np.float32))
     with pytest.raises(ValidationError):
         Clip(frames=np.full((29, 96, 96), 1.5, dtype=np.float32))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_clip_rejects_non_finite_values(bad):
+    frames = np.full((29, 96, 96), 0.5, dtype=np.float32)
+    frames[3, 4, 5] = bad
+    with pytest.raises(ValidationError):
+        Clip(frames=frames)
+
+
+def weights_blob(manifest):
+    """A weights file holding ``manifest`` as its JSON manifest and no payload."""
+    text = json.dumps(manifest).encode("utf-8")
+    return b"MVSRW1" + len(text).to_bytes(4, "little") + text
+
+
+@pytest.mark.parametrize("manifest", [[], {"schema_version": 1, "tensors": 5}])
+def test_malformed_weights_manifest_is_schema_error(manifest):
+    with pytest.raises(SchemaError):
+        parse_weights(weights_blob(manifest))
 
 
 def _write_frame_dir(path, raw, as_ppm=True):

@@ -1,9 +1,14 @@
 """Kernel correctness against hand values and the scalar-loop oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobivsr import (
+    CounterLedger,
     DimensionMismatch,
     Tensor,
     batchnorm_inference,
@@ -17,6 +22,7 @@ from mobivsr import (
     softmax,
     temporal_conv1d,
 )
+from mobivsr.kernels import conv2d_array, depthwise2d_array, ds_conv2d_array
 
 import _reference as ref
 
@@ -250,3 +256,28 @@ def test_linearity(name, op, shape):
     lhs = op(a * x + b * y).as_array()
     rhs = a * op(x).as_array() + b * op(y).as_array()
     np.testing.assert_allclose(lhs, rhs, atol=1e-4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.integers(1, 3), ci=st.integers(1, 5), co=st.integers(1, 5),
+       h=st.integers(3, 7), w=st.integers(3, 7), stride=st.sampled_from([1, 2]),
+       padding=st.sampled_from(["same", "valid"]), as_view=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_ds_conv2d_pointwise_matmul_matches_1x1_conv(b, ci, co, h, w, stride, padding,
+                                                     as_view, seed):
+    """The separable 1x1 stage equals a 1x1 conv2d, in values and in counts."""
+    g = rng(seed)
+    if as_view:  # per-frame execution hands the kernel a swapaxes view
+        x = g.normal(size=(ci, b, h, w)).astype(np.float32).swapaxes(0, 1)
+    else:
+        x = g.normal(size=(b, ci, h, w)).astype(np.float32)
+    dw = g.normal(size=(ci, 3, 3)).astype(np.float32)
+    pw = g.normal(size=(co, ci, 1, 1)).astype(np.float32)
+    got_ledger, old_ledger = CounterLedger(), CounterLedger()
+    got = ds_conv2d_array(x, dw, pw, stride, padding, got_ledger)
+    mid = depthwise2d_array(x, dw, stride, padding, old_ledger)
+    expected = conv2d_array(mid, pw, 1, "valid", old_ledger)
+    assert got.shape == expected.shape
+    np.testing.assert_allclose(got, expected, atol=1e-5, rtol=0)
+    for field in dataclasses.fields(CounterLedger):
+        assert getattr(got_ledger, field.name) == getattr(old_ledger, field.name), field.name
