@@ -76,8 +76,7 @@ def forward_layer(spec: LayerSpec, x: np.ndarray, weights: dict | None,
         out = _per_frame(kernels.ds_conv2d_array, x, weights["depthwise"],
                          weights["pointwise"], spec.stride, spec.padding, ledger)
     elif kind == "conv3d":
-        out = kernels.conv3d_array(x, weights["weights"], stride=spec.stride,
-                                   temporal_stride=1, padding=spec.padding, ledger=ledger)
+        out = kernels.conv3d_array(x, weights["weights"], spec.stride, spec.padding, ledger)
     elif kind == "ds_conv3d":
         out = kernels.ds_conv3d_array(x, weights["depthwise"], weights["pointwise"],
                                       stride=spec.stride, pointwise_mode=spec.pointwise_mode,

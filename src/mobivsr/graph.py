@@ -141,15 +141,13 @@ class LayerSpec:
         kind = LAYER_KINDS.get(self.kind)
         if kind is None:
             raise ValueError(f"unknown layer kind {self.kind!r}")
-        for name in kind.required:
+        for name in kind.required + ("stride",):
             value = getattr(self, name)
             if value is None:
                 raise MissingDimension(self.kind, name)
-            # bool is an int subclass, but True is no extent
+            # bool is an int subclass, but True is no extent or stride
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{self.kind}.{name} must be a positive int, got {value!r}")
-        if self.stride < 1:
-            raise ValueError(f"stride must be positive, got {self.stride}")
         if self.padding not in ("same", "valid"):
             raise ValueError(f"padding must be 'same' or 'valid', got {self.padding!r}")
         if kind.modes:

@@ -1,12 +1,14 @@
 """Reference layer kernels with instrumented operation counting.
 
-Every convolution is computed as a direct cross-correlation: an explicit sum
-over kernel offsets, vectorized across positions and channels but never
+Every convolution (2-D, 3-D, 1-D temporal, and the depthwise stages of the
+separable layers) runs through one correlation core, ``_correlate``, with
+dense filters that mix channels or per-channel filters: an explicit sum over
+kernel offsets, vectorized across positions and channels but never
 rearranged (no im2col, no FFT). The 1x1 stage of the separable 2-D
 convolution has a single offset, so it runs as one batched matmul over the
-positions; it is still that direct correlation, and it is counted exactly
-as a 1x1 convolution would be. These kernels are the correctness and
-counting oracle for the analytical cost formulas, not a performance target.
+positions, counted exactly as a 1x1 convolution would be. These kernels are
+the correctness and counting oracle for the analytical cost formulas, not a
+performance target.
 
 Counting conventions, applied whenever a CounterLedger is passed in:
 
@@ -29,6 +31,8 @@ import numpy as np
 from .errors import DimensionMismatch
 
 _PADDINGS = ("same", "valid")
+# names of the correlated axes, by their count, for error messages
+_AXES = {1: ("time",), 2: ("height", "width"), 3: ("time", "height", "width")}
 
 
 def _check_padding(padding):
@@ -37,7 +41,8 @@ def _check_padding(padding):
 
 
 def _check_stride(stride):
-    if not isinstance(stride, (int, np.integer)) or stride < 1:
+    # bool is an int subclass, but True is no stride
+    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"stride must be a positive int, got {stride!r}")
 
 
@@ -77,134 +82,71 @@ def _tally_params(ledger, weights):
 # ---------------------------------------------------------------------------
 
 
-def conv2d_array(x, w, stride=1, padding="same", ledger=None):
-    """Batched 2-D cross-correlation: (B,Ci,H,W) x (Co,Ci,K,K) -> (B,Co,Ho,Wo)."""
-    _check_stride(stride)
+def _correlate(x, w, strides, padding, ledger, grouped, context):
+    """Correlate a (B,C,*S) batch over its trailing len(strides) axes.
+
+    Dense weights (Co,Ci,*K) mix channels and give (B,Co,*So); grouped
+    weights (C,*K) hold one filter per channel and give (B,C,*So).
+    """
+    for stride in strides:
+        _check_stride(stride)
     _check_padding(padding)
-    b, ci, h, wd = x.shape
-    co, ciw, kh, kw = w.shape
-    if ciw != ci:
-        raise DimensionMismatch("channel", ciw, ci, "conv2d input vs weights")
-    if kh != kw:
-        raise DimensionMismatch("kernel", f"square, {kh}x{kh}", f"{kh}x{kw}", "conv2d weights")
-    ho = out_extent(h, kh, stride, padding, "height")
-    wo = out_extent(wd, kw, stride, padding, "width")
-    xp = np.pad(x, ((0, 0), (0, 0), _pad_amounts(h, kh, stride, padding),
-                    _pad_amounts(wd, kw, stride, padding)))
-    out = np.zeros((b, co, ho, wo), dtype=np.float32)
-    for ky in range(kh):
-        for kx in range(kw):
-            patch = xp[:, :, ky : ky + (ho - 1) * stride + 1 : stride,
-                       kx : kx + (wo - 1) * stride + 1 : stride]
-            # (Co,Ci) . (B,Ci,Ho,Wo) contracted over Ci -> (Co,B,Ho,Wo)
-            out += np.tensordot(w[:, :, ky, kx], patch, axes=(1, 1)).swapaxes(0, 1)
-            _tally(ledger, b * ci * co * ho * wo)
+    n = len(strides)
+    w_rank = n + 1 if grouped else n + 2
+    if x.ndim != n + 2 or w.ndim != w_rank:
+        raise DimensionMismatch("rank", (n + 2, w_rank), (x.ndim, w.ndim),
+                                f"{context} input and weights")
+    b, c, *size = x.shape
+    kernel = w.shape[-n:]
+    cw = w.shape[0] if grouped else w.shape[1]
+    if cw != c:
+        raise DimensionMismatch("channel", cw, c, f"{context} input vs weights")
+    if n > 1 and kernel[-2] != kernel[-1]:
+        kh, kw = kernel[-2:]
+        raise DimensionMismatch("kernel", f"square, {kh}x{kh}", f"{kh}x{kw}", f"{context} weights")
+    outs = [out_extent(m, k, s, padding, axis)
+            for m, k, s, axis in zip(size, kernel, strides, _AXES[n])]
+    xp = np.pad(x, [(0, 0), (0, 0)] + [_pad_amounts(m, k, s, padding)
+                                       for m, k, s in zip(size, kernel, strides)])
+    out = np.zeros((b, w.shape[0], *outs), dtype=np.float32)
+    per_offset = out.size if grouped else out.size * c
+    for offset in np.ndindex(*kernel):
+        patch = xp[(...,) + tuple(slice(o, o + (m - 1) * s + 1, s)
+                                  for o, m, s in zip(offset, outs, strides))]
+        tap = w[(...,) + offset]
+        if grouped:
+            out += patch * tap.reshape((c,) + (1,) * n)
+        else:
+            # (Co,Ci) . (B,Ci,*So) contracted over Ci -> (Co,B,*So)
+            out += np.tensordot(tap, patch, axes=(1, 1)).swapaxes(0, 1)
+        _tally(ledger, per_offset)
     _tally_params(ledger, w)
     return out
+
+
+def conv2d_array(x, w, stride=1, padding="same", ledger=None):
+    """Batched 2-D cross-correlation: (B,Ci,H,W) x (Co,Ci,K,K) -> (B,Co,Ho,Wo)."""
+    return _correlate(x, w, (stride, stride), padding, ledger, False, "conv2d")
 
 
 def depthwise2d_array(x, w, stride=1, padding="same", ledger=None):
     """Grouped 2-D stage, groups == channels: (B,C,H,W) x (C,K,K) -> (B,C,Ho,Wo)."""
-    _check_stride(stride)
-    _check_padding(padding)
-    b, c, h, wd = x.shape
-    cw, kh, kw = w.shape
-    if cw != c:
-        raise DimensionMismatch("channel", cw, c, "depthwise input vs weights")
-    if kh != kw:
-        raise DimensionMismatch("kernel", f"square, {kh}x{kh}", f"{kh}x{kw}", "depthwise weights")
-    ho = out_extent(h, kh, stride, padding, "height")
-    wo = out_extent(wd, kw, stride, padding, "width")
-    xp = np.pad(x, ((0, 0), (0, 0), _pad_amounts(h, kh, stride, padding),
-                    _pad_amounts(wd, kw, stride, padding)))
-    out = np.zeros((b, c, ho, wo), dtype=np.float32)
-    for ky in range(kh):
-        for kx in range(kw):
-            patch = xp[:, :, ky : ky + (ho - 1) * stride + 1 : stride,
-                       kx : kx + (wo - 1) * stride + 1 : stride]
-            out += patch * w[:, ky, kx][None, :, None, None]
-            _tally(ledger, b * c * ho * wo)
-    _tally_params(ledger, w)
-    return out
+    return _correlate(x, w, (stride, stride), padding, ledger, True, "depthwise")
 
 
-def conv3d_array(x, w, stride=1, temporal_stride=1, padding="same", ledger=None):
-    """3-D cross-correlation: (Ci,L,H,W) x (Co,Ci,T,K,K) -> (Co,Lo,Ho,Wo)."""
-    _check_stride(stride)
-    _check_stride(temporal_stride)
-    _check_padding(padding)
-    ci, ln, h, wd = x.shape
-    co, ciw, t, kh, kw = w.shape
-    if ciw != ci:
-        raise DimensionMismatch("channel", ciw, ci, "conv3d input vs weights")
-    if kh != kw:
-        raise DimensionMismatch("kernel", f"square, {kh}x{kh}", f"{kh}x{kw}", "conv3d weights")
-    lo = out_extent(ln, t, temporal_stride, padding, "time")
-    ho = out_extent(h, kh, stride, padding, "height")
-    wo = out_extent(wd, kw, stride, padding, "width")
-    xp = np.pad(x, ((0, 0), _pad_amounts(ln, t, temporal_stride, padding),
-                    _pad_amounts(h, kh, stride, padding),
-                    _pad_amounts(wd, kw, stride, padding)))
-    out = np.zeros((co, lo, ho, wo), dtype=np.float32)
-    for kt in range(t):
-        for ky in range(kh):
-            for kx in range(kw):
-                patch = xp[:, kt : kt + (lo - 1) * temporal_stride + 1 : temporal_stride,
-                           ky : ky + (ho - 1) * stride + 1 : stride,
-                           kx : kx + (wo - 1) * stride + 1 : stride]
-                out += np.tensordot(w[:, :, kt, ky, kx], patch, axes=(1, 0))
-                _tally(ledger, ci * co * lo * ho * wo)
-    _tally_params(ledger, w)
-    return out
+def conv3d_array(x, w, stride=1, padding="same", ledger=None):
+    """3-D cross-correlation, temporal stride 1: (Ci,L,H,W) x (Co,Ci,T,K,K) -> (Co,Lo,Ho,Wo)."""
+    return _correlate(x[None], w, (1, stride, stride), padding, ledger, False, "conv3d")[0]
 
 
-def depthwise3d_array(x, w, stride=1, temporal_stride=1, padding="same", ledger=None):
-    """Grouped 3-D stage: (C,L,H,W) x (C,T,K,K) -> (C,Lo,Ho,Wo)."""
-    _check_stride(stride)
-    _check_stride(temporal_stride)
-    _check_padding(padding)
-    c, ln, h, wd = x.shape
-    cw, t, kh, kw = w.shape
-    if cw != c:
-        raise DimensionMismatch("channel", cw, c, "depthwise input vs weights")
-    if kh != kw:
-        raise DimensionMismatch("kernel", f"square, {kh}x{kh}", f"{kh}x{kw}", "depthwise weights")
-    lo = out_extent(ln, t, temporal_stride, padding, "time")
-    ho = out_extent(h, kh, stride, padding, "height")
-    wo = out_extent(wd, kw, stride, padding, "width")
-    xp = np.pad(x, ((0, 0), _pad_amounts(ln, t, temporal_stride, padding),
-                    _pad_amounts(h, kh, stride, padding),
-                    _pad_amounts(wd, kw, stride, padding)))
-    out = np.zeros((c, lo, ho, wo), dtype=np.float32)
-    for kt in range(t):
-        for ky in range(kh):
-            for kx in range(kw):
-                patch = xp[:, kt : kt + (lo - 1) * temporal_stride + 1 : temporal_stride,
-                           ky : ky + (ho - 1) * stride + 1 : stride,
-                           kx : kx + (wo - 1) * stride + 1 : stride]
-                out += patch * w[:, kt, ky, kx][:, None, None, None]
-                _tally(ledger, c * lo * ho * wo)
-    _tally_params(ledger, w)
-    return out
+def depthwise3d_array(x, w, stride=1, padding="same", ledger=None):
+    """Grouped 3-D stage, temporal stride 1: (C,L,H,W) x (C,T,K,K) -> (C,Lo,Ho,Wo)."""
+    return _correlate(x[None], w, (1, stride, stride), padding, ledger, True, "depthwise")[0]
 
 
 def conv1d_array(x, w, stride=1, padding="same", ledger=None):
     """1-D cross-correlation over time: (Ci,L) x (Co,Ci,k) -> (Co,Lo)."""
-    _check_stride(stride)
-    _check_padding(padding)
-    ci, ln = x.shape
-    co, ciw, k = w.shape
-    if ciw != ci:
-        raise DimensionMismatch("channel", ciw, ci, "temporal conv input vs weights")
-    lo = out_extent(ln, k, stride, padding, "time")
-    xp = np.pad(x, ((0, 0), _pad_amounts(ln, k, stride, padding)))
-    out = np.zeros((co, lo), dtype=np.float32)
-    for kt in range(k):
-        patch = xp[:, kt : kt + (lo - 1) * stride + 1 : stride]
-        out += np.tensordot(w[:, :, kt], patch, axes=(1, 0))
-        _tally(ledger, ci * co * lo)
-    _tally_params(ledger, w)
-    return out
+    return _correlate(x[None], w, (stride,), padding, ledger, False, "temporal conv")[0]
 
 
 def ds_conv2d_array(x, dw, pw, stride=1, padding="same", ledger=None):
@@ -242,11 +184,9 @@ def ds_conv3d_array(x, dw, pw, stride=1, pointwise_mode="partial", padding="same
             raise DimensionMismatch("pointwise time", 1, tp, "full pointwise kernel")
     else:
         raise ValueError(f"pointwise_mode must be 'partial' or 'full', got {pointwise_mode!r}")
-    mid = depthwise3d_array(x, dw, stride=stride, temporal_stride=1, padding=padding,
-                            ledger=ledger)
-    out = conv3d_array(mid, pw.reshape(co, ciw, tp, 1, 1), stride=1, temporal_stride=1,
-                       padding="same", ledger=ledger)
-    return out
+    mid = depthwise3d_array(x, dw, stride=stride, padding=padding, ledger=ledger)
+    return conv3d_array(mid, pw.reshape(co, ciw, tp, 1, 1), stride=1, padding="same",
+                        ledger=ledger)
 
 
 def fc_array(x, w, ledger=None):

@@ -69,6 +69,13 @@ def serialize_graph(graph: LayerGraph) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _list_field(doc: dict, name: str) -> list:
+    value = doc.get(name, [])
+    if not isinstance(value, list):
+        raise SchemaError(f"graph {name} must be a list, got {type(value).__name__}")
+    return value
+
+
 def parse_graph(text: str) -> LayerGraph:
     try:
         doc = json.loads(text)
@@ -80,7 +87,7 @@ def parse_graph(text: str) -> LayerGraph:
     if version != GRAPH_SCHEMA_VERSION:
         raise SchemaError(f"unsupported graph schema_version {version!r}")
     nodes = []
-    for index, entry in enumerate(doc.get("nodes", [])):
+    for index, entry in enumerate(_list_field(doc, "nodes")):
         if not isinstance(entry, dict) or "id" not in entry or "kind" not in entry:
             raise SchemaError(f"node #{index} must have 'id' and 'kind'", position=index)
         node_id = str(entry["id"])
@@ -96,17 +103,23 @@ def parse_graph(text: str) -> LayerGraph:
             raise SchemaError(f"node {node_id!r}: {exc}", node_id=node_id) from exc
         nodes.append((node_id, spec))
     edges = []
-    for index, edge in enumerate(doc.get("residual_edges", [])):
+    for index, edge in enumerate(_list_field(doc, "residual_edges")):
         if not isinstance(edge, (list, tuple)) or len(edge) != 2:
             raise SchemaError(f"residual edge #{index} must be a [src, dst] pair",
                               position=index)
         edges.append((str(edge[0]), str(edge[1])))
     shape = doc.get("input_shape")
+    if shape is not None:
+        # bool is an int subclass, but True is no extent
+        if not isinstance(shape, list) or not all(
+                isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in shape):
+            raise SchemaError(f"input_shape must be a list of positive ints, got {shape!r}")
+        shape = tuple(shape)
     graph = LayerGraph(
         nodes=nodes,
         residual_edges=edges,
         channel_plan=doc.get("channel_plan", "custom"),
-        input_shape=tuple(shape) if shape is not None else None,
+        input_shape=shape,
     )
     try:
         graph.validate()
@@ -201,6 +214,12 @@ def parse_weights(blob: bytes, graph: LayerGraph | None = None) -> dict:
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"manifest entry #{index} malformed: {exc}",
                               position=index) from exc
+        if not isinstance(layer, str) or not isinstance(name, str):
+            raise SchemaError(f"manifest entry #{index}: layer and name must be strings",
+                              position=index)
+        if any(v <= 0 for v in shape):
+            raise SchemaError(f"tensor {layer}/{name}: extents must be positive, got {shape}",
+                              node_id=layer)
         count = int(np.prod(shape))
         expected = 4 * count if dtype == "fp32" else 8 + count
         if dtype not in ("fp32", "int8"):
@@ -226,8 +245,11 @@ def parse_weights(blob: bytes, graph: LayerGraph | None = None) -> dict:
             (scale,) = struct.unpack_from("<f", block, 0)
             (zero_point,) = struct.unpack_from("<i", block, 4)
             codes = np.frombuffer(block, dtype="<i1", offset=8).astype(np.int8)
-            tensor = Tensor(shape=shape, data=codes,
-                            quant=QuantParams(float(scale), int(zero_point)))
+            try:
+                quant = QuantParams(float(scale), int(zero_point))
+            except ValueError as exc:
+                raise SchemaError(f"tensor {layer}/{name}: {exc}", node_id=layer) from exc
+            tensor = Tensor(shape=shape, data=codes, quant=quant)
         bundle.setdefault(layer, {})[name] = tensor
     seen_spans.sort()
     for (_, end_a, name_a), (start_b, _, name_b) in zip(seen_spans, seen_spans[1:]):

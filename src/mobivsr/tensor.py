@@ -21,8 +21,8 @@ class QuantParams:
     zero_point: int
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError(f"quantization scale must be positive, got {self.scale}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"quantization scale must be positive and finite, got {self.scale}")
         if not -(2**31) <= self.zero_point < 2**31:
             raise ValueError(f"zero_point {self.zero_point} does not fit in int32")
 

@@ -65,6 +65,15 @@ def test_report_malformed_graph_is_schema_error(tmp_path, capsys):
     assert "schema" in err.lower() or "error" in err.lower()
 
 
+def test_report_non_list_nodes_is_validation_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"schema_version": 1, "nodes": 5}')
+    code, _, err = run(capsys, "report", str(bad))
+    assert code == 2
+    assert "nodes" in err
+    assert "Traceback" not in err
+
+
 def test_report_missing_file_is_io_error(tmp_path, capsys):
     code, _, err = run(capsys, "report", str(tmp_path / "nope.json"))
     assert code == 3

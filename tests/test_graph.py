@@ -1,5 +1,7 @@
 """Graph IR: validation, shape inference, and file round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,20 @@ def test_bool_dimensions_rejected():
     {"schema_version": 1, "residual_edges": [],
      "nodes": [{"id": "c", "kind": "conv2d", "in_channels": true, "out_channels": 2,
                 "kernel_size": 3}]}
+    """
+    with pytest.raises(SchemaError) as exc:
+        parse_graph(text)
+    assert exc.value.node_id == "c"
+
+
+@pytest.mark.parametrize("stride", [True, 1.5, 0])
+def test_non_int_strides_rejected(stride):
+    with pytest.raises(ValueError):
+        LayerSpec("conv2d", in_channels=1, out_channels=2, kernel_size=3, stride=stride)
+    text = f"""
+    {{"schema_version": 1, "residual_edges": [],
+     "nodes": [{{"id": "c", "kind": "conv2d", "in_channels": 1, "out_channels": 2,
+                "kernel_size": 3, "stride": {json.dumps(stride)}}}]}}
     """
     with pytest.raises(SchemaError) as exc:
         parse_graph(text)

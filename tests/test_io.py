@@ -1,6 +1,7 @@
 """Clip preprocessing and the file-level round trips."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mobivsr import (
     ValidationError,
     build_mobivsr,
     load_clip_dir,
+    parse_graph,
     parse_weights,
     preprocess_clip,
     read_clip,
@@ -93,6 +95,50 @@ def weights_blob(manifest):
 def test_malformed_weights_manifest_is_schema_error(manifest):
     with pytest.raises(SchemaError):
         parse_weights(weights_blob(manifest))
+
+
+def tensor_blob(payload, **entry):
+    """A weights file holding one tensor entry over ``payload``."""
+    entry = {"layer": "n", "name": "w", "shape": [2], "dtype": "fp32", "offset": 0,
+             "nbytes": len(payload), **entry}
+    return weights_blob({"schema_version": 1, "tensors": [entry]}) + payload
+
+
+@pytest.mark.parametrize("shape", [[0], [-1, -2]])
+def test_weights_non_positive_extent_is_schema_error(shape):
+    # the payload matches what nbytes implies, so only the extent is wrong
+    payload = bytes(4 * abs(int(np.prod(shape))))
+    with pytest.raises(SchemaError) as exc:
+        parse_weights(tensor_blob(payload, shape=shape))
+    assert exc.value.node_id == "n"
+
+
+def test_weights_non_string_layer_is_schema_error():
+    with pytest.raises(SchemaError) as exc:
+        parse_weights(tensor_blob(bytes(8), layer=[1]))
+    assert exc.value.position == 0
+
+
+@pytest.mark.parametrize("scale", [float("nan"), 0.0, -1.0, float("inf")])
+def test_weights_bad_int8_scale_is_schema_error(scale):
+    block = struct.pack("<f", scale) + struct.pack("<i", 0) + bytes(2)
+    with pytest.raises(SchemaError) as exc:
+        parse_weights(tensor_blob(block, dtype="int8"))
+    assert exc.value.node_id == "n"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("nodes", 5),
+    ("residual_edges", 5),
+    ("input_shape", 5),
+    ("input_shape", ["x"]),
+    ("input_shape", [0, 3]),
+    ("input_shape", [1.5, 2]),
+    ("input_shape", [True, 2]),
+])
+def test_graph_malformed_field_is_schema_error(field, value):
+    with pytest.raises(SchemaError):
+        parse_graph(json.dumps({"schema_version": 1, field: value}))
 
 
 def _write_frame_dir(path, raw, as_ppm=True):

@@ -1,6 +1,9 @@
 """Kernel correctness against hand values and the scalar-loop oracles."""
 
 import dataclasses
+import importlib.util
+import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,12 +20,20 @@ from mobivsr import (
     ds_conv2d,
     ds_conv3d,
     fully_connected,
+    kernels,
     maxpool,
     relu,
     softmax,
     temporal_conv1d,
 )
-from mobivsr.kernels import conv2d_array, depthwise2d_array, ds_conv2d_array
+from mobivsr.kernels import (
+    conv1d_array,
+    conv2d_array,
+    conv3d_array,
+    depthwise2d_array,
+    depthwise3d_array,
+    ds_conv2d_array,
+)
 
 import _reference as ref
 
@@ -281,3 +292,107 @@ def test_ds_conv2d_pointwise_matmul_matches_1x1_conv(b, ci, co, h, w, stride, pa
     np.testing.assert_allclose(got, expected, atol=1e-5, rtol=0)
     for field in dataclasses.fields(CounterLedger):
         assert getattr(got_ledger, field.name) == getattr(old_ledger, field.name), field.name
+
+
+# The four counts a kernel tallies; the output write is tallied by forward_layer.
+KERNEL_COUNTS = ("multiplies", "adds", "param_reads", "activation_reads")
+
+
+def _unrolled(parts, w):
+    """Stack per-sample or per-channel oracle outputs and sum their counts."""
+    counts = {f: sum(c[f] for _, c in parts) for f in KERNEL_COUNTS}
+    counts["param_reads"] = w.size  # each weight is read once per call
+    return np.stack([out for out, _ in parts]), counts
+
+
+def _grouped(loops, x, w, stride, padding):
+    parts = [loops(x[c : c + 1], w[c][None, None], stride, padding) for c in range(len(w))]
+    out, counts = _unrolled(parts, w)
+    return out[:, 0], counts
+
+
+def _conv1d_loops(x, w, stride, padding):
+    # a (Ci,L) sequence is a (Ci,1,L) image under a (Co,Ci,1,k) kernel
+    out, counts = ref.conv2d_loops(x[:, None], w[:, :, None], stride, padding)
+    return out[:, 0], counts
+
+
+# name: (kernel, input axes, weight axes, scalar-loop oracle). Axes are spelled
+# b(atch), c(hannels), o(ut channels), t(ime kernel), k(ernel), l, h, w(idth).
+KERNEL_CASES = {
+    "conv2d": (conv2d_array, "bchw", "ockk", lambda x, w, s, p: _unrolled(
+        [ref.conv2d_loops(v, w, s, p) for v in x], w)),
+    "depthwise2d": (depthwise2d_array, "bchw", "ckk", lambda x, w, s, p: _unrolled(
+        [_grouped(ref.conv2d_loops, v, w, s, p) for v in x], w)),
+    "conv3d": (conv3d_array, "clhw", "octkk", ref.conv3d_loops),
+    "depthwise3d": (depthwise3d_array, "clhw", "ctkk", lambda x, w, s, p: _grouped(
+        ref.conv3d_loops, x, w, s, p)),
+    "conv1d": (conv1d_array, "cl", "ock", _conv1d_loops),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+@settings(max_examples=25, deadline=None)
+@given(dims=st.fixed_dictionaries({
+           "b": st.integers(1, 2), "c": st.integers(1, 3), "o": st.integers(1, 3),
+           "t": st.integers(1, 3), "k": st.integers(1, 3),
+           "l": st.integers(3, 6), "h": st.integers(3, 6), "w": st.integers(3, 6)}),
+       stride=st.sampled_from([1, 2]), padding=st.sampled_from(["same", "valid"]),
+       seed=st.integers(0, 2**16))
+def test_kernel_matches_scalar_loops(name, dims, stride, padding, seed):
+    """Each public kernel equals its scalar-loop oracle, in values and in counts."""
+    kernel, x_axes, w_axes, oracle = KERNEL_CASES[name]
+    g = rng(seed)
+    x = g.normal(size=[dims[a] for a in x_axes]).astype(np.float32)
+    w = g.normal(size=[dims[a] for a in w_axes]).astype(np.float32)
+    ledger = CounterLedger()
+    got = kernel(x, w, stride, padding, ledger)
+    expected, counts = oracle(x.astype(np.float64), w.astype(np.float64), stride, padding)
+    assert got.shape == expected.shape
+    np.testing.assert_allclose(got, expected, atol=1e-4, rtol=0)
+    for field in KERNEL_COUNTS:
+        assert getattr(ledger, field) == counts[field], field
+
+
+@pytest.mark.parametrize("name,fault", [
+    (name, fault) for name in KERNEL_CASES
+    for fault in ("rank", "channel", "kernel", "extent", "stride 0", "stride True")
+    if not (name == "conv1d" and fault == "kernel")  # a 1-D kernel has one extent
+])
+def test_kernel_error_paths(name, fault):
+    kernel, x_axes, w_axes, _ = KERNEL_CASES[name]
+    dims = {"b": 2, "c": 3, "o": 4, "t": 3, "k": 3, "l": 4, "h": 5, "w": 6}
+    x_shape, w_shape = [dims[a] for a in x_axes], [dims[a] for a in w_axes]
+    channel = x_axes.index("c")
+    stride, padding, axis = 1, "same", fault
+    if fault == "rank":
+        w_shape = w_shape[1:]
+    elif fault == "channel":
+        x_shape[channel] += 1
+    elif fault == "kernel":
+        w_shape[-1] -= 1
+    elif fault == "extent":  # every correlated extent below the kernel size of 3
+        x_shape[channel + 1 :] = [2] * (len(x_shape) - channel - 1)
+        padding, axis = "valid", {"l": "time", "h": "height"}[x_axes[channel + 1]]
+    else:
+        stride = 0 if fault == "stride 0" else True
+    x, w = np.zeros(x_shape, dtype=np.float32), np.zeros(w_shape, dtype=np.float32)
+    if fault.startswith("stride"):
+        with pytest.raises(ValueError, match="stride"):
+            kernel(x, w, stride, padding)
+    else:
+        with pytest.raises(DimensionMismatch) as exc:
+            kernel(x, w, stride, padding)
+        assert exc.value.axis == axis
+
+
+def test_bench_tracer_names_live_kernels():
+    """The bench tracer patches kernels by name; a rename must fail here, not only there."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for attr in [*tracer.COUNTED_KERNELS.values(), *tracer.POINTWISE_OPS.values()]:
+        assert inspect.isfunction(getattr(kernels, attr, None)), attr
+    for attr in tracer.COUNTED_KERNELS.values():
+        assert "ledger" in inspect.signature(getattr(kernels, attr)).parameters, attr
