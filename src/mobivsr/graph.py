@@ -120,6 +120,18 @@ def _rank_text(ranks: range) -> str:
     return " or ".join(str(r) for r in ranks)
 
 
+def is_int(value) -> bool:
+    """An int that is not a bool: bool is an int subclass, but True is no count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def checked_shape(shape) -> tuple:
+    """``shape`` as a tuple; ValueError unless it is a list or tuple of positive ints."""
+    if not isinstance(shape, (list, tuple)) or not all(is_int(v) and v > 0 for v in shape):
+        raise ValueError(f"input_shape must be a list of positive ints, got {shape!r}")
+    return tuple(shape)
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     """One layer: a kind tag plus the hyperparameters that kind requires."""
@@ -145,8 +157,7 @@ class LayerSpec:
             value = getattr(self, name)
             if value is None:
                 raise MissingDimension(self.kind, name)
-            # bool is an int subclass, but True is no extent or stride
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            if not is_int(value) or value < 1:
                 raise ValueError(f"{self.kind}.{name} must be a positive int, got {value!r}")
         if self.padding not in ("same", "valid"):
             raise ValueError(f"padding must be 'same' or 'valid', got {self.padding!r}")
@@ -180,7 +191,7 @@ class LayerGraph:
         self.nodes = [(str(i), s) for i, s in self.nodes]
         self.residual_edges = [(str(a), str(b)) for a, b in self.residual_edges]
         if self.input_shape is not None:
-            self.input_shape = tuple(int(v) for v in self.input_shape)
+            self.input_shape = checked_shape(self.input_shape)
 
     def validate(self):
         order = {}
@@ -242,7 +253,7 @@ def shape_infer(graph: LayerGraph, input_shape):
     """
     incoming = graph.validate()
     shapes = {}
-    prev_shape = tuple(int(v) for v in input_shape)
+    prev_shape = checked_shape(input_shape)
     for node_id, spec in graph.nodes:
         if spec.kind == "residual_add":
             main = prev_shape

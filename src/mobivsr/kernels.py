@@ -4,11 +4,23 @@ Every convolution (2-D, 3-D, 1-D temporal, and the depthwise stages of the
 separable layers) runs through one correlation core, ``_correlate``, with
 dense filters that mix channels or per-channel filters: an explicit sum over
 kernel offsets, vectorized across positions and channels but never
-rearranged (no im2col, no FFT). The 1x1 stage of the separable 2-D
-convolution has a single offset, so it runs as one batched matmul over the
-positions, counted exactly as a 1x1 convolution would be. These kernels are
-the correctness and counting oracle for the analytical cost formulas, not a
-performance target.
+rearranged (no im2col, no FFT).
+
+The core works channels last. It moves the input to (B,*S,C), pads it once
+and accumulates into a (B,*So,Co) buffer; it returns a (B,Co,*So) view of
+that buffer. A dense offset is one (B*So,Ci) x (Ci,Co) contraction. A
+per-channel offset multiplies its (C,) tap, tiled along the last output
+axis, into (Wo,C) rows that are contiguous at stride 1, so numpy's inner
+loop spans Wo*C elements rather than the Wo (3 in the deepest stage) a
+channels-first broadcast gives. Each output element gets the same fp32
+multiply-adds in the same offset order as a channels-first sum, so the
+per-channel outputs are bit-identical to it.
+
+The 1x1 stage of the separable 2-D convolution reads the depthwise buffer
+directly as one (B*Ho*Wo,Ci) x (Ci,Co) GEMM, counted exactly as a 1x1
+convolution would be, and also returns a (B,Co,Ho,Wo) view of channels-last
+memory. Relu and residual adds keep that memory order, so each layer's move
+to channels last is a contiguous copy.
 
 Counting conventions, applied whenever a CounterLedger is passed in:
 
@@ -86,7 +98,8 @@ def _correlate(x, w, strides, padding, ledger, grouped, context):
     """Correlate a (B,C,*S) batch over its trailing len(strides) axes.
 
     Dense weights (Co,Ci,*K) mix channels and give (B,Co,*So); grouped
-    weights (C,*K) hold one filter per channel and give (B,C,*So).
+    weights (C,*K) hold one filter per channel and give (B,C,*So). Either
+    result is a view of a channels-last buffer.
     """
     for stride in strides:
         _check_stride(stride)
@@ -106,22 +119,27 @@ def _correlate(x, w, strides, padding, ledger, grouped, context):
         raise DimensionMismatch("kernel", f"square, {kh}x{kh}", f"{kh}x{kw}", f"{context} weights")
     outs = [out_extent(m, k, s, padding, axis)
             for m, k, s, axis in zip(size, kernel, strides, _AXES[n])]
-    xp = np.pad(x, [(0, 0), (0, 0)] + [_pad_amounts(m, k, s, padding)
-                                       for m, k, s in zip(size, kernel, strides)])
-    out = np.zeros((b, w.shape[0], *outs), dtype=np.float32)
+    pads = [_pad_amounts(m, k, s, padding) for m, k, s in zip(size, kernel, strides)]
+    # np.pad keeps an F-ordered input F-ordered (a (1,L,C) move of a (C,L)
+    # sequence is one); the contractions below must see one layout
+    xp = np.ascontiguousarray(np.pad(np.moveaxis(x, 1, -1), [(0, 0), *pads, (0, 0)]))
+    out = np.zeros((b, *outs, w.shape[0]), dtype=np.float32)
     per_offset = out.size if grouped else out.size * c
+    # kernel axes first: taps[offset] is a contiguous (C,) tap or (Co,Ci) matrix
+    taps = np.ascontiguousarray(np.moveaxis(w, range(w_rank - n), range(n, w_rank)))
     for offset in np.ndindex(*kernel):
-        patch = xp[(...,) + tuple(slice(o, o + (m - 1) * s + 1, s)
-                                  for o, m, s in zip(offset, outs, strides))]
-        tap = w[(...,) + offset]
+        patch = xp[(slice(None),) + tuple(slice(o, o + (m - 1) * s + 1, s)
+                                          for o, m, s in zip(offset, outs, strides))]
         if grouped:
-            out += patch * tap.reshape((c,) + (1,) * n)
+            # the tap tiled along the last output axis, so the multiply-add
+            # runs over (Wo, C) rows, contiguous at stride 1
+            out += patch * np.broadcast_to(taps[offset], (outs[-1], c)).copy()
         else:
-            # (Co,Ci) . (B,Ci,*So) contracted over Ci -> (Co,B,*So)
-            out += np.tensordot(tap, patch, axes=(1, 1)).swapaxes(0, 1)
+            # (B,*So,Ci) . (Co,Ci) contracted over Ci -> (B,*So,Co)
+            out += np.tensordot(patch, taps[offset], axes=(-1, 1))
         _tally(ledger, per_offset)
     _tally_params(ledger, w)
-    return out
+    return np.moveaxis(out, -1, 1)
 
 
 def conv2d_array(x, w, stride=1, padding="same", ledger=None):
@@ -150,18 +168,21 @@ def conv1d_array(x, w, stride=1, padding="same", ledger=None):
 
 
 def ds_conv2d_array(x, dw, pw, stride=1, padding="same", ledger=None):
-    """Depthwise-separable 2-D conv on a batch; only the final output is written."""
-    b, c = x.shape[:2]
+    """Depthwise-separable 2-D conv on a batch; only the final output is written.
+
+    Returns a (B,Co,Ho,Wo) view of a channels-last buffer.
+    """
+    c = x.shape[1]
     co, ciw = pw.shape[:2]
     if ciw != c:
         raise DimensionMismatch("channel", ciw, c, "pointwise weights vs depthwise stage")
-    mid = depthwise2d_array(x, dw, stride, padding, ledger)
-    ho, wo = mid.shape[2:]
-    # the 1x1 stage as one (Co,Ci) x (B,Ci,Ho*Wo) matmul, tallied as a 1x1 conv2d
-    out = np.matmul(pw.reshape(co, ciw), mid.reshape(b, ciw, ho * wo)).reshape(b, co, ho, wo)
-    _tally(ledger, b * ciw * co * ho * wo)
+    # the depthwise stage's buffer, channels last: (B,Ho,Wo,Ci), contiguous
+    mid = np.moveaxis(depthwise2d_array(x, dw, stride, padding, ledger), 1, -1)
+    # the 1x1 stage as one (B*Ho*Wo,Ci) x (Ci,Co) GEMM, tallied as a 1x1 conv2d
+    out = (mid.reshape(-1, ciw) @ pw.reshape(co, ciw).T).reshape(*mid.shape[:-1], co)
+    _tally(ledger, out.size * ciw)
     _tally_params(ledger, pw)
-    return out
+    return np.moveaxis(out, -1, 1)
 
 
 def ds_conv3d_array(x, dw, pw, stride=1, pointwise_mode="partial", padding="same", ledger=None):

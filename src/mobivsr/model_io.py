@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PayloadBoundsError, SchemaError, ValidationError
-from .graph import KINDS, LayerGraph, LayerSpec, weight_shapes
+from .graph import KINDS, LayerGraph, LayerSpec, is_int, weight_shapes
 from .tensor import QuantParams, Tensor
 
 GRAPH_SCHEMA_VERSION = 1
@@ -84,13 +84,16 @@ def parse_graph(text: str) -> LayerGraph:
     if not isinstance(doc, dict):
         raise SchemaError("graph file must hold a JSON object")
     version = doc.get("schema_version")
-    if version != GRAPH_SCHEMA_VERSION:
+    if not is_int(version) or version != GRAPH_SCHEMA_VERSION:
         raise SchemaError(f"unsupported graph schema_version {version!r}")
     nodes = []
     for index, entry in enumerate(_list_field(doc, "nodes")):
         if not isinstance(entry, dict) or "id" not in entry or "kind" not in entry:
             raise SchemaError(f"node #{index} must have 'id' and 'kind'", position=index)
-        node_id = str(entry["id"])
+        node_id = entry["id"]
+        if not isinstance(node_id, str):
+            raise SchemaError(f"node #{index} id must be a string, got {node_id!r}",
+                              position=index)
         kind = entry["kind"]
         if kind not in KINDS:
             raise SchemaError(f"node {node_id!r} has unknown kind {kind!r}", node_id=node_id)
@@ -107,20 +110,19 @@ def parse_graph(text: str) -> LayerGraph:
         if not isinstance(edge, (list, tuple)) or len(edge) != 2:
             raise SchemaError(f"residual edge #{index} must be a [src, dst] pair",
                               position=index)
-        edges.append((str(edge[0]), str(edge[1])))
-    shape = doc.get("input_shape")
-    if shape is not None:
-        # bool is an int subclass, but True is no extent
-        if not isinstance(shape, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in shape):
-            raise SchemaError(f"input_shape must be a list of positive ints, got {shape!r}")
-        shape = tuple(shape)
-    graph = LayerGraph(
-        nodes=nodes,
-        residual_edges=edges,
-        channel_plan=doc.get("channel_plan", "custom"),
-        input_shape=shape,
-    )
+        if not all(isinstance(end, str) for end in edge):
+            raise SchemaError(f"residual edge #{index} endpoints must be node id strings, "
+                              f"got {edge!r}", position=index)
+        edges.append(tuple(edge))
+    try:
+        graph = LayerGraph(
+            nodes=nodes,
+            residual_edges=edges,
+            channel_plan=doc.get("channel_plan", "custom"),
+            input_shape=doc.get("input_shape"),
+        )
+    except ValueError as exc:
+        raise SchemaError(f"graph {exc}") from exc
     try:
         graph.validate()
     except ValueError as exc:
@@ -195,10 +197,9 @@ def parse_weights(blob: bytes, graph: LayerGraph | None = None) -> dict:
     if not isinstance(manifest, dict):
         raise SchemaError(f"manifest must be a JSON object, got {type(manifest).__name__}",
                           position=header_len)
-    if manifest.get("schema_version") != WEIGHTS_SCHEMA_VERSION:
-        raise SchemaError(
-            f"unsupported weights schema_version {manifest.get('schema_version')!r}"
-        )
+    version = manifest.get("schema_version")
+    if not is_int(version) or version != WEIGHTS_SCHEMA_VERSION:
+        raise SchemaError(f"unsupported weights schema_version {version!r}")
     tensors = manifest.get("tensors", [])
     if not isinstance(tensors, list):
         raise SchemaError(f"manifest tensors must be a list, got {type(tensors).__name__}",
@@ -208,15 +209,22 @@ def parse_weights(blob: bytes, graph: LayerGraph | None = None) -> dict:
     seen_spans = []
     for index, entry in enumerate(tensors):
         try:
-            layer, name = entry["layer"], entry["name"]
-            shape = tuple(int(v) for v in entry["shape"])
-            dtype, offset, nbytes = entry["dtype"], int(entry["offset"]), int(entry["nbytes"])
-        except (KeyError, TypeError, ValueError) as exc:
+            layer, name, dtype = entry["layer"], entry["name"], entry["dtype"]
+            shape, offset, nbytes = entry["shape"], entry["offset"], entry["nbytes"]
+        except (KeyError, TypeError) as exc:
             raise SchemaError(f"manifest entry #{index} malformed: {exc}",
                               position=index) from exc
         if not isinstance(layer, str) or not isinstance(name, str):
             raise SchemaError(f"manifest entry #{index}: layer and name must be strings",
                               position=index)
+        if not isinstance(shape, list) or not all(map(is_int, shape)):
+            raise SchemaError(f"manifest entry #{index}: shape must be a list of ints, "
+                              f"got {shape!r}", position=index)
+        for field, value in (("offset", offset), ("nbytes", nbytes)):
+            if not is_int(value):
+                raise SchemaError(f"manifest entry #{index}: {field} must be an int, "
+                                  f"got {value!r}", position=index)
+        shape = tuple(shape)
         if any(v <= 0 for v in shape):
             raise SchemaError(f"tensor {layer}/{name}: extents must be positive, got {shape}",
                               node_id=layer)

@@ -74,6 +74,21 @@ def test_report_non_list_nodes_is_validation_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fields", [
+    '"schema_version": true, "nodes": [{"id": "r", "kind": "relu"}]',
+    '"schema_version": 1, "nodes": [{"id": [1], "kind": "relu"}]',
+    '"schema_version": 1, "nodes": [{"id": "1", "kind": "relu"}, '
+    '{"id": "b", "kind": "residual_add"}], "residual_edges": [[1, "b"]]',
+], ids=["bool version", "list node id", "int edge source"])
+def test_report_non_int_version_or_non_string_id_is_schema_error(tmp_path, capsys, fields):
+    # each file would cost a (2, 3) input if its version and ids were read leniently
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"input_shape": [2, 3], ' + fields + "}")
+    code, _, err = run(capsys, "report", str(bad))
+    assert code == 2
+    assert "Traceback" not in err
+
+
 def test_report_missing_file_is_io_error(tmp_path, capsys):
     code, _, err = run(capsys, "report", str(tmp_path / "nope.json"))
     assert code == 3

@@ -76,6 +76,14 @@ def test_every_kind_runs_with_its_recorded_shapes(kind):
     assert (params_of(spec) > 0) == (kind in COSTED_KINDS)
 
 
+@pytest.mark.parametrize("shape", [[1.5, 2], [True, 2], [0, 3], [-1], ["2"], 5, "12"])
+def test_non_int_input_shapes_rejected(shape):
+    with pytest.raises(ValueError, match="input_shape"):
+        LayerGraph(input_shape=shape)
+    with pytest.raises(ValueError, match="input_shape"):
+        shape_infer(LayerGraph(nodes=[("r", LayerSpec("relu"))]), shape)
+
+
 def test_shape_infer_simple_chain():
     graph = LayerGraph(nodes=[
         ("c1", LayerSpec("conv2d", in_channels=1, out_channels=4, kernel_size=3, stride=2)),

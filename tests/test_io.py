@@ -119,6 +119,30 @@ def test_weights_non_string_layer_is_schema_error():
     assert exc.value.position == 0
 
 
+@pytest.mark.parametrize("field,value", [
+    ("shape", [1.5, 2]),
+    ("shape", [True, 2]),
+    ("shape", ["2"]),
+    ("shape", "12"),
+    ("offset", "0"),
+    ("offset", 0.0),
+    ("offset", False),
+    ("nbytes", 8.9),
+    ("nbytes", True),
+])
+def test_weights_non_int_entry_field_is_schema_error(field, value):
+    # one fp32 tensor of 2 elements; only the named field is not an int
+    with pytest.raises(SchemaError, match=f"entry #0: {field}") as exc:
+        parse_weights(tensor_blob(bytes(8), **{field: value}))
+    assert exc.value.position == 0
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_weights_non_int_schema_version_is_schema_error(version):
+    with pytest.raises(SchemaError, match="schema_version"):
+        parse_weights(weights_blob({"schema_version": version, "tensors": []}))
+
+
 @pytest.mark.parametrize("scale", [float("nan"), 0.0, -1.0, float("inf")])
 def test_weights_bad_int8_scale_is_schema_error(scale):
     block = struct.pack("<f", scale) + struct.pack("<i", 0) + bytes(2)
@@ -139,6 +163,26 @@ def test_weights_bad_int8_scale_is_schema_error(scale):
 def test_graph_malformed_field_is_schema_error(field, value):
     with pytest.raises(SchemaError):
         parse_graph(json.dumps({"schema_version": 1, field: value}))
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_graph_non_int_schema_version_is_schema_error(version):
+    with pytest.raises(SchemaError, match="schema_version"):
+        parse_graph(json.dumps({"schema_version": version, "nodes": []}))
+
+
+@pytest.mark.parametrize("doc,position", [
+    ({"nodes": [{"id": [1], "kind": "relu"}]}, 0),
+    ({"nodes": [{"id": "a", "kind": "relu"}, {"id": 2, "kind": "relu"}]}, 1),
+    ({"nodes": [{"id": "a", "kind": "relu"}, {"id": "b", "kind": "residual_add"}],
+      "residual_edges": [[["a"], "b"]]}, 0),
+    ({"nodes": [{"id": "1", "kind": "relu"}, {"id": "b", "kind": "residual_add"}],
+      "residual_edges": [[1, "b"]]}, 0),
+])
+def test_graph_non_string_id_is_schema_error(doc, position):
+    with pytest.raises(SchemaError) as exc:
+        parse_graph(json.dumps({"schema_version": 1, **doc}))
+    assert exc.value.position == position
 
 
 def _write_frame_dir(path, raw, as_ppm=True):

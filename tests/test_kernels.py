@@ -269,23 +269,41 @@ def test_linearity(name, op, shape):
     np.testing.assert_allclose(lhs, rhs, atol=1e-4)
 
 
+# memory layouts a (B,C,H,W) kernel input arrives in
+LAYOUTS = ("contiguous", "swapaxes", "channels last")
+
+
+def _laid_out(g, shape, layout):
+    """A seeded (B,C,H,W) float32 value in the given memory layout."""
+    b, c, h, w = shape
+    if layout == "contiguous":
+        return g.normal(size=shape).astype(np.float32)
+    if layout == "swapaxes":  # per-frame execution hands the kernels such a view
+        return g.normal(size=(c, b, h, w)).astype(np.float32).swapaxes(0, 1)
+    # a ds_conv2d_array output: a (B,C,H,W) view of a channels-last buffer
+    dw = g.normal(size=(2, 3, 3)).astype(np.float32)
+    pw = g.normal(size=(c, 2, 1, 1)).astype(np.float32)
+    out = ds_conv2d_array(g.normal(size=(b, 2, h, w)).astype(np.float32), dw, pw)
+    assert out.shape == shape and out.strides[1] == out.itemsize
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(b=st.integers(1, 3), ci=st.integers(1, 5), co=st.integers(1, 5),
        h=st.integers(3, 7), w=st.integers(3, 7), stride=st.sampled_from([1, 2]),
-       padding=st.sampled_from(["same", "valid"]), as_view=st.booleans(),
+       padding=st.sampled_from(["same", "valid"]), layout=st.sampled_from(LAYOUTS),
        seed=st.integers(0, 2**16))
 def test_ds_conv2d_pointwise_matmul_matches_1x1_conv(b, ci, co, h, w, stride, padding,
-                                                     as_view, seed):
-    """The separable 1x1 stage equals a 1x1 conv2d, in values and in counts."""
+                                                     layout, seed):
+    """The separable 1x1 stage equals a 1x1 conv2d, in values and in counts, on
+    every input layout, ds_conv2d_array's own output included."""
     g = rng(seed)
-    if as_view:  # per-frame execution hands the kernel a swapaxes view
-        x = g.normal(size=(ci, b, h, w)).astype(np.float32).swapaxes(0, 1)
-    else:
-        x = g.normal(size=(b, ci, h, w)).astype(np.float32)
+    x = _laid_out(g, (b, ci, h, w), layout)
     dw = g.normal(size=(ci, 3, 3)).astype(np.float32)
     pw = g.normal(size=(co, ci, 1, 1)).astype(np.float32)
     got_ledger, old_ledger = CounterLedger(), CounterLedger()
     got = ds_conv2d_array(x, dw, pw, stride, padding, got_ledger)
+    assert np.array_equal(got, ds_conv2d_array(np.ascontiguousarray(x), dw, pw, stride, padding))
     mid = depthwise2d_array(x, dw, stride, padding, old_ledger)
     expected = conv2d_array(mid, pw, 1, "valid", old_ledger)
     assert got.shape == expected.shape
@@ -352,6 +370,10 @@ def test_kernel_matches_scalar_loops(name, dims, stride, padding, seed):
     np.testing.assert_allclose(got, expected, atol=1e-4, rtol=0)
     for field in KERNEL_COUNTS:
         assert getattr(ledger, field) == counts[field], field
+    # the same values laid out channels last in memory give the same output
+    ch = x_axes.index("c")
+    x_last = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, ch, -1)), -1, ch)
+    assert np.array_equal(kernel(x_last, w, stride, padding), got)
 
 
 @pytest.mark.parametrize("name,fault", [
@@ -396,3 +418,57 @@ def test_bench_tracer_names_live_kernels():
         assert inspect.isfunction(getattr(kernels, attr, None)), attr
     for attr in tracer.COUNTED_KERNELS.values():
         assert "ledger" in inspect.signature(getattr(kernels, attr)).parameters, attr
+
+
+def _channels_first_grouped(x, w, strides, padding):
+    """The channels-first grouped offset sum the channels-last stage replaced.
+
+    A (C,1,..,1) tap is broadcast over each (B,C,*So) window and accumulated in
+    fp32 in np.ndindex offset order. Returns the output and its ledger.
+    """
+    n = len(strides)
+    outs, pads = [], []
+    for m, k, s in zip(x.shape[2:], w.shape[1:], strides):
+        o = -(-m // s) if padding == "same" else (m - k) // s + 1
+        total = max((o - 1) * s + k - m, 0) if padding == "same" else 0
+        outs.append(o)
+        pads.append((total // 2, total - total // 2))
+    xp = np.pad(x, [(0, 0), (0, 0)] + pads)
+    out = np.zeros((x.shape[0], x.shape[1], *outs), dtype=np.float32)
+    for offset in np.ndindex(*w.shape[1:]):
+        patch = xp[(...,) + tuple(slice(o, o + (m - 1) * s + 1, s)
+                                  for o, m, s in zip(offset, outs, strides))]
+        out += patch * w[(...,) + offset].reshape((-1,) + (1,) * n)
+    taps = out.size * int(np.prod(w.shape[1:]))
+    return out, CounterLedger(multiplies=taps, adds=taps, param_reads=w.size,
+                              activation_reads=taps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rank=st.sampled_from([2, 3]), b=st.integers(1, 3), c=st.integers(1, 5),
+       t=st.sampled_from([1, 3]), k=st.sampled_from([1, 3, 5]), h=st.integers(3, 8),
+       w=st.integers(3, 8), stride=st.sampled_from([1, 2]),
+       padding=st.sampled_from(["same", "valid"]),
+       layout=st.sampled_from(LAYOUTS), seed=st.integers(0, 2**16))
+def test_grouped_stage_bit_identical_to_channels_first_sum(rank, b, c, t, k, h, w, stride,
+                                                           padding, layout, seed):
+    """The channels-last depthwise stages give the channels-first offset sum bit for bit,
+    with the same counts, whatever the input's memory layout."""
+    g = rng(seed)
+    # rank 3 swaps the (L,C,H,W) value into the (C,L,H,W) the 3-D stage takes
+    lead = b if rank == 2 else max(b, t)  # valid padding needs extents >= the kernel
+    x = _laid_out(g, (lead, c, max(h, k), max(w, k)), layout)
+    ledger = CounterLedger()
+    if rank == 2:
+        wt = g.normal(size=(c, k, k)).astype(np.float32)
+        got = depthwise2d_array(x, wt, stride, padding, ledger)
+        expected, counts = _channels_first_grouped(x, wt, (stride, stride), padding)
+    else:
+        x = x.swapaxes(0, 1)
+        wt = g.normal(size=(c, t, k, k)).astype(np.float32)
+        got = depthwise3d_array(x, wt, stride, padding, ledger)
+        expected, counts = _channels_first_grouped(x[None], wt, (1, stride, stride), padding)
+        expected = expected[0]
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    assert ledger == counts
