@@ -1,5 +1,13 @@
 """Forward execution of layer graphs, with optional operation counting.
 
+Each layer kind but ``residual_add`` has one runner in ``_RUNNERS``, which
+``forward_layer`` dispatches to. ``run_graph`` checks, then runs: a first
+pass records each node's edge source and its weights, checked against the
+graph's shapes by ``graph.checked_weights``, so a missing or misshapen tensor
+fails naming its node before any kernel runs. A second loop runs the nodes.
+int8 tensors are dequantized only when their node runs, so at most one
+layer's fp32 weights sit beside the activations.
+
 The middle stack's 2-D layers run per frame: a rank-4 (C, L, H, W) value is
 folded so the time axis becomes the kernels' batch axis and unfolded after.
 Weight-stationary counting is preserved because a folded layer is still a
@@ -16,7 +24,7 @@ import numpy as np
 from . import kernels
 from .costs import COSTED_KINDS
 from .errors import DimensionMismatch, GraphValidationError, ValidationError
-from .graph import LAYER_KINDS, LayerGraph, LayerSpec, weight_shapes
+from .graph import LAYER_KINDS, LayerGraph, LayerSpec, checked_weights, weight_shapes
 from .tensor import CounterLedger, Tensor
 
 # batchnorm statistics start as the identity transform
@@ -55,6 +63,11 @@ def _array(value) -> np.ndarray:
     return value.as_array() if isinstance(value, Tensor) else np.asarray(value, dtype=np.float32)
 
 
+def _arrays(tensors: dict) -> dict:
+    """{name: fp32 array}; int8 tensors are dequantized here."""
+    return {name: _array(t) for name, t in tensors.items()}
+
+
 def _per_frame(kernel, x: np.ndarray, *args) -> np.ndarray:
     """Run a batched 2-D kernel on a (C,H,W) frame, or on the L frames of a
     (C,L,H,W) value folded into the batch axis and unfolded after."""
@@ -63,43 +76,42 @@ def _per_frame(kernel, x: np.ndarray, *args) -> np.ndarray:
     return kernel(x[None], *args)[0]
 
 
+# One runner per kind but residual_add: (spec, x, weights, ledger) -> array.
+# Each looks its kernel up in ``kernels`` when it runs, never at import.
+_RUNNERS = {
+    "conv2d": lambda s, x, w, ledger: _per_frame(
+        kernels.conv2d_array, x, w["weights"], s.stride, s.padding, ledger),
+    "ds_conv2d": lambda s, x, w, ledger: _per_frame(
+        kernels.ds_conv2d_array, x, w["depthwise"], w["pointwise"], s.stride, s.padding,
+        ledger),
+    "conv3d": lambda s, x, w, ledger: kernels.conv3d_array(
+        x, w["weights"], s.stride, s.padding, ledger),
+    "ds_conv3d": lambda s, x, w, ledger: kernels.ds_conv3d_array(
+        x, w["depthwise"], w["pointwise"], stride=s.stride, pointwise_mode=s.pointwise_mode,
+        padding=s.padding, ledger=ledger),
+    "temporal_conv1d": lambda s, x, w, ledger: kernels.conv1d_array(
+        x, w["weights"], s.stride, s.padding, ledger),
+    "fc": lambda s, x, w, ledger: kernels.fc_array(x, w["weights"], ledger),
+    "maxpool": lambda s, x, w, ledger: kernels.maxpool1d_array(x, s.window, s.stride),
+    "relu": lambda s, x, w, ledger: kernels.relu_array(x),
+    "batchnorm": lambda s, x, w, ledger: kernels.batchnorm_array(
+        x, w["mean"], w["var"], w["gamma"], w["beta"], s.eps),
+    "softmax": lambda s, x, w, ledger: kernels.softmax_array(x),
+    "spatial_avg": lambda s, x, w, ledger: x.mean(axis=(-2, -1)),
+    "temporal_avg": lambda s, x, w, ledger: x.mean(axis=-1),
+}
+
+
 def forward_layer(spec: LayerSpec, x: np.ndarray, weights: dict | None,
                   ledger: CounterLedger | None = None) -> np.ndarray:
     """Run one layer on an array value; residual_add is handled by run_graph."""
     kind = spec.kind
     if x.ndim not in LAYER_KINDS[kind].ranks:
         raise ValidationError(f"{kind} cannot take a rank {x.ndim} value")
-    if kind == "conv2d":
-        out = _per_frame(kernels.conv2d_array, x, weights["weights"], spec.stride,
-                         spec.padding, ledger)
-    elif kind == "ds_conv2d":
-        out = _per_frame(kernels.ds_conv2d_array, x, weights["depthwise"],
-                         weights["pointwise"], spec.stride, spec.padding, ledger)
-    elif kind == "conv3d":
-        out = kernels.conv3d_array(x, weights["weights"], spec.stride, spec.padding, ledger)
-    elif kind == "ds_conv3d":
-        out = kernels.ds_conv3d_array(x, weights["depthwise"], weights["pointwise"],
-                                      stride=spec.stride, pointwise_mode=spec.pointwise_mode,
-                                      padding=spec.padding, ledger=ledger)
-    elif kind == "temporal_conv1d":
-        out = kernels.conv1d_array(x, weights["weights"], spec.stride, spec.padding, ledger)
-    elif kind == "fc":
-        out = kernels.fc_array(x, weights["weights"], ledger)
-    elif kind == "maxpool":
-        out = kernels.maxpool1d_array(x, spec.window, spec.stride)
-    elif kind == "relu":
-        out = kernels.relu_array(x)
-    elif kind == "batchnorm":
-        out = kernels.batchnorm_array(x, weights["mean"], weights["var"],
-                                      weights["gamma"], weights["beta"], spec.eps)
-    elif kind == "softmax":
-        out = kernels.softmax_array(x)
-    elif kind == "spatial_avg":
-        out = x.mean(axis=(-2, -1))
-    elif kind == "temporal_avg":
-        out = x.mean(axis=-1)
-    else:
+    run = _RUNNERS.get(kind)
+    if run is None:
         raise ValueError(f"cannot execute layer kind {kind!r} standalone")
+    out = run(spec, x, weights, ledger)
     if ledger is not None and kind in COSTED_KINDS:
         ledger.output_writes += int(out.size)
     return np.asarray(out, dtype=np.float32)
@@ -108,10 +120,8 @@ def forward_layer(spec: LayerSpec, x: np.ndarray, weights: dict | None,
 def _apply(spec: LayerSpec, x: np.ndarray, weights: dict | None = None,
            ledger: CounterLedger | None = None) -> Tensor:
     """Check the weights against the spec's shapes, then run the layer."""
-    for name, shape in weight_shapes(spec).items():
-        if weights[name].shape != shape:
-            raise DimensionMismatch(name, shape, weights[name].shape, f"{spec.kind} weights")
-    return Tensor.from_array(forward_layer(spec, x, weights, ledger))
+    checked = checked_weights(spec, weights, spec.kind)
+    return Tensor.from_array(forward_layer(spec, x, _arrays(checked), ledger))
 
 
 def counted_forward(layer: LayerSpec, input, weights: dict | None = None):
@@ -121,12 +131,8 @@ def counted_forward(layer: LayerSpec, input, weights: dict | None = None):
     The output is bit-identical to an uncounted call; cost-free kinds yield
     an all-zero ledger.
     """
-    needed = weight_shapes(layer)
-    if needed and weights is None:
-        raise ValidationError(f"layer kind {layer.kind!r} needs weights {sorted(needed)}")
-    wmap = {name: _array(t) for name, t in weights.items()} if needed else None
     ledger = CounterLedger()
-    return _apply(layer, _array(input), wmap, ledger), ledger
+    return _apply(layer, _array(input), weights, ledger), ledger
 
 
 @dataclass
@@ -136,22 +142,13 @@ class RunResult:
     node_outputs: dict | None = None
 
 
-def _node_weights(weights: dict, node_id: str, spec: LayerSpec) -> dict | None:
-    """The node's weights as arrays, int8 tensors dequantized."""
-    if node_id in weights:
-        return {name: t.as_array() if isinstance(t, Tensor) else t
-                for name, t in weights[node_id].items()}
-    if weight_shapes(spec):
-        raise ValidationError(f"missing weights for node {node_id!r}")
-    return None
-
-
 def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
               keep_outputs: bool = False) -> RunResult:
     """Execute a graph end to end.
 
-    ``weights`` is the {node id: {name: Tensor}} bundle; int8 tensors are
-    dequantized before execution. With ``counted`` a single ledger accumulates
+    ``weights`` is the {node id: {name: Tensor}} bundle. Every node's weights
+    are checked before the first kernel runs; int8 tensors are dequantized
+    only when their node runs. With ``counted`` a single ledger accumulates
     over all layers. Each node's output is freed after its last reader (the
     next node, or the last node its residual edges feed), so memory stays flat
     in depth; with ``keep_outputs`` every node's output array is retained and
@@ -160,11 +157,14 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
     incoming = graph.validate()
     # the last node, in graph order, that reads each edge source
     last_reader = {incoming[n]: n for n, _ in graph.nodes if n in incoming}
+    # check every node first: (id, spec, edge source, checked weights)
+    steps = [(node_id, spec, incoming.get(node_id),
+              checked_weights(spec, weights.get(node_id), f"node {node_id!r}"))
+             for node_id, spec in graph.nodes]
     ledger = CounterLedger() if counted else None
     outputs = {}
     value = _array(input)
-    for node_id, spec in graph.nodes:
-        src = incoming.get(node_id)
+    for node_id, spec, src, tensors in steps:
         if spec.kind == "residual_add":
             if value.shape != outputs[src].shape:
                 raise GraphValidationError(
@@ -176,7 +176,7 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
         else:
             if src is not None:
                 value = outputs[src]
-            value = forward_layer(spec, value, _node_weights(weights, node_id, spec), ledger)
+            value = forward_layer(spec, value, _arrays(tensors), ledger)
         if not keep_outputs and last_reader.get(src) == node_id:
             del outputs[src]
         if keep_outputs or node_id in last_reader:

@@ -15,11 +15,12 @@ construction.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
-from .errors import DimensionMismatch, GraphValidationError, MissingDimension
+from .errors import DimensionMismatch, GraphValidationError, MissingDimension, ValidationError
 from .kernels import out_extent
 
 
@@ -125,6 +126,14 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """A real number that is not a bool; a plain float is tested first, as
+    the abstract-class check costs about a microsecond per call."""
+    if type(value) is float:
+        return True
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def checked_shape(shape) -> tuple:
     """``shape`` as a tuple; ValueError unless it is a list or tuple of positive ints."""
     if not isinstance(shape, (list, tuple)) or not all(is_int(v) and v > 0 for v in shape):
@@ -159,6 +168,9 @@ class LayerSpec:
                 raise MissingDimension(self.kind, name)
             if not is_int(value) or value < 1:
                 raise ValueError(f"{self.kind}.{name} must be a positive int, got {value!r}")
+        # NaN fails the bounds; eps may be 0, leaving the division by sqrt(var)
+        if not is_real(self.eps) or not 0 <= self.eps < math.inf:
+            raise ValueError(f"eps must be a finite non-negative number, got {self.eps!r}")
         if self.padding not in ("same", "valid"):
             raise ValueError(f"padding must be 'same' or 'valid', got {self.padding!r}")
         if kind.modes:
@@ -190,6 +202,8 @@ class LayerGraph:
     def __post_init__(self):
         self.nodes = [(str(i), s) for i, s in self.nodes]
         self.residual_edges = [(str(a), str(b)) for a, b in self.residual_edges]
+        if not isinstance(self.channel_plan, str):
+            raise ValueError(f"channel_plan must be a string, got {self.channel_plan!r}")
         if self.input_shape is not None:
             self.input_shape = checked_shape(self.input_shape)
 
@@ -231,6 +245,26 @@ class LayerGraph:
 def weight_shapes(spec: LayerSpec) -> dict:
     """Shapes of the weight tensors a layer needs, keyed by tensor name."""
     return LAYER_KINDS[spec.kind].weights(spec)
+
+
+def checked_weights(spec: LayerSpec, tensors, where: str) -> dict:
+    """The tensors a layer needs, taken from ``tensors`` ({name: Tensor or
+    array}, or None) once each is present with its recorded shape.
+
+    Raises ValidationError for a missing tensor and DimensionMismatch for a
+    wrong shape, both prefixed with ``where`` (a node id or a kind). Tensors
+    the kind does not use are left out.
+    """
+    have = tensors if isinstance(tensors, dict) else {}
+    checked = {}
+    for name, shape in weight_shapes(spec).items():
+        if name not in have:
+            raise ValidationError(f"{where}: missing weight tensor {name!r}")
+        got = getattr(have[name], "shape", None)
+        if got is None or tuple(got) != shape:
+            raise DimensionMismatch(name, shape, got, f"{where} weights")
+        checked[name] = have[name]
+    return checked
 
 
 def layer_output_shape(spec: LayerSpec, in_shape) -> tuple:

@@ -37,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PayloadBoundsError, SchemaError, ValidationError
-from .graph import KINDS, LayerGraph, LayerSpec, is_int, weight_shapes
+from .errors import DimensionMismatch, PayloadBoundsError, SchemaError, ValidationError
+from .graph import KINDS, LayerGraph, LayerSpec, checked_weights, is_int
 from .tensor import QuantParams, Tensor
 
 GRAPH_SCHEMA_VERSION = 1
@@ -275,20 +275,10 @@ def _check_bundle_against_graph(bundle: dict, graph: LayerGraph):
         if node_id not in ids:
             raise SchemaError(f"weights name unknown node {node_id!r}", node_id=node_id)
     for node_id, spec in graph.nodes:
-        needed = weight_shapes(spec)
-        if not needed:
-            continue
-        have = bundle.get(node_id, {})
-        for name, shape in needed.items():
-            if name not in have:
-                raise SchemaError(f"node {node_id!r} is missing tensor {name!r}",
-                                  node_id=node_id)
-            if tuple(have[name].shape) != tuple(shape):
-                raise SchemaError(
-                    f"node {node_id!r} tensor {name!r}: shape {have[name].shape} "
-                    f"does not match the graph's {shape}",
-                    node_id=node_id,
-                )
+        try:
+            checked_weights(spec, bundle.get(node_id), f"node {node_id!r}")
+        except (DimensionMismatch, ValidationError) as exc:
+            raise SchemaError(str(exc), node_id=node_id) from exc
 
 
 def write_weights(path, bundle: dict, graph: LayerGraph | None = None):

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import is_int
+
 
 @dataclass(frozen=True)
 class QuantParams:
@@ -36,9 +38,10 @@ class Tensor:
     quant: QuantParams | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
-        if any(s <= 0 for s in self.shape):
-            raise ValueError(f"extents must be positive, got {self.shape}")
+        if not isinstance(self.shape, (tuple, list)) \
+                or not all(is_int(s) and s > 0 for s in self.shape):
+            raise ValueError(f"extents must be positive ints, got {self.shape!r}")
+        object.__setattr__(self, "shape", tuple(self.shape))
         data = np.asarray(self.data)
         if data.ndim != 1:
             data = np.ascontiguousarray(data).ravel()

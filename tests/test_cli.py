@@ -89,6 +89,19 @@ def test_report_non_int_version_or_non_string_id_is_schema_error(tmp_path, capsy
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("eps", ['"x"', "-1.0", "true", "[1]"])
+@pytest.mark.parametrize("command", ["report", "infer"])
+def test_bad_batchnorm_eps_is_schema_error(tmp_path, capsys, command, eps):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"schema_version": 1, "input_shape": [2, 3], "nodes": '
+                   '[{"id": "bn", "kind": "batchnorm", "in_channels": 2, "eps": ' + eps + "}]}")
+    extra = [str(tmp_path / "w.bin"), str(tmp_path)] if command == "infer" else []
+    code, _, err = run(capsys, command, str(bad), *extra)
+    assert code == 2
+    assert "eps" in err
+    assert "Traceback" not in err
+
+
 def test_report_missing_file_is_io_error(tmp_path, capsys):
     code, _, err = run(capsys, "report", str(tmp_path / "nope.json"))
     assert code == 3

@@ -25,7 +25,7 @@ from mobivsr import (
     weight_shapes,
 )
 from mobivsr.costs import COSTED_KINDS
-from mobivsr.engine import forward_layer
+from mobivsr.engine import _RUNNERS, forward_layer
 from mobivsr.graph import LAYER_KINDS
 
 
@@ -74,6 +74,29 @@ def test_every_kind_runs_with_its_recorded_shapes(kind):
         out = forward_layer(spec, x, weights or None)
         assert out.shape == layer_output_shape(spec, x.shape)
     assert (params_of(spec) > 0) == (kind in COSTED_KINDS)
+    assert set(_RUNNERS) | {"residual_add"} == set(LAYER_KINDS)
+
+
+@pytest.mark.parametrize("eps", ["x", -1.0, True, [1], float("nan"), float("inf")])
+def test_bad_eps_rejected(eps):
+    with pytest.raises(ValueError, match="eps"):
+        LayerSpec("batchnorm", in_channels=2, eps=eps)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1, 1e-3, np.float32(1e-5)])
+def test_finite_non_negative_eps_accepted(eps):
+    assert LayerSpec("batchnorm", in_channels=2, eps=eps).eps == eps
+
+
+def test_non_string_channel_plan_rejected():
+    with pytest.raises(ValueError, match="channel_plan"):
+        LayerGraph(channel_plan=5)
+
+
+@pytest.mark.parametrize("extent", [1.5, True, "2", 0])
+def test_tensor_shape_extents_must_be_positive_ints(extent):
+    with pytest.raises(ValueError, match="extents"):
+        Tensor(shape=(extent, 2), data=np.zeros(2, dtype=np.float32))
 
 
 @pytest.mark.parametrize("shape", [[1.5, 2], [True, 2], [0, 3], [-1], ["2"], 5, "12"])

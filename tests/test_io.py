@@ -159,6 +159,7 @@ def test_weights_bad_int8_scale_is_schema_error(scale):
     ("input_shape", [0, 3]),
     ("input_shape", [1.5, 2]),
     ("input_shape", [True, 2]),
+    ("channel_plan", 5),
 ])
 def test_graph_malformed_field_is_schema_error(field, value):
     with pytest.raises(SchemaError):
@@ -183,6 +184,15 @@ def test_graph_non_string_id_is_schema_error(doc, position):
     with pytest.raises(SchemaError) as exc:
         parse_graph(json.dumps({"schema_version": 1, **doc}))
     assert exc.value.position == position
+
+
+@pytest.mark.parametrize("eps", ["x", -1.0, True, [1]])
+def test_graph_bad_eps_is_schema_error(eps):
+    doc = {"schema_version": 1,
+           "nodes": [{"id": "bn", "kind": "batchnorm", "in_channels": 2, "eps": eps}]}
+    with pytest.raises(SchemaError, match="eps") as exc:
+        parse_graph(json.dumps(doc))
+    assert exc.value.node_id == "bn"
 
 
 def _write_frame_dir(path, raw, as_ppm=True):
