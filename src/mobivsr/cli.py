@@ -13,7 +13,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -198,11 +198,7 @@ def cmd_report(args) -> int:
     report, row = _graph_row(f"graph({args.graph})", graph, args.dtype)
     if args.accuracy is not None:
         ratios = efficiency_ratios(report, args.accuracy)
-        row.accuracy = args.accuracy
-        row.acc_per_mb = ratios.acc_per_mb
-        row.acc_per_gflop = ratios.acc_per_gflop
-        row.acc_per_mparam = ratios.acc_per_mparam
-        row.acc_per_kaccess = ratios.acc_per_kaccess
+        row = replace(row, accuracy=args.accuracy, **asdict(ratios))
     per_layer = [
         {"id": node_id, "params": cost.params, "memory_accesses": cost.memory_accesses,
          "flops": cost.flops}
@@ -265,10 +261,7 @@ def cmd_compare(args) -> int:
                 energy_mj=impact.energy_mj,
                 co2_mg=impact.co2_mg,
                 accuracy=preset.top1,
-                acc_per_mb=ratios.acc_per_mb,
-                acc_per_gflop=ratios.acc_per_gflop,
-                acc_per_mparam=ratios.acc_per_mparam,
-                acc_per_kaccess=ratios.acc_per_kaccess,
+                **asdict(ratios),
                 note=note,
             ))
     if args.format == "json":
@@ -304,15 +297,8 @@ def cmd_infer(args) -> int:
     doc = {"top": top}
     if args.counted:
         ledger = result.ledger
-        doc["ledger"] = {
-            "multiplies": ledger.multiplies,
-            "adds": ledger.adds,
-            "param_reads": ledger.param_reads,
-            "activation_reads": ledger.activation_reads,
-            "output_writes": ledger.output_writes,
-            "flops": ledger.flops(),
-            "memory_accesses": ledger.memory_accesses(),
-        }
+        doc["ledger"] = dict(asdict(ledger), flops=ledger.flops(),
+                             memory_accesses=ledger.memory_accesses())
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
@@ -366,10 +352,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except MobiVSRError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
+    except (MobiVSRError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

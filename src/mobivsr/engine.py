@@ -1,12 +1,15 @@
 """Forward execution of layer graphs, with optional operation counting.
 
 Each layer kind but ``residual_add`` has one runner in ``_RUNNERS``, which
-``forward_layer`` dispatches to. ``run_graph`` checks, then runs: a first
-pass records each node's edge source and its weights, checked against the
-graph's shapes by ``graph.checked_weights``, so a missing or misshapen tensor
-fails naming its node before any kernel runs. A second loop runs the nodes.
-int8 tensors are dequantized only when their node runs, so at most one
-layer's fp32 weights sit beside the activations.
+``forward_layer`` dispatches to; the engine holds no shape rule of its own.
+``run_graph`` checks, then runs. Its check pass calls ``graph.shape_infer``
+on the input value's shape, which validates the graph and every node's input
+shape, and ``graph.checked_weights`` on every node's weights, so a bad input
+or weight tensor fails naming its node before any kernel runs. A second loop
+runs the nodes. int8 tensors are dequantized only when their node runs, so
+at most one layer's fp32 weights sit beside the activations. The one-layer
+tensor API checks the weights and the value's rank in ``_apply`` and leaves
+channel counts to the kernels.
 
 The middle stack's 2-D layers run per frame: a rank-4 (C, L, H, W) value is
 folded so the time axis becomes the kernels' batch axis and unfolded after.
@@ -23,8 +26,8 @@ import numpy as np
 
 from . import kernels
 from .costs import COSTED_KINDS
-from .errors import DimensionMismatch, GraphValidationError, ValidationError
-from .graph import LAYER_KINDS, LayerGraph, LayerSpec, checked_weights, weight_shapes
+from .errors import DimensionMismatch, ValidationError
+from .graph import LAYER_KINDS, LayerGraph, LayerSpec, checked_weights, shape_infer, weight_shapes
 from .tensor import CounterLedger, Tensor
 
 # batchnorm statistics start as the identity transform
@@ -87,8 +90,7 @@ _RUNNERS = {
     "conv3d": lambda s, x, w, ledger: kernels.conv3d_array(
         x, w["weights"], s.stride, s.padding, ledger),
     "ds_conv3d": lambda s, x, w, ledger: kernels.ds_conv3d_array(
-        x, w["depthwise"], w["pointwise"], stride=s.stride, pointwise_mode=s.pointwise_mode,
-        padding=s.padding, ledger=ledger),
+        x, w["depthwise"], w["pointwise"], s.stride, s.padding, ledger),
     "temporal_conv1d": lambda s, x, w, ledger: kernels.conv1d_array(
         x, w["weights"], s.stride, s.padding, ledger),
     "fc": lambda s, x, w, ledger: kernels.fc_array(x, w["weights"], ledger),
@@ -104,23 +106,24 @@ _RUNNERS = {
 
 def forward_layer(spec: LayerSpec, x: np.ndarray, weights: dict | None,
                   ledger: CounterLedger | None = None) -> np.ndarray:
-    """Run one layer on an array value; residual_add is handled by run_graph."""
-    kind = spec.kind
-    if x.ndim not in LAYER_KINDS[kind].ranks:
-        raise ValidationError(f"{kind} cannot take a rank {x.ndim} value")
-    run = _RUNNERS.get(kind)
+    """Run one layer on an array value the caller has checked against the spec;
+    residual_add is handled by run_graph."""
+    run = _RUNNERS.get(spec.kind)
     if run is None:
-        raise ValueError(f"cannot execute layer kind {kind!r} standalone")
+        raise ValidationError(f"cannot execute layer kind {spec.kind!r} standalone")
     out = run(spec, x, weights, ledger)
-    if ledger is not None and kind in COSTED_KINDS:
+    if ledger is not None and spec.kind in COSTED_KINDS:
         ledger.output_writes += int(out.size)
     return np.asarray(out, dtype=np.float32)
 
 
 def _apply(spec: LayerSpec, x: np.ndarray, weights: dict | None = None,
            ledger: CounterLedger | None = None) -> Tensor:
-    """Check the weights against the spec's shapes, then run the layer."""
+    """Check the weights against the spec's shapes and the value's rank against
+    the kind's, then run the layer; the kernels check channel counts."""
     checked = checked_weights(spec, weights, spec.kind)
+    if x.ndim not in LAYER_KINDS[spec.kind].ranks:
+        raise ValidationError(f"{spec.kind} cannot take a rank {x.ndim} value")
     return Tensor.from_array(forward_layer(spec, x, _arrays(checked), ledger))
 
 
@@ -146,15 +149,21 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
               keep_outputs: bool = False) -> RunResult:
     """Execute a graph end to end.
 
-    ``weights`` is the {node id: {name: Tensor}} bundle. Every node's weights
-    are checked before the first kernel runs; int8 tensors are dequantized
-    only when their node runs. With ``counted`` a single ledger accumulates
-    over all layers. Each node's output is freed after its last reader (the
-    next node, or the last node its residual edges feed), so memory stays flat
-    in depth; with ``keep_outputs`` every node's output array is retained and
-    returned in ``node_outputs``.
+    ``weights`` is the {node id: {name: Tensor}} bundle. Before the first
+    kernel runs, ``shape_infer`` checks the graph and the input value's shape
+    against every node (GraphValidationError naming the node, or
+    ValidationError for a shape that is not all positive extents), and every
+    node's weights are checked; int8 tensors are dequantized only when their
+    node runs. With ``counted`` a single ledger accumulates over all layers.
+    Each node's output is freed after its last reader (the next node, or the
+    last node its residual edges feed), so memory stays flat in depth; with
+    ``keep_outputs`` every node's output array is retained and returned in
+    ``node_outputs``.
     """
-    incoming = graph.validate()
+    value = _array(input)
+    shape_infer(graph, value.shape)
+    # a valid graph has at most one edge into each node
+    incoming = {dst: src for src, dst in graph.residual_edges}
     # the last node, in graph order, that reads each edge source
     last_reader = {incoming[n]: n for n, _ in graph.nodes if n in incoming}
     # check every node first: (id, spec, edge source, checked weights)
@@ -163,15 +172,8 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
              for node_id, spec in graph.nodes]
     ledger = CounterLedger() if counted else None
     outputs = {}
-    value = _array(input)
     for node_id, spec, src, tensors in steps:
         if spec.kind == "residual_add":
-            if value.shape != outputs[src].shape:
-                raise GraphValidationError(
-                    f"residual edge ({src!r}, {node_id!r}) joins shapes "
-                    f"{outputs[src].shape} and {value.shape}",
-                    edge=(src, node_id),
-                )
             value = value + outputs[src]
         else:
             if src is not None:

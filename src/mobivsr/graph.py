@@ -10,6 +10,10 @@ two edge-driven exceptions:
 
 Edges always point forward in node order, so graphs are acyclic by
 construction.
+
+Every layer shape rule lives here, in ``LAYER_KINDS``. ``shape_infer``
+applies them to a whole graph; the cost model and ``engine.run_graph`` both
+run it rather than checking shapes themselves.
 """
 
 from __future__ import annotations
@@ -112,8 +116,6 @@ LAYER_KINDS = {
     "temporal_avg": LayerKind(ranks=range(2, 3), output=lambda s, x: x[:1]),
 }
 
-KINDS = tuple(LAYER_KINDS)
-
 
 def _rank_text(ranks: range) -> str:
     if ranks.stop == sys.maxsize:
@@ -135,9 +137,9 @@ def is_real(value) -> bool:
 
 
 def checked_shape(shape) -> tuple:
-    """``shape`` as a tuple; ValueError unless it is a list or tuple of positive ints."""
+    """``shape`` as a tuple; ValidationError unless it is a list or tuple of positive ints."""
     if not isinstance(shape, (list, tuple)) or not all(is_int(v) and v > 0 for v in shape):
-        raise ValueError(f"input_shape must be a list of positive ints, got {shape!r}")
+        raise ValidationError(f"input_shape must be a list of positive ints, got {shape!r}")
     return tuple(shape)
 
 
@@ -159,7 +161,7 @@ class LayerSpec:
     eps: float = 1e-5
 
     def __post_init__(self):
-        kind = LAYER_KINDS.get(self.kind)
+        kind = LAYER_KINDS.get(self.kind) if isinstance(self.kind, str) else None
         if kind is None:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         for name in kind.required + ("stride",):

@@ -22,6 +22,13 @@ convolution would be, and also returns a (B,Co,Ho,Wo) view of channels-last
 memory. Relu and residual adds keep that memory order, so each layer's move
 to channels last is a contiguous copy.
 
+Kernels check only what their own arithmetic needs: the input's channel
+count against the weights (axis "channel"), ranks, stride and padding. The
+layer shape rules (input ranks, leading extents, output shapes, the depth of
+a separable pointwise stage) live once in ``graph.LAYER_KINDS``; run_graph
+applies them to the whole graph through ``graph.shape_infer`` before any
+kernel runs.
+
 Counting conventions, applied whenever a CounterLedger is passed in:
 
 * a dot product of n terms costs n multiplies and n accumulator adds, so
@@ -185,29 +192,14 @@ def ds_conv2d_array(x, dw, pw, stride=1, padding="same", ledger=None):
     return np.moveaxis(out, -1, 1)
 
 
-def ds_conv3d_array(x, dw, pw, stride=1, pointwise_mode="partial", padding="same", ledger=None):
-    """Depthwise-separable 3-D conv.
+def ds_conv3d_array(x, dw, pw, stride=1, padding="same", ledger=None):
+    """Depthwise-separable 3-D conv: the grouped stage, then a dense Tp x 1 x 1
+    pointwise stage at stride 1 with same padding, so the frame count is kept.
 
-    The pointwise stage mixes channels with a Tp x 1 x 1 kernel; Tp equals the
-    depthwise temporal size in partial mode (time axis preserved and mixed) and
-    1 in full mode. The pointwise stage is always stride 1 and keeps the frame
-    count (same padding along time).
+    Tp is read off the pointwise weights (Co,Ci,Tp,1,1); the layer spec fixes it.
     """
-    cw, t = dw.shape[0], dw.shape[1]
-    co, ciw, tp = pw.shape[0], pw.shape[1], pw.shape[2]
-    if ciw != cw:
-        raise DimensionMismatch("channel", cw, ciw, "pointwise weights vs depthwise stage")
-    if pointwise_mode == "partial":
-        if tp != t:
-            raise DimensionMismatch("pointwise time", t, tp, "partial pointwise kernel")
-    elif pointwise_mode == "full":
-        if tp != 1:
-            raise DimensionMismatch("pointwise time", 1, tp, "full pointwise kernel")
-    else:
-        raise ValueError(f"pointwise_mode must be 'partial' or 'full', got {pointwise_mode!r}")
-    mid = depthwise3d_array(x, dw, stride=stride, padding=padding, ledger=ledger)
-    return conv3d_array(mid, pw.reshape(co, ciw, tp, 1, 1), stride=1, padding="same",
-                        ledger=ledger)
+    mid = depthwise3d_array(x, dw, stride, padding, ledger)
+    return conv3d_array(mid, pw, 1, "same", ledger)
 
 
 def fc_array(x, w, ledger=None):
@@ -224,9 +216,8 @@ def fc_array(x, w, ledger=None):
     return out
 
 
-def maxpool1d_array(x, window, stride=None):
+def maxpool1d_array(x, window, stride):
     """Max pooling over the last axis, valid extent arithmetic."""
-    stride = window if stride is None else stride
     _check_stride(stride)
     n = x.shape[-1]
     if n < window:
@@ -244,6 +235,9 @@ def relu_array(x):
 
 def batchnorm_array(x, mean, var, gamma, beta, eps=1e-5):
     """Inference-time normalization over the leading channel axis."""
+    if x.shape[0] != mean.shape[0]:
+        raise DimensionMismatch("channel", mean.shape[0], x.shape[0],
+                                "batchnorm input vs statistics")
     span = (-1,) + (1,) * (x.ndim - 1)
     scale = gamma / np.sqrt(var + eps)
     return x * scale.reshape(span) + (beta - mean * scale).reshape(span)

@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, PayloadBoundsError, SchemaError, ValidationError
-from .graph import KINDS, LayerGraph, LayerSpec, checked_weights, is_int
+from .graph import LayerGraph, LayerSpec, checked_weights, is_int
 from .tensor import QuantParams, Tensor
 
 GRAPH_SCHEMA_VERSION = 1
@@ -94,15 +94,11 @@ def parse_graph(text: str) -> LayerGraph:
         if not isinstance(node_id, str):
             raise SchemaError(f"node #{index} id must be a string, got {node_id!r}",
                               position=index)
-        kind = entry["kind"]
-        if kind not in KINDS:
-            raise SchemaError(f"node {node_id!r} has unknown kind {kind!r}", node_id=node_id)
         params = {k: v for k, v in entry.items() if k != "id"}
         try:
             spec = LayerSpec(**params)
-        except TypeError as exc:
-            raise SchemaError(f"node {node_id!r}: {exc}", node_id=node_id) from exc
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
+            # TypeError: a field LayerSpec does not have
             raise SchemaError(f"node {node_id!r}: {exc}", node_id=node_id) from exc
         nodes.append((node_id, spec))
     edges = []

@@ -100,20 +100,3 @@ class CounterLedger:
 
     def memory_accesses(self) -> int:
         return self.param_reads + self.activation_reads + self.output_writes
-
-    def __add__(self, other: "CounterLedger") -> "CounterLedger":
-        return CounterLedger(
-            self.multiplies + other.multiplies,
-            self.adds + other.adds,
-            self.param_reads + other.param_reads,
-            self.activation_reads + other.activation_reads,
-            self.output_writes + other.output_writes,
-        )
-
-    def __iadd__(self, other: "CounterLedger") -> "CounterLedger":
-        self.multiplies += other.multiplies
-        self.adds += other.adds
-        self.param_reads += other.param_reads
-        self.activation_reads += other.activation_reads
-        self.output_writes += other.output_writes
-        return self

@@ -1,13 +1,22 @@
 """CLI behavior: command flows, output formats, exit codes."""
 
+import copy
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mobivsr import write_ppm
+from mobivsr import SchemaError, build_mobivsr, parse_graph, serialize_graph, write_ppm
 from mobivsr.cli import main
 
 
@@ -212,3 +221,64 @@ def test_preprocess_white_frames(tmp_path, capsys):
 
 def test_unknown_command_is_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 1
+
+
+def test_python_dash_m_reports_a_bad_graph_with_exit_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"schema_version": 1, "nodes": [{"id": "x", "kind": [1]}]}')
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "mobivsr", "report", str(bad)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "unknown layer kind" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+GRAPH_DOC = json.loads(serialize_graph(build_mobivsr(1)))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                               max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def mutated_graph_doc(draw):
+    """build_mobivsr(1)'s graph document with one key of the document or of a
+    node dropped, one such value set to a JSON value of another type, or one
+    residual edge endpoint rewritten."""
+    doc = copy.deepcopy(GRAPH_DOC)
+    mutation = draw(st.sampled_from(["drop key", "retype", "edge endpoint"]))
+    if mutation == "edge endpoint":
+        edge = doc["residual_edges"][draw(st.integers(0, len(doc["residual_edges"]) - 1))]
+        ids = [node["id"] for node in doc["nodes"]]
+        edge[draw(st.integers(0, 1))] = draw(st.sampled_from(ids) | st.text(max_size=6))
+        return doc
+    nodes = doc["nodes"]
+    target = doc if draw(st.booleans()) else nodes[draw(st.integers(0, len(nodes) - 1))]
+    key = draw(st.sampled_from(sorted(target)))
+    if mutation == "drop key":
+        del target[key]
+    else:
+        old = target[key]
+        target[key] = draw(JSON_VALUES.filter(lambda v: type(v) is not type(old)))
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_graph_doc())
+def test_mutated_graph_json_parses_or_is_a_schema_error(doc):
+    text = json.dumps(doc)
+    try:
+        parse_graph(text)
+    except SchemaError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.json"
+        path.write_text(text)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["report", str(path), "--format", "json"])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()

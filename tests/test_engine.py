@@ -1,5 +1,8 @@
-"""run_graph's weight check: every node is checked before the first kernel
-runs, and a malformed bundle ends in a MobiVSRError naming the node."""
+"""run_graph's check pass: the input shape and every node's weights are
+checked before the first kernel runs, and a malformed input or bundle ends in
+a MobiVSRError naming the node."""
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -8,14 +11,18 @@ from hypothesis import strategies as st
 
 from mobivsr import (
     DimensionMismatch,
+    GraphValidationError,
     LayerGraph,
     LayerSpec,
     MobiVSRError,
     Tensor,
+    ValidationError,
     build_mobivsr,
+    counted_forward,
     init_weights,
     quantize_weights,
     run_graph,
+    shape_infer,
 )
 from mobivsr import kernels
 
@@ -104,21 +111,89 @@ def test_mutated_bundles_run_identically_or_raise_a_mobivsr_error(case):
     np.testing.assert_array_equal(out, reference)
 
 
-def test_every_node_is_checked_before_any_kernel(monkeypatch):
+KERNELS = tuple(name for name in vars(kernels) if name.endswith("_array"))
+
+
+@contextlib.contextmanager
+def counting_kernels(attrs=KERNELS):
+    """A list that records each call into the named ``kernels`` functions
+    while the context is open."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for attr in attrs:
+            original = getattr(kernels, attr)
+            mp.setattr(kernels, attr,
+                       lambda *a, _f=original, **k: calls.append(_f) or _f(*a, **k))
+        yield calls
+
+
+def test_every_node_is_checked_before_any_kernel():
     graph = small_graph()
     bundle = init_weights(graph, seed=0)
     bundle["fc"]["weights"] = Tensor.from_array(np.zeros((4, 5), dtype=np.float32))
-    calls = []
-    for attr in ("batchnorm_array", "ds_conv2d_array", "conv2d_array"):
-        original = getattr(kernels, attr)
-        monkeypatch.setattr(kernels, attr,
-                            lambda *a, _f=original, **k: calls.append(_f) or _f(*a, **k))
-    with pytest.raises(MobiVSRError, match="node 'fc'"):
+    with counting_kernels(("batchnorm_array", "ds_conv2d_array", "conv2d_array")) as calls:
+        with pytest.raises(MobiVSRError, match="node 'fc'"):
+            run_graph(graph, bundle, INPUTS["small"])
+        assert calls == []
+        bundle["fc"]["weights"] = BUNDLES["small"]["fc"]["weights"]
         run_graph(graph, bundle, INPUTS["small"])
-    assert calls == []
-    bundle["fc"]["weights"] = BUNDLES["small"]["fc"]["weights"]
-    run_graph(graph, bundle, INPUTS["small"])
     assert len(calls) == 3
+
+
+@st.composite
+def mutated_input_shape(draw):
+    """The small graph's (2, 5, 5) input shape with one axis dropped or
+    inserted, one extent changed, or one extent set to 0."""
+    shape = list(GRAPHS["small"].input_shape)
+    axis = draw(st.integers(0, len(shape) - 1))
+    mutation = draw(st.sampled_from(["drop axis", "insert axis", "extent", "zero"]))
+    if mutation == "drop axis":
+        del shape[axis]
+    elif mutation == "insert axis":
+        shape.insert(axis, draw(st.integers(1, 4)))
+    else:
+        shape[axis] = 0 if mutation == "zero" else draw(st.integers(1, 8))
+    return tuple(shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_input_shape())
+def test_run_graph_checks_the_input_shape_before_any_kernel(shape):
+    graph = GRAPHS["small"]
+    with counting_kernels() as calls:
+        try:
+            out = run_graph(graph, BUNDLES["small"], np.ones(shape, dtype=np.float32)).output
+        except MobiVSRError:
+            assert calls == []
+            with pytest.raises(MobiVSRError):
+                shape_infer(graph, shape)
+            return
+    assert calls
+    assert out.shape == shape_infer(graph, shape)[0]
+
+
+def test_batchnorm_channel_mismatch_fails_before_any_kernel():
+    graph = LayerGraph(nodes=[("bn", LayerSpec("batchnorm", in_channels=2))])
+    stats = init_weights(graph)["bn"]
+    x = np.ones((3, 4, 4), dtype=np.float32)
+    with counting_kernels() as calls, pytest.raises(GraphValidationError, match="'bn'") as exc:
+        run_graph(graph, {"bn": stats}, x)
+    assert exc.value.node_id == "bn"
+    assert calls == []
+    with pytest.raises(DimensionMismatch) as exc:
+        counted_forward(graph.nodes[0][1], x, stats)
+    assert exc.value.axis == "channel"
+
+
+def test_zero_extent_input_fails_before_any_kernel():
+    with counting_kernels() as calls, pytest.raises(ValidationError, match="positive"):
+        run_graph(GRAPHS["small"], BUNDLES["small"], np.ones((0, 4), dtype=np.float32))
+    assert calls == []
+
+
+def test_residual_add_cannot_run_standalone():
+    with pytest.raises(ValidationError, match="standalone"):
+        counted_forward(LayerSpec("residual_add"), np.ones(3, dtype=np.float32))
 
 
 def test_wrong_kernel_size_is_a_dimension_mismatch_naming_the_node():

@@ -30,8 +30,9 @@ from mobivsr.graph import LAYER_KINDS
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
-        LayerSpec("lstm")
+    for kind in ("lstm", [1], None):
+        with pytest.raises(ValueError, match="unknown layer kind"):
+            LayerSpec(kind)
 
 
 def test_bool_dimensions_rejected():
