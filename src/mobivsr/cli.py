@@ -82,20 +82,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _positive_alpha(text):
+def _positive_int(text):
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"alpha must be an integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     if value < 1:
-        raise argparse.ArgumentTypeError(f"alpha must be >= 1, got {value}")
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
     return value
 
 
 def _alpha_list(text):
     if not text.strip():
         return []
-    return [_positive_alpha(part) for part in text.split(",")]
+    return [_positive_int(part) for part in text.split(",")]
 
 
 def _plan(name):
@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="emit a MobiVSR-alpha graph JSON file")
-    p.add_argument("--alpha", type=_positive_alpha, required=True)
+    p.add_argument("--alpha", type=_positive_int, required=True)
     p.add_argument("--plan", type=_plan, default=DEFAULT_CHANNEL_PLAN)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)
@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("weights")
     p.add_argument("clipdir")
     p.add_argument("--counted", action="store_true", help="also report operation counts")
-    p.add_argument("--top", type=int, default=5)
+    p.add_argument("--top", type=_positive_int, default=5)
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(func=cmd_infer)
 

@@ -25,7 +25,15 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 from .errors import DimensionMismatch, GraphValidationError, MissingDimension, ValidationError
-from .kernels import out_extent
+
+
+def out_extent(n, kernel, stride, padding, axis="spatial"):
+    """Output extent of a correlation along one axis."""
+    if padding == "same":
+        return -(-n // stride)
+    if n < kernel:
+        raise DimensionMismatch(axis, f"extent >= kernel size {kernel}", n, "valid padding")
+    return (n - kernel) // stride + 1
 
 
 def _spatial(spec, in_shape) -> tuple:

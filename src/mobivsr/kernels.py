@@ -1,26 +1,24 @@
 """Reference layer kernels with instrumented operation counting.
 
-Every convolution (2-D, 3-D, 1-D temporal, and the depthwise stages of the
-separable layers) runs through one correlation core, ``_correlate``, with
-dense filters that mix channels or per-channel filters: an explicit sum over
+Every convolution (2-D, 3-D, 1-D temporal, and both stages of the separable
+layers) runs through one correlation core, ``_correlate``, with dense
+filters that mix channels or per-channel filters: an explicit sum over
 kernel offsets, vectorized across positions and channels but never
-rearranged (no im2col, no FFT).
+rearranged (no im2col, no FFT). Each separable kernel is its grouped stage
+followed by one dense core call for its pointwise stage.
 
-The core works channels last. It moves the input to (B,*S,C), pads it once
-and accumulates into a (B,*So,Co) buffer; it returns a (B,Co,*So) view of
-that buffer. A dense offset is one (B*So,Ci) x (Ci,Co) contraction. A
-per-channel offset multiplies its (C,) tap, tiled along the last output
-axis, into (Wo,C) rows that are contiguous at stride 1, so numpy's inner
-loop spans Wo*C elements rather than the Wo (3 in the deepest stage) a
-channels-first broadcast gives. Each output element gets the same fp32
-multiply-adds in the same offset order as a channels-first sum, so the
-per-channel outputs are bit-identical to it.
-
-The 1x1 stage of the separable 2-D convolution reads the depthwise buffer
-directly as one (B*Ho*Wo,Ci) x (Ci,Co) GEMM, counted exactly as a 1x1
-convolution would be, and also returns a (B,Co,Ho,Wo) view of channels-last
-memory. Relu and residual adds keep that memory order, so each layer's move
-to channels last is a contiguous copy.
+The core works channels last. It moves the input to (B,*S,C), pads it only
+when some offset reads padding, and sums the offsets' terms into a
+(B,*So,Co) buffer that starts as the first term; it returns a (B,Co,*So)
+view of that buffer. A dense offset is one (B*So,Ci) x (Ci,Co) contraction,
+so a 1x1 stage is a single GEMM. A per-channel offset multiplies its (C,)
+tap, tiled along the last output axis, into (Wo,C) rows that are contiguous
+at stride 1, so numpy's inner loop spans Wo*C elements rather than the Wo
+(3 in the deepest stage) a channels-first broadcast gives. Each output
+element gets the same fp32 multiply-adds in the same offset order as a
+channels-first sum, so the per-channel outputs are bit-identical to it.
+Relu and residual adds keep that memory order, so each layer's move to
+channels last is a contiguous copy, or no copy when nothing is padded.
 
 Kernels check only what their own arithmetic needs: the input's channel
 count against the weights (axis "channel"), ranks, stride and padding. The
@@ -45,9 +43,12 @@ bit-identical to the uncounted one.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch
+from .graph import out_extent
 
 _PADDINGS = ("same", "valid")
 # names of the correlated axes, by their count, for error messages
@@ -63,15 +64,6 @@ def _check_stride(stride):
     # bool is an int subclass, but True is no stride
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"stride must be a positive int, got {stride!r}")
-
-
-def out_extent(n, kernel, stride, padding, axis="spatial"):
-    """Output extent of a correlation along one axis."""
-    if padding == "same":
-        return -(-n // stride)
-    if n < kernel:
-        raise DimensionMismatch(axis, f"extent >= kernel size {kernel}", n, "valid padding")
-    return (n - kernel) // stride + 1
 
 
 def _pad_amounts(n, kernel, stride, padding):
@@ -116,7 +108,7 @@ def _correlate(x, w, strides, padding, ledger, grouped, context):
     if x.ndim != n + 2 or w.ndim != w_rank:
         raise DimensionMismatch("rank", (n + 2, w_rank), (x.ndim, w.ndim),
                                 f"{context} input and weights")
-    b, c, *size = x.shape
+    _, c, *size = x.shape
     kernel = w.shape[-n:]
     cw = w.shape[0] if grouped else w.shape[1]
     if cw != c:
@@ -127,24 +119,33 @@ def _correlate(x, w, strides, padding, ledger, grouped, context):
     outs = [out_extent(m, k, s, padding, axis)
             for m, k, s, axis in zip(size, kernel, strides, _AXES[n])]
     pads = [_pad_amounts(m, k, s, padding) for m, k, s in zip(size, kernel, strides)]
+    xp = np.moveaxis(x, 1, -1)
+    if any(any(pad) for pad in pads):
+        xp = np.pad(xp, [(0, 0), *pads, (0, 0)])
     # np.pad keeps an F-ordered input F-ordered (a (1,L,C) move of a (C,L)
     # sequence is one); the contractions below must see one layout
-    xp = np.ascontiguousarray(np.pad(np.moveaxis(x, 1, -1), [(0, 0), *pads, (0, 0)]))
-    out = np.zeros((b, *outs, w.shape[0]), dtype=np.float32)
-    per_offset = out.size if grouped else out.size * c
+    xp = np.ascontiguousarray(xp)
     # kernel axes first: taps[offset] is a contiguous (C,) tap or (Co,Ci) matrix
     taps = np.ascontiguousarray(np.moveaxis(w, range(w_rank - n), range(n, w_rank)))
-    for offset in np.ndindex(*kernel):
+
+    def term(offset):
         patch = xp[(slice(None),) + tuple(slice(o, o + (m - 1) * s + 1, s)
                                           for o, m, s in zip(offset, outs, strides))]
         if grouped:
             # the tap tiled along the last output axis, so the multiply-add
             # runs over (Wo, C) rows, contiguous at stride 1
-            out += patch * np.broadcast_to(taps[offset], (outs[-1], c)).copy()
-        else:
-            # (B,*So,Ci) . (Co,Ci) contracted over Ci -> (B,*So,Co)
-            out += np.tensordot(patch, taps[offset], axes=(-1, 1))
-        _tally(ledger, per_offset)
+            return patch * np.broadcast_to(taps[offset], (outs[-1], c)).copy()
+        # (B,*So,Ci) . (Co,Ci) contracted over Ci -> (B,*So,Co)
+        return np.tensordot(patch, taps[offset], axes=(-1, 1))
+
+    # the sum is fp32 whatever the operands' dtype; each later term is a
+    # temporary freed by its in-place add, so at most two output-sized
+    # buffers are live
+    offsets = np.ndindex(*kernel)
+    out = term(next(offsets)).astype(np.float32, copy=False)
+    for offset in offsets:
+        out += term(offset)
+    _tally(ledger, (out.size if grouped else out.size * c) * math.prod(kernel))
     _tally_params(ledger, w)
     return np.moveaxis(out, -1, 1)
 
@@ -175,21 +176,13 @@ def conv1d_array(x, w, stride=1, padding="same", ledger=None):
 
 
 def ds_conv2d_array(x, dw, pw, stride=1, padding="same", ledger=None):
-    """Depthwise-separable 2-D conv on a batch; only the final output is written.
+    """Depthwise-separable 2-D conv on a batch: the grouped stage, then a dense
+    1x1 pointwise stage; only the final output is written.
 
     Returns a (B,Co,Ho,Wo) view of a channels-last buffer.
     """
-    c = x.shape[1]
-    co, ciw = pw.shape[:2]
-    if ciw != c:
-        raise DimensionMismatch("channel", ciw, c, "pointwise weights vs depthwise stage")
-    # the depthwise stage's buffer, channels last: (B,Ho,Wo,Ci), contiguous
-    mid = np.moveaxis(depthwise2d_array(x, dw, stride, padding, ledger), 1, -1)
-    # the 1x1 stage as one (B*Ho*Wo,Ci) x (Ci,Co) GEMM, tallied as a 1x1 conv2d
-    out = (mid.reshape(-1, ciw) @ pw.reshape(co, ciw).T).reshape(*mid.shape[:-1], co)
-    _tally(ledger, out.size * ciw)
-    _tally_params(ledger, pw)
-    return np.moveaxis(out, -1, 1)
+    mid = depthwise2d_array(x, dw, stride, padding, ledger)
+    return conv2d_array(mid, pw, 1, "same", ledger)
 
 
 def ds_conv3d_array(x, dw, pw, stride=1, padding="same", ledger=None):

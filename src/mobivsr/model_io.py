@@ -31,6 +31,7 @@ maxval 255) or exactly 256*256*3 raw RGB bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -224,7 +225,8 @@ def parse_weights(blob: bytes, graph: LayerGraph | None = None) -> dict:
         if any(v <= 0 for v in shape):
             raise SchemaError(f"tensor {layer}/{name}: extents must be positive, got {shape}",
                               node_id=layer)
-        count = int(np.prod(shape))
+        # math.prod, not np.prod: an int64 product wraps past 2**63
+        count = math.prod(shape)
         expected = 4 * count if dtype == "fp32" else 8 + count
         if dtype not in ("fp32", "int8"):
             raise SchemaError(f"tensor {layer}/{name} has unknown dtype {dtype!r}",
@@ -357,9 +359,19 @@ def _parse_ppm(data: bytes, source: str) -> np.ndarray:
             raise ValidationError(f"{source}: truncated PPM header")
         return data[start:pos]
 
+    def number():
+        field = token()
+        try:
+            if field.isdigit():
+                return int(field)
+        except ValueError:  # more digits than int() converts
+            pass
+        raise ValidationError(f"{source}: PPM header field {field[:16]!r} is not "
+                              "a decimal integer")
+
     if token() != b"P6":
         raise ValidationError(f"{source}: not a binary PPM (P6) file")
-    width, height, maxval = (int(token()) for _ in range(3))
+    width, height, maxval = (number() for _ in range(3))
     pos += 1  # single whitespace byte after maxval
     if (width, height) != (FRAME_SIDE, FRAME_SIDE):
         raise ValidationError(f"{source}: frame is {width}x{height}, "

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mobivsr import SchemaError, build_mobivsr, parse_graph, serialize_graph, write_ppm
-from mobivsr.cli import main
+from mobivsr import (
+    SchemaError,
+    aggregate,
+    build_mobivsr,
+    efficiency_ratios,
+    parse_graph,
+    serialize_graph,
+    write_ppm,
+)
+from mobivsr.cli import ReportRow, main
 
 
 def run(capsys, *argv):
@@ -58,6 +67,25 @@ def test_report_json_and_csv_agree(graph_path, capsys):
     kv = {r[0]: r[1] for r in rows if len(r) == 4 and r[2] == "" and r[0] != "TOTAL"}
     assert float(kv["size_mb"]) == doc["totals"]["size_mb"]
     assert float(kv["energy_mj"]) == doc["totals"]["energy_mj"]
+
+
+@pytest.mark.parametrize("accuracy", [None, "73.4"])
+def test_report_table_total_row_equals_aggregate(graph_path, capsys, accuracy):
+    extra = ["--accuracy", accuracy] if accuracy else []
+    code, out, _ = run(capsys, "report", str(graph_path), "--format", "table", *extra)
+    assert code == 0
+    lines = out.splitlines()
+    report = aggregate(build_mobivsr(1))
+    total = next(line.split() for line in lines if line.startswith("TOTAL"))
+    assert total[1:] == [str(report.totals.params), str(report.totals.memory_accesses),
+                         str(report.totals.flops)]
+    ratios = [line for line in lines if line.startswith("ratios:")]
+    if accuracy is None:
+        assert ratios == []
+    else:
+        r = efficiency_ratios(report, float(accuracy))
+        assert ratios == [f"ratios: {r.acc_per_mb:.2f} acc/MB  {r.acc_per_gflop:.2f} acc/GFLOP  "
+                          f"{r.acc_per_mparam:.2f} acc/Mparam  {r.acc_per_kaccess:.2f} acc/Kaccess"]
 
 
 def test_report_params_near_published(graph_path, capsys):
@@ -134,6 +162,24 @@ def test_compare_increments_and_presets(capsys):
     assert [r["model"] for r in flagged] == ["LRW Baseline"]
 
 
+def test_compare_csv_header_is_the_report_row_fields(capsys):
+    code, out, _ = run(capsys, "compare", "--alphas", "1,2", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == [f.name for f in fields(ReportRow)]
+    assert [r[0] for r in rows[1:]] == ["MobiVSR-1", "MobiVSR-2"]
+
+
+def test_compare_table_flags_the_inconsistent_preset(capsys):
+    code, out, _ = run(capsys, "compare", "--alphas", "1", "--presets", "--format", "table")
+    assert code == 0
+    lines = out.splitlines()
+    flagged = [line for line in lines if line.endswith("  [!]")]
+    assert [line.split("  ")[0] for line in flagged] == ["LRW Baseline"]
+    notes = [line for line in lines if line.startswith("[!] ")]
+    assert len(notes) == 1 and notes[0].startswith("[!] LRW Baseline: published energy")
+
+
 def test_compare_empty_alphas_gives_presets_only(capsys):
     code, out, _ = run(capsys, "compare", "--alphas", "", "--format", "json")
     assert code == 0
@@ -180,6 +226,15 @@ def test_infer_quantize_preprocess_flow(tmp_path, capsys):
                         "--counted", "--format", "json")
     assert out2 == out  # deterministic given identical inputs
 
+    code, table, _ = run(capsys, "infer", str(graph), str(weights), str(clipdir),
+                         "--counted", "--format", "table", "--top", "3")
+    assert code == 0
+    *classes, counts = table.splitlines()
+    assert classes == [f"class {e['class']:>3}  p={e['probability']:.6f}"
+                       for e in doc["top"][:3]]
+    assert counts == (f"flops={doc['ledger']['flops']}  "
+                      f"memory_accesses={doc['ledger']['memory_accesses']}")
+
     code, out, _ = run(capsys, "quantize", str(weights), "--out", str(qweights))
     assert code == 0
     assert qweights.stat().st_size <= 6_000_000
@@ -197,6 +252,14 @@ def test_quantize_malformed_manifest_is_validation_error(tmp_path, capsys, manif
     assert code == 2
     assert "manifest" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("top", ["-2", "0"])
+def test_infer_top_below_one_is_usage_error(tmp_path, capsys, top):
+    # argparse rejects the value before any file is read
+    code, out, err = run(capsys, "infer", "g.json", "w.bin", str(tmp_path), "--top", top)
+    assert code == 1
+    assert "--top" in err and out == ""
 
 
 def test_infer_missing_weights_is_io_error(tmp_path, graph_path, capsys):
@@ -217,6 +280,19 @@ def test_preprocess_white_frames(tmp_path, capsys):
     code, _, _ = run(capsys, "preprocess", str(clipdir), "--out", str(out_file))
     assert code == 0
     assert np.all(np.load(out_file) == 1.0)
+
+
+def test_preprocess_non_integer_ppm_header_is_validation_error(tmp_path, capsys):
+    clipdir = tmp_path / "frames"
+    clipdir.mkdir()
+    frame = np.zeros((256, 256, 3), dtype=np.uint8)
+    for i in range(29):
+        write_ppm(clipdir / f"{i:02d}.ppm", frame)
+    (clipdir / "07.ppm").write_bytes(b"P6\nabc 256\n255\n" + frame.tobytes())
+    code, _, err = run(capsys, "preprocess", str(clipdir), "--out", str(tmp_path / "c.npy"))
+    assert code == 2
+    assert "07.ppm" in err and "Traceback" not in err
+    assert not (tmp_path / "c.npy").exists()
 
 
 def test_unknown_command_is_usage_error(capsys):

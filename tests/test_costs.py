@@ -1,7 +1,11 @@
 """Analytical cost formulas: hand-substituted values and structural properties."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import mobivsr
 from mobivsr import (
     LayerGraph,
     LayerSpec,
@@ -152,3 +156,20 @@ class TestEfficiencyRatios:
         ratios = efficiency_ratios(row, 0.0)
         assert (ratios.acc_per_mb, ratios.acc_per_gflop, ratios.acc_per_mparam,
                 ratios.acc_per_kaccess) == (0.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("module", ["graph.py", "costs.py"])
+def test_analytical_route_imports_no_kernel_code(module):
+    # the cost formulas must never come from the kernels: the analytical
+    # route (graph -> costs) imports neither the kernels nor the engine
+    tree = ast.parse((Path(mobivsr.__file__).parent / module).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names] + [node.module or ""]
+        else:
+            continue
+        imported.update(part for name in names for part in name.split("."))
+    assert not imported & {"kernels", "engine"}

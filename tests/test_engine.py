@@ -137,7 +137,8 @@ def test_every_node_is_checked_before_any_kernel():
         assert calls == []
         bundle["fc"]["weights"] = BUNDLES["small"]["fc"]["weights"]
         run_graph(graph, bundle, INPUTS["small"])
-    assert len(calls) == 3
+    # bn, ds, the pointwise conv2d_array inside ds, and the skip
+    assert len(calls) == 4
 
 
 @st.composite

@@ -113,6 +113,14 @@ def test_weights_non_positive_extent_is_schema_error(shape):
     assert exc.value.node_id == "n"
 
 
+@pytest.mark.parametrize("shape", [[2**32, 2**32], [2**62, 4], [2**31, 2**31, 4]])
+def test_weights_shape_past_int64_is_schema_error(shape):
+    # each product is 2**64, which an int64 product wraps to 0 == nbytes
+    with pytest.raises(SchemaError, match="nbytes 0 does not match") as exc:
+        parse_weights(tensor_blob(b"", shape=shape, nbytes=0))
+    assert exc.value.node_id == "n"
+
+
 def test_weights_non_string_layer_is_schema_error():
     with pytest.raises(SchemaError) as exc:
         parse_weights(tensor_blob(bytes(8), layer=[1]))
@@ -235,6 +243,18 @@ def test_frame_dir_with_garbage_file(tmp_path):
         (d / f"{i:02d}.rgb").write_bytes(b"too short")
     with pytest.raises(ValidationError):
         load_clip_dir(d)
+
+
+@pytest.mark.parametrize("header", [b"P6\nabc 256\n255\n", b"P6\n256 2.5e2\n255\n",
+                                    b"P6\n256 256\n" + b"9" * 5000 + b"\n"],
+                         ids=["letters", "float", "5000 digits"])
+def test_frame_dir_with_non_integer_ppm_header_field(tmp_path, header):
+    raw = np.zeros((29, 256, 256, 3), dtype=np.uint8)
+    _write_frame_dir(tmp_path / "frames", raw)
+    bad = tmp_path / "frames" / "frame_03.ppm"
+    bad.write_bytes(header + raw[0].tobytes())
+    with pytest.raises(ValidationError, match="frame_03.ppm: PPM header field"):
+        load_clip_dir(tmp_path / "frames")
 
 
 def test_clip_file_round_trip(tmp_path):
