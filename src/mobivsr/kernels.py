@@ -2,23 +2,38 @@
 
 Every convolution (2-D, 3-D, 1-D temporal, and both stages of the separable
 layers) runs through one correlation core, ``_correlate``, with dense
-filters that mix channels or per-channel filters: an explicit sum over
-kernel offsets, vectorized across positions and channels but never
-rearranged (no im2col, no FFT). Each separable kernel is its grouped stage
-followed by one dense core call for its pointwise stage.
+filters that mix channels or per-channel filters. Each separable kernel is
+its grouped stage followed by one dense core call for its pointwise stage.
 
-The core works channels last. It moves the input to (B,*S,C), pads it only
-when some offset reads padding, and sums the offsets' terms into a
-(B,*So,Co) buffer that starts as the first term; it returns a (B,Co,*So)
-view of that buffer. A dense offset is one (B*So,Ci) x (Ci,Co) contraction,
-so a 1x1 stage is a single GEMM. A per-channel offset multiplies its (C,)
-tap, tiled along the last output axis, into (Wo,C) rows that are contiguous
-at stride 1, so numpy's inner loop spans Wo*C elements rather than the Wo
-(3 in the deepest stage) a channels-first broadcast gives. Each output
-element gets the same fp32 multiply-adds in the same offset order as a
-channels-first sum, so the per-channel outputs are bit-identical to it.
-Relu and residual adds keep that memory order, so each layer's move to
-channels last is a contiguous copy, or no copy when nothing is padded.
+The core works channels last. It moves the input to (B,*S,C) and splits the
+zero-padded input by stride phase, building only the phases some kernel
+offset reads (a stride-2 1x1 skip needs one). At stride 1 that is a single
+buffer, the padded copy, or no copy at all when nothing is padded and the
+input is already contiguous. Every offset then reads a stride-1 (B,*So,C)
+window of one phase, so its (Wo,C) rows are contiguous at any stride. The
+result is a (B,Co,*So) view of a channels-last buffer.
+
+* A per-channel stage sums the offsets' terms in np.ndindex order: each
+  multiplies a window by its (C,) tap tiled to (Wo,C), so numpy's inner loop
+  spans Wo*C elements rather than the Wo (3 in the deepest stage) a
+  channels-first broadcast gives. Each output element gets the same fp32
+  multiply-adds in the same order as a channels-first sum, so per-channel
+  outputs are bit-identical to it.
+* A dense filter has at most 3 offsets in this family (the 1x1 skips and
+  pointwise stages, the k=3 temporal conv, the Tp x 1 x 1 temporal pointwise
+  stage). Its windows are set side by side into one (B*So, K*Ci) matrix, a
+  bounded im2col (Chellapilla et al., 2006), and contracted with the
+  (Co, K*Ci) weights in one GEMM; a 1x1 stage's one window is its whole
+  phase, so it is not copied again. The GEMM sums in BLAS order, so dense
+  outputs match a plain offset sum only to within fp32 rounding (the
+  tolerance of tests/_reference.py).
+
+``batchnorm_array`` on channels-last memory works on (rows, W*C) against
+scale and shift tiled to W*C, with the shift added in place: the same fp32
+operations as the broadcast form, so bit-identical to it, with one
+activation-sized temporary fewer. Relu and residual adds keep the channels-
+last memory order, so each layer's move to channels last is a contiguous
+copy, or no copy when nothing is padded.
 
 Kernels check only what their own arithmetic needs: the input's channel
 count against the weights (axis "channel"), ranks, stride and padding. The
@@ -93,6 +108,40 @@ def _tally_params(ledger, weights):
 # ---------------------------------------------------------------------------
 
 
+def _windows(xl, outs, kernel, strides, pads):
+    """Each kernel offset's (B,*So,C) window of the zero-padded channels-last
+    input xl (B,*S,C), in np.ndindex order.
+
+    Phase p of an axis holds the padded positions p, p+s, p+2s, ..., so the
+    window of offset o is the stride-1 slice [o//s, o//s + So) of phase o % s.
+    A phase is built zero-filled with the input copied in, or, when it reads
+    no padding, as the input slice made contiguous.
+    """
+    phases, windows = {}, []
+    for offset in np.ndindex(*kernel):
+        phase = tuple(o % s for o, s in zip(offset, strides))
+        if phase not in phases:
+            extents, dst, src = [len(xl)], [slice(None)], [slice(None)]
+            for p, m, k, s, so, (lo, _) in zip(phase, xl.shape[1:-1], kernel, strides, outs,
+                                               pads):
+                extent = so + (k - 1 - p) // s  # as far as this phase's last offset reads
+                first = max(-((p - lo) // s), 0)  # the first phase index inside the input
+                count = max(min(extent, -((p - lo - m) // s)) - first, 0)
+                start = p + first * s - lo
+                extents.append(extent)
+                dst.append(slice(first, first + count))
+                src.append(slice(start, start + count * s, s))
+            inside = xl[tuple(src)]
+            if inside.shape[:-1] == tuple(extents):
+                phases[phase] = np.ascontiguousarray(inside)
+            else:
+                phases[phase] = np.zeros((*extents, xl.shape[-1]), dtype=xl.dtype)
+                phases[phase][tuple(dst)] = inside
+        windows.append(phases[phase][(slice(None),) + tuple(
+            slice(o // s, o // s + m) for o, s, m in zip(offset, strides, outs))])
+    return windows
+
+
 def _correlate(x, w, strides, padding, ledger, grouped, context):
     """Correlate a (B,C,*S) batch over its trailing len(strides) axes.
 
@@ -119,32 +168,24 @@ def _correlate(x, w, strides, padding, ledger, grouped, context):
     outs = [out_extent(m, k, s, padding, axis)
             for m, k, s, axis in zip(size, kernel, strides, _AXES[n])]
     pads = [_pad_amounts(m, k, s, padding) for m, k, s in zip(size, kernel, strides)]
-    xp = np.moveaxis(x, 1, -1)
-    if any(any(pad) for pad in pads):
-        xp = np.pad(xp, [(0, 0), *pads, (0, 0)])
-    # np.pad keeps an F-ordered input F-ordered (a (1,L,C) move of a (C,L)
-    # sequence is one); the contractions below must see one layout
-    xp = np.ascontiguousarray(xp)
-    # kernel axes first: taps[offset] is a contiguous (C,) tap or (Co,Ci) matrix
-    taps = np.ascontiguousarray(np.moveaxis(w, range(w_rank - n), range(n, w_rank)))
-
-    def term(offset):
-        patch = xp[(slice(None),) + tuple(slice(o, o + (m - 1) * s + 1, s)
-                                          for o, m, s in zip(offset, outs, strides))]
-        if grouped:
-            # the tap tiled along the last output axis, so the multiply-add
-            # runs over (Wo, C) rows, contiguous at stride 1
-            return patch * np.broadcast_to(taps[offset], (outs[-1], c)).copy()
-        # (B,*So,Ci) . (Co,Ci) contracted over Ci -> (B,*So,Co)
-        return np.tensordot(patch, taps[offset], axes=(-1, 1))
-
-    # the sum is fp32 whatever the operands' dtype; each later term is a
-    # temporary freed by its in-place add, so at most two output-sized
-    # buffers are live
-    offsets = np.ndindex(*kernel)
-    out = term(next(offsets)).astype(np.float32, copy=False)
-    for offset in offsets:
-        out += term(offset)
+    windows = _windows(np.moveaxis(x, 1, -1), outs, kernel, strides, pads)
+    if grouped:
+        # each offset's (C,) tap tiled to (Wo,C), so a multiply-add runs over
+        # whole contiguous rows. The sum is fp32 whatever the operands' dtype;
+        # each later term is a temporary freed by its in-place add.
+        tiles = np.broadcast_to(np.moveaxis(w, 0, -1).reshape(-1, 1, c),
+                                (len(windows), outs[-1], c)).copy()
+        out = (windows[0] * tiles[0]).astype(np.float32, copy=False)
+        for window, tile in zip(windows[1:], tiles[1:]):
+            out += window * tile
+    else:
+        # one (B*So, K*Ci) x (K*Ci, Co) GEMM over the windows side by side,
+        # against the weights' (Co, K*Ci) rows in the same offset-major order;
+        # a 1x1 stage's one window is its whole phase, used as is
+        cols = windows[0] if len(windows) == 1 else np.concatenate(windows, axis=-1)
+        wmat = np.moveaxis(w, 1, -1).reshape(len(w), -1)
+        out = (cols.reshape(-1, cols.shape[-1]) @ wmat.T).astype(np.float32, copy=False)
+        out = out.reshape(*cols.shape[:-1], -1)
     _tally(ledger, (out.size if grouped else out.size * c) * math.prod(kernel))
     _tally_params(ledger, w)
     return np.moveaxis(out, -1, 1)
@@ -231,9 +272,17 @@ def batchnorm_array(x, mean, var, gamma, beta, eps=1e-5):
     if x.shape[0] != mean.shape[0]:
         raise DimensionMismatch("channel", mean.shape[0], x.shape[0],
                                 "batchnorm input vs statistics")
-    span = (-1,) + (1,) * (x.ndim - 1)
     scale = gamma / np.sqrt(var + eps)
-    return x * scale.reshape(span) + (beta - mean * scale).reshape(span)
+    shift = beta - mean * scale
+    last = np.moveaxis(x, 0, -1)
+    if x.ndim > 1 and last.flags.c_contiguous:
+        # numpy's inner loop spans a whole (W*C) row, not the C channels
+        rows = last.reshape(-1, last.shape[-2] * len(scale))
+        out = rows * np.tile(scale, last.shape[-2])
+        out += np.tile(shift, last.shape[-2])
+        return np.moveaxis(out.reshape(last.shape), -1, 0)
+    span = (-1,) + (1,) * (x.ndim - 1)
+    return x * scale.reshape(span) + shift.reshape(span)
 
 
 def softmax_array(x):

@@ -80,8 +80,11 @@ def _list_field(doc: dict, name: str) -> list:
 def parse_graph(text: str) -> LayerGraph:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"graph file is not valid JSON: {exc}", position=exc.pos) from exc
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers an int literal past Python's digit limit,
+        # RecursionError a deep nest of brackets
+        raise SchemaError(f"graph file is not valid JSON: {exc}",
+                          position=getattr(exc, "pos", None)) from exc
     if not isinstance(doc, dict):
         raise SchemaError("graph file must hold a JSON object")
     version = doc.get("schema_version")
@@ -189,7 +192,7 @@ def parse_weights(blob: bytes, graph: LayerGraph | None = None) -> dict:
         )
     try:
         manifest = json.loads(blob[header_len : header_len + manifest_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # as in parse_graph; bad UTF-8 too
         raise SchemaError(f"manifest is not valid JSON: {exc}", position=header_len) from exc
     if not isinstance(manifest, dict):
         raise SchemaError(f"manifest must be a JSON object, got {type(manifest).__name__}",

@@ -111,6 +111,17 @@ def test_report_non_list_nodes_is_validation_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ['{"schema_version": ' + "1" * 5000 + "}", "[" * 100_000],
+                         ids=["5000-digit int", "100000 nested brackets"])
+def test_report_unparsable_json_is_schema_error(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, _, err = run(capsys, "report", str(bad))
+    assert code == 2
+    assert "not valid JSON" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("fields", [
     '"schema_version": true, "nodes": [{"id": "r", "kind": "relu"}]',
     '"schema_version": 1, "nodes": [{"id": [1], "kind": "relu"}]',

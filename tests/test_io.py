@@ -1,26 +1,39 @@
 """Clip preprocessing and the file-level round trips."""
 
+import io
 import json
 import struct
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobivsr import (
     Clip,
+    LayerGraph,
+    LayerSpec,
+    MobiVSRError,
     SchemaError,
     ValidationError,
     build_mobivsr,
+    init_weights,
     load_clip_dir,
     parse_graph,
     parse_weights,
     preprocess_clip,
+    quantize_weights,
     read_clip,
     read_graph,
+    serialize_weights,
     write_clip,
     write_graph,
     write_ppm,
 )
+from mobivsr.cli import main
 
 
 def frames(fill):
@@ -174,6 +187,23 @@ def test_graph_malformed_field_is_schema_error(field, value):
         parse_graph(json.dumps({"schema_version": 1, field: value}))
 
 
+# json.loads raises a plain ValueError past Python's int digit limit and a
+# RecursionError on brackets nested deeper than the interpreter stack
+UNPARSABLE_JSON = {
+    "5000-digit int": '{"schema_version": ' + "1" * 5000 + "}",
+    "100000 nested brackets": "[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("text", UNPARSABLE_JSON.values(), ids=UNPARSABLE_JSON)
+def test_unparsable_json_is_schema_error(text):
+    with pytest.raises(SchemaError, match="graph file is not valid JSON"):
+        parse_graph(text)
+    manifest = text.encode("utf-8")
+    with pytest.raises(SchemaError, match="manifest is not valid JSON"):
+        parse_weights(b"MVSRW1" + len(manifest).to_bytes(4, "little") + manifest)
+
+
 @pytest.mark.parametrize("version", [True, 1.0, "1"])
 def test_graph_non_int_schema_version_is_schema_error(version):
     with pytest.raises(SchemaError, match="schema_version"):
@@ -269,3 +299,78 @@ def test_graph_file_round_trip_on_disk(tmp_path):
     graph = build_mobivsr(2)
     write_graph(tmp_path / "g.json", graph)
     assert read_graph(tmp_path / "g.json") == graph
+
+
+# a conv2d, a batchnorm and an fc head, with the conv and fc weights int8 and
+# the batchnorm statistics fp32
+FUZZ_GRAPH = LayerGraph(nodes=[
+    ("conv", LayerSpec("conv2d", in_channels=2, out_channels=3, kernel_size=3)),
+    ("bn", LayerSpec("batchnorm", in_channels=3)),
+    ("pool", LayerSpec("spatial_avg")),
+    ("fc", LayerSpec("fc", in_features=3, out_features=4)),
+], input_shape=(2, 5, 5))
+_FUZZ_BUNDLE = init_weights(FUZZ_GRAPH, seed=3)
+FUZZ_BLOB = serialize_weights(
+    {**_FUZZ_BUNDLE, **quantize_weights({k: _FUZZ_BUNDLE[k] for k in ("conv", "fc")})},
+    FUZZ_GRAPH)
+HEADER_LEN = len(b"MVSRW1") + 4
+MANIFEST_END = HEADER_LEN + int.from_bytes(FUZZ_BLOB[6:HEADER_LEN], "little")
+FUZZ_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.text(max_size=6)
+    | st.floats(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                               max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def mutated_weights_blob(draw):
+    """FUZZ_BLOB with header or manifest bytes flipped, the file cut inside its
+    manifest or its payload, or one manifest JSON value rewritten (the length
+    prefix kept in step): any value, a nearby int, or a shape of other extents."""
+    blob = bytearray(FUZZ_BLOB)
+    mutation = draw(st.sampled_from(["flip", "cut manifest", "cut payload", "rewrite"]))
+    if mutation == "flip":
+        for at in draw(st.lists(st.integers(0, MANIFEST_END - 1), min_size=1, max_size=4)):
+            blob[at] ^= draw(st.integers(1, 255))
+        return bytes(blob)
+    if mutation == "cut manifest":
+        return bytes(blob[: draw(st.integers(0, MANIFEST_END - 1))])
+    if mutation == "cut payload":
+        return bytes(blob[: draw(st.integers(MANIFEST_END, len(blob) - 1))])
+    manifest = json.loads(FUZZ_BLOB[HEADER_LEN:MANIFEST_END])
+    entries = manifest["tensors"]
+    target = manifest if draw(st.booleans()) else entries[draw(st.integers(0, len(entries) - 1))]
+    key = draw(st.sampled_from(sorted(target)))
+    old = target[key]
+    if isinstance(old, int) and draw(st.booleans()):
+        target[key] = old + draw(st.integers(-9, 9))
+    elif isinstance(old, list) and draw(st.booleans()):
+        target[key] = draw(st.lists(st.integers(-2, 5), max_size=4))
+    else:
+        target[key] = draw(FUZZ_VALUES)
+    text = json.dumps(manifest).encode("utf-8")
+    return b"MVSRW1" + len(text).to_bytes(4, "little") + text + FUZZ_BLOB[MANIFEST_END:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_weights_blob())
+def test_mutated_weights_blob_parses_or_is_a_mobivsr_error(blob):
+    for graph in (None, FUZZ_GRAPH):
+        try:
+            assert isinstance(parse_weights(blob, graph), dict)
+        except MobiVSRError:
+            pass
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_graph(tmp / "g.json", FUZZ_GRAPH)
+        (tmp / "w.bin").write_bytes(blob)
+        (tmp / "frames").mkdir()
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            quantize = main(["quantize", str(tmp / "w.bin"), "--out", str(tmp / "q.bin")])
+            # the frame directory is empty, so a weights file that parses stops there
+            infer = main(["infer", str(tmp / "g.json"), str(tmp / "w.bin"), str(tmp / "frames")])
+    assert quantize in (0, 2)
+    assert infer == 2
+    assert "Traceback" not in err.getvalue()

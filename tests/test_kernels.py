@@ -3,11 +3,12 @@
 import dataclasses
 import importlib.util
 import inspect
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mobivsr import (
@@ -27,6 +28,7 @@ from mobivsr import (
     temporal_conv1d,
 )
 from mobivsr.kernels import (
+    batchnorm_array,
     conv1d_array,
     conv2d_array,
     conv3d_array,
@@ -444,6 +446,18 @@ def _channels_first_grouped(x, w, strides, padding):
                               activation_reads=taps)
 
 
+# stride 2 over odd and even extents, so the stride phases differ in length;
+# rank 3 at stride 2 is the front end's (1, 2, 2)
+@example(rank=3, b=1, c=3, t=3, k=3, h=8, w=7, stride=2, padding="same",
+         layout="channels last", seed=0)
+@example(rank=3, b=2, c=2, t=3, k=3, h=7, w=8, stride=2, padding="valid",
+         layout="contiguous", seed=1)
+@example(rank=3, b=3, c=4, t=1, k=5, h=6, w=6, stride=2, padding="same",
+         layout="swapaxes", seed=2)
+@example(rank=2, b=2, c=3, t=1, k=3, h=5, w=6, stride=2, padding="same",
+         layout="swapaxes", seed=3)
+@example(rank=2, b=1, c=2, t=1, k=1, h=7, w=7, stride=2, padding="valid",
+         layout="channels last", seed=4)
 @settings(max_examples=40, deadline=None)
 @given(rank=st.sampled_from([2, 3]), b=st.integers(1, 3), c=st.integers(1, 5),
        t=st.sampled_from([1, 3]), k=st.sampled_from([1, 3, 5]), h=st.integers(3, 8),
@@ -472,3 +486,72 @@ def test_grouped_stage_bit_identical_to_channels_first_sum(rank, b, c, t, k, h, 
     assert got.shape == expected.shape
     assert np.array_equal(got, expected)
     assert ledger == counts
+
+
+def _channels_first_batchnorm(x, mean, var, gamma, beta, eps):
+    """The broadcast form over a (C,1,..,1) scale and shift."""
+    span = (-1,) + (1,) * (x.ndim - 1)
+    scale = gamma / np.sqrt(var + eps)
+    return x * scale.reshape(span) + (beta - mean * scale).reshape(span)
+
+
+def _channels_leading(g, shape, layout):
+    """A seeded (C,*S) float32 value in the given memory layout."""
+    if layout == "contiguous":
+        return g.normal(size=shape).astype(np.float32)
+    if layout == "swapaxes":  # (S0,C,...) memory, as per-frame execution leaves it
+        return g.normal(size=(shape[1], shape[0], *shape[2:])).astype(np.float32).swapaxes(0, 1)
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(
+        g.normal(size=shape).astype(np.float32), 0, -1)), -1, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+       layout=st.sampled_from(LAYOUTS), seed=st.integers(0, 2**16))
+def test_batchnorm_bit_identical_to_broadcast_form(shape, layout, seed):
+    """batchnorm_array equals x * scale + shift bit for bit on every input layout."""
+    g = rng(seed)
+    x = _channels_leading(g, shape, layout)
+    c = shape[0]
+    stats = [g.normal(size=c).astype(np.float32) for _ in range(4)]
+    stats[1] = np.abs(stats[1])  # a variance
+    got = batchnorm_array(x, *stats, eps=1e-5)
+    assert got.shape == x.shape
+    assert np.array_equal(got, _channels_first_batchnorm(x, *stats, 1e-5))
+
+
+# the front end's bn1 and ds3d2 input: (C, L, H, W), channels-last memory
+FRONT_END_SHAPE = (32, 29, 48, 48)
+
+
+def _traced_peak(fn):
+    """The bytes fn allocates at its peak, beyond what was live before it ran."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_batchnorm_channels_last_holds_one_activation():
+    g = rng(18)
+    x = _channels_leading(g, FRONT_END_SHAPE, "channels last")
+    stats = [np.ones(FRONT_END_SHAPE[0], dtype=np.float32)] * 4
+    peak = _traced_peak(lambda: batchnorm_array(x, *stats))
+    assert peak < 1.2 * x.nbytes  # the output, and no second temporary
+
+
+def test_strided_depthwise3d_holds_the_padded_input_and_two_outputs():
+    """The stride phases together are no larger than one padded copy of the input."""
+    g = rng(19)
+    x = _channels_leading(g, FRONT_END_SHAPE, "channels last")
+    w = g.normal(size=(32, 3, 3, 3)).astype(np.float32)
+    c, frames, h, wd = FRONT_END_SHAPE
+    padded = c * (frames + 2) * (h + 1) * (wd + 1) * x.itemsize  # same padding (1,1), (0,1)
+    out = c * frames * (h // 2) * (wd // 2) * x.itemsize
+    # the sum and one term, plus 256 KiB for the (27, Wo, C) tap tiles and
+    # numpy's iteration buffers over a non-contiguous window (about 63 KB)
+    peak = _traced_peak(lambda: depthwise3d_array(x, w, 2))
+    assert peak <= padded + 2 * out + 256 * 1024
