@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .costs import aggregate
-from .graph import LayerGraph, LayerSpec
+from .graph import LayerGraph, LayerSpec, is_int
 
 CLIP_INPUT_SHAPE = (1, 29, 96, 96)
 NUM_CLASSES = 500
@@ -83,37 +83,27 @@ def build_lipres(variant: str, channels_in: int, channels_out: int) -> LipResBlo
     """
     if channels_in < 1 or channels_out < 1:
         raise ValueError(f"channel counts must be positive, got {channels_in}, {channels_out}")
-    if variant == "keep":
-        if channels_in != channels_out:
-            raise ValueError(
-                f"keep blocks need matching channels, got {channels_in} -> {channels_out}"
-            )
-        layers = (
-            ("ds1", LayerSpec("ds_conv2d", in_channels=channels_in, out_channels=channels_out,
-                              kernel_size=3)),
-            ("relu1", LayerSpec("relu")),
-            ("ds2", LayerSpec("ds_conv2d", in_channels=channels_out, out_channels=channels_out,
-                              kernel_size=3)),
-            ("add", LayerSpec("residual_add")),
-            ("relu2", LayerSpec("relu")),
-        )
-        edges = (("@in", "add"),)
-    elif variant == "downsample":
-        layers = (
-            ("ds1", LayerSpec("ds_conv2d", in_channels=channels_in, out_channels=channels_out,
-                              kernel_size=3, stride=2)),
-            ("relu1", LayerSpec("relu")),
-            ("ds2", LayerSpec("ds_conv2d", in_channels=channels_out, out_channels=channels_out,
-                              kernel_size=3)),
-            ("skip", LayerSpec("conv2d", in_channels=channels_in, out_channels=channels_out,
-                               kernel_size=1, stride=2)),
-            ("add", LayerSpec("residual_add")),
-            ("relu2", LayerSpec("relu")),
-        )
-        edges = (("@in", "skip"), ("ds2", "add"))
-    else:
+    if variant not in ("keep", "downsample"):
         raise ValueError(f"variant must be 'keep' or 'downsample', got {variant!r}")
-    return LipResBlock(variant, channels_in, channels_out, layers, edges)
+    if variant == "keep" and channels_in != channels_out:
+        raise ValueError(f"keep blocks need matching channels, "
+                         f"got {channels_in} -> {channels_out}")
+    downsample = variant == "downsample"
+    layers = [
+        ("ds1", LayerSpec("ds_conv2d", in_channels=channels_in, out_channels=channels_out,
+                          kernel_size=3, stride=2 if downsample else 1)),
+        ("relu1", LayerSpec("relu")),
+        ("ds2", LayerSpec("ds_conv2d", in_channels=channels_out, out_channels=channels_out,
+                          kernel_size=3)),
+        ("add", LayerSpec("residual_add")),
+        ("relu2", LayerSpec("relu")),
+    ]
+    edges = [("@in", "add")]
+    if downsample:
+        layers.insert(3, ("skip", LayerSpec("conv2d", in_channels=channels_in,
+                                            out_channels=channels_out, kernel_size=1, stride=2)))
+        edges = [("@in", "skip"), ("ds2", "add")]
+    return LipResBlock(variant, channels_in, channels_out, tuple(layers), tuple(edges))
 
 
 def _splice(nodes, edges, block: LipResBlock, prefix: str, input_id: str) -> str:
@@ -126,22 +116,18 @@ def _splice(nodes, edges, block: LipResBlock, prefix: str, input_id: str) -> str
 
 def build_mobivsr(alpha: int, channel_plan: ChannelPlan | None = None) -> LayerGraph:
     """Build the full graph for a given alpha (LipRes blocks per subgraph)."""
-    if not isinstance(alpha, int) or alpha < 1:
+    if not is_int(alpha) or alpha < 1:
         raise ValueError(f"alpha must be an int >= 1, got {alpha!r}")
     plan = channel_plan or DEFAULT_CHANNEL_PLAN
     fe, subs = plan.front_end, plan.subgraphs
     nodes, edges = [], []
 
-    nodes.append(("frontend.ds3d1", LayerSpec(
-        "ds_conv3d", in_channels=1, out_channels=fe, kernel_size=3, temporal_size=3,
-        stride=2, pointwise_mode="partial")))
-    nodes.append(("frontend.bn1", LayerSpec("batchnorm", in_channels=fe)))
-    nodes.append(("frontend.relu1", LayerSpec("relu")))
-    nodes.append(("frontend.ds3d2", LayerSpec(
-        "ds_conv3d", in_channels=fe, out_channels=subs[0], kernel_size=3, temporal_size=3,
-        stride=2, pointwise_mode="partial")))
-    nodes.append(("frontend.bn2", LayerSpec("batchnorm", in_channels=subs[0])))
-    nodes.append(("frontend.relu2", LayerSpec("relu")))
+    for i, (c_in, c_out) in enumerate(((1, fe), (fe, subs[0])), start=1):
+        nodes.append((f"frontend.ds3d{i}", LayerSpec(
+            "ds_conv3d", in_channels=c_in, out_channels=c_out, kernel_size=3, temporal_size=3,
+            stride=2, pointwise_mode="partial")))
+        nodes.append((f"frontend.bn{i}", LayerSpec("batchnorm", in_channels=c_out)))
+        nodes.append((f"frontend.relu{i}", LayerSpec("relu")))
 
     last = "frontend.relu2"
     prev_channels = subs[0]

@@ -32,6 +32,7 @@ pooling, normalization, softmax and residual adds cost nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .graph import LayerGraph, LayerSpec, layer_output_shape, shape_infer, volume, weight_shapes
@@ -163,6 +164,8 @@ def efficiency_ratios(source, accuracy: float) -> EfficiencyRatios:
     or any object with size_mb / params_m / mem_kaccess / flops_b attributes,
     e.g. a reference preset already expressed in them.
     """
+    if not math.isfinite(accuracy):
+        raise ValueError(f"accuracy must be finite, got {accuracy!r}")
     if isinstance(source, CostReport):
         size_mb = source.size_bytes / 1e6
         flops_b = source.totals.flops / 1e9

@@ -7,6 +7,7 @@ transfer, and every operation is billed at a fixed per-operation energy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .costs import CostReport
@@ -64,8 +65,9 @@ def energy_per_inference(flops, mem_accesses, table: EnergyTable = DEFAULT_ENERG
     FLOPs split evenly into multiplies and adds; each memory access costs one
     DRAM transfer at the selected table entry.
     """
-    if flops < 0 or mem_accesses < 0:
-        raise ValueError("flops and memory accesses must be nonnegative")
+    # written so that NaN fails it too: every comparison with NaN is false
+    if not (0 <= flops < math.inf and 0 <= mem_accesses < math.inf):
+        raise ValueError("flops and memory accesses must be finite and nonnegative")
     pj = (flops / 2) * (table.multiply_pj + table.add_pj) + mem_accesses * table.dram_pj(dram)
     return pj * 1e-9
 

@@ -28,7 +28,7 @@ from .errors import DimensionMismatch, GraphValidationError, MissingDimension, V
 
 
 def out_extent(n, kernel, stride, padding, axis="spatial"):
-    """Output extent of a correlation along one axis."""
+    """Output extent of a correlation or pooling window along one axis."""
     if padding == "same":
         return -(-n // stride)
     if n < kernel:
@@ -52,10 +52,7 @@ def _conv3d_out(spec, in_shape) -> tuple:
 
 
 def _pooled(spec, in_shape) -> tuple:
-    n = in_shape[-1]
-    if n < spec.window:
-        raise DimensionMismatch("time", f"extent >= window {spec.window}", n, spec.kind)
-    return in_shape[:-1] + ((n - spec.window) // spec.stride + 1,)
+    return in_shape[:-1] + (out_extent(in_shape[-1], spec.window, spec.stride, "valid", "time"),)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ result is a (B,Co,*So) view of a channels-last buffer.
   outputs match a plain offset sum only to within fp32 rounding (the
   tolerance of tests/_reference.py).
 
-``batchnorm_array`` on channels-last memory works on (rows, W*C) against
+``batchnorm_array`` lays any input out channels last (which copies nothing
+for a kernel's channels-last output) and works on (rows, W*C) against
 scale and shift tiled to W*C, with the shift added in place: the same fp32
 operations as the broadcast form, so bit-identical to it, with one
 activation-sized temporary fewer. Relu and residual adds keep the channels-
@@ -40,7 +41,8 @@ count against the weights (axis "channel"), ranks, stride and padding. The
 layer shape rules (input ranks, leading extents, output shapes, the depth of
 a separable pointwise stage) live once in ``graph.LAYER_KINDS``; run_graph
 applies them to the whole graph through ``graph.shape_infer`` before any
-kernel runs.
+kernel runs. Output extents come from ``graph.out_extent`` alone: the core
+derives its zero padding from them, and max pooling its length.
 
 Counting conventions, applied whenever a CounterLedger is passed in:
 
@@ -81,15 +83,6 @@ def _check_stride(stride):
         raise ValueError(f"stride must be a positive int, got {stride!r}")
 
 
-def _pad_amounts(n, kernel, stride, padding):
-    if padding == "valid":
-        return (0, 0)
-    out = -(-n // stride)
-    total = max((out - 1) * stride + kernel - n, 0)
-    lo = total // 2
-    return (lo, total - lo)
-
-
 def _tally(ledger, n):
     if ledger is not None:
         n = int(n)
@@ -108,9 +101,9 @@ def _tally_params(ledger, weights):
 # ---------------------------------------------------------------------------
 
 
-def _windows(xl, outs, kernel, strides, pads):
-    """Each kernel offset's (B,*So,C) window of the zero-padded channels-last
-    input xl (B,*S,C), in np.ndindex order.
+def _windows(xl, outs, kernel, strides, leads):
+    """Each kernel offset's (B,*So,C) window of the channels-last input xl
+    (B,*S,C), zero-padded by ``leads`` before each axis, in np.ndindex order.
 
     Phase p of an axis holds the padded positions p, p+s, p+2s, ..., so the
     window of offset o is the stride-1 slice [o//s, o//s + So) of phase o % s.
@@ -122,8 +115,7 @@ def _windows(xl, outs, kernel, strides, pads):
         phase = tuple(o % s for o, s in zip(offset, strides))
         if phase not in phases:
             extents, dst, src = [len(xl)], [slice(None)], [slice(None)]
-            for p, m, k, s, so, (lo, _) in zip(phase, xl.shape[1:-1], kernel, strides, outs,
-                                               pads):
+            for p, m, k, s, so, lo in zip(phase, xl.shape[1:-1], kernel, strides, outs, leads):
                 extent = so + (k - 1 - p) // s  # as far as this phase's last offset reads
                 first = max(-((p - lo) // s), 0)  # the first phase index inside the input
                 count = max(min(extent, -((p - lo - m) // s)) - first, 0)
@@ -167,8 +159,9 @@ def _correlate(x, w, strides, padding, ledger, grouped, context):
         raise DimensionMismatch("kernel", f"square, {kh}x{kh}", f"{kh}x{kw}", f"{context} weights")
     outs = [out_extent(m, k, s, padding, axis)
             for m, k, s, axis in zip(size, kernel, strides, _AXES[n])]
-    pads = [_pad_amounts(m, k, s, padding) for m, k, s in zip(size, kernel, strides)]
-    windows = _windows(np.moveaxis(x, 1, -1), outs, kernel, strides, pads)
+    # the leading zero padding that gives those extents: half the total, rounded down
+    leads = [max((o - 1) * s + k - m, 0) // 2 for o, s, k, m in zip(outs, strides, kernel, size)]
+    windows = _windows(np.moveaxis(x, 1, -1), outs, kernel, strides, leads)
     if grouped:
         # each offset's (C,) tap tiled to (Wo,C), so a multiply-add runs over
         # whole contiguous rows. The sum is fp32 whatever the operands' dtype;
@@ -253,10 +246,7 @@ def fc_array(x, w, ledger=None):
 def maxpool1d_array(x, window, stride):
     """Max pooling over the last axis, valid extent arithmetic."""
     _check_stride(stride)
-    n = x.shape[-1]
-    if n < window:
-        raise DimensionMismatch("time", f"extent >= window {window}", n, "maxpool")
-    lo = (n - window) // stride + 1
+    lo = out_extent(x.shape[-1], window, stride, "valid", "time")
     out = x[..., 0 : (lo - 1) * stride + 1 : stride].copy()
     for j in range(1, window):
         np.maximum(out, x[..., j : j + (lo - 1) * stride + 1 : stride], out=out)
@@ -274,15 +264,13 @@ def batchnorm_array(x, mean, var, gamma, beta, eps=1e-5):
                                 "batchnorm input vs statistics")
     scale = gamma / np.sqrt(var + eps)
     shift = beta - mean * scale
-    last = np.moveaxis(x, 0, -1)
-    if x.ndim > 1 and last.flags.c_contiguous:
-        # numpy's inner loop spans a whole (W*C) row, not the C channels
-        rows = last.reshape(-1, last.shape[-2] * len(scale))
-        out = rows * np.tile(scale, last.shape[-2])
-        out += np.tile(shift, last.shape[-2])
-        return np.moveaxis(out.reshape(last.shape), -1, 0)
-    span = (-1,) + (1,) * (x.ndim - 1)
-    return x * scale.reshape(span) + shift.reshape(span)
+    # channels last, copied only when not already; numpy's inner loop then
+    # spans a whole (W*C) row, not the C channels. A rank-1 input is one row.
+    last = np.ascontiguousarray(np.moveaxis(x, 0, -1))
+    width = x.shape[-1] if x.ndim > 1 else 1
+    out = last.reshape(-1, width * len(scale)) * np.tile(scale, width)
+    out += np.tile(shift, width)
+    return np.moveaxis(out.reshape(last.shape), -1, 0)
 
 
 def softmax_array(x):

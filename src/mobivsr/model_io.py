@@ -18,14 +18,14 @@ manifest length, a UTF-8 JSON manifest, then the payload. The manifest is::
                   "dtype": "fp32"|"int8", "offset": n, "nbytes": n}, ...]}
 
 Offsets are relative to the payload start and must be non-overlapping and in
-bounds. An fp32 tensor's block is its f32 data; an int8 tensor's block is a
-f32 scale, an i32 zero point, then the int8 codes.
+bounds. An fp32 tensor's block is its f32 data, all finite; an int8 tensor's
+block is a f32 scale, an i32 zero point, then the int8 codes.
 
 Clips are 29 grayscale 96x96 frames in [0, 1], produced from 29 RGB frames
 of 256x256 by center-cropping rows and columns [80, 176) and applying the
 BT.601 luma weights (0.299 R + 0.587 G + 0.114 B) / 255. Frame directories
-hold 29 files, lexicographically ordered, each either a binary PPM (P6,
-maxval 255) or exactly 256*256*3 raw RGB bytes.
+hold 29 files, lexicographically ordered, each either exactly 256*256*3 raw
+RGB bytes or a binary PPM (P6, maxval 255).
 """
 
 from __future__ import annotations
@@ -143,10 +143,9 @@ def read_graph(path) -> LayerGraph:
 # ---------------------------------------------------------------------------
 
 
-def _tensor_nbytes(tensor: Tensor) -> int:
-    if tensor.quant is None:
-        return 4 * tensor.data.size
-    return 8 + tensor.data.size  # f32 scale + i32 zero point + codes
+def _block_nbytes(dtype: str, count: int) -> int:
+    """A tensor's payload block size: f32 data, or f32 scale + i32 zero point + codes."""
+    return 4 * count if dtype == "fp32" else 8 + count
 
 
 def serialize_weights(bundle: dict, graph: LayerGraph | None = None) -> bytes:
@@ -170,7 +169,7 @@ def serialize_weights(bundle: dict, graph: LayerGraph | None = None) -> bytes:
                 "shape": list(tensor.shape),
                 "dtype": tensor.dtype,
                 "offset": offset,
-                "nbytes": _tensor_nbytes(tensor),
+                "nbytes": _block_nbytes(tensor.dtype, tensor.data.size),
             })
     manifest = json.dumps({"schema_version": WEIGHTS_SCHEMA_VERSION,
                            "tensors": entries}).encode("utf-8")
@@ -230,11 +229,10 @@ def parse_weights(blob: bytes, graph: LayerGraph | None = None) -> dict:
                               node_id=layer)
         # math.prod, not np.prod: an int64 product wraps past 2**63
         count = math.prod(shape)
-        expected = 4 * count if dtype == "fp32" else 8 + count
         if dtype not in ("fp32", "int8"):
             raise SchemaError(f"tensor {layer}/{name} has unknown dtype {dtype!r}",
                               node_id=layer)
-        if nbytes != expected:
+        if nbytes != _block_nbytes(dtype, count):
             raise SchemaError(
                 f"tensor {layer}/{name}: nbytes {nbytes} does not match shape {shape}",
                 node_id=layer,
@@ -249,6 +247,9 @@ def parse_weights(blob: bytes, graph: LayerGraph | None = None) -> dict:
         block = payload[offset : offset + nbytes]
         if dtype == "fp32":
             data = np.frombuffer(block, dtype="<f4").astype(np.float32)
+            if not np.isfinite(data).all():
+                raise SchemaError(f"tensor {layer}/{name} holds NaN or infinite values",
+                                  node_id=layer)
             tensor = Tensor(shape=shape, data=data)
         else:
             (scale,) = struct.unpack_from("<f", block, 0)
@@ -406,10 +407,12 @@ def load_clip_dir(path) -> np.ndarray:
     raw_len = FRAME_SIDE * FRAME_SIDE * 3
     for p in files:
         data = p.read_bytes()
-        if data[:2] == b"P6":
-            frames.append(_parse_ppm(data, p.name))
-        elif len(data) == raw_len:
+        # the length first: raw pixels may start with "P6", and a 256x256 PPM
+        # is always longer than its raw pixels
+        if len(data) == raw_len:
             frames.append(np.frombuffer(data, dtype=np.uint8).reshape(FRAME_SIDE, FRAME_SIDE, 3))
+        elif data[:2] == b"P6":
+            frames.append(_parse_ppm(data, p.name))
         else:
             raise ValidationError(
                 f"{p.name}: neither PPM nor {raw_len} bytes of raw 256x256x3 RGB"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ValidationError
@@ -20,6 +22,10 @@ def quantize_tensor(tensor: Tensor) -> Tensor:
         return tensor
     values = tensor.data.astype(np.float64)
     lo, hi = float(values.min()), float(values.max())
+    # min and max carry any NaN through, so this sees every non-finite value
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"cannot quantize a tensor holding NaN or infinite values "
+                              f"(range [{lo}, {hi}])")
     scale32 = np.float32((hi - lo) / 255.0)
     if hi == lo or scale32 <= 0:
         constant = np.float32(lo)

@@ -80,6 +80,20 @@ def test_keep_block_requires_matching_channels():
         build_lipres("sideways", 4, 4)
 
 
+@pytest.mark.parametrize("variant,channels,order,edges,strides", [
+    ("keep", (4, 4), ["ds1", "relu1", "ds2", "add", "relu2"], (("@in", "add"),),
+     {"ds1": 1, "ds2": 1}),
+    ("downsample", (4, 8), ["ds1", "relu1", "ds2", "skip", "add", "relu2"],
+     (("@in", "skip"), ("ds2", "add")), {"ds1": 2, "ds2": 1, "skip": 2}),
+])
+def test_lipres_layer_order_and_edges(variant, channels, order, edges, strides):
+    block = build_lipres(variant, *channels)
+    assert [suffix for suffix, _ in block.layers] == order
+    assert block.edges == edges
+    specs = dict(block.layers)
+    assert {name: specs[name].stride for name in strides} == strides
+
+
 def test_downsample_block_halves_spatial_extent():
     block = build_lipres("downsample", 4, 8)
     graph = block_graph(block)
@@ -164,6 +178,8 @@ def test_alpha_must_be_positive_int():
         build_mobivsr(0)
     with pytest.raises(ValueError):
         build_mobivsr(-2)
+    with pytest.raises(ValueError):  # bool is an int subclass, but True is no count
+        build_mobivsr(True)
 
 
 def test_reference_presets_are_the_two_comparison_rows():

@@ -35,6 +35,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise AssertionError(f"stdout holds {name}, which is not JSON")
+
+
+def parse_json(text):
+    """json.loads that fails on NaN, Infinity and -Infinity, which Python's
+    json module writes and reads by default but JSON does not have."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 @pytest.fixture()
 def graph_path(tmp_path, capsys):
     path = tmp_path / "g.json"
@@ -58,7 +68,7 @@ def test_build_alpha_zero_is_usage_error(tmp_path, capsys):
 def test_report_json_and_csv_agree(graph_path, capsys):
     code, out_json, _ = run(capsys, "report", str(graph_path), "--format", "json")
     assert code == 0
-    doc = json.loads(out_json)
+    doc = parse_json(out_json)
     code, out_csv, _ = run(capsys, "report", str(graph_path), "--format", "csv")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out_csv)))
@@ -90,7 +100,7 @@ def test_report_table_total_row_equals_aggregate(graph_path, capsys, accuracy):
 
 def test_report_params_near_published(graph_path, capsys):
     code, out, _ = run(capsys, "report", str(graph_path), "--format", "json")
-    doc = json.loads(out)
+    doc = parse_json(out)
     assert doc["totals"]["params_m"] == pytest.approx(4.5, rel=0.15)
 
 
@@ -160,7 +170,7 @@ def test_compare_increments_and_presets(capsys):
     code, out, _ = run(capsys, "compare", "--alphas", "1,2,3", "--presets",
                        "--format", "json")
     assert code == 0
-    rows = json.loads(out)
+    rows = parse_json(out)
     increments = [r["increment_m"] for r in rows if r["increment_m"] is not None]
     assert len(increments) == 2
     for inc in increments:
@@ -194,16 +204,32 @@ def test_compare_table_flags_the_inconsistent_preset(capsys):
 def test_compare_empty_alphas_gives_presets_only(capsys):
     code, out, _ = run(capsys, "compare", "--alphas", "", "--format", "json")
     assert code == 0
-    rows = json.loads(out)
+    rows = parse_json(out)
     assert rows and all(r["source"] == "published" for r in rows)
 
 
 def test_energy_command_matches_published_value(capsys):
     code, out, _ = run(capsys, "energy", "--flops", "11e9", "--mem", "35.3e3")
     assert code == 0
-    doc = json.loads(out)
+    doc = parse_json(out)
     assert doc["energy_mj"] == pytest.approx(25.37, rel=0.005)
     assert doc["co2_mg"] == pytest.approx(3.21, rel=0.01)
+
+
+@pytest.mark.parametrize("flops,mem", [("nan", "1"), ("inf", "1"), ("1", "inf"),
+                                       ("1", "nan"), ("-inf", "1"), ("-1", "1")])
+def test_energy_non_finite_or_negative_count_is_validation_error(capsys, flops, mem):
+    code, out, err = run(capsys, "energy", f"--flops={flops}", f"--mem={mem}")
+    assert code == 2
+    assert out == "" and "finite and nonnegative" in err
+
+
+@pytest.mark.parametrize("accuracy", ["nan", "inf", "-inf"])
+def test_report_non_finite_accuracy_is_validation_error(graph_path, capsys, accuracy):
+    code, out, err = run(capsys, "report", str(graph_path), "--format", "json",
+                         f"--accuracy={accuracy}")
+    assert code == 2
+    assert out == "" and "accuracy must be finite" in err
 
 
 def test_infer_quantize_preprocess_flow(tmp_path, capsys):
@@ -223,13 +249,13 @@ def test_infer_quantize_preprocess_flow(tmp_path, capsys):
     code, out, _ = run(capsys, "infer", str(graph), str(weights), str(clipdir),
                        "--counted", "--format", "json")
     assert code == 0
-    doc = json.loads(out)
+    doc = parse_json(out)
     assert len(doc["top"]) == 5
     assert doc["ledger"]["flops"] == doc["ledger"]["multiplies"] + doc["ledger"]["adds"]
 
     code, report_out, _ = run(capsys, "report", str(graph), "--format", "json")
     assert code == 0
-    report_doc = json.loads(report_out)
+    report_doc = parse_json(report_out)
     analytical_flops = sum(e["flops"] for e in report_doc["per_layer"])
     assert doc["ledger"]["flops"] == analytical_flops  # exact for the FLOP column
 

@@ -186,6 +186,16 @@ def test_batchnorm_channel_mismatch_fails_before_any_kernel():
     assert exc.value.axis == "channel"
 
 
+def test_maxpool_shorter_than_window_fails_naming_the_node():
+    graph = LayerGraph(nodes=[("pool", LayerSpec("maxpool", window=4, stride=2))])
+    with counting_kernels() as calls, pytest.raises(GraphValidationError, match="'pool'") as exc:
+        run_graph(graph, {}, np.ones((3, 3), dtype=np.float32))
+    assert exc.value.node_id == "pool"
+    assert isinstance(exc.value.__cause__, DimensionMismatch)
+    assert exc.value.__cause__.axis == "time"
+    assert calls == []
+
+
 def test_zero_extent_input_fails_before_any_kernel():
     with counting_kernels() as calls, pytest.raises(ValidationError, match="positive"):
         run_graph(GRAPHS["small"], BUNDLES["small"], np.ones((0, 4), dtype=np.float32))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mobivsr import (
@@ -18,6 +18,7 @@ from mobivsr import (
     LayerSpec,
     MobiVSRError,
     SchemaError,
+    Tensor,
     ValidationError,
     build_mobivsr,
     init_weights,
@@ -25,6 +26,7 @@ from mobivsr import (
     parse_graph,
     parse_weights,
     preprocess_clip,
+    quantize_tensor,
     quantize_weights,
     read_clip,
     read_graph,
@@ -287,6 +289,74 @@ def test_frame_dir_with_non_integer_ppm_header_field(tmp_path, header):
         load_clip_dir(tmp_path / "frames")
 
 
+def test_raw_frame_starting_with_the_ppm_magic_is_read_as_raw(tmp_path):
+    # bytes 80, 54 are "P6"; a raw frame is exactly 256*256*3 bytes, which no
+    # 256x256 PPM is, so the length decides before the magic does
+    raw = np.random.default_rng(4).integers(0, 256, size=(29, 256, 256, 3)).astype(np.uint8)
+    raw[0, 0, 0, :2] = (80, 54)
+    raw[0, 0, 0, 2] = ord("\n")
+    _write_frame_dir(tmp_path / "raw", raw, as_ppm=False)
+    np.testing.assert_array_equal(load_clip_dir(tmp_path / "raw"), raw)
+
+
+FRAME_HEADER = b"P6\n256 256\n255\n"
+FRAME_PIXELS = np.random.default_rng(5).integers(0, 256, size=(256, 256, 3)).astype(np.uint8)
+FRAME_FILE = FRAME_HEADER + FRAME_PIXELS.tobytes()
+
+
+@pytest.fixture(scope="module")
+def fuzz_frame_dir(tmp_path_factory):
+    """A 29-frame PPM directory; the tests overwrite its frame_03.ppm."""
+    path = tmp_path_factory.mktemp("fuzz") / "frames"
+    _write_frame_dir(path, np.broadcast_to(FRAME_PIXELS, (29, 256, 256, 3)))
+    return path
+
+
+@st.composite
+def mutated_frame_file(draw):
+    """FRAME_FILE with header bytes flipped; a comment, a whitespace run or a
+    run of digits inserted in or just after the header; or the file cut."""
+    data = bytearray(FRAME_FILE)
+    header_end = len(FRAME_HEADER) + 4  # a few pixel bytes too
+    mutation = draw(st.sampled_from(["flip", "comment", "whitespace", "digits", "cut"]))
+    if mutation == "flip":
+        for at in draw(st.lists(st.integers(0, header_end - 1), min_size=1, max_size=4)):
+            data[at] ^= draw(st.integers(1, 255))
+        return bytes(data)
+    if mutation == "cut":
+        return bytes(data[: draw(st.integers(0, len(data) - 1))])
+    if mutation == "comment":
+        insert = b"#" + draw(st.binary(max_size=12)).replace(b"\n", b"") + draw(
+            st.sampled_from([b"\n", b""]))
+    elif mutation == "whitespace":
+        insert = b"".join(draw(st.lists(st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b",
+                                                         b"\x0c"]), min_size=1, max_size=6)))
+    else:
+        insert = draw(st.sampled_from([b"0", b"9", b"1"])) * draw(st.integers(1, 5000))
+    at = draw(st.integers(0, header_end))
+    return bytes(data[:at] + insert + data[at:])
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=mutated_frame_file())
+@example(data=FRAME_FILE)
+@example(data=b"P6" + bytes(256 * 256 * 3 - 2))
+def test_mutated_frame_loads_or_is_a_validation_error(fuzz_frame_dir, data):
+    (fuzz_frame_dir / "frame_03.ppm").write_bytes(data)
+    try:
+        loaded = load_clip_dir(fuzz_frame_dir)
+    except ValidationError:
+        pass
+    else:
+        assert loaded.shape == (29, 256, 256, 3) and loaded.dtype == np.uint8
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["preprocess", str(fuzz_frame_dir), "--out", str(Path(tmp) / "c.npy")])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+
+
 def test_clip_file_round_trip(tmp_path):
     clip = preprocess_clip(np.random.default_rng(3).integers(0, 256, size=(29, 256, 256, 3))
                            .astype(np.uint8))
@@ -374,3 +444,45 @@ def test_mutated_weights_blob_parses_or_is_a_mobivsr_error(blob):
     assert quantize in (0, 2)
     assert infer == 2
     assert "Traceback" not in err.getvalue()
+
+
+FP32_BLOB = serialize_weights(_FUZZ_BUNDLE, FUZZ_GRAPH)
+FP32_MANIFEST_END = HEADER_LEN + int.from_bytes(FP32_BLOB[6:HEADER_LEN], "little")
+# little-endian f32 bit patterns of NaN, +inf and -inf
+NAN, INF, NEG_INF = b"\x00\x00\xc0\x7f", b"\x00\x00\x80\x7f", b"\x00\x00\x80\xff"
+
+
+@settings(max_examples=200, deadline=None)
+@given(at=st.integers(0, len(FP32_BLOB) - FP32_MANIFEST_END - 1),
+       data=st.binary(min_size=1, max_size=12))
+@example(at=0, data=NAN)
+@example(at=4, data=INF)
+@example(at=len(FP32_BLOB) - FP32_MANIFEST_END - 4, data=NEG_INF)
+def test_overwritten_fp32_payload_parses_finite_or_is_a_mobivsr_error(at, data):
+    """Random bytes written over an all-fp32 payload: the tensors that parse
+    are finite (so they quantize), or parsing fails with a MobiVSRError."""
+    blob = bytearray(FP32_BLOB)
+    start = FP32_MANIFEST_END + at
+    blob[start : start + len(data)] = data[: len(blob) - start]
+    for graph in (None, FUZZ_GRAPH):
+        try:
+            bundle = parse_weights(bytes(blob), graph)
+        except MobiVSRError:
+            continue
+        assert all(np.isfinite(t.data).all() for tensors in bundle.values()
+                   for t in tensors.values())
+        quantize_weights(bundle)
+
+
+@pytest.mark.parametrize("bits", [NAN, INF, NEG_INF], ids=["nan", "inf", "-inf"])
+def test_non_finite_fp32_tensor_is_schema_error_naming_it(bits):
+    with pytest.raises(SchemaError, match="n/w holds NaN or infinite") as exc:
+        parse_weights(tensor_blob(struct.pack("<f", 1.0) + bits))
+    assert exc.value.node_id == "n"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quantizing_a_non_finite_tensor_is_a_validation_error(bad):
+    tensor = Tensor(shape=(2,), data=np.array([bad, 0.0], dtype=np.float32))
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        quantize_tensor(tensor)

@@ -235,6 +235,14 @@ class TestElementwise:
         np.testing.assert_array_equal(maxpool(t([1.0, 3.0, 2.0, 0.0]), 2, 2).as_array(),
                                       [3.0, 2.0])
 
+    def test_maxpool_shorter_than_window_is_a_time_mismatch(self):
+        for pool in (lambda: maxpool(t([1.0, 3.0]), 3, 1),
+                     lambda: kernels.maxpool1d_array(np.ones((2, 2), dtype=np.float32), 3, 1)):
+            with pytest.raises(DimensionMismatch) as exc:
+                pool()
+            assert exc.value.axis == "time"
+            assert exc.value.got == 2
+
     def test_batchnorm_identity_stats(self):
         x = rng(15).normal(size=(3, 4, 4)).astype(np.float32)
         out = batchnorm_inference(t(x), np.zeros(3), np.ones(3), np.ones(3), np.zeros(3),
@@ -496,8 +504,9 @@ def _channels_first_batchnorm(x, mean, var, gamma, beta, eps):
 
 
 def _channels_leading(g, shape, layout):
-    """A seeded (C,*S) float32 value in the given memory layout."""
-    if layout == "contiguous":
+    """A seeded (C,*S) float32 value in the given memory layout; a rank-1
+    value has only the one."""
+    if layout == "contiguous" or len(shape) == 1:
         return g.normal(size=shape).astype(np.float32)
     if layout == "swapaxes":  # (S0,C,...) memory, as per-frame execution leaves it
         return g.normal(size=(shape[1], shape[0], *shape[2:])).astype(np.float32).swapaxes(0, 1)
@@ -506,10 +515,12 @@ def _channels_leading(g, shape, layout):
 
 
 @settings(max_examples=40, deadline=None)
-@given(shape=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+@given(shape=st.lists(st.integers(1, 6), min_size=1, max_size=4),
        layout=st.sampled_from(LAYOUTS), seed=st.integers(0, 2**16))
+@example(shape=[5], layout="contiguous", seed=0)
 def test_batchnorm_bit_identical_to_broadcast_form(shape, layout, seed):
-    """batchnorm_array equals x * scale + shift bit for bit on every input layout."""
+    """batchnorm_array equals x * scale + shift bit for bit on every input
+    layout and on every rank the kind accepts."""
     g = rng(seed)
     x = _channels_leading(g, shape, layout)
     c = shape[0]
