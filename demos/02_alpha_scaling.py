@@ -19,8 +19,8 @@ for alpha in (1, 2, 3, 4, 10, 11):
     increment = ""
     if previous is not None:
         increment = f"{(report.totals.params - previous[1]) / (alpha - previous[0]):,.0f}"
-    print(f"{name:<12} {report.totals.params:>12,} {report.size_bytes / 1e6:>9.2f} "
-          f"{published:>10.1f} {report.totals.flops / 1e9:>8.2f} {increment:>14}")
+    print(f"{name:<12} {report.totals.params:>12,} {report.size_mb:>9.2f} "
+          f"{published:>10.1f} {report.flops_b:>8.2f} {increment:>14}")
     previous = (alpha, report.totals.params)
 
 print()

@@ -13,7 +13,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +95,11 @@ def _positive_int(text):
 def _alpha_list(text):
     if not text.strip():
         return []
-    return [_positive_int(part) for part in text.split(",")]
+    alphas = [_positive_int(part) for part in text.split(",")]
+    for i, alpha in enumerate(alphas):
+        if alpha in alphas[:i]:
+            raise argparse.ArgumentTypeError(f"alpha {alpha} is repeated")
+    return alphas
 
 
 def _plan(name):
@@ -176,113 +180,97 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _graph_row(name, graph, dtype) -> tuple:
-    report = aggregate(graph, dtype=dtype)
-    impact = impact_report(report)
-    row = ReportRow(
-        model=name,
-        source="computed",
-        size_mb=report.size_bytes / 1e6,
-        params_m=report.totals.params / 1e6,
-        mem_access_raw=report.totals.memory_accesses,
-        mem_access_k=report.totals.memory_accesses / 1e3,
-        flops_b=report.totals.flops / 1e9,
+def _row(model, source, costs, accuracy=None, note="") -> ReportRow:
+    """One comparison row from a CostReport ("computed") or a published
+    preset; both carry the table's units, and ratios need an accuracy."""
+    impact = impact_report(costs)
+    ratios = {} if accuracy is None else asdict(efficiency_ratios(costs, accuracy))
+    return ReportRow(
+        model=model,
+        source=source,
+        size_mb=costs.size_mb,
+        params_m=costs.params_m,
+        mem_access_raw=costs.totals.memory_accesses if source == "computed" else None,
+        mem_access_k=costs.mem_kaccess,
+        flops_b=costs.flops_b,
         energy_mj=impact.energy_mj,
         co2_mg=impact.co2_mg,
+        accuracy=accuracy,
+        **ratios,
+        note=note,
     )
-    return report, row
+
+
+def _emit(rows, columns, fmt, notes=()):
+    """Write dict rows as CSV, headed by the first row's keys with missing
+    cells left empty, or as a table of ``columns``: (key, header, format
+    spec) triples, where a None cell prints as ``-``. The table's notes
+    follow its rows."""
+    if fmt == "csv":
+        writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]), restval="")
+        writer.writeheader()
+        writer.writerows(rows)
+        return
+    widths = [spec.split(".")[0] for _, _, spec in columns]
+    print(" ".join(format(header, w) for (_, header, _), w in zip(columns, widths)).rstrip())
+    for row in rows:
+        print(" ".join(format("-", w) if row[key] is None else format(row[key], spec)
+                       for (key, _, spec), w in zip(columns, widths)).rstrip())
+    for note in notes:
+        print(note)
+
+
+_LAYER_COLUMNS = (("id", "layer", "<18"), ("params", "params", ">12"),
+                  ("memory_accesses", "mem accesses", ">14"), ("flops", "flops", ">14"))
+_COMPARE_COLUMNS = (
+    ("model", "model", "<22"), ("source", "source", "<10"), ("size_mb", "size MB", ">8.2f"),
+    ("params_m", "params M", ">9.3f"), ("mem_access_k", "mem K", ">10.1f"),
+    ("flops_b", "flops B", ">8.2f"), ("energy_mj", "mJ", ">8.2f"), ("co2_mg", "mg", ">7.2f"),
+    ("increment_m", "+M/alpha", ">9.3f"), ("flag", "", ">4"),
+)
 
 
 def cmd_report(args) -> int:
-    graph = read_graph(args.graph)
-    report, row = _graph_row(f"graph({args.graph})", graph, args.dtype)
-    if args.accuracy is not None:
-        ratios = efficiency_ratios(report, args.accuracy)
-        row = replace(row, accuracy=args.accuracy, **asdict(ratios))
-    per_layer = [
-        {"id": node_id, "params": cost.params, "memory_accesses": cost.memory_accesses,
-         "flops": cost.flops}
-        for node_id, cost in report.per_layer
-    ]
+    report = aggregate(read_graph(args.graph), dtype=args.dtype)
+    row = _row(f"graph({args.graph})", "computed", report, args.accuracy)
+    per_layer = [{"id": node_id, **asdict(cost)} for node_id, cost in report.per_layer]
     if args.format == "json":
         print(json.dumps({"totals": asdict(row), "per_layer": per_layer}, indent=2))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["id", "params", "memory_accesses", "flops"])
-        for entry in per_layer:
-            writer.writerow([entry["id"], entry["params"], entry["memory_accesses"],
-                             entry["flops"]])
-        writer.writerow(["TOTAL", report.totals.params, report.totals.memory_accesses,
-                         report.totals.flops])
-        for key, value in asdict(row).items():
-            writer.writerow([key, value, "", ""])
-    else:
-        print(f"model: {row.model}  dtype: {report.dtype}")
-        print(f"{'layer':<18} {'params':>12} {'mem accesses':>14} {'flops':>14}")
-        for entry in per_layer:
-            print(f"{entry['id']:<18} {entry['params']:>12} "
-                  f"{entry['memory_accesses']:>14} {entry['flops']:>14}")
-        print(f"{'TOTAL':<18} {report.totals.params:>12} "
-              f"{report.totals.memory_accesses:>14} {report.totals.flops:>14}")
-        print(f"size: {row.size_mb:.2f} MB   energy: {row.energy_mj:.2f} mJ   "
-              f"co2: {row.co2_mg:.2f} mg")
-        if row.accuracy is not None:
-            print(f"ratios: {row.acc_per_mb:.2f} acc/MB  {row.acc_per_gflop:.2f} acc/GFLOP  "
-                  f"{row.acc_per_mparam:.2f} acc/Mparam  {row.acc_per_kaccess:.2f} acc/Kaccess")
+        return EXIT_OK
+    rows = per_layer + [{"id": "TOTAL", **asdict(report.totals)}]
+    if args.format == "csv":
+        rows += [{"id": key, "params": value} for key, value in asdict(row).items()]
+    notes = [f"model: {row.model}  dtype: {report.dtype}",
+             f"size: {row.size_mb:.2f} MB   energy: {row.energy_mj:.2f} mJ   "
+             f"co2: {row.co2_mg:.2f} mg"]
+    if row.accuracy is not None:
+        notes.append(f"ratios: {row.acc_per_mb:.2f} acc/MB  {row.acc_per_gflop:.2f} acc/GFLOP  "
+                     f"{row.acc_per_mparam:.2f} acc/Mparam  {row.acc_per_kaccess:.2f} acc/Kaccess")
+    _emit(rows, _LAYER_COLUMNS, args.format, notes)
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    rows = []
-    prev = None
-    for alpha in args.alphas:
-        _, row = _graph_row(f"MobiVSR-{alpha}", build_mobivsr(alpha, args.plan), "fp32")
-        if prev is not None:
-            row.increment_m = (row.params_m - prev[1].params_m) / (alpha - prev[0])
-        rows.append(row)
-        prev = (alpha, row)
-    if args.presets or not args.alphas:
+    alphas = args.alphas
+    rows = [_row(f"MobiVSR-{a}", "computed", aggregate(build_mobivsr(a, args.plan)))
+            for a in alphas]
+    for a0, a1, r0, r1 in zip(alphas, alphas[1:], rows, rows[1:]):
+        r1.increment_m = (r1.params_m - r0.params_m) / (a1 - a0)
+    if args.presets or not alphas:
         for preset in published_models():
-            impact = impact_report(preset)
-            ratios = efficiency_ratios(preset, preset.top1)
-            note = ""
             published = PUBLISHED_IMPACT.get(preset.name)
-            if preset.name in IMPACT_OUTLIERS and published:
-                note = (f"published energy {published[0]} mJ inconsistent with its "
-                        f"FLOPs under this model")
-            rows.append(ReportRow(
-                model=preset.name,
-                source="published",
-                size_mb=preset.size_mb,
-                params_m=preset.params_m,
-                mem_access_raw=None,
-                mem_access_k=preset.mem_kaccess,
-                flops_b=preset.flops_b,
-                energy_mj=impact.energy_mj,
-                co2_mg=impact.co2_mg,
-                accuracy=preset.top1,
-                **asdict(ratios),
-                note=note,
-            ))
+            note = (f"published energy {published[0]} mJ inconsistent with its "
+                    f"FLOPs under this model"
+                    if preset.name in IMPACT_OUTLIERS and published else "")
+            rows.append(_row(preset.name, "published", preset, preset.top1, note))
+    dicts = [asdict(r) for r in rows]
     if args.format == "json":
-        print(json.dumps([asdict(r) for r in rows], indent=2))
-    elif args.format == "csv":
-        writer = csv.DictWriter(sys.stdout, fieldnames=list(asdict(rows[0]).keys()))
-        writer.writeheader()
-        for r in rows:
-            writer.writerow(asdict(r))
-    else:
-        print(f"{'model':<22} {'source':<10} {'size MB':>8} {'params M':>9} {'mem K':>10} "
-              f"{'flops B':>8} {'mJ':>8} {'mg':>7} {'+M/alpha':>9}")
-        for r in rows:
-            inc = f"{r.increment_m:.3f}" if r.increment_m is not None else "-"
-            flag = "  [!]" if r.note else ""
-            print(f"{r.model:<22} {r.source:<10} {r.size_mb:>8.2f} {r.params_m:>9.3f} "
-                  f"{r.mem_access_k:>10.1f} {r.flops_b:>8.2f} {r.energy_mj:>8.2f} "
-                  f"{r.co2_mg:>7.2f} {inc:>9}{flag}")
-        for r in rows:
-            if r.note:
-                print(f"[!] {r.model}: {r.note}")
+        print(json.dumps(dicts, indent=2))
+        return EXIT_OK
+    if args.format == "table":
+        dicts = [dict(d, flag="[!]" if d["note"] else "") for d in dicts]
+    _emit(dicts, _COMPARE_COLUMNS, args.format,
+          [f"[!] {r.model}: {r.note}" for r in rows if r.note])
     return EXIT_OK
 
 

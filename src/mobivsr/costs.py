@@ -63,6 +63,23 @@ class CostReport:
     size_bytes: int
     dtype: str
 
+    # the published table's units, which ReferencePreset carries as fields
+    @property
+    def size_mb(self) -> float:
+        return self.size_bytes / 1e6
+
+    @property
+    def params_m(self) -> float:
+        return self.totals.params / 1e6
+
+    @property
+    def mem_kaccess(self) -> float:
+        return self.totals.memory_accesses / 1e3
+
+    @property
+    def flops_b(self) -> float:
+        return self.totals.flops / 1e9
+
 
 def params_of(layer: LayerSpec) -> int:
     """Learned parameter count of one layer; zero for cost-free kinds."""
@@ -160,25 +177,17 @@ def efficiency_ratios(source, accuracy: float) -> EfficiencyRatios:
     """Accuracy divided by size (MB), FLOPs (billions), params (millions) and
     memory accesses (thousands).
 
-    ``source`` is either a CostReport (raw counts, converted to those units)
-    or any object with size_mb / params_m / mem_kaccess / flops_b attributes,
-    e.g. a reference preset already expressed in them.
+    ``source`` is anything with size_mb / flops_b / params_m / mem_kaccess
+    attributes in those units: a CostReport or a reference preset. A zero
+    column leaves its ratio undefined and raises ValueError.
     """
     if not math.isfinite(accuracy):
         raise ValueError(f"accuracy must be finite, got {accuracy!r}")
-    if isinstance(source, CostReport):
-        size_mb = source.size_bytes / 1e6
-        flops_b = source.totals.flops / 1e9
-        params_m = source.totals.params / 1e6
-        mem_k = source.totals.memory_accesses / 1e3
-    else:
-        size_mb = source.size_mb
-        flops_b = source.flops_b
-        params_m = source.params_m
-        mem_k = source.mem_kaccess
-    return EfficiencyRatios(
-        acc_per_mb=accuracy / size_mb,
-        acc_per_gflop=accuracy / flops_b,
-        acc_per_mparam=accuracy / params_m,
-        acc_per_kaccess=accuracy / mem_k,
-    )
+    ratios = {}
+    for ratio, column in (("acc_per_mb", "size_mb"), ("acc_per_gflop", "flops_b"),
+                          ("acc_per_mparam", "params_m"), ("acc_per_kaccess", "mem_kaccess")):
+        value = getattr(source, column)
+        if value == 0:
+            raise ValueError(f"efficiency ratios are undefined: {column} is zero")
+        ratios[ratio] = accuracy / value
+    return EfficiencyRatios(**ratios)

@@ -98,6 +98,23 @@ def test_report_table_total_row_equals_aggregate(graph_path, capsys, accuracy):
                           f"{r.acc_per_mparam:.2f} acc/Mparam  {r.acc_per_kaccess:.2f} acc/Kaccess"]
 
 
+def test_cost_report_units_equal_report_json_totals(graph_path, capsys):
+    code, out, _ = run(capsys, "report", str(graph_path), "--format", "json")
+    assert code == 0
+    totals = parse_json(out)["totals"]
+    report = aggregate(build_mobivsr(1))
+    assert (report.size_mb, report.params_m, report.mem_kaccess, report.flops_b) == (
+        totals["size_mb"], totals["params_m"], totals["mem_access_k"], totals["flops_b"])
+
+
+def test_report_accuracy_on_a_zero_cost_graph_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text('{"schema_version":1,"input_shape":[2,3],"nodes":[{"id":"r","kind":"relu"}]}')
+    code, out, err = run(capsys, "report", str(path), "--accuracy", "50")
+    assert code == 2
+    assert out == "" and "size_mb is zero" in err and "Traceback" not in err
+
+
 def test_report_params_near_published(graph_path, capsys):
     code, out, _ = run(capsys, "report", str(graph_path), "--format", "json")
     doc = parse_json(out)
@@ -189,6 +206,33 @@ def test_compare_csv_header_is_the_report_row_fields(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == [f.name for f in fields(ReportRow)]
     assert [r[0] for r in rows[1:]] == ["MobiVSR-1", "MobiVSR-2"]
+
+
+def test_compare_csv_rows_equal_json_rows(capsys):
+    code, out_json, _ = run(capsys, "compare", "--alphas", "1,2", "--presets", "--format", "json")
+    assert code == 0
+    code, out_csv, _ = run(capsys, "compare", "--alphas", "1,2", "--presets", "--format", "csv")
+    assert code == 0
+    json_rows = parse_json(out_json)
+    csv_rows = list(csv.DictReader(io.StringIO(out_csv)))
+    assert len(csv_rows) == len(json_rows) == 10
+    for csv_row, json_row in zip(csv_rows, json_rows):
+        assert list(csv_row) == list(json_row)
+        for key, value in json_row.items():
+            cell = csv_row[key]
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, str):
+                assert cell == value
+            else:  # repr round-trips a float exactly
+                assert type(value)(cell) == value
+
+
+@pytest.mark.parametrize("alphas", ["1,1", "1,2,1"])
+def test_compare_repeated_alpha_is_usage_error(capsys, alphas):
+    code, out, err = run(capsys, "compare", "--alphas", alphas)
+    assert code == 1
+    assert out == "" and "alpha 1 is repeated" in err and "Traceback" not in err
 
 
 def test_compare_table_flags_the_inconsistent_preset(capsys):

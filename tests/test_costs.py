@@ -11,6 +11,7 @@ from mobivsr import (
     LayerSpec,
     MissingDimension,
     aggregate,
+    build_mobivsr,
     efficiency_ratios,
     flops_of,
     mem_access_of,
@@ -156,6 +157,21 @@ class TestEfficiencyRatios:
         ratios = efficiency_ratios(row, 0.0)
         assert (ratios.acc_per_mb, ratios.acc_per_gflop, ratios.acc_per_mparam,
                 ratios.acc_per_kaccess) == (0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+    def test_cost_report_ratios_divide_by_the_raw_counts_in_table_units(self, alpha):
+        # the unit properties give the same floats as converting raw counts
+        report = aggregate(build_mobivsr(alpha))
+        ratios = efficiency_ratios(report, 73.4)
+        assert ratios.acc_per_mb == 73.4 / (report.size_bytes / 1e6)
+        assert ratios.acc_per_gflop == 73.4 / (report.totals.flops / 1e9)
+        assert ratios.acc_per_mparam == 73.4 / (report.totals.params / 1e6)
+        assert ratios.acc_per_kaccess == 73.4 / (report.totals.memory_accesses / 1e3)
+
+    def test_zero_cost_graph_names_the_zero_column(self):
+        graph = LayerGraph(nodes=[("r", LayerSpec("relu"))], input_shape=(2, 3))
+        with pytest.raises(ValueError, match="size_mb is zero"):
+            efficiency_ratios(aggregate(graph), 50.0)
 
 
 @pytest.mark.parametrize("module", ["graph.py", "costs.py"])
