@@ -2,9 +2,11 @@
 
 Subcommands: build, report, compare, infer, quantize, preprocess, energy,
 init-weights. Exit codes: 0 success, 1 usage, 2 validation or schema error,
-3 I/O error. JSON and CSV outputs carry full-precision numbers and a stable
-schema; table output is rounded for humans and makes no compatibility
-promise. No output is colorized, so NO_COLOR is honored trivially.
+3 I/O error; a reader that closes the output pipe early (``| head``) ends
+the command quietly with 0. JSON and CSV outputs carry full-precision
+numbers and a stable schema; table output is rounded for humans and makes
+no compatibility promise. No output is colorized, so NO_COLOR is honored
+trivially.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -244,8 +247,8 @@ def cmd_report(args) -> int:
              f"size: {row.size_mb:.2f} MB   energy: {row.energy_mj:.2f} mJ   "
              f"co2: {row.co2_mg:.2f} mg"]
     if row.accuracy is not None:
-        notes.append(f"ratios: {row.acc_per_mb:.2f} acc/MB  {row.acc_per_gflop:.2f} acc/GFLOP  "
-                     f"{row.acc_per_mparam:.2f} acc/Mparam  {row.acc_per_kaccess:.2f} acc/Kaccess")
+        notes.append(f"ratios: {row.acc_per_mb:.3g} acc/MB  {row.acc_per_gflop:.3g} acc/GFLOP  "
+                     f"{row.acc_per_mparam:.3g} acc/Mparam  {row.acc_per_kaccess:.3g} acc/Kaccess")
     _emit(rows, _LAYER_COLUMNS, args.format, notes)
     return EXIT_OK
 
@@ -339,7 +342,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe fails here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader has all it wants (`| head`); shutdown's flush writes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (MobiVSRError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -94,8 +94,8 @@ def test_report_table_total_row_equals_aggregate(graph_path, capsys, accuracy):
         assert ratios == []
     else:
         r = efficiency_ratios(report, float(accuracy))
-        assert ratios == [f"ratios: {r.acc_per_mb:.2f} acc/MB  {r.acc_per_gflop:.2f} acc/GFLOP  "
-                          f"{r.acc_per_mparam:.2f} acc/Mparam  {r.acc_per_kaccess:.2f} acc/Kaccess"]
+        assert ratios == [f"ratios: {r.acc_per_mb:.3g} acc/MB  {r.acc_per_gflop:.3g} acc/GFLOP  "
+                          f"{r.acc_per_mparam:.3g} acc/Mparam  {r.acc_per_kaccess:.3g} acc/Kaccess"]
 
 
 def test_cost_report_units_equal_report_json_totals(graph_path, capsys):
@@ -389,6 +389,25 @@ def test_python_dash_m_reports_a_bad_graph_with_exit_2(tmp_path):
     assert proc.returncode == 2
     assert "unknown layer kind" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("lines_read", [0, 1])
+def test_a_closed_output_pipe_ends_quietly(lines_read):
+    """`compare ... | head -1`: the reader closes after one line, or before the
+    first write, which always makes the writer's next write fail."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    command = [sys.executable, "-m", "mobivsr", "compare", "--presets", "--format", "csv"]
+    reader, writer = os.pipe()
+    with os.fdopen(reader, "rb") as stream:
+        if lines_read == 0:
+            stream.close()
+        proc = subprocess.Popen(command, stdout=writer, stderr=subprocess.PIPE, env=env)
+        os.close(writer)
+        if lines_read:
+            assert stream.readline().startswith(b"model,source,")
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 0
 
 
 GRAPH_DOC = json.loads(serialize_graph(build_mobivsr(1)))

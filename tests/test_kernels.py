@@ -14,16 +14,21 @@ from hypothesis import strategies as st
 from mobivsr import (
     CounterLedger,
     DimensionMismatch,
+    LayerGraph,
+    LayerSpec,
     Tensor,
     batchnorm_inference,
+    build_lipres,
     conv2d,
     conv3d,
     ds_conv2d,
     ds_conv3d,
     fully_connected,
+    init_weights,
     kernels,
     maxpool,
     relu,
+    run_graph,
     softmax,
     temporal_conv1d,
 )
@@ -494,6 +499,50 @@ def test_grouped_stage_bit_identical_to_channels_first_sum(rank, b, c, t, k, h, 
     assert got.shape == expected.shape
     assert np.array_equal(got, expected)
     assert ledger == counts
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("rank", [2, 3])
+def test_grouped_stage_blocks_are_bit_identical(monkeypatch, rank, stride, padding, rows):
+    """With the block budget cut to one or two output rows, the grouped stages
+    still give the channels-first sum bit for bit, with the same counts. Five
+    batch items, or five or three output times, leave a ragged last block."""
+    g = rng(20)
+    x = g.normal(size=(5, 3, 7, 8)).astype(np.float32)  # 2-D: a batch of 5 (C,H,W) frames
+    wt = g.normal(size=(3,) + (3,) * rank).astype(np.float32)
+    if rank == 3:  # a batch of one (C,L,H,W) clip, blocked over its output times
+        x = x.swapaxes(0, 1)
+    expected, counts = _channels_first_grouped(
+        x if rank == 2 else x[None], wt, (1, stride, stride)[-rank:], padding)
+    row = 3 * expected.shape[-2] * expected.shape[-1] * 4  # one (C,Ho,Wo) fp32 output frame
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", rows * row)
+    ledger = CounterLedger()
+    if rank == 2:
+        got = depthwise2d_array(x, wt, stride, padding, ledger)
+    else:
+        got, expected = depthwise3d_array(x, wt, stride, padding, ledger), expected[0]
+    assert np.array_equal(got, expected)
+    assert ledger == counts
+
+
+def test_one_row_blocks_leave_a_lipres_pass_bit_identical(monkeypatch):
+    """A counted pass of a downsample LipRes block on 5 frames, with every
+    grouped stage summed one row at a time, equals the plain pass at the
+    default budget bit for bit, with the same ledger."""
+    block = build_lipres("downsample", 3, 6)
+    nodes = [("stem", LayerSpec("relu"))] + list(block.layers)
+    edges = [("stem" if src == "@in" else src, dst) for src, dst in block.edges]
+    graph = LayerGraph(nodes=nodes, residual_edges=edges)
+    weights = init_weights(graph, seed=6)
+    x = rng(21).normal(size=(3, 5, 9, 9)).astype(np.float32)
+    plain = run_graph(graph, weights, x)
+    counted = run_graph(graph, weights, x, counted=True)
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 1)
+    blocked = run_graph(graph, weights, x, counted=True)
+    assert np.array_equal(blocked.output.as_array(), plain.output.as_array())
+    assert blocked.ledger == counted.ledger
 
 
 def _channels_first_batchnorm(x, mean, var, gamma, beta, eps):
