@@ -46,12 +46,9 @@ class LayerCost:
     memory_accesses: int = 0
     flops: int = 0
 
-    def __add__(self, other: "LayerCost") -> "LayerCost":
-        return LayerCost(
-            self.params + other.params,
-            self.memory_accesses + other.memory_accesses,
-            self.flops + other.flops,
-        )
+
+# what every cost-free kind costs; LayerCost is frozen, so nodes can share it
+_FREE = LayerCost()
 
 
 @dataclass
@@ -111,7 +108,7 @@ def _cost(spec: LayerSpec, in_shape, out_shape=None) -> LayerCost:
     """Closed-form cost of one layer from its parameter count and the volumes
     around it; ``out_shape`` is inferred when not given."""
     if spec.kind not in COSTED_KINDS:
-        return LayerCost()
+        return _FREE
     if out_shape is None:
         out_shape = layer_output_shape(spec, in_shape)
     p, vi, vo = params_of(spec), volume(in_shape), volume(out_shape)
@@ -148,14 +145,13 @@ def aggregate(graph: LayerGraph, input_shape=None, dtype: str = "fp32") -> CostR
     if input_shape is None:
         input_shape = graph.input_shape
     if input_shape is None:
-        raise ValueError("graph has no input_shape; pass one explicitly")
+        raise ValueError("graph has no input_shape: add one to the graph, "
+                         "or pass input_shape= to aggregate")
     _, shapes = shape_infer(graph, input_shape)
-    per_layer = []
-    totals = LayerCost()
-    for node_id, spec in graph.nodes:
-        cost = _cost(spec, *shapes[node_id])
-        per_layer.append((node_id, cost))
-        totals = totals + cost
+    per_layer = [(node_id, _cost(spec, *shapes[node_id])) for node_id, spec in graph.nodes]
+    totals = LayerCost(sum(c.params for _, c in per_layer),
+                       sum(c.memory_accesses for _, c in per_layer),
+                       sum(c.flops for _, c in per_layer))
     if dtype == "fp32":
         size_bytes = 4 * totals.params
     else:

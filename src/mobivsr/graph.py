@@ -188,13 +188,15 @@ class LayerSpec:
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
-        for f in fields(self):
-            if f.name == "kind":
-                continue
-            value = getattr(self, f.name)
-            if value is not None and value != f.default:
-                d[f.name] = value
+        for name, default in _OPTIONAL_FIELDS:
+            value = getattr(self, name)
+            if value is not None and value != default:
+                d[name] = value
         return d
+
+
+# (name, default) of every LayerSpec field after ``kind``, read once for to_dict
+_OPTIONAL_FIELDS = tuple((f.name, f.default) for f in fields(LayerSpec) if f.name != "kind")
 
 
 @dataclass

@@ -115,6 +115,15 @@ def test_report_accuracy_on_a_zero_cost_graph_is_validation_error(tmp_path, caps
     assert out == "" and "size_mb is zero" in err and "Traceback" not in err
 
 
+def test_report_graph_without_input_shape_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text('{"schema_version":1,"nodes":[{"id":"r","kind":"relu"}]}')
+    code, out, err = run(capsys, "report", str(path))
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("error: graph has no input_shape: add one to the graph")
+
+
 def test_report_params_near_published(graph_path, capsys):
     code, out, _ = run(capsys, "report", str(graph_path), "--format", "json")
     doc = parse_json(out)

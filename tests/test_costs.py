@@ -129,6 +129,13 @@ class TestAggregate:
         assert report.totals.flops == flops_of(spec, (512,))
         assert report.size_bytes == 4 * 256_000
 
+    def test_graph_without_input_shape_names_both_remedies(self):
+        graph = LayerGraph(nodes=[("r", LayerSpec("relu"))])
+        with pytest.raises(ValueError, match="input_shape") as info:
+            aggregate(graph)
+        assert "add one to the graph" in str(info.value)
+        assert "pass input_shape=" in str(info.value)
+
     def test_int8_size_accounting(self):
         spec = LayerSpec("ds_conv2d", in_channels=2, out_channels=3, kernel_size=3)
         report = aggregate(LayerGraph(nodes=[("l", spec)]), input_shape=(2, 4, 4),

@@ -1,9 +1,12 @@
 """Graph IR: validation, shape inference, and file round-trips."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mobivsr import (
     GraphValidationError,
@@ -60,6 +63,39 @@ def test_non_int_strides_rejected(stride):
     with pytest.raises(SchemaError) as exc:
         parse_graph(text)
     assert exc.value.node_id == "c"
+
+
+@st.composite
+def layer_specs(draw):
+    """Any valid LayerSpec of any kind; unrequired fields are None, default or not."""
+    kind = draw(st.sampled_from(sorted(LAYER_KINDS)))
+    record = LAYER_KINDS[kind]
+    values = {}
+    for f in fields(LayerSpec)[1:]:
+        if f.name in record.required:
+            values[f.name] = draw(st.integers(1, 9))
+        elif f.name == "stride":
+            values[f.name] = draw(st.sampled_from([1, 2, 3]))
+        elif f.name == "padding":
+            values[f.name] = draw(st.sampled_from(["same", "valid"]))
+        elif f.name == "pointwise_mode":
+            values[f.name] = draw(st.sampled_from([None, *record.modes]))
+        elif f.name == "eps":
+            values[f.name] = draw(st.sampled_from([1e-5, 0.0, 1e-3, 2]))
+        else:
+            values[f.name] = draw(st.none() | st.integers(1, 9))
+    return LayerSpec(kind, **values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=layer_specs())
+def test_to_dict_round_trips_and_omits_defaults(spec):
+    d = spec.to_dict()
+    assert LayerSpec(**d) == spec
+    assert list(d)[0] == "kind"
+    set_fields = {f.name for f in fields(LayerSpec)[1:]
+                  if getattr(spec, f.name) is not None and getattr(spec, f.name) != f.default}
+    assert set(d) == {"kind"} | set_fields
 
 
 @pytest.mark.parametrize("kind", [k for k in LAYER_KINDS if k != "residual_add"])

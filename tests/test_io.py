@@ -68,6 +68,27 @@ def test_luma_weights_match_bt601():
     assert clip.frames[0, 0, 0] == pytest.approx(0.299, abs=1e-6)
 
 
+def _int64_luma_frames(raw):
+    """BT.601 luma in int64 over the centre crop, scaled by 1/255000 in float64:
+    what ``preprocess_clip`` must give bit for bit, however it computes it."""
+    crop = np.asarray(raw)[:, 80:176, 80:176, :].astype(np.int64)
+    luma = crop[..., 0] * 299 + crop[..., 1] * 587 + crop[..., 2] * 114
+    return np.clip((luma / 255000.0).astype(np.float32), 0.0, 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), low=st.integers(0, 255),
+       dtype=st.sampled_from([np.uint8, np.int16, np.int64]))
+@example(seed=0, low=255, dtype=np.uint8)
+@example(seed=0, low=255, dtype=np.int64)
+def test_preprocess_equals_int64_luma_formula_bit_for_bit(seed, low, dtype):
+    raw = np.random.default_rng(seed).integers(low, 256, size=(29, 256, 256, 3)).astype(dtype)
+    frames = preprocess_clip(raw).frames
+    expected = _int64_luma_frames(raw)
+    assert frames.dtype == expected.dtype == np.float32
+    assert np.array_equal(frames.view(np.uint32), expected.view(np.uint32))
+
+
 def test_wrong_frame_count_rejected():
     with pytest.raises(ValidationError):
         preprocess_clip(np.zeros((28, 256, 256, 3), dtype=np.uint8))
