@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 from .costs import aggregate
 from .graph import LayerGraph, LayerSpec, is_int
+from .model_io import CROP_SIDE, FRAME_COUNT
 
-CLIP_INPUT_SHAPE = (1, 29, 96, 96)
+CLIP_INPUT_SHAPE = (1, FRAME_COUNT, CROP_SIDE, CROP_SIDE)
 NUM_CLASSES = 500
 
 
@@ -38,7 +39,6 @@ class ChannelPlan:
     subgraphs: tuple = (64, 128, 256, 512)
     temporal: tuple = (512, 1024)
     fc_hidden: int = 1024
-    num_classes: int = NUM_CLASSES
 
 
 # Calibrated so that alpha=1 lands near 4.5M parameters and each extra alpha
@@ -63,12 +63,10 @@ class LipResBlock:
 
     ``layers`` lists (suffix, LayerSpec) pairs in execution order; ``edges``
     are (source suffix, destination suffix) pairs where the special source
-    "@in" stands for the block's input producer.
+    "@in" stands for the block's input producer. The variant and channel
+    counts are not stored: the layers' specs carry them.
     """
 
-    variant: str
-    channels_in: int
-    channels_out: int
     layers: tuple
     edges: tuple
 
@@ -103,7 +101,7 @@ def build_lipres(variant: str, channels_in: int, channels_out: int) -> LipResBlo
         layers.insert(3, ("skip", LayerSpec("conv2d", in_channels=channels_in,
                                             out_channels=channels_out, kernel_size=1, stride=2)))
         edges = [("@in", "skip"), ("ds2", "add")]
-    return LipResBlock(variant, channels_in, channels_out, tuple(layers), tuple(edges))
+    return LipResBlock(tuple(layers), tuple(edges))
 
 
 def _splice(nodes, edges, block: LipResBlock, prefix: str, input_id: str) -> str:
@@ -155,29 +153,35 @@ def build_mobivsr(alpha: int, channel_plan: ChannelPlan | None = None) -> LayerG
     nodes.append(("head.fc1", LayerSpec("fc", in_features=t2, out_features=plan.fc_hidden)))
     nodes.append(("head.relu", LayerSpec("relu")))
     nodes.append(("head.fc2", LayerSpec("fc", in_features=plan.fc_hidden,
-                                        out_features=plan.num_classes)))
+                                        out_features=NUM_CLASSES)))
     nodes.append(("head.softmax", LayerSpec("softmax")))
 
     return LayerGraph(nodes=nodes, residual_edges=edges, channel_plan=plan.name,
                       input_shape=CLIP_INPUT_SHAPE)
 
 
-def calibrate_channel_plan(candidates=CHANNEL_PLAN_CANDIDATES, params_target=4.5e6,
-                           increment_target=0.7e6, tolerance=0.15) -> ChannelPlan:
+# the published size targets: alpha=1 parameters, the per-alpha increment,
+# and the relative error a feasible plan may have on each
+_PARAMS_TARGET = 4.5e6
+_INCREMENT_TARGET = 0.7e6
+_CALIBRATION_TOLERANCE = 0.15
+
+
+def calibrate_channel_plan(candidates=CHANNEL_PLAN_CANDIDATES) -> ChannelPlan:
     """Pick the candidate plan that best matches the published size targets.
 
-    A plan is feasible when alpha=1 parameters and the per-alpha increment
-    both land within ``tolerance`` of the targets; among feasible plans the
-    one with the smallest combined relative error wins.
+    A plan is feasible when its alpha=1 parameters and per-alpha increment
+    both land within _CALIBRATION_TOLERANCE of their targets (relative
+    error); among feasible plans the smallest combined error wins.
     """
     best, best_score = None, None
     for plan in candidates:
         p1 = aggregate(build_mobivsr(1, plan)).totals.params
         p2 = aggregate(build_mobivsr(2, plan)).totals.params
         increment = p2 - p1
-        err_p = abs(p1 - params_target) / params_target
-        err_i = abs(increment - increment_target) / increment_target
-        if err_p > tolerance or err_i > tolerance:
+        err_p = abs(p1 - _PARAMS_TARGET) / _PARAMS_TARGET
+        err_i = abs(increment - _INCREMENT_TARGET) / _INCREMENT_TARGET
+        if err_p > _CALIBRATION_TOLERANCE or err_i > _CALIBRATION_TOLERANCE:
             continue
         score = err_p + err_i
         if best_score is None or score < best_score:

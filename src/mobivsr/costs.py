@@ -37,7 +37,19 @@ from dataclasses import dataclass
 
 from .graph import LayerGraph, LayerSpec, layer_output_shape, shape_infer, volume, weight_shapes
 
-COSTED_KINDS = ("conv2d", "conv3d", "ds_conv2d", "ds_conv3d", "temporal_conv1d", "fc")
+# the parameter count P of every kind that has one, as in the table above
+_PARAMS = {
+    "conv2d": lambda s: s.kernel_size**2 * s.in_channels * s.out_channels,
+    "conv3d": lambda s: s.kernel_size**2 * s.temporal_size * s.in_channels * s.out_channels,
+    "ds_conv2d": lambda s: s.in_channels * (s.kernel_size**2 + s.out_channels),
+    "ds_conv3d": lambda s: s.in_channels * (
+        s.temporal_size * s.kernel_size**2
+        + (s.temporal_size if s.pointwise_mode == "partial" else 1) * s.out_channels),
+    "temporal_conv1d": lambda s: s.kernel_size * s.in_channels * s.out_channels,
+    "fc": lambda s: s.in_features * s.out_features,
+}
+
+COSTED_KINDS = tuple(_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -80,38 +92,19 @@ class CostReport:
 
 def params_of(layer: LayerSpec) -> int:
     """Learned parameter count of one layer; zero for cost-free kinds."""
-    kind = layer.kind
-    if kind == "conv2d":
-        return layer.kernel_size**2 * layer.in_channels * layer.out_channels
-    if kind == "conv3d":
-        return (
-            layer.kernel_size**2
-            * layer.temporal_size
-            * layer.in_channels
-            * layer.out_channels
-        )
-    if kind == "ds_conv2d":
-        return layer.in_channels * (layer.kernel_size**2 + layer.out_channels)
-    if kind == "ds_conv3d":
-        tp = layer.temporal_size if layer.pointwise_mode == "partial" else 1
-        return layer.in_channels * (
-            layer.temporal_size * layer.kernel_size**2 + tp * layer.out_channels
-        )
-    if kind == "temporal_conv1d":
-        return layer.kernel_size * layer.in_channels * layer.out_channels
-    if kind == "fc":
-        return layer.in_features * layer.out_features
-    return 0
+    formula = _PARAMS.get(layer.kind)
+    return 0 if formula is None else formula(layer)
 
 
 def _cost(spec: LayerSpec, in_shape, out_shape=None) -> LayerCost:
     """Closed-form cost of one layer from its parameter count and the volumes
     around it; ``out_shape`` is inferred when not given."""
-    if spec.kind not in COSTED_KINDS:
+    formula = _PARAMS.get(spec.kind)
+    if formula is None:
         return _FREE
     if out_shape is None:
         out_shape = layer_output_shape(spec, in_shape)
-    p, vi, vo = params_of(spec), volume(in_shape), volume(out_shape)
+    p, vi, vo = formula(spec), volume(in_shape), volume(out_shape)
     reads = vi if spec.kind == "fc" else p * vi // in_shape[0]
     return LayerCost(params=p, memory_accesses=p + reads + vo, flops=2 * p * vo // out_shape[0])
 

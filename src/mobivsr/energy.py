@@ -87,13 +87,13 @@ class ImpactReport:
     source: str  # "raw counts" for cost reports, "published units" for presets
 
 
-def impact_report(costs, table: EnergyTable = DEFAULT_ENERGY_TABLE,
-                  factor: CarbonFactor = DEFAULT_CARBON_FACTOR,
-                  dram: str = "default") -> ImpactReport:
+def impact_report(costs, factor: CarbonFactor = DEFAULT_CARBON_FACTOR) -> ImpactReport:
     """Energy and CO2 for either a CostReport or a published preset row.
 
     CostReports contribute raw operation counts; preset rows carry FLOPs in
     billions and memory accesses in thousands and are converted accordingly.
+    Energy uses the default table at its midpoint DRAM cost; call
+    energy_per_inference directly for another table or DRAM bound.
     """
     if isinstance(costs, CostReport):
         flops = costs.totals.flops
@@ -103,6 +103,6 @@ def impact_report(costs, table: EnergyTable = DEFAULT_ENERGY_TABLE,
         flops = costs.flops_b * 1e9
         mem = costs.mem_kaccess * 1e3
         source = "published units"
-    energy = energy_per_inference(flops, mem, table, dram)
+    energy = energy_per_inference(flops, mem)
     return ImpactReport(flops=flops, mem_accesses=mem, energy_mj=energy,
                         co2_mg=co2_per_inference(energy, factor), source=source)

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field, fields
 
 from .errors import DimensionMismatch, GraphValidationError, MissingDimension, ValidationError
 
+PADDINGS = ("same", "valid")
+
 
 def out_extent(n, kernel, stride, padding, axis="spatial"):
     """Output extent of a correlation or pooling window along one axis."""
@@ -178,7 +180,7 @@ class LayerSpec:
         # NaN fails the bounds; eps may be 0, leaving the division by sqrt(var)
         if not is_real(self.eps) or not 0 <= self.eps < math.inf:
             raise ValueError(f"eps must be a finite non-negative number, got {self.eps!r}")
-        if self.padding not in ("same", "valid"):
+        if self.padding not in PADDINGS:
             raise ValueError(f"padding must be 'same' or 'valid', got {self.padding!r}")
         if kind.modes:
             mode = self.pointwise_mode or kind.modes[0]

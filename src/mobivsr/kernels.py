@@ -75,9 +75,8 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch
-from .graph import out_extent
+from .graph import PADDINGS, out_extent
 
-_PADDINGS = ("same", "valid")
 # names of the correlated axes, by their count, for error messages
 _AXES = {1: ("time",), 2: ("height", "width"), 3: ("time", "height", "width")}
 # fp32 output bytes per block of a grouped stage's sum: with its product
@@ -86,27 +85,14 @@ _BLOCK_BYTES = 256 * 1024
 
 
 def _check_padding(padding):
-    if padding not in _PADDINGS:
-        raise ValueError(f"padding must be one of {_PADDINGS}, got {padding!r}")
+    if padding not in PADDINGS:
+        raise ValueError(f"padding must be one of {PADDINGS}, got {padding!r}")
 
 
 def _check_stride(stride):
     # bool is an int subclass, but True is no stride
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
         raise ValueError(f"stride must be a positive int, got {stride!r}")
-
-
-def _tally(ledger, n):
-    if ledger is not None:
-        n = int(n)
-        ledger.multiplies += n
-        ledger.adds += n
-        ledger.activation_reads += n
-
-
-def _tally_params(ledger, weights):
-    if ledger is not None:
-        ledger.param_reads += int(weights.size)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +199,12 @@ def _correlate(x, w, strides, padding, ledger, grouped, context):
         cols = cols.reshape(-1, c * len(windows))
         out = (cols @ w.reshape(len(w), -1).T).astype(np.float32, copy=False)
         out = out.reshape(*windows[0].shape[:-1], -1)
-    _tally(ledger, (out.size if grouped else out.size * c) * math.prod(kernel))
-    _tally_params(ledger, w)
+    if ledger is not None:
+        n = (out.size if grouped else out.size * c) * math.prod(kernel)
+        ledger.multiplies += n
+        ledger.adds += n
+        ledger.param_reads += w.size
+        ledger.activation_reads += n  # one activation per multiply
     return np.moveaxis(out, -1, 1)
 
 

@@ -17,9 +17,10 @@ manifest length, a UTF-8 JSON manifest, then the payload. The manifest is::
      "tensors": [{"layer": id, "name": tensor name, "shape": [...],
                   "dtype": "fp32"|"int8", "offset": n, "nbytes": n}, ...]}
 
-Offsets are relative to the payload start and must be non-overlapping and in
-bounds. An fp32 tensor's block is its f32 data, all finite; an int8 tensor's
-block is a f32 scale, an i32 zero point, then the int8 codes.
+Each layer/name pair is listed once. Offsets are relative to the payload
+start and must be non-overlapping and in bounds. An fp32 tensor's block is
+its f32 data, all finite; an int8 tensor's block is a f32 scale, an i32
+zero point, then the int8 codes.
 
 Clips are 29 grayscale 96x96 frames in [0, 1], produced from 29 RGB frames
 of 256x256 by center-cropping rows and columns [80, 176) and applying the
@@ -216,6 +217,10 @@ def parse_weights(blob: bytes, graph: LayerGraph | None = None) -> dict:
         if not isinstance(layer, str) or not isinstance(name, str):
             raise SchemaError(f"manifest entry #{index}: layer and name must be strings",
                               position=index)
+        # a repeat at a fresh offset passes the overlap check below
+        if name in bundle.get(layer, ()):
+            raise SchemaError(f"manifest entry #{index}: tensor {layer}/{name} is listed twice",
+                              position=index, node_id=layer)
         if not isinstance(shape, list) or not all(map(is_int, shape)):
             raise SchemaError(f"manifest entry #{index}: shape must be a list of ints, "
                               f"got {shape!r}", position=index)
@@ -330,11 +335,10 @@ def preprocess_clip(raw_frames) -> Clip:
             f"raw frames must be ({FRAME_COUNT}, {FRAME_SIDE}, {FRAME_SIDE}, 3), "
             f"got {raw.shape}"
         )
-    if raw.dtype != np.uint8:
-        if np.issubdtype(raw.dtype, np.integer) and raw.min() >= 0 and raw.max() <= 255:
-            raw = raw.astype(np.uint8)
-        else:
-            raise ValidationError(f"raw frames must be 8-bit, got dtype {raw.dtype}")
+    # other integer frames in [0, 255] need no uint8 copy: the crop widens to int64
+    if raw.dtype != np.uint8 and not (
+            np.issubdtype(raw.dtype, np.integer) and raw.min() >= 0 and raw.max() <= 255):
+        raise ValidationError(f"raw frames must be 8-bit, got dtype {raw.dtype}")
     crop = raw[:, CROP_OFFSET : CROP_OFFSET + CROP_SIDE,
                CROP_OFFSET : CROP_OFFSET + CROP_SIDE, :].astype(np.int64)
     luma = crop[..., 0] * 299 + crop[..., 1] * 587 + crop[..., 2] * 114

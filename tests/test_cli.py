@@ -467,3 +467,32 @@ def test_mutated_graph_json_parses_or_is_a_schema_error(doc):
             code = main(["report", str(path), "--format", "json"])
     assert code in (0, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def test_build_plan_names_the_plan_in_the_graph_file(tmp_path, capsys):
+    path = tmp_path / "g_slim.json"
+    code, out, _ = run(capsys, "build", "--alpha", "1", "--plan", "slim", "--out", str(path))
+    assert code == 0
+    assert "slim plan" in out
+    assert parse_json(path.read_text())["channel_plan"] == "slim"
+
+
+def test_unknown_plan_is_usage_error_listing_the_choices(tmp_path, capsys):
+    code, _, err = run(capsys, "build", "--alpha", "1", "--plan", "huge",
+                       "--out", str(tmp_path / "g.json"))
+    assert code == 1
+    assert "unknown channel plan 'huge'" in err
+    assert "choices: slim, base, wide, compact-head" in err
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_energy_dram_bounds_bracket_the_default(capsys):
+    energy = {}
+    for dram in ("low", "default", "high"):
+        code, out, _ = run(capsys, "energy", "--flops", "11e9", "--mem", "35.3e3",
+                           "--dram", dram)
+        assert code == 0
+        doc = parse_json(out)
+        assert doc["dram"] == dram
+        energy[dram] = doc["energy_mj"]
+    assert energy["low"] < energy["default"] < energy["high"]

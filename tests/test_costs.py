@@ -196,3 +196,8 @@ def test_analytical_route_imports_no_kernel_code(module):
             continue
         imported.update(part for name in names for part in name.split("."))
     assert not imported & {"kernels", "engine"}
+
+
+def test_aggregate_rejects_an_unknown_dtype():
+    with pytest.raises(ValueError, match="dtype must be 'fp32' or 'int8', got 'fp16'"):
+        aggregate(build_mobivsr(1), dtype="fp16")

@@ -18,6 +18,7 @@ from mobivsr import (
     Tensor,
     ValidationError,
     build_mobivsr,
+    conv2d,
     counted_forward,
     init_weights,
     quantize_weights,
@@ -216,3 +217,15 @@ def test_wrong_kernel_size_is_a_dimension_mismatch_naming_the_node():
         run_graph(graph, {"c": {"weights": five}}, np.ones((1, 6, 6), dtype=np.float32))
     assert exc.value.axis == "weights"
     assert exc.value.expected == (3, 1, 3, 3)
+
+
+def test_counted_forward_rejects_a_scalar_value():
+    with pytest.raises(ValidationError, match="relu cannot take a rank 0 value"):
+        counted_forward(LayerSpec("relu"), np.float32(1))
+
+
+def test_conv2d_on_a_rank_4_input_names_the_rank_axis():
+    with pytest.raises(DimensionMismatch) as exc:
+        conv2d(np.zeros((1, 2, 5, 5), dtype=np.float32), np.zeros((3, 2, 3, 3), dtype=np.float32))
+    assert exc.value.axis == "rank"
+    assert (exc.value.expected, exc.value.got) == (3, 4)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mobivsr import (
+    DimensionMismatch,
     GraphValidationError,
     LayerGraph,
     LayerSpec,
@@ -307,3 +308,36 @@ def test_weight_shapes_cover_all_weighted_kinds():
     assert shapes["depthwise"] == (4, 3, 3, 3)
     assert shapes["pointwise"] == (6, 4, 3, 1, 1)
     assert weight_shapes(LayerSpec("relu")) == {}
+
+
+def test_layer_spec_rejects_an_unknown_padding():
+    with pytest.raises(ValueError, match="padding must be 'same' or 'valid', got 'full'"):
+        LayerSpec("conv2d", in_channels=1, out_channels=1, kernel_size=3, padding="full")
+
+
+def test_layer_spec_rejects_an_unknown_pointwise_mode():
+    with pytest.raises(ValueError, match="pointwise_mode must be 'partial' or 'full'"):
+        LayerSpec("ds_conv3d", in_channels=1, out_channels=1, kernel_size=3,
+                  temporal_size=3, pointwise_mode="half")
+
+
+def test_graph_rejects_a_node_with_two_incoming_edges():
+    graph = LayerGraph(nodes=[("a", LayerSpec("relu")), ("b", LayerSpec("relu")),
+                              ("c", LayerSpec("relu"))],
+                       residual_edges=[("a", "c"), ("b", "c")])
+    with pytest.raises(GraphValidationError, match="more than one incoming edge") as exc:
+        graph.validate()
+    assert exc.value.node_id == "c"
+
+
+def test_graph_rejects_a_residual_add_as_its_first_node():
+    graph = LayerGraph(nodes=[("add", LayerSpec("residual_add")), ("r", LayerSpec("relu"))])
+    with pytest.raises(GraphValidationError, match="cannot be the first node") as exc:
+        graph.validate()
+    assert exc.value.node_id == "add"
+
+
+def test_spatial_avg_on_a_rank_2_shape_names_the_accepted_ranks():
+    with pytest.raises(DimensionMismatch, match="expected >= 3, got 2") as exc:
+        layer_output_shape(LayerSpec("spatial_avg"), (4, 5))
+    assert exc.value.axis == "rank"

@@ -414,13 +414,29 @@ FUZZ_VALUES = st.recursive(
     max_leaves=6)
 
 
+def duplicated_entry_blob(blob, index):
+    """``blob`` with manifest entry ``index`` listed again at the end, over a
+    copy of its block appended to the payload: the two spans are disjoint,
+    so only the repeated layer/name is wrong."""
+    manifest_end = HEADER_LEN + int.from_bytes(blob[6:HEADER_LEN], "little")
+    manifest = json.loads(blob[HEADER_LEN:manifest_end])
+    payload = blob[manifest_end:]
+    entry = manifest["tensors"][index]
+    manifest["tensors"].append(dict(entry, offset=len(payload)))
+    payload += payload[entry["offset"] : entry["offset"] + entry["nbytes"]]
+    text = json.dumps(manifest).encode("utf-8")
+    return b"MVSRW1" + len(text).to_bytes(4, "little") + text + payload
+
+
 @st.composite
 def mutated_weights_blob(draw):
     """FUZZ_BLOB with header or manifest bytes flipped, the file cut inside its
-    manifest or its payload, or one manifest JSON value rewritten (the length
-    prefix kept in step): any value, a nearby int, or a shape of other extents."""
+    manifest or its payload, one manifest JSON value rewritten (the length
+    prefix kept in step): any value, a nearby int, or a shape of other extents,
+    or one entry duplicated at a fresh offset."""
     blob = bytearray(FUZZ_BLOB)
-    mutation = draw(st.sampled_from(["flip", "cut manifest", "cut payload", "rewrite"]))
+    mutation = draw(st.sampled_from(["flip", "cut manifest", "cut payload", "rewrite",
+                                     "duplicate"]))
     if mutation == "flip":
         for at in draw(st.lists(st.integers(0, MANIFEST_END - 1), min_size=1, max_size=4)):
             blob[at] ^= draw(st.integers(1, 255))
@@ -431,6 +447,8 @@ def mutated_weights_blob(draw):
         return bytes(blob[: draw(st.integers(MANIFEST_END, len(blob) - 1))])
     manifest = json.loads(FUZZ_BLOB[HEADER_LEN:MANIFEST_END])
     entries = manifest["tensors"]
+    if mutation == "duplicate":
+        return duplicated_entry_blob(FUZZ_BLOB, draw(st.integers(0, len(entries) - 1)))
     target = manifest if draw(st.booleans()) else entries[draw(st.integers(0, len(entries) - 1))]
     key = draw(st.sampled_from(sorted(target)))
     old = target[key]
@@ -465,6 +483,30 @@ def test_mutated_weights_blob_parses_or_is_a_mobivsr_error(blob):
     assert quantize in (0, 2)
     assert infer == 2
     assert "Traceback" not in err.getvalue()
+
+
+FUZZ_ENTRIES = json.loads(FUZZ_BLOB[HEADER_LEN:MANIFEST_END])["tensors"]
+FC_WEIGHTS = next(i for i, e in enumerate(FUZZ_ENTRIES)
+                  if (e["layer"], e["name"]) == ("fc", "weights"))
+
+
+@pytest.mark.parametrize("graph", [None, FUZZ_GRAPH], ids=["alone", "with graph"])
+def test_weights_entry_listed_twice_is_schema_error_naming_it(graph):
+    # a last entry that won would silently replace the first one's weights
+    with pytest.raises(SchemaError, match="fc/weights is listed twice") as exc:
+        parse_weights(duplicated_entry_blob(FUZZ_BLOB, FC_WEIGHTS), graph)
+    assert exc.value.position == len(FUZZ_ENTRIES)
+    assert exc.value.node_id == "fc"
+
+
+def test_quantize_of_a_weights_file_listing_a_tensor_twice_exits_2(tmp_path, capsys):
+    (tmp_path / "dup.bin").write_bytes(duplicated_entry_blob(FUZZ_BLOB, FC_WEIGHTS))
+    code = main(["quantize", str(tmp_path / "dup.bin"), "--out", str(tmp_path / "q.bin")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "fc/weights is listed twice" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "q.bin").exists()
 
 
 FP32_BLOB = serialize_weights(_FUZZ_BUNDLE, FUZZ_GRAPH)
@@ -507,3 +549,37 @@ def test_quantizing_a_non_finite_tensor_is_a_validation_error(bad):
     tensor = Tensor(shape=(2,), data=np.array([bad, 0.0], dtype=np.float32))
     with pytest.raises(ValidationError, match="NaN or infinite"):
         quantize_tensor(tensor)
+
+
+def test_graph_file_holding_a_json_list_is_schema_error():
+    with pytest.raises(SchemaError, match="must hold a JSON object"):
+        parse_graph("[]")
+
+
+def test_residual_edge_with_three_ends_is_schema_error():
+    doc = {"schema_version": 1, "nodes": [{"id": "a", "kind": "relu"}],
+           "residual_edges": [["a", "a", "a"]]}
+    with pytest.raises(SchemaError, match=r"edge #0 must be a \[src, dst\] pair") as exc:
+        parse_graph(json.dumps(doc))
+    assert exc.value.position == 0
+
+
+def test_weights_naming_a_node_the_graph_lacks_are_schema_error():
+    blob = serialize_weights({**_FUZZ_BUNDLE, "ghost": _FUZZ_BUNDLE["fc"]})
+    assert "ghost" in parse_weights(blob)
+    with pytest.raises(SchemaError, match="unknown node 'ghost'") as exc:
+        parse_weights(blob, FUZZ_GRAPH)
+    assert exc.value.node_id == "ghost"
+
+
+def test_float_frames_are_rejected_as_not_8_bit():
+    with pytest.raises(ValidationError, match="must be 8-bit, got dtype float32"):
+        preprocess_clip(np.zeros((29, 256, 256, 3), dtype=np.float32))
+
+
+def test_ppm_with_comments_between_header_fields_loads_as_the_raw_frame(tmp_path):
+    raw = np.random.default_rng(5).integers(0, 256, size=(29, 256, 256, 3)).astype(np.uint8)
+    header = b"P6\n# width\n256 # height\n256\n#maxval\n#twice\n255\n"
+    for i, frame in enumerate(raw):
+        (tmp_path / f"{i:02d}.ppm").write_bytes(header + frame.tobytes())
+    assert np.array_equal(load_clip_dir(tmp_path), raw)

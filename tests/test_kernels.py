@@ -40,6 +40,7 @@ from mobivsr.kernels import (
     depthwise2d_array,
     depthwise3d_array,
     ds_conv2d_array,
+    fc_array,
 )
 
 import _reference as ref
@@ -615,3 +616,17 @@ def test_strided_depthwise3d_holds_the_padded_input_and_two_outputs():
     # numpy's iteration buffers over a non-contiguous window (about 63 KB)
     peak = _traced_peak(lambda: depthwise3d_array(x, w, 2))
     assert peak <= padded + 2 * out + 256 * 1024
+
+
+def test_conv2d_array_rejects_an_unknown_padding():
+    x = np.zeros((1, 1, 4, 4), dtype=np.float32)
+    w = np.zeros((1, 1, 3, 3), dtype=np.float32)
+    with pytest.raises(ValueError, match=r"padding must be one of \('same', 'valid'\)"):
+        conv2d_array(x, w, padding="full")
+
+
+def test_fc_array_rejects_a_mismatched_input_width():
+    with pytest.raises(DimensionMismatch) as exc:
+        fc_array(np.zeros(3, dtype=np.float32), np.zeros((4, 5), dtype=np.float32))
+    assert exc.value.axis == "features"
+    assert exc.value.expected == 5

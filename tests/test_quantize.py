@@ -5,6 +5,7 @@ import pytest
 
 from mobivsr import (
     Tensor,
+    ValidationError,
     build_mobivsr,
     init_weights,
     quantize_tensor,
@@ -58,3 +59,10 @@ def test_quantized_forward_drift_is_small():
     baseline = run_graph(graph, weights, clip).output.as_array()
     drifted = run_graph(graph, quantize_weights(weights), clip).output.as_array()
     assert np.abs(baseline - drifted).max() <= 0.05
+
+
+def test_range_far_from_zero_is_validation_error():
+    # scale is 1/255, so the zero point -128 - 1e7 * 255 is past int32
+    t = Tensor.from_array(np.array([1e7, 1e7 + 1], dtype=np.float32))
+    with pytest.raises(ValidationError, match="zero point .* exceeds int32"):
+        quantize_tensor(t)
