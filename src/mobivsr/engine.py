@@ -66,6 +66,25 @@ def _array(value) -> np.ndarray:
     return value.as_array() if isinstance(value, Tensor) else np.asarray(value, dtype=np.float32)
 
 
+def _input_array(value) -> np.ndarray:
+    """run_graph's input value as fp32; ValidationError unless it is an array
+    of real numbers, every one finite in fp32."""
+    if isinstance(value, Tensor):
+        a = value.as_array()
+    else:
+        try:
+            a = np.asarray(value)
+        except ValueError as exc:  # a ragged nest of sequences
+            raise ValidationError(f"run_graph input is not an array: {exc}") from None
+        if a.dtype.kind not in "biuf":
+            raise ValidationError(f"run_graph input must hold real numbers, got dtype {a.dtype}")
+        with np.errstate(over="ignore"):  # a value past fp32's range fails below
+            a = a.astype(np.float32, copy=False)
+    if not np.isfinite(a).all():
+        raise ValidationError("run_graph input holds NaN or values that are infinite in fp32")
+    return a
+
+
 def _arrays(tensors: dict) -> dict:
     """{name: fp32 array}; int8 tensors are dequantized here."""
     return {name: _array(t) for name, t in tensors.items()}
@@ -150,7 +169,9 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
     """Execute a graph end to end.
 
     ``weights`` is the {node id: {name: Tensor}} bundle. Before the first
-    kernel runs, ``shape_infer`` checks the graph and the input value's shape
+    kernel runs, the input must be an array of real numbers, all finite in
+    fp32, and ``weights`` a dict (ValidationError naming the input or the
+    weights); ``shape_infer`` checks the graph and the input value's shape
     against every node (GraphValidationError naming the node, or
     ValidationError for a shape that is not all positive extents), and every
     node's weights are checked; int8 tensors are dequantized only when their
@@ -160,7 +181,10 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
     ``keep_outputs`` every node's output array is retained and returned in
     ``node_outputs``.
     """
-    value = _array(input)
+    value = _input_array(input)
+    if not isinstance(weights, dict):
+        raise ValidationError("run_graph weights must be a {node id: {name: Tensor}} dict, "
+                              f"got {type(weights).__name__}")
     shape_infer(graph, value.shape)
     # a valid graph has at most one edge into each node
     incoming = {dst: src for src, dst in graph.residual_edges}

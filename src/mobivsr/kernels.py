@@ -5,19 +5,27 @@ layers) runs through one correlation core, ``_correlate``, with dense
 filters that mix channels or per-channel filters. Each separable kernel is
 its grouped stage followed by one dense core call for its pointwise stage.
 
-The core works channels last. It moves the input to (B,*S,C) and splits the
-zero-padded input by stride phase, building only the phases some kernel
-offset reads (a stride-2 1x1 skip needs one). At stride 1 that is a single
-buffer, the padded copy, or no copy at all when nothing is padded and the
-input is already contiguous. Every offset then reads a stride-1 (B,*So,C)
-window of one phase, so its (Wo,C) rows are contiguous at any stride. The
-result is a (B,Co,*So) view of a channels-last buffer.
+The core works channels last. It moves the input to (B,*S,C), allocates
+its fp32 output once and walks it in blocks along the leading axis: the
+batch, or the first output axis when the batch is 1. The zero-padded input
+is split by stride phase, and only the phases some kernel offset reads are
+built (a stride-2 1x1 skip needs one). A phase that reads no padding and is
+already contiguous (a stride-1 stage on an unpadded channels-last input) is
+used in place. Any other is built one block at a time, its rows for that
+block only, into one buffer per phase that every block reuses: a block
+rewrites only the input part, re-zeroes padding only past the input's end on
+the blocked axis, and moves the halo rows it shares with the last block to
+the front rather than gathering them again. Blocks hold about _COPY_BYTES =
+1 MiB of such scratch, so a layer's scratch no longer grows with its input.
+Every offset then reads a stride-1 window of one phase block, so its (Wo,C)
+rows are contiguous at any stride. The result is a (B,Co,*So) view of a
+channels-last buffer. Tallies are taken once per call, over the whole
+output, so counting stays weight stationary at any block size.
 
 * A per-channel stage is summed block-outer, tap-inner (loop tiling for
-  locality, Wolf & Lam, 1991). The fp32 output is split along its leading
-  axis (the batch, or the output time axis when the batch is 1) into blocks
-  of about _BLOCK_BYTES = 256 KiB. Each block takes all 9 (2-D) or 27 (3-D)
-  taps in np.ndindex order before the next block starts: the first tap's
+  locality, Wolf & Lam, 1991). Each copy block is split again into blocks of
+  about _BLOCK_BYTES = 256 KiB of fp32 output. Each takes all 9 (2-D) or 27
+  (3-D) taps in np.ndindex order before the next one starts: the first tap's
   product is written straight into the block, and each later one into a
   single product buffer, reused across taps and blocks, then added in place.
   The block, the buffer and the window rows they read stay in a core's L2
@@ -27,15 +35,17 @@ result is a (B,Co,*So) view of a channels-last buffer.
   numpy's inner loop spans Wo*C elements rather than the Wo (3 in the
   deepest stage) a channels-first broadcast gives. Each output element gets
   the same fp32 multiply-adds in the same order as a channels-first sum, so
-  per-channel outputs are bit-identical to it.
+  per-channel outputs are bit-identical to it at any block size.
 * A dense filter has at most 3 offsets in this family (the 1x1 skips and
   pointwise stages, the k=3 temporal conv, the Tp x 1 x 1 temporal pointwise
-  stage). Its windows are stacked channel-major into one (B*So, Ci*K)
-  matrix, a bounded im2col (Chellapilla et al., 2006), whose column order is
-  that of the weights' own (Co, Ci*K) reshape, so they are contracted in one
-  GEMM with no copy of the weights; a 1x1 stage's one window is its whole
-  phase, so it is not copied again. The GEMM sums in BLAS order, so dense
-  outputs match a plain offset sum only to within fp32 rounding (the
+  stage). Each block stacks its own windows channel-major into (rows, Ci*K)
+  im2col rows (Chellapilla et al., 2006), in one buffer reused by every
+  block, whose column order is that of the weights' own (Co, Ci*K) reshape.
+  np.matmul contracts them with no copy of the weights, straight into the
+  block's rows of the output. A 1x1 stage's one window is its whole phase
+  block, so it is not copied again, and a 1x1 stride-1 stage on a contiguous
+  input is one GEMM over the input itself. The GEMM sums in BLAS order, so
+  dense outputs match a plain offset sum only to within fp32 rounding (the
   tolerance of tests/_reference.py).
 
 ``batchnorm_array`` lays any input out channels last (which copies nothing
@@ -43,8 +53,8 @@ for a kernel's channels-last output) and works on (rows, W*C) against
 scale and shift tiled to W*C, with the shift added in place: the same fp32
 operations as the broadcast form, so bit-identical to it, with one
 activation-sized temporary fewer. Relu and residual adds keep the channels-
-last memory order, so each layer's move to channels last is a contiguous
-copy, or no copy when nothing is padded.
+last memory order, so each layer's move to channels last is a view, and its
+phases are contiguous copies, or no copy when nothing is padded.
 
 Kernels check only what their own arithmetic needs: the input's channel
 count against the weights (axis "channel"), ranks, stride and padding. The
@@ -82,6 +92,9 @@ _AXES = {1: ("time",), 2: ("height", "width"), 3: ("time", "height", "width")}
 # fp32 output bytes per block of a grouped stage's sum: with its product
 # buffer and the window rows it reads, a block stays in a core's L2
 _BLOCK_BYTES = 256 * 1024
+# scratch bytes (copied phase rows and im2col rows) per block of a
+# correlation's output; every block reuses the same buffers
+_COPY_BYTES = 1024 * 1024
 
 
 def _check_padding(padding):
@@ -100,65 +113,82 @@ def _check_stride(stride):
 # ---------------------------------------------------------------------------
 
 
-def _windows(xl, outs, kernel, strides, leads):
-    """Each kernel offset's (B,*So,C) window of the channels-last input xl
-    (B,*S,C), zero-padded by ``leads`` before each axis, in np.ndindex order.
+class _Phase:
+    """Stride phase ``phase`` of the zero-padded channels-last input xl (*S,C):
+    along each axis the padded positions p, p+s, p+2s, ..., as far as the
+    phase's last kernel offset reads, built one block of axis 0 at a time.
 
-    Phase p of an axis holds the padded positions p, p+s, p+2s, ..., so the
-    window of offset o is the stride-1 slice [o//s, o//s + So) of phase o % s.
-    A phase is built zero-filled with the input copied in, or, when it reads
-    no padding, as the input slice made contiguous.
+    A phase that reads no padding and is a contiguous slice of xl is sliced
+    as is. Any other is copied into one buffer, made by ``reserve`` and reused
+    by every block. Only the input part is rewritten: the buffer starts zeroed,
+    and a block re-zeroes only its rows past the input's end on axis 0.
     """
-    phases, windows = {}, []
-    for offset in np.ndindex(*kernel):
-        phase = tuple(o % s for o, s in zip(offset, strides))
-        if phase not in phases:
-            extents, dst, src = [len(xl)], [slice(None)], [slice(None)]
-            for p, m, k, s, so, lo in zip(phase, xl.shape[1:-1], kernel, strides, outs, leads):
-                extent = so + (k - 1 - p) // s  # as far as this phase's last offset reads
-                first = max(-((p - lo) // s), 0)  # the first phase index inside the input
-                count = max(min(extent, -((p - lo - m) // s)) - first, 0)
-                start = p + first * s - lo
-                extents.append(extent)
-                dst.append(slice(first, first + count))
-                src.append(slice(start, start + count * s, s))
-            inside = xl[tuple(src)]
-            if inside.shape[:-1] == tuple(extents):
-                phases[phase] = np.ascontiguousarray(inside)
-            else:
-                phases[phase] = np.zeros((*extents, xl.shape[-1]), dtype=xl.dtype)
-                phases[phase][tuple(dst)] = inside
-        windows.append(phases[phase][(slice(None),) + tuple(
-            slice(o // s, o // s + m) for o, s, m in zip(offset, strides, outs))])
-    return windows
+
+    def __init__(self, xl, phase, outs, kernel, strides, leads):
+        spans, src = [], []
+        for p, m, k, s, so, lo in zip(phase, xl.shape, kernel, strides, outs, leads):
+            extent = so + (k - 1 - p) // s  # as far as this phase's last offset reads
+            first = max(-((p - lo) // s), 0)  # the first phase index inside the input
+            stop = max(min(extent, -((p - lo - m) // s)), first)  # one past the last
+            start = p + first * s - lo
+            spans.append((first, stop, extent))
+            src.append(slice(start, start + (stop - first) * s, s))
+        self.inside = xl[tuple(src)]
+        self.first, self.stop = spans[0][:2]
+        self.halo = spans[0][2] - outs[0]  # the rows past a block's own that it reads
+        self.extents = [extent for *_, extent in spans[1:]]
+        self.dst = tuple(slice(first, stop) for first, stop, _ in spans[1:])
+        padded = any(first > 0 or stop < extent for first, stop, extent in spans)
+        self.row_bytes = 0 if not padded and self.inside.flags.c_contiguous else \
+            math.prod(self.extents) * xl.shape[-1] * xl.itemsize
+
+    def reserve(self, rows):
+        """Make the buffer for blocks of ``rows`` output rows; ``self.array``
+        is then what every window of this phase is a slice of."""
+        self.array = self.inside
+        if self.row_bytes:
+            self.array = np.zeros((rows + self.halo, *self.extents, self.inside.shape[-1]),
+                                  dtype=self.inside.dtype)
+
+    def load(self, r0, r1):
+        """Put the phase rows output rows [r0, r1) read into ``self.array`` and
+        return the slice of it at which phase indices [r0, r1) lie."""
+        if self.array is self.inside:
+            return slice(r0, r1)
+        buf, n = self.array, r1 - r0 + self.halo
+        # blocks come in order and all but the last fill the buffer, so the
+        # previous block's final halo rows are this one's first: moved, not gathered
+        kept = self.halo if r0 else 0
+        if kept:
+            buf[:kept] = buf[len(buf) - kept:]
+        # buffer row j holds phase index r0 + j, which only grows from block to
+        # block: a row before the input was padding in every earlier block and
+        # is still zero, while a row past it may hold an earlier block's input
+        d0 = min(max(self.first - r0, kept), n)
+        d1 = max(min(self.stop - r0, n), d0)
+        buf[(slice(d0, d1),) + self.dst] = self.inside[r0 + d0 - self.first:r0 + d1 - self.first]
+        buf[d1:n] = 0
+        return slice(0, r1 - r0)
 
 
-def _grouped_sum(windows, w):
-    """The fp32 sum of each (B,*So,C) window times its offset's (C,) tap of the
-    grouped weights w (C,*K), one output block at a time.
+def _grouped_sum(windows, tiles, out, product):
+    """Sum each (R,...,Wo,C) window times its offset's (Wo,C) tile into the
+    fp32 block out (R,...,Wo,C), _BLOCK_BYTES of out at a time.
 
-    The blocks split the leading axis (the batch, or the first output axis
-    when the batch is 1) into about _BLOCK_BYTES of output each. Every tap,
-    tiled to (Wo,C), is summed into a block before the next block starts.
-    The product buffer has the operands' result dtype, as a fresh temporary
-    would, so each element's fp32 sum is that of a whole-array tap loop.
+    Every tap is summed into an inner block before the next block starts: the
+    first is written straight into it, each later one into ``product`` and
+    then added in place. ``product`` has the operands' result dtype, as a
+    fresh temporary would, so each element's fp32 sum is that of a
+    whole-array tap loop, at any block size.
     """
-    *_, wo, c = windows[0].shape
-    tiles = np.broadcast_to(np.moveaxis(w, 0, -1).reshape(-1, 1, c),
-                            (len(windows), wo, c)).copy()
-    out = np.empty(windows[0].shape, dtype=np.float32)
-    blocked, views = (out, windows) if len(out) > 1 else (out[0], [v[0] for v in windows])
-    rows = max(_BLOCK_BYTES // blocked[0].nbytes, 1)
-    product = np.empty((min(rows, len(blocked)), *blocked.shape[1:]),
-                       dtype=np.result_type(windows[0], tiles))
-    for start in range(0, len(blocked), rows):
-        block = blocked[start:start + rows]
-        np.multiply(views[0][start:start + rows], tiles[0], out=block)
+    rows = max(_BLOCK_BYTES // out[0].nbytes, 1)
+    for start in range(0, len(out), rows):
+        block = out[start:start + rows]
+        np.multiply(windows[0][start:start + rows], tiles[0], out=block)
         term = product[:len(block)]
-        for view, tile in zip(views[1:], tiles[1:]):
+        for view, tile in zip(windows[1:], tiles[1:]):
             np.multiply(view[start:start + rows], tile, out=term)
             block += term
-    return out
 
 
 def _correlate(x, w, strides, padding, ledger, grouped, context):
@@ -176,7 +206,7 @@ def _correlate(x, w, strides, padding, ledger, grouped, context):
     if x.ndim != n + 2 or w.ndim != w_rank:
         raise DimensionMismatch("rank", (n + 2, w_rank), (x.ndim, w.ndim),
                                 f"{context} input and weights")
-    _, c, *size = x.shape
+    b, c, *size = x.shape
     kernel = w.shape[-n:]
     cw = w.shape[0] if grouped else w.shape[1]
     if cw != c:
@@ -188,24 +218,64 @@ def _correlate(x, w, strides, padding, ledger, grouped, context):
             for m, k, s, axis in zip(size, kernel, strides, _AXES[n])]
     # the leading zero padding that gives those extents: half the total, rounded down
     leads = [max((o - 1) * s + k - m, 0) // 2 for o, s, k, m in zip(outs, strides, kernel, size)]
-    windows = _windows(np.moveaxis(x, 1, -1), outs, kernel, strides, leads)
+    taps = math.prod(kernel)
+    xl = np.moveaxis(x, 1, -1)
+    if b > 1:  # the batch is axis 0, a correlated axis of kernel and stride 1
+        kernel, strides, outs, leads = (1, *kernel), (1, *strides), [b, *outs], [0, *leads]
+    else:  # a batch of one is blocked along its first correlated axis
+        xl = xl[0]
+    co = c if grouped else len(w)
+    out = np.empty((*outs, co), dtype=np.float32)
+    # each offset reads a stride-1 window of one phase: (phase, its index there)
+    phases, reads = {}, []
+    for offset in np.ndindex(*kernel):
+        phase = tuple(o % s for o, s in zip(offset, strides))
+        if phase not in phases:
+            phases[phase] = _Phase(xl, phase, outs, kernel, strides, leads)
+        reads.append((phase, (slice(offset[0] // strides[0], None),) + tuple(
+            slice(o // s, o // s + m) for o, s, m in zip(offset[1:], strides[1:], outs[1:]))))
+    # the scratch one output row of axis 0 takes: copied phase rows, and for a
+    # dense filter of several offsets its im2col rows
+    columns = not grouped and taps > 1
+    row_bytes = sum(p.row_bytes for p in phases.values())
+    row_bytes += columns * math.prod(outs[1:]) * c * taps * xl.itemsize
+    rows = min(max(_COPY_BYTES // row_bytes, 1) if row_bytes else len(out), len(out))
+    for phase in phases.values():
+        phase.reserve(rows)
+    # each offset's window, from its phase's first row on; a block slices it
+    windows = [(key, phases[key].array[index]) for key, index in reads]
     if grouped:
-        out = _grouped_sum(windows, w)
+        # each tap tiled to (Wo,C), in np.ndindex order
+        tiles = np.broadcast_to(np.moveaxis(w, 0, -1).reshape(-1, 1, c),
+                                (taps, outs[-1], c)).copy()
+        product = np.empty((min(rows, max(_BLOCK_BYTES // out[0].nbytes, 1)), *out.shape[1:]),
+                           dtype=np.result_type(xl, tiles))
     else:
-        # one (B*So, Ci*K) x (Ci*K, Co) GEMM over the windows stacked channel-
-        # major, against the weights' own (Co, Ci*K) rows, a view with no copy;
-        # a 1x1 stage's one window is its whole phase, used as is
-        cols = windows[0] if len(windows) == 1 else np.stack(windows, axis=-1)
-        cols = cols.reshape(-1, c * len(windows))
-        out = (cols @ w.reshape(len(w), -1).T).astype(np.float32, copy=False)
-        out = out.reshape(*windows[0].shape[:-1], -1)
+        # the (Ci*K, Co) transpose of the weights' own (Co, Ci*K) rows, a view
+        # with no copy, against windows stacked channel-major
+        wt = w.reshape(co, -1).T
+        cols = np.empty((rows, *outs[1:], c, taps), dtype=xl.dtype) if columns else None
+    for r0 in range(0, len(out), rows):
+        r1 = min(r0 + rows, len(out))
+        spans = {key: phase.load(r0, r1) for key, phase in phases.items()}
+        block = [window[spans[key]] for key, window in windows]
+        if grouped:
+            _grouped_sum(block, tiles, out[r0:r1], product)
+            continue
+        if columns:
+            part = cols[:r1 - r0]
+            for k, window in enumerate(block):
+                part[..., k] = window
+            block = [part]
+        # a 1x1 stage's one window is its whole phase block, used as is
+        np.matmul(block[0].reshape(-1, c * taps), wt, out=out[r0:r1].reshape(-1, co))
     if ledger is not None:
-        n = (out.size if grouped else out.size * c) * math.prod(kernel)
+        n = (out.size if grouped else out.size * c) * taps
         ledger.multiplies += n
         ledger.adds += n
         ledger.param_reads += w.size
         ledger.activation_reads += n  # one activation per multiply
-    return np.moveaxis(out, -1, 1)
+    return np.moveaxis(out if b > 1 else out[None], -1, 1)
 
 
 def conv2d_array(x, w, stride=1, padding="same", ledger=None):

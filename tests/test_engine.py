@@ -3,6 +3,7 @@ checked before the first kernel runs, and a malformed input or bundle ends in
 a MobiVSRError naming the node."""
 
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,6 +204,27 @@ def test_zero_extent_input_fails_before_any_kernel():
     assert calls == []
 
 
+@pytest.mark.parametrize("value,match", [
+    ("a clip", "input must hold real numbers"),
+    (np.ones((2, 5, 5), dtype=np.complex64), "input must hold real numbers"),
+    (np.full((2, 5, 5), np.nan, dtype=np.float32), "input holds NaN"),
+    (Tensor.from_array(np.full((2, 5, 5), np.nan, dtype=np.float32)), "input holds NaN"),
+    (np.full((2, 5, 5), np.inf), "input holds NaN"),
+    (np.full((2, 5, 5), 1e39), "infinite in fp32"),  # finite in fp64, not in fp32
+    ([[[1.0] * 5] * 5, [[1.0] * 4] * 5], "input is not an array"),
+], ids=["string", "complex", "nan", "nan tensor", "inf", "past fp32", "ragged"])
+def test_run_graph_refuses_an_input_that_is_not_finite_reals_before_any_kernel(value, match):
+    with counting_kernels() as calls, pytest.raises(ValidationError, match=match):
+        run_graph(GRAPHS["small"], BUNDLES["small"], value)
+    assert calls == []
+
+
+def test_run_graph_refuses_weights_that_are_not_a_dict_before_any_kernel():
+    with counting_kernels() as calls, pytest.raises(ValidationError, match="weights must be"):
+        run_graph(GRAPHS["small"], None, INPUTS["small"])
+    assert calls == []
+
+
 def test_residual_add_cannot_run_standalone():
     with pytest.raises(ValidationError, match="standalone"):
         counted_forward(LayerSpec("residual_add"), np.ones(3, dtype=np.float32))
@@ -229,3 +251,18 @@ def test_conv2d_on_a_rank_4_input_names_the_rank_axis():
         conv2d(np.zeros((1, 2, 5, 5), dtype=np.float32), np.zeros((3, 2, 3, 3), dtype=np.float32))
     assert exc.value.axis == "rank"
     assert (exc.value.expected, exc.value.got) == (3, 4)
+
+
+def test_an_alpha_1_pass_peaks_at_two_front_end_activations_and_2_mib():
+    """frontend.bn1 holds the (32, 29, 48, 48) activation and its own output,
+    the floor of an out-of-place elementwise node. No other node of the pass,
+    its kernels' scratch included, may hold more than 2 MiB beyond it."""
+    activation = 32 * 29 * 48 * 48 * 4
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_graph(GRAPHS["alpha1"], BUNDLES["alpha1"], INPUTS["alpha1"])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * activation + 2 * 1024 * 1024

@@ -1,5 +1,6 @@
 """Kernel correctness against hand values and the scalar-loop oracles."""
 
+import contextlib
 import dataclasses
 import importlib.util
 import inspect
@@ -40,6 +41,7 @@ from mobivsr.kernels import (
     depthwise2d_array,
     depthwise3d_array,
     ds_conv2d_array,
+    ds_conv3d_array,
     fc_array,
 )
 
@@ -546,6 +548,108 @@ def test_one_row_blocks_leave_a_lipres_pass_bit_identical(monkeypatch):
     assert blocked.ledger == counted.ledger
 
 
+@contextlib.contextmanager
+def _budgets(copy_bytes, block_bytes=1):
+    """The rows of every block a correlation builds its phases for, recorded
+    while the copy and grouped-sum budgets are cut to the given bytes."""
+    rows = []
+    load = kernels._Phase.load
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_COPY_BYTES", copy_bytes)
+        mp.setattr(kernels, "_BLOCK_BYTES", block_bytes)
+        mp.setattr(kernels._Phase, "load",
+                   lambda self, r0, r1: rows.append(r1 - r0) or load(self, r0, r1))
+        yield rows
+
+
+# batch 1 and 5 for the 2-D kernels, so that they block over output rows or
+# frames; the 3-D kernels' temporal kernel of 3 at same padding makes their
+# first and last blocks read temporal zero padding
+BLOCK_EDGE_CASES = [(name, b, stride, padding)
+                    for name in KERNEL_CASES
+                    for b in ((1, 5) if KERNEL_CASES[name][1][0] == "b" else (1,))
+                    for stride in (1, 2) for padding in ("same", "valid")]
+
+
+@pytest.mark.parametrize("name,b,stride,padding", BLOCK_EDGE_CASES)
+def test_blocked_kernels_match_scalar_loops_at_the_block_edges(name, b, stride, padding):
+    """Every public correlation kernel equals its scalar-loop oracle, with equal
+    counts, at a one-row budget and at the first budget of a sweep whose last
+    block is ragged."""
+    kernel, x_axes, w_axes, oracle = KERNEL_CASES[name]
+    dims = {"b": b, "c": 2, "o": 3, "t": 3, "k": 3, "l": 7, "h": 7, "w": 6}
+    g = rng(22)
+    x = g.normal(size=[dims[a] for a in x_axes]).astype(np.float32)
+    w = g.normal(size=[dims[a] for a in w_axes]).astype(np.float32)
+    expected, counts = oracle(x.astype(np.float64), w.astype(np.float64), stride, padding)
+
+    def check(copy_bytes):
+        ledger = CounterLedger()
+        with _budgets(copy_bytes) as rows:
+            got = kernel(x, w, stride, padding, ledger)
+        np.testing.assert_allclose(got, expected, atol=1e-4, rtol=0)
+        for field in KERNEL_COUNTS:
+            assert getattr(ledger, field) == counts[field], field
+        return rows
+
+    assert set(check(1)) == {1}
+    # budgets 25 % apart give every block size of 2, 3 and 4 rows in turn;
+    # one of those leaves a ragged last block on these extents
+    copy_bytes = 8
+    while len(set(check(copy_bytes))) == 1:  # every phase of a call is blocked alike
+        assert copy_bytes < 2**20, "no budget gave a ragged last block"
+        copy_bytes += copy_bytes // 4
+
+
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("rank,b", [(2, 1), (2, 4), (3, 1)])
+def test_grouped_stage_one_row_copies_are_bit_identical(rank, b, stride, padding):
+    """With its phases built and its sum taken one output row at a time, a
+    grouped stage still gives the channels-first sum bit for bit: over a
+    batch, over the rows of one frame, and over the times of one clip."""
+    g = rng(23)
+    x = g.normal(size=(b, 3, 7, 8) if rank == 2 else (3, 5, 7, 8)).astype(np.float32)
+    wt = g.normal(size=(3,) + (3,) * rank).astype(np.float32)
+    expected, counts = _channels_first_grouped(
+        x if rank == 2 else x[None], wt, (1, stride, stride)[-rank:], padding)
+    ledger = CounterLedger()
+    with _budgets(1) as rows:
+        if rank == 2:
+            got = depthwise2d_array(x, wt, stride, padding, ledger)
+        else:
+            got, expected = depthwise3d_array(x, wt, stride, padding, ledger), expected[0]
+    assert set(rows) == {1}
+    assert np.array_equal(got, expected)
+    assert ledger == counts
+
+
+def test_one_row_blocks_leave_a_front_end_and_lipres_pass_equal():
+    """A counted pass of a strided 3-D front end and a downsample LipRes block,
+    with every copied phase, im2col and sum built one output row at a time,
+    equals the plain pass at the default budgets, with the same ledger. Its
+    grouped stages are bit-identical at any budget; its dense stages sum in
+    BLAS order, which may round differently over fewer rows."""
+    block = build_lipres("downsample", 4, 6)
+    nodes = [("ds3d", LayerSpec("ds_conv3d", in_channels=1, out_channels=4, kernel_size=3,
+                                temporal_size=3, stride=2, pointwise_mode="partial")),
+             ("bn", LayerSpec("batchnorm", in_channels=4)),
+             ("act", LayerSpec("relu")),
+             *block.layers]
+    edges = [("act" if src == "@in" else src, dst) for src, dst in block.edges]
+    graph = LayerGraph(nodes=nodes, residual_edges=edges)
+    weights = init_weights(graph, seed=7)
+    x = rng(24).normal(size=(1, 5, 11, 11)).astype(np.float32)
+    plain = run_graph(graph, weights, x)
+    counted = run_graph(graph, weights, x, counted=True)
+    with _budgets(1):
+        blocked = run_graph(graph, weights, x, counted=True)
+    np.testing.assert_allclose(blocked.output.as_array(), plain.output.as_array(),
+                               rtol=0, atol=1e-6)
+    assert blocked.ledger == counted.ledger
+    assert np.array_equal(counted.output.as_array(), plain.output.as_array())
+
+
 def _channels_first_batchnorm(x, mean, var, gamma, beta, eps):
     """The broadcast form over a (C,1,..,1) scale and shift."""
     span = (-1,) + (1,) * (x.ndim - 1)
@@ -616,6 +720,20 @@ def test_strided_depthwise3d_holds_the_padded_input_and_two_outputs():
     # numpy's iteration buffers over a non-contiguous window (about 63 KB)
     peak = _traced_peak(lambda: depthwise3d_array(x, w, 2))
     assert peak <= padded + 2 * out + 256 * 1024
+
+
+def test_separable_3d_front_end_holds_its_mid_and_output_and_2_mib():
+    """ds3d2 builds its stride phases and its Tp x 1 x 1 im2col one block of
+    output times at a time, so beyond its two results it holds at most 2 MiB."""
+    g = rng(25)
+    x = _channels_leading(g, FRONT_END_SHAPE, "channels last")
+    dw = g.normal(size=(32, 3, 3, 3)).astype(np.float32)
+    pw = g.normal(size=(64, 32, 3, 1, 1)).astype(np.float32)
+    c, frames, h, wd = FRONT_END_SHAPE
+    mid = c * frames * (h // 2) * (wd // 2) * x.itemsize
+    out = len(pw) * frames * (h // 2) * (wd // 2) * x.itemsize
+    peak = _traced_peak(lambda: ds_conv3d_array(x, dw, pw, 2))
+    assert peak <= mid + out + 2 * 1024 * 1024
 
 
 def test_conv2d_array_rejects_an_unknown_padding():
