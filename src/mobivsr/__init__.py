@@ -20,7 +20,6 @@ from .arch import (
     build_mobivsr,
     calibrate_channel_plan,
     published_models,
-    reference_presets,
 )
 from .costs import (
     CostReport,
@@ -42,22 +41,7 @@ from .energy import (
     energy_per_inference,
     impact_report,
 )
-from .engine import (
-    RunResult,
-    batchnorm_inference,
-    conv2d,
-    conv3d,
-    counted_forward,
-    ds_conv2d,
-    ds_conv3d,
-    fully_connected,
-    init_weights,
-    maxpool,
-    relu,
-    run_graph,
-    softmax,
-    temporal_conv1d,
-)
+from .engine import RunResult, counted_forward, init_weights, run_graph
 from .errors import (
     DimensionMismatch,
     GraphValidationError,

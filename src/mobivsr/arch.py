@@ -206,12 +206,9 @@ class ReferencePreset:
     top3: float
 
 
-_SOTA = ReferencePreset("LSTM + ResNet (SOTA)", 130.0, 25.1, 56.3, 290.0, 83.0, 99.8)
-_LRW_BASELINE = ReferencePreset("LRW Baseline", 43.2, 8.7, 44.0, 95.7, 61.0, 78.0)
-
 PUBLISHED_MODELS = (
-    _SOTA,
-    _LRW_BASELINE,
+    ReferencePreset("LSTM + ResNet (SOTA)", 130.0, 25.1, 56.3, 290.0, 83.0, 99.8),
+    ReferencePreset("LRW Baseline", 43.2, 8.7, 44.0, 95.7, 61.0, 78.0),
     ReferencePreset("MobiVSR-1", 17.8, 4.5, 35.3, 11.0, 72.2, 88.0),
     ReferencePreset("MobiVSR-2", 20.8, 5.2, 37.3, 20.1, 73.0, 89.0),
     ReferencePreset("MobiVSR-3", 23.6, 5.9, 38.9, 29.5, 73.4, 90.2),
@@ -235,11 +232,6 @@ PUBLISHED_IMPACT = {
 }
 
 IMPACT_OUTLIERS = ("LRW Baseline",)
-
-
-def reference_presets() -> list:
-    """The two non-MobiVSR comparison rows."""
-    return [_SOTA, _LRW_BASELINE]
 
 
 def published_models() -> list:

@@ -7,9 +7,10 @@ on the input value's shape, which validates the graph and every node's input
 shape, and ``graph.checked_weights`` on every node's weights, so a bad input
 or weight tensor fails naming its node before any kernel runs. A second loop
 runs the nodes. int8 tensors are dequantized only when their node runs, so
-at most one layer's fp32 weights sit beside the activations. The one-layer
-tensor API checks the weights and the value's rank in ``_apply`` and leaves
-channel counts to the kernels.
+at most one layer's fp32 weights sit beside the activations.
+``counted_forward``, the one way to run a single layer, checks its input as
+``run_graph`` does, then the layer's weights and the value's rank, and
+leaves channel counts to the kernels.
 
 The middle stack's 2-D layers run per frame: a rank-4 (C, L, H, W) value is
 folded so the time axis becomes the kernels' batch axis and unfolded after.
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import kernels
 from .costs import COSTED_KINDS
-from .errors import DimensionMismatch, ValidationError
+from .errors import ValidationError
 from .graph import LAYER_KINDS, LayerGraph, LayerSpec, checked_weights, shape_infer, weight_shapes
 from .tensor import CounterLedger, Tensor
 
@@ -67,21 +68,21 @@ def _array(value) -> np.ndarray:
 
 
 def _input_array(value) -> np.ndarray:
-    """run_graph's input value as fp32; ValidationError unless it is an array
-    of real numbers, every one finite in fp32."""
+    """A layer or graph input value as fp32; ValidationError unless it is an
+    array of real numbers, every one finite in fp32."""
     if isinstance(value, Tensor):
         a = value.as_array()
     else:
         try:
             a = np.asarray(value)
         except ValueError as exc:  # a ragged nest of sequences
-            raise ValidationError(f"run_graph input is not an array: {exc}") from None
+            raise ValidationError(f"input is not an array: {exc}") from None
         if a.dtype.kind not in "biuf":
-            raise ValidationError(f"run_graph input must hold real numbers, got dtype {a.dtype}")
+            raise ValidationError(f"input must hold real numbers, got dtype {a.dtype}")
         with np.errstate(over="ignore"):  # a value past fp32's range fails below
             a = a.astype(np.float32, copy=False)
     if not np.isfinite(a).all():
-        raise ValidationError("run_graph input holds NaN or values that are infinite in fp32")
+        raise ValidationError("input holds NaN or values that are infinite in fp32")
     return a
 
 
@@ -136,25 +137,23 @@ def forward_layer(spec: LayerSpec, x: np.ndarray, weights: dict | None,
     return np.asarray(out, dtype=np.float32)
 
 
-def _apply(spec: LayerSpec, x: np.ndarray, weights: dict | None = None,
-           ledger: CounterLedger | None = None) -> Tensor:
-    """Check the weights against the spec's shapes and the value's rank against
-    the kind's, then run the layer; the kernels check channel counts."""
-    checked = checked_weights(spec, weights, spec.kind)
-    if x.ndim not in LAYER_KINDS[spec.kind].ranks:
-        raise ValidationError(f"{spec.kind} cannot take a rank {x.ndim} value")
-    return Tensor.from_array(forward_layer(spec, x, _arrays(checked), ledger))
-
-
 def counted_forward(layer: LayerSpec, input, weights: dict | None = None):
     """Run one layer and return (output Tensor, CounterLedger).
 
     ``weights`` maps tensor names to Tensors (or arrays) for weighted kinds.
-    The output is bit-identical to an uncounted call; cost-free kinds yield
-    an all-zero ledger.
+    Before the kernel runs, the input must be an array of real numbers, all
+    finite in fp32 (ValidationError), the weights must have the spec's shapes
+    (ValidationError or DimensionMismatch) and the value a rank the kind takes
+    (ValidationError); the kernels check channel counts. The output is
+    bit-identical to an uncounted call; cost-free kinds yield an all-zero
+    ledger.
     """
+    x = _input_array(input)
+    checked = checked_weights(layer, weights, layer.kind)
+    if x.ndim not in LAYER_KINDS[layer.kind].ranks:
+        raise ValidationError(f"{layer.kind} cannot take a rank {x.ndim} value")
     ledger = CounterLedger()
-    return _apply(layer, _array(input), weights, ledger), ledger
+    return Tensor.from_array(forward_layer(layer, x, _arrays(checked), ledger)), ledger
 
 
 @dataclass
@@ -209,98 +208,3 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
             outputs[node_id] = value
     return RunResult(output=Tensor.from_array(value), ledger=ledger,
                      node_outputs=outputs if keep_outputs else None)
-
-
-# ---------------------------------------------------------------------------
-# tensor-level API: one layer on Tensors (or arrays), hyperparameters read
-# off the weight shapes, executed by forward_layer
-# ---------------------------------------------------------------------------
-
-
-def _ranked(value, rank, what) -> np.ndarray:
-    a = _array(value)
-    if a.ndim != rank:
-        raise DimensionMismatch("rank", rank, a.ndim, what)
-    return a
-
-
-def conv2d(input, weights, stride=1, padding="same", ledger=None) -> Tensor:
-    """2-D convolution of a (Ci,H,W) tensor with (Co,Ci,K,K) weights, no bias."""
-    x = _ranked(input, 3, "conv2d input")
-    w = _ranked(weights, 4, "conv2d weights")
-    co, ci, k = w.shape[:3]
-    spec = LayerSpec("conv2d", in_channels=ci, out_channels=co, kernel_size=k,
-                     stride=stride, padding=padding)
-    return _apply(spec, x, {"weights": w}, ledger)
-
-
-def conv3d(input, weights, stride=1, padding="same", ledger=None) -> Tensor:
-    """3-D convolution of (Ci,L,H,W) with (Co,Ci,T,K,K); temporal stride is 1."""
-    x = _ranked(input, 4, "conv3d input")
-    w = _ranked(weights, 5, "conv3d weights")
-    co, ci, t, k = w.shape[:4]
-    spec = LayerSpec("conv3d", in_channels=ci, out_channels=co, kernel_size=k,
-                     temporal_size=t, stride=stride, padding=padding)
-    return _apply(spec, x, {"weights": w}, ledger)
-
-
-def ds_conv2d(input, depthwise_weights, pointwise_weights, stride=1, padding="same",
-              ledger=None) -> Tensor:
-    """Depthwise-separable 2-D convolution: grouped (Ci,K,K) stage then 1x1 mix."""
-    x = _ranked(input, 3, "ds_conv2d input")
-    dw = _ranked(depthwise_weights, 3, "depthwise weights")
-    pw = _ranked(pointwise_weights, 4, "pointwise weights")
-    spec = LayerSpec("ds_conv2d", in_channels=dw.shape[0], out_channels=pw.shape[0],
-                     kernel_size=dw.shape[1], stride=stride, padding=padding)
-    return _apply(spec, x, {"depthwise": dw, "pointwise": pw}, ledger)
-
-
-def ds_conv3d(input, depthwise_weights, pointwise_weights, stride=1,
-              pointwise_mode="partial", padding="same", ledger=None) -> Tensor:
-    """Depthwise-separable 3-D convolution with a partial (Tx1x1) or full (1x1x1)
-    pointwise stage."""
-    x = _ranked(input, 4, "ds_conv3d input")
-    dw = _ranked(depthwise_weights, 4, "depthwise weights")
-    pw = _ranked(pointwise_weights, 5, "pointwise weights")
-    spec = LayerSpec("ds_conv3d", in_channels=dw.shape[0], out_channels=pw.shape[0],
-                     kernel_size=dw.shape[2], temporal_size=dw.shape[1], stride=stride,
-                     pointwise_mode=pointwise_mode, padding=padding)
-    return _apply(spec, x, {"depthwise": dw, "pointwise": pw}, ledger)
-
-
-def temporal_conv1d(input, weights, stride=1, padding="same", ledger=None) -> Tensor:
-    """1-D convolution along the time axis of a (Ci,L) tensor."""
-    x = _ranked(input, 2, "temporal conv input")
-    w = _ranked(weights, 3, "temporal conv weights")
-    co, ci, k = w.shape
-    spec = LayerSpec("temporal_conv1d", in_channels=ci, out_channels=co, kernel_size=k,
-                     stride=stride, padding=padding)
-    return _apply(spec, x, {"weights": w}, ledger)
-
-
-def fully_connected(input, weights, ledger=None) -> Tensor:
-    """Matrix-vector product of an (I,) input with (Q,I) weights, no bias."""
-    x = _ranked(input, 1, "fully connected input")
-    w = _ranked(weights, 2, "fully connected weights")
-    spec = LayerSpec("fc", in_features=w.shape[1], out_features=w.shape[0])
-    return _apply(spec, x, {"weights": w}, ledger)
-
-
-def maxpool(input, window, stride=None) -> Tensor:
-    """Max pooling over the last axis; the stride defaults to the window."""
-    spec = LayerSpec("maxpool", window=window, stride=window if stride is None else stride)
-    return _apply(spec, _array(input))
-
-
-def relu(input) -> Tensor:
-    return _apply(LayerSpec("relu"), _array(input))
-
-
-def batchnorm_inference(input, mean, var, gamma, beta, eps=1e-5) -> Tensor:
-    x = _array(input)
-    stats = dict(zip(("mean", "var", "gamma", "beta"), map(_array, (mean, var, gamma, beta))))
-    return _apply(LayerSpec("batchnorm", in_channels=x.shape[0], eps=eps), x, stats)
-
-
-def softmax(input) -> Tensor:
-    return _apply(LayerSpec("softmax"), _array(input))

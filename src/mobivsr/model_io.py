@@ -308,7 +308,10 @@ class Clip:
     frames: np.ndarray
 
     def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float32)
+        frames = np.asarray(self.frames)
+        if frames.dtype.kind not in "biuf":
+            raise ValidationError(f"clip must hold real numbers, got dtype {frames.dtype}")
+        frames = frames.astype(np.float32, copy=False)
         if frames.shape != (FRAME_COUNT, CROP_SIDE, CROP_SIDE):
             raise ValidationError(
                 f"clip must be {FRAME_COUNT}x{CROP_SIDE}x{CROP_SIDE}, got {frames.shape}"
@@ -430,4 +433,9 @@ def write_clip(path, clip: Clip):
 
 
 def read_clip(path) -> Clip:
-    return Clip(frames=np.load(path, allow_pickle=False))
+    """Load a clip .npy; ValidationError naming the path if it is not one."""
+    try:
+        frames = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:  # pickled, object, cut short or not a .npy
+        raise ValidationError(f"{path}: not a clip .npy file: {exc}") from None
+    return Clip(frames=frames)

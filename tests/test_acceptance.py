@@ -89,8 +89,7 @@ def test_criterion_3_separable_equivalence_on_50_configs():
                 x = rng.normal(size=(ci, side, side))
                 dw = rng.normal(size=(ci, k, k))
                 pw = rng.normal(size=(co, ci, 1, 1))
-                got = m.ds_conv2d(m.Tensor.from_array(x), m.Tensor.from_array(dw),
-                                  m.Tensor.from_array(pw)).as_array()
+                spec = m.LayerSpec("ds_conv2d", in_channels=ci, out_channels=co, kernel_size=k)
                 expected = ref.ds_conv2d_composition(x, dw, pw)
             else:
                 t = int(rng.integers(1, 4))
@@ -98,9 +97,11 @@ def test_criterion_3_separable_equivalence_on_50_configs():
                 x = rng.normal(size=(ci, frames, side, side))
                 dw = rng.normal(size=(ci, t, k, k))
                 pw = rng.normal(size=(co, ci, t, 1, 1))
-                got = m.ds_conv3d(m.Tensor.from_array(x), m.Tensor.from_array(dw),
-                                  m.Tensor.from_array(pw)).as_array()
+                spec = m.LayerSpec("ds_conv3d", in_channels=ci, out_channels=co, kernel_size=k,
+                                   temporal_size=t)
                 expected = ref.ds_conv3d_composition(x, dw, pw)
+            out, _ = m.counted_forward(spec, x, {"depthwise": dw, "pointwise": pw})
+            got = out.as_array()
             assert np.abs(got - expected).max() <= 1e-5
 
 

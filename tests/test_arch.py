@@ -16,9 +16,9 @@ from mobivsr import (
     build_lipres,
     build_mobivsr,
     calibrate_channel_plan,
-    conv2d,
+    counted_forward,
     init_weights,
-    reference_presets,
+    published_models,
     run_graph,
     shape_infer,
 )
@@ -107,8 +107,9 @@ def test_downsample_skip_is_a_stride2_conv_of_the_block_input():
     weights = init_weights(graph, seed=2)
     x = np.abs(np.random.default_rng(3).normal(size=(3, 10, 10))).astype(np.float32)
     result = run_graph(graph, weights, Tensor.from_array(x), keep_outputs=True)
-    direct = conv2d(Tensor.from_array(x), weights["skip"]["weights"], stride=2).as_array()
-    np.testing.assert_array_equal(result.node_outputs["skip"], direct)
+    skip = LayerSpec("conv2d", in_channels=3, out_channels=6, kernel_size=1, stride=2)
+    direct, _ = counted_forward(skip, x, weights["skip"])
+    np.testing.assert_array_equal(result.node_outputs["skip"], direct.as_array())
 
 
 def skip_edge_graph():
@@ -183,9 +184,7 @@ def test_alpha_must_be_positive_int():
 
 
 def test_reference_presets_are_the_two_comparison_rows():
-    presets = reference_presets()
-    assert len(presets) == 2
-    by_name = {p.name: p for p in presets}
+    by_name = {p.name: p for p in published_models()}
     sota = by_name["LSTM + ResNet (SOTA)"]
     assert (sota.size_mb, sota.params_m, sota.flops_b) == (130.0, 25.1, 290.0)
     baseline = by_name["LRW Baseline"]

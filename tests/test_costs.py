@@ -16,7 +16,7 @@ from mobivsr import (
     flops_of,
     mem_access_of,
     params_of,
-    reference_presets,
+    published_models,
 )
 
 
@@ -145,22 +145,20 @@ class TestAggregate:
 
 class TestEfficiencyRatios:
     def test_published_rows_match_quoted_ratios(self):
-        presets = {p.name: p for p in reference_presets()}
-        sota = efficiency_ratios(presets["LSTM + ResNet (SOTA)"], 83.0)
+        rows = {p.name: p for p in published_models()}
+        sota = efficiency_ratios(rows["LSTM + ResNet (SOTA)"], 83.0)
         assert sota.acc_per_mb == pytest.approx(0.64, abs=0.02)
         assert sota.acc_per_gflop == pytest.approx(0.29, abs=0.02)
         assert sota.acc_per_mparam == pytest.approx(3.31, abs=0.02)
         assert sota.acc_per_kaccess == pytest.approx(1.47, abs=0.02)
 
     def test_accuracy_to_size_headline(self):
-        from mobivsr import published_models
-
         rows = {p.name: p for p in published_models()}
         small = efficiency_ratios(rows["MobiVSR-1"], 72.2)
         assert small.acc_per_mb == pytest.approx(4.06, abs=0.02)
 
     def test_zero_accuracy_zero_ratios(self):
-        row = reference_presets()[0]
+        row = {p.name: p for p in published_models()}["LSTM + ResNet (SOTA)"]
         ratios = efficiency_ratios(row, 0.0)
         assert (ratios.acc_per_mb, ratios.acc_per_gflop, ratios.acc_per_mparam,
                 ratios.acc_per_kaccess) == (0.0, 0.0, 0.0, 0.0)

@@ -12,7 +12,6 @@ from mobivsr import (
     CounterLedger,
     LayerSpec,
     Tensor,
-    conv2d,
     counted_forward,
     flops_of,
     mem_access_of,
@@ -20,6 +19,7 @@ from mobivsr import (
     weight_shapes,
 )
 from mobivsr.costs import COSTED_KINDS
+from mobivsr.engine import forward_layer
 from mobivsr.graph import LAYER_KINDS
 
 import _reference as ref
@@ -74,8 +74,9 @@ def test_conv2d_counts_match_scalar_loop_counting(stride, padding):
     g = np.random.default_rng(2)
     x = g.normal(size=(2, 6, 6))
     w = g.normal(size=(3, 2, 3, 3))
-    ledger = CounterLedger()
-    conv2d(t(x), t(w), stride, padding, ledger=ledger)
+    spec = LayerSpec("conv2d", in_channels=2, out_channels=3, kernel_size=3, stride=stride,
+                     padding=padding)
+    _, ledger = counted_forward(spec, t(x), {"weights": t(w)})
     _, counts = ref.conv2d_loops(x, w, stride, padding)
     assert ledger.multiplies == counts["multiplies"]
     assert ledger.adds == counts["adds"]
@@ -85,14 +86,12 @@ def test_conv2d_counts_match_scalar_loop_counting(stride, padding):
 
 
 def test_ds_conv2d_counts_match_scalar_loop_counting():
-    from mobivsr import ds_conv2d
-
     g = np.random.default_rng(3)
     x = g.normal(size=(3, 5, 5))
     dw = g.normal(size=(3, 3, 3))
     pw = g.normal(size=(4, 3, 1, 1))
-    ledger = CounterLedger()
-    ds_conv2d(t(x), t(dw), t(pw), ledger=ledger)
+    spec = LayerSpec("ds_conv2d", in_channels=3, out_channels=4, kernel_size=3)
+    _, ledger = counted_forward(spec, t(x), {"depthwise": t(dw), "pointwise": t(pw)})
     counts = ref.ds_conv2d_loop_counts(x, dw, pw)
     assert ledger.multiplies == counts["multiplies"]
     assert ledger.param_reads == counts["param_reads"]
@@ -102,11 +101,12 @@ def test_ds_conv2d_counts_match_scalar_loop_counting():
 
 def test_counting_does_not_change_numerics():
     g = np.random.default_rng(4)
-    x = t(g.normal(size=(3, 8, 8)))
-    w = t(g.normal(size=(4, 3, 3, 3)))
-    plain = conv2d(x, w).as_array()
-    counted = conv2d(x, w, ledger=CounterLedger()).as_array()
-    assert plain.tobytes() == counted.tobytes()
+    x = g.normal(size=(3, 8, 8)).astype(np.float32)
+    w = {"weights": g.normal(size=(4, 3, 3, 3)).astype(np.float32)}
+    spec = LayerSpec("conv2d", in_channels=3, out_channels=4, kernel_size=3)
+    plain = forward_layer(spec, x, w)
+    counted, _ = counted_forward(spec, x, w)
+    assert plain.tobytes() == counted.as_array().tobytes()
 
 
 def _random_layer_configs(count, seed):

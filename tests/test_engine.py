@@ -19,7 +19,6 @@ from mobivsr import (
     Tensor,
     ValidationError,
     build_mobivsr,
-    conv2d,
     counted_forward,
     init_weights,
     quantize_weights,
@@ -27,6 +26,7 @@ from mobivsr import (
     shape_infer,
 )
 from mobivsr import kernels
+from mobivsr.graph import LAYER_KINDS
 
 
 def small_graph():
@@ -204,18 +204,31 @@ def test_zero_extent_input_fails_before_any_kernel():
     assert calls == []
 
 
-@pytest.mark.parametrize("value,match", [
-    ("a clip", "input must hold real numbers"),
-    (np.ones((2, 5, 5), dtype=np.complex64), "input must hold real numbers"),
-    (np.full((2, 5, 5), np.nan, dtype=np.float32), "input holds NaN"),
-    (Tensor.from_array(np.full((2, 5, 5), np.nan, dtype=np.float32)), "input holds NaN"),
-    (np.full((2, 5, 5), np.inf), "input holds NaN"),
-    (np.full((2, 5, 5), 1e39), "infinite in fp32"),  # finite in fp64, not in fp32
-    ([[[1.0] * 5] * 5, [[1.0] * 4] * 5], "input is not an array"),
-], ids=["string", "complex", "nan", "nan tensor", "inf", "past fp32", "ragged"])
-def test_run_graph_refuses_an_input_that_is_not_finite_reals_before_any_kernel(value, match):
+BAD_INPUTS = {
+    "string": ("a clip", "input must hold real numbers"),
+    "complex": (np.ones((2, 5, 5), dtype=np.complex64), "input must hold real numbers"),
+    "nan": (np.full((2, 5, 5), np.nan, dtype=np.float32), "input holds NaN"),
+    "nan tensor": (Tensor.from_array(np.full((2, 5, 5), np.nan, dtype=np.float32)),
+                   "input holds NaN"),
+    "inf": (np.full((2, 5, 5), np.inf), "input holds NaN"),
+    "past fp32": (np.full((2, 5, 5), 1e39), "infinite in fp32"),  # finite in fp64 only
+    "ragged": ([[[1.0] * 5] * 5, [[1.0] * 4] * 5], "input is not an array"),
+}
+# run_graph on the small graph, and counted_forward on its first node
+ENTRY_POINTS = {
+    "": lambda value: run_graph(GRAPHS["small"], BUNDLES["small"], value),
+    "counted_forward ": lambda value: counted_forward(GRAPHS["small"].nodes[0][1], value,
+                                                      BUNDLES["small"]["bn"]),
+}
+
+
+@pytest.mark.parametrize("entry,value,match", [
+    pytest.param(entry, value, match, id=prefix + name)
+    for prefix, entry in ENTRY_POINTS.items() for name, (value, match) in BAD_INPUTS.items()])
+def test_run_graph_refuses_an_input_that_is_not_finite_reals_before_any_kernel(entry, value,
+                                                                                 match):
     with counting_kernels() as calls, pytest.raises(ValidationError, match=match):
-        run_graph(GRAPHS["small"], BUNDLES["small"], value)
+        entry(value)
     assert calls == []
 
 
@@ -223,6 +236,45 @@ def test_run_graph_refuses_weights_that_are_not_a_dict_before_any_kernel():
     with counting_kernels() as calls, pytest.raises(ValidationError, match="weights must be"):
         run_graph(GRAPHS["small"], None, INPUTS["small"])
     assert calls == []
+
+
+# a small layer of every kind but residual_add, which only a graph runs, and
+# an input shape it takes
+SINGLE_LAYERS = {
+    "conv2d": (LayerSpec("conv2d", in_channels=2, out_channels=3, kernel_size=3, stride=2),
+               (2, 3, 5, 5)),
+    "conv3d": (LayerSpec("conv3d", in_channels=2, out_channels=3, kernel_size=3,
+                         temporal_size=2), (2, 4, 5, 5)),
+    "ds_conv2d": (LayerSpec("ds_conv2d", in_channels=2, out_channels=3, kernel_size=3),
+                  (2, 6, 6)),
+    "ds_conv3d": (LayerSpec("ds_conv3d", in_channels=2, out_channels=3, kernel_size=3,
+                            temporal_size=2, stride=2), (2, 4, 6, 6)),
+    "temporal_conv1d": (LayerSpec("temporal_conv1d", in_channels=3, out_channels=4,
+                                  kernel_size=3), (3, 7)),
+    "fc": (LayerSpec("fc", in_features=5, out_features=3), (5,)),
+    "maxpool": (LayerSpec("maxpool", window=2, stride=2), (3, 8)),
+    "relu": (LayerSpec("relu"), (2, 4, 4)),
+    "batchnorm": (LayerSpec("batchnorm", in_channels=2), (2, 4, 4)),
+    "softmax": (LayerSpec("softmax"), (6,)),
+    "spatial_avg": (LayerSpec("spatial_avg"), (2, 3, 4, 4)),
+    "temporal_avg": (LayerSpec("temporal_avg"), (3, 6)),
+}
+
+
+@pytest.mark.parametrize("dtype", ["fp32", "int8"])
+@pytest.mark.parametrize("kind", sorted(set(LAYER_KINDS) - {"residual_add"}))
+def test_counted_forward_equals_a_counted_one_node_graph(kind, dtype):
+    spec, in_shape = SINGLE_LAYERS[kind]
+    graph = LayerGraph(nodes=[("n", spec)])
+    bundle = init_weights(graph, seed=4)
+    if dtype == "int8":
+        bundle = quantize_weights(bundle)
+    x = np.random.default_rng(5).normal(size=in_shape).astype(np.float32)
+    out, ledger = counted_forward(spec, x, bundle.get("n"))
+    result = run_graph(graph, bundle, x, counted=True)
+    assert out.shape == result.output.shape
+    assert out.as_array().tobytes() == result.output.as_array().tobytes()
+    assert ledger == result.ledger
 
 
 def test_residual_add_cannot_run_standalone():
@@ -244,13 +296,6 @@ def test_wrong_kernel_size_is_a_dimension_mismatch_naming_the_node():
 def test_counted_forward_rejects_a_scalar_value():
     with pytest.raises(ValidationError, match="relu cannot take a rank 0 value"):
         counted_forward(LayerSpec("relu"), np.float32(1))
-
-
-def test_conv2d_on_a_rank_4_input_names_the_rank_axis():
-    with pytest.raises(DimensionMismatch) as exc:
-        conv2d(np.zeros((1, 2, 5, 5), dtype=np.float32), np.zeros((3, 2, 3, 3), dtype=np.float32))
-    assert exc.value.axis == "rank"
-    assert (exc.value.expected, exc.value.got) == (3, 4)
 
 
 def test_an_alpha_1_pass_peaks_at_two_front_end_activations_and_2_mib():

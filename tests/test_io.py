@@ -386,6 +386,35 @@ def test_clip_file_round_trip(tmp_path):
     np.testing.assert_array_equal(again.frames, clip.frames)
 
 
+@pytest.mark.parametrize("frames", [
+    np.full((29, 96, 96), 0.5 + 0.25j, dtype=np.complex64),  # real part in [0, 1]
+    np.full((29, 96, 96), "0.5"),
+    np.full((29, 96, 96), None, dtype=object),
+], ids=["complex", "string", "object"])
+def test_a_clip_of_anything_but_real_numbers_is_refused(frames):
+    with pytest.raises(ValidationError, match="real numbers"):
+        Clip(frames=frames)
+
+
+@pytest.mark.parametrize("content", [
+    lambda path: np.save(path, np.full((29, 96, 96), 0.5 + 0.25j, dtype=np.complex64)),
+    lambda path: np.save(path, np.full((29, 96, 96), "0.5")),
+    lambda path: np.save(path, np.full((29, 96, 96), None, dtype=object), allow_pickle=True),
+    lambda path: path.write_text("29 frames of 96x96 pixels"),
+    lambda path: path.write_bytes(b""),
+], ids=["complex", "string", "object", "text", "empty"])
+def test_read_clip_refuses_a_file_that_is_not_a_clip(tmp_path, content):
+    path = tmp_path / "clip.npy"
+    content(path)
+    with pytest.raises(ValidationError, match="real numbers|clip.npy: not a clip"):
+        read_clip(path)
+
+
+def test_read_clip_of_a_missing_file_stays_an_os_error(tmp_path):
+    with pytest.raises(OSError):
+        read_clip(tmp_path / "missing.npy")
+
+
 def test_graph_file_round_trip_on_disk(tmp_path):
     graph = build_mobivsr(2)
     write_graph(tmp_path / "g.json", graph)

@@ -17,21 +17,11 @@ from mobivsr import (
     DimensionMismatch,
     LayerGraph,
     LayerSpec,
-    Tensor,
-    batchnorm_inference,
     build_lipres,
-    conv2d,
-    conv3d,
-    ds_conv2d,
-    ds_conv3d,
-    fully_connected,
+    counted_forward,
     init_weights,
     kernels,
-    maxpool,
-    relu,
     run_graph,
-    softmax,
-    temporal_conv1d,
 )
 from mobivsr.kernels import (
     batchnorm_array,
@@ -43,32 +33,44 @@ from mobivsr.kernels import (
     ds_conv2d_array,
     ds_conv3d_array,
     fc_array,
+    maxpool1d_array,
+    relu_array,
+    softmax_array,
 )
 
 import _reference as ref
 
 
-def t(array):
-    return Tensor.from_array(np.asarray(array, dtype=np.float32))
+def f32(array):
+    return np.asarray(array, dtype=np.float32)
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def conv2d_frame(x, w, stride=1, padding="same"):
+    """conv2d_array on one (Ci,H,W) frame."""
+    return conv2d_array(f32(x)[None], f32(w), stride, padding)[0]
+
+
+def ds_conv2d_frame(x, dw, pw):
+    """ds_conv2d_array on one (Ci,H,W) frame."""
+    return ds_conv2d_array(f32(x)[None], f32(dw), f32(pw))[0]
+
+
 class TestConv2d:
     def test_1x1_kernel_is_scalar_multiply(self):
-        out = conv2d(t([[[5.0]]]), t([[[[2.0]]]]))
+        out = conv2d_frame([[[5.0]]], [[[[2.0]]]])
         assert out.shape == (1, 1, 1)
-        assert out.as_array().item() == 10.0
+        assert out.item() == 10.0
 
     def test_zero_input_gives_zero_output(self):
-        x = t(np.zeros((2, 5, 5)))
-        w = t(rng().normal(size=(3, 2, 3, 3)))
-        assert np.all(conv2d(x, w).as_array() == 0)
+        w = rng().normal(size=(3, 2, 3, 3))
+        assert np.all(conv2d_frame(np.zeros((2, 5, 5)), w) == 0)
 
     def test_ones_4x4_same_padding_receptive_fields(self):
-        out = conv2d(t(np.ones((1, 4, 4))), t(np.ones((1, 1, 3, 3)))).as_array()[0]
+        out = conv2d_frame(np.ones((1, 4, 4)), np.ones((1, 1, 3, 3)))[0]
         for corner in ((0, 0), (0, 3), (3, 0), (3, 3)):
             assert out[corner] == 4.0
         assert np.all(out[1:3, 1:3] == 9.0)
@@ -83,12 +85,11 @@ class TestConv2d:
         x = g.normal(size=(ci, h, h))
         w = g.normal(size=(co, ci, k, k))
         expected, _ = ref.conv2d_loops(x, w, stride, padding)
-        got = conv2d(t(x), t(w), stride, padding).as_array()
-        np.testing.assert_allclose(got, expected, atol=1e-4)
+        np.testing.assert_allclose(conv2d_frame(x, w, stride, padding), expected, atol=1e-4)
 
     def test_channel_mismatch_names_axis(self):
         with pytest.raises(DimensionMismatch) as exc:
-            conv2d(t(np.ones((2, 4, 4))), t(np.ones((1, 3, 3, 3))))
+            conv2d_frame(np.ones((2, 4, 4)), np.ones((1, 3, 3, 3)))
         assert exc.value.axis == "channel"
 
 
@@ -97,20 +98,20 @@ class TestConv3d:
         g = rng(1)
         x = g.normal(size=(2, 4, 5, 5))
         w = g.normal(size=(3, 2, 1, 3, 3))
-        out = conv3d(t(x), t(w)).as_array()
+        out = conv3d_array(f32(x), f32(w))
         for frame in range(4):
-            per_frame = conv2d(t(x[:, frame]), t(w[:, :, 0])).as_array()
+            per_frame = conv2d_frame(x[:, frame], w[:, :, 0])
             np.testing.assert_allclose(out[:, frame], per_frame, atol=1e-5)
 
     def test_all_ones_valid_single_27(self):
-        out = conv3d(t(np.ones((1, 3, 3, 3))), t(np.ones((1, 1, 3, 3, 3))), padding="valid")
+        out = conv3d_array(f32(np.ones((1, 3, 3, 3))), f32(np.ones((1, 1, 3, 3, 3))),
+                           padding="valid")
         assert out.shape == (1, 1, 1, 1)
-        assert out.as_array().item() == 27.0
+        assert out.item() == 27.0
 
     def test_zero_weights(self):
-        x = t(rng(2).normal(size=(2, 3, 4, 4)))
-        w = t(np.zeros((2, 2, 3, 3, 3)))
-        assert np.all(conv3d(x, w).as_array() == 0)
+        x = f32(rng(2).normal(size=(2, 3, 4, 4)))
+        assert np.all(conv3d_array(x, f32(np.zeros((2, 2, 3, 3, 3)))) == 0)
 
     @pytest.mark.parametrize("stride,padding", [(1, "same"), (2, "same"), (1, "valid")])
     def test_matches_scalar_loops(self, stride, padding):
@@ -118,7 +119,7 @@ class TestConv3d:
         x = g.normal(size=(2, 4, 5, 5))
         w = g.normal(size=(3, 2, 2, 3, 3))
         expected, _ = ref.conv3d_loops(x, w, stride, padding)
-        got = conv3d(t(x), t(w), stride, padding).as_array()
+        got = conv3d_array(f32(x), f32(w), stride, padding)
         np.testing.assert_allclose(got, expected, atol=1e-4)
 
 
@@ -129,31 +130,28 @@ class TestDsConv2d:
         dw = g.normal(size=(1, 3, 3))
         scale = 1.7
         pw = np.full((1, 1, 1, 1), scale)
-        got = ds_conv2d(t(x), t(dw), t(pw)).as_array()
-        expected = conv2d(t(x), t(dw[None] * scale)).as_array()
-        np.testing.assert_allclose(got, expected, atol=1e-5)
+        expected = conv2d_frame(x, dw[None] * scale)
+        np.testing.assert_allclose(ds_conv2d_frame(x, dw, pw), expected, atol=1e-5)
 
     def test_matches_explicit_composition(self):
         g = rng(4)
         x = g.normal(size=(4, 8, 8))
         dw = g.normal(size=(4, 3, 3))
         pw = g.normal(size=(6, 4, 1, 1))
-        got = ds_conv2d(t(x), t(dw), t(pw)).as_array()
         expected = ref.ds_conv2d_composition(x, dw, pw)
-        np.testing.assert_allclose(got, expected, atol=1e-5)
+        np.testing.assert_allclose(ds_conv2d_frame(x, dw, pw), expected, atol=1e-5)
 
     def test_identity_pointwise_is_depthwise_alone(self):
         g = rng(5)
         x = g.normal(size=(3, 5, 5))
         dw = g.normal(size=(3, 3, 3))
         pw = np.eye(3).reshape(3, 3, 1, 1)
-        got = ds_conv2d(t(x), t(dw), t(pw)).as_array()
         expected = ref.grouped_conv2d_loops(x, dw)
-        np.testing.assert_allclose(got, expected, atol=1e-5)
+        np.testing.assert_allclose(ds_conv2d_frame(x, dw, pw), expected, atol=1e-5)
 
     def test_stage_channel_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            ds_conv2d(t(np.ones((3, 4, 4))), t(np.ones((3, 3, 3))), t(np.ones((2, 4, 1, 1))))
+            ds_conv2d_frame(np.ones((3, 4, 4)), np.ones((3, 3, 3)), np.ones((2, 4, 1, 1)))
 
 
 class TestDsConv3d:
@@ -162,9 +160,9 @@ class TestDsConv3d:
         x = g.normal(size=(2, 3, 5, 5))
         dw = g.normal(size=(2, 1, 3, 3))
         pw = g.normal(size=(4, 2, 1, 1, 1))
-        out = ds_conv3d(t(x), t(dw), t(pw), pointwise_mode="full").as_array()
+        out = ds_conv3d_array(f32(x), f32(dw), f32(pw))
         for frame in range(3):
-            per_frame = ds_conv2d(t(x[:, frame]), t(dw[:, 0]), t(pw[:, :, 0])).as_array()
+            per_frame = ds_conv2d_frame(x[:, frame], dw[:, 0], pw[:, :, 0])
             np.testing.assert_allclose(out[:, frame], per_frame, atol=1e-5)
 
     def test_partial_mode_matches_composition(self):
@@ -172,7 +170,7 @@ class TestDsConv3d:
         x = g.normal(size=(3, 4, 6, 6))
         dw = g.normal(size=(3, 3, 3, 3))
         pw = g.normal(size=(5, 3, 3, 1, 1))
-        got = ds_conv3d(t(x), t(dw), t(pw), pointwise_mode="partial").as_array()
+        got = ds_conv3d_array(f32(x), f32(dw), f32(pw))
         expected = ref.ds_conv3d_composition(x, dw, pw)
         np.testing.assert_allclose(got, expected, atol=1e-5)
 
@@ -181,18 +179,19 @@ class TestDsConv3d:
         x = g.normal(size=(2, 4, 4, 4))
         dw = g.normal(size=(2, 3, 3, 3))
         pw = np.zeros((3, 2, 3, 1, 1))
-        assert np.all(ds_conv3d(t(x), t(dw), t(pw)).as_array() == 0)
+        assert np.all(ds_conv3d_array(f32(x), f32(dw), f32(pw)) == 0)
 
     def test_pointwise_temporal_size_must_match_mode(self):
         g = rng(10)
-        x = t(g.normal(size=(2, 4, 4, 4)))
-        dw = t(g.normal(size=(2, 3, 3, 3)))
-        pw_partial = t(g.normal(size=(3, 2, 3, 1, 1)))
-        pw_full = t(g.normal(size=(3, 2, 1, 1, 1)))
-        with pytest.raises(DimensionMismatch):
-            ds_conv3d(x, dw, pw_partial, pointwise_mode="full")
-        with pytest.raises(DimensionMismatch):
-            ds_conv3d(x, dw, pw_full, pointwise_mode="partial")
+        x = g.normal(size=(2, 4, 4, 4))
+        dw = g.normal(size=(2, 3, 3, 3))
+        pw_partial = g.normal(size=(3, 2, 3, 1, 1))
+        pw_full = g.normal(size=(3, 2, 1, 1, 1))
+        for mode, pw in (("full", pw_partial), ("partial", pw_full)):
+            spec = LayerSpec("ds_conv3d", in_channels=2, out_channels=3, kernel_size=3,
+                             temporal_size=3, pointwise_mode=mode)
+            with pytest.raises(DimensionMismatch):
+                counted_forward(spec, x, {"depthwise": dw, "pointwise": pw})
 
 
 class TestTemporalConv1d:
@@ -200,52 +199,52 @@ class TestTemporalConv1d:
         g = rng(11)
         x = g.normal(size=(3, 6))
         w = g.normal(size=(4, 3, 1))
-        got = temporal_conv1d(t(x), t(w)).as_array()
+        got = conv1d_array(f32(x), f32(w))
         np.testing.assert_allclose(got, w[:, :, 0] @ x, atol=1e-5)
 
     def test_ones_hand_summed(self):
-        out = temporal_conv1d(t(np.ones((1, 5))), t(np.ones((1, 1, 3)))).as_array()[0]
+        out = conv1d_array(f32(np.ones((1, 5))), f32(np.ones((1, 1, 3))))[0]
         np.testing.assert_allclose(out, [2.0, 3.0, 3.0, 3.0, 2.0])
 
     def test_zero_weights(self):
-        x = t(rng(12).normal(size=(2, 7)))
-        assert np.all(temporal_conv1d(x, t(np.zeros((3, 2, 3)))).as_array() == 0)
+        x = f32(rng(12).normal(size=(2, 7)))
+        assert np.all(conv1d_array(x, f32(np.zeros((3, 2, 3)))) == 0)
 
 
 class TestFullyConnected:
     def test_identity_weights(self):
         x = rng(13).normal(size=4)
-        out = fully_connected(t(x), t(np.eye(4))).as_array()
-        np.testing.assert_allclose(out, x, atol=1e-6)
+        np.testing.assert_allclose(fc_array(f32(x), f32(np.eye(4))), x, atol=1e-6)
 
     def test_hand_arithmetic(self):
-        out = fully_connected(t([1.0, 2.0]), t([[3.0, 4.0], [5.0, 6.0]])).as_array()
+        out = fc_array(f32([1.0, 2.0]), f32([[3.0, 4.0], [5.0, 6.0]]))
         np.testing.assert_allclose(out, [11.0, 17.0])
 
     def test_zero_input(self):
-        assert np.all(fully_connected(t(np.zeros(3)), t(np.ones((2, 3)))).as_array() == 0)
+        assert np.all(fc_array(f32(np.zeros(3)), f32(np.ones((2, 3)))) == 0)
 
 
 class TestElementwise:
     def test_relu(self):
-        np.testing.assert_array_equal(relu(t([-1.0, 0.0, 2.0])).as_array(), [0.0, 0.0, 2.0])
+        np.testing.assert_array_equal(relu_array(f32([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
 
     def test_softmax_constant_is_uniform(self):
-        out = softmax(t(np.full(8, 3.5))).as_array()
+        out = softmax_array(f32(np.full(8, 3.5)))
         np.testing.assert_allclose(out, np.full(8, 1 / 8), atol=1e-7)
 
     def test_softmax_normalized_nonnegative(self):
-        out = softmax(t(rng(14).normal(size=64) * 10)).as_array()
+        out = softmax_array(f32(rng(14).normal(size=64) * 10))
         assert out.min() >= 0
         assert abs(out.sum() - 1.0) < 1e-6
 
     def test_maxpool_window2_stride2(self):
-        np.testing.assert_array_equal(maxpool(t([1.0, 3.0, 2.0, 0.0]), 2, 2).as_array(),
+        np.testing.assert_array_equal(maxpool1d_array(f32([1.0, 3.0, 2.0, 0.0]), 2, 2),
                                       [3.0, 2.0])
 
     def test_maxpool_shorter_than_window_is_a_time_mismatch(self):
-        for pool in (lambda: maxpool(t([1.0, 3.0]), 3, 1),
-                     lambda: kernels.maxpool1d_array(np.ones((2, 2), dtype=np.float32), 3, 1)):
+        spec = LayerSpec("maxpool", window=3, stride=1)
+        for pool in (lambda: counted_forward(spec, [1.0, 3.0]),
+                     lambda: maxpool1d_array(np.ones((2, 2), dtype=np.float32), 3, 1)):
             with pytest.raises(DimensionMismatch) as exc:
                 pool()
             assert exc.value.axis == "time"
@@ -253,28 +252,30 @@ class TestElementwise:
 
     def test_batchnorm_identity_stats(self):
         x = rng(15).normal(size=(3, 4, 4)).astype(np.float32)
-        out = batchnorm_inference(t(x), np.zeros(3), np.ones(3), np.ones(3), np.zeros(3),
-                                  eps=0.0)
-        np.testing.assert_allclose(out.as_array(), x, atol=1e-6)
+        out = batchnorm_array(x, f32(np.zeros(3)), f32(np.ones(3)), f32(np.ones(3)),
+                              f32(np.zeros(3)), eps=0.0)
+        np.testing.assert_allclose(out, x, atol=1e-6)
 
     def test_batchnorm_shifts_and_scales(self):
         x = np.ones((2, 3), dtype=np.float32)
-        out = batchnorm_inference(t(x), np.array([1.0, 0.0]), np.array([4.0, 1.0]),
-                                  np.array([2.0, 1.0]), np.array([5.0, 0.0]), eps=0.0)
-        np.testing.assert_allclose(out.as_array()[0], np.full(3, 5.0), atol=1e-6)
-        np.testing.assert_allclose(out.as_array()[1], np.ones(3), atol=1e-6)
+        out = batchnorm_array(x, f32([1.0, 0.0]), f32([4.0, 1.0]), f32([2.0, 1.0]),
+                              f32([5.0, 0.0]), eps=0.0)
+        np.testing.assert_allclose(out[0], np.full(3, 5.0), atol=1e-6)
+        np.testing.assert_allclose(out[1], np.ones(3), atol=1e-6)
 
 
 def _linear_ops():
     g = rng(16)
-    yield "conv2d", lambda v, w=g.normal(size=(3, 2, 3, 3)): conv2d(t(v), t(w)), (2, 6, 6)
-    yield "conv3d", lambda v, w=g.normal(size=(2, 2, 3, 3, 3)): conv3d(t(v), t(w)), (2, 4, 5, 5)
+    yield "conv2d", lambda v, w=g.normal(size=(3, 2, 3, 3)): conv2d_frame(v, w), (2, 6, 6)
+    yield "conv3d", lambda v, w=g.normal(size=(2, 2, 3, 3, 3)): conv3d_array(f32(v), f32(w)), (
+        2, 4, 5, 5)
     yield "ds_conv2d", lambda v, dw=g.normal(size=(2, 3, 3)), pw=g.normal(size=(3, 2, 1, 1)): (
-        ds_conv2d(t(v), t(dw), t(pw))), (2, 6, 6)
+        ds_conv2d_frame(v, dw, pw)), (2, 6, 6)
     yield "ds_conv3d", lambda v, dw=g.normal(size=(2, 3, 3, 3)), pw=g.normal(size=(3, 2, 3, 1, 1)): (
-        ds_conv3d(t(v), t(dw), t(pw))), (2, 4, 5, 5)
-    yield "temporal_conv1d", lambda v, w=g.normal(size=(3, 2, 3)): temporal_conv1d(t(v), t(w)), (2, 7)
-    yield "fc", lambda v, w=g.normal(size=(3, 5)): fully_connected(t(v), t(w)), (5,)
+        ds_conv3d_array(f32(v), f32(dw), f32(pw))), (2, 4, 5, 5)
+    yield "temporal_conv1d", lambda v, w=g.normal(size=(3, 2, 3)): conv1d_array(f32(v), f32(w)), (
+        2, 7)
+    yield "fc", lambda v, w=g.normal(size=(3, 5)): fc_array(f32(v), f32(w)), (5,)
 
 
 @pytest.mark.parametrize("name,op,shape", list(_linear_ops()), ids=lambda v: v if isinstance(v, str) else "")
@@ -282,8 +283,8 @@ def test_linearity(name, op, shape):
     g = rng(17)
     x, y = g.normal(size=shape), g.normal(size=shape)
     a, b = 0.7, -1.3
-    lhs = op(a * x + b * y).as_array()
-    rhs = a * op(x).as_array() + b * op(y).as_array()
+    lhs = op(a * x + b * y)
+    rhs = a * op(x) + b * op(y)
     np.testing.assert_allclose(lhs, rhs, atol=1e-4)
 
 
