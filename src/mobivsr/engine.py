@@ -7,7 +7,13 @@ on the input value's shape, which validates the graph and every node's input
 shape, and ``graph.checked_weights`` on every node's weights, so a bad input
 or weight tensor fails naming its node before any kernel runs. A second loop
 runs the nodes. int8 tensors are dequantized only when their node runs, so
-at most one layer's fp32 weights sit beside the activations.
+at most one layer's fp32 weights sit beside the activations. relu and
+batchnorm nodes run in place on a value ``run_graph`` owns: one that is not
+the caller's input (an array or a ``Tensor``'s data), not a residual source
+still held for a later reader, and not kept for ``keep_outputs``. The
+runner sees such a value as an ``_Owned`` view, since ``forward_layer``'s
+signature is the same for every caller; any other caller's value is never
+written.
 ``counted_forward``, the one way to run a single layer, checks its input as
 ``run_graph`` does, then the layer's weights and the value's rank, and
 leaves channel counts to the kernels.
@@ -99,6 +105,15 @@ def _per_frame(kernel, x: np.ndarray, *args) -> np.ndarray:
     return kernel(x[None], *args)[0]
 
 
+class _Owned(np.ndarray):
+    """A view ``run_graph`` passes of a value it owns: no caller, held
+    residual source or kept output shares it, so an elementwise runner may
+    write its result into it."""
+
+
+# kinds whose runners write into an _Owned input
+_IN_PLACE = frozenset({"relu", "batchnorm"})
+
 # One runner per kind but residual_add: (spec, x, weights, ledger) -> array.
 # Each looks its kernel up in ``kernels`` when it runs, never at import.
 _RUNNERS = {
@@ -115,9 +130,9 @@ _RUNNERS = {
         x, w["weights"], s.stride, s.padding, ledger),
     "fc": lambda s, x, w, ledger: kernels.fc_array(x, w["weights"], ledger),
     "maxpool": lambda s, x, w, ledger: kernels.maxpool1d_array(x, s.window, s.stride),
-    "relu": lambda s, x, w, ledger: kernels.relu_array(x),
+    "relu": lambda s, x, w, ledger: kernels.relu_array(x, isinstance(x, _Owned)),
     "batchnorm": lambda s, x, w, ledger: kernels.batchnorm_array(
-        x, w["mean"], w["var"], w["gamma"], w["beta"], s.eps),
+        x, w["mean"], w["var"], w["gamma"], w["beta"], s.eps, isinstance(x, _Owned)),
     "softmax": lambda s, x, w, ledger: kernels.softmax_array(x),
     "spatial_avg": lambda s, x, w, ledger: x.mean(axis=(-2, -1)),
     "temporal_avg": lambda s, x, w, ledger: x.mean(axis=-1),
@@ -176,9 +191,11 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
     node's weights are checked; int8 tensors are dequantized only when their
     node runs. With ``counted`` a single ledger accumulates over all layers.
     Each node's output is freed after its last reader (the next node, or the
-    last node its residual edges feed), so memory stays flat in depth; with
-    ``keep_outputs`` every node's output array is retained and returned in
-    ``node_outputs``.
+    last node its residual edges feed), so memory stays flat in depth, and
+    relu and batchnorm nodes write into a value only ``run_graph`` holds;
+    the input is never written. With ``keep_outputs`` every node's output
+    array is retained and returned in ``node_outputs``, and no node runs in
+    place.
     """
     value = _input_array(input)
     if not isinstance(weights, dict):
@@ -195,13 +212,18 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
              for node_id, spec in graph.nodes]
     ledger = CounterLedger() if counted else None
     outputs = {}
+    owned = False  # the caller's input is never written
     for node_id, spec, src, tensors in steps:
         if spec.kind == "residual_add":
             value = value + outputs[src]
         else:
             if src is not None:
-                value = outputs[src]
+                value, owned = outputs[src], False
+            if owned and spec.kind in _IN_PLACE:
+                value = value.view(_Owned)
             value = forward_layer(spec, value, _arrays(tensors), ledger)
+        # a fresh output is owned unless it is kept or held for an edge
+        owned = not keep_outputs and node_id not in last_reader
         if not keep_outputs and last_reader.get(src) == node_id:
             del outputs[src]
         if keep_outputs or node_id in last_reader:

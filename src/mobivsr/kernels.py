@@ -3,7 +3,8 @@
 Every convolution (2-D, 3-D, 1-D temporal, and both stages of the separable
 layers) runs through one correlation core, ``_correlate``, with dense
 filters that mix channels or per-channel filters. Each separable kernel is
-its grouped stage followed by one dense core call for its pointwise stage.
+one core call: its grouped stage, given the pointwise weights, which runs
+the pointwise stage block by block on its mid (see the last item below).
 
 The core works channels last. It moves the input to (B,*S,C), allocates
 its fp32 output once and walks it in blocks along the leading axis: the
@@ -47,14 +48,31 @@ output, so counting stays weight stationary at any block size.
   input is one GEMM over the input itself. The GEMM sums in BLAS order, so
   dense outputs match a plain offset sum only to within fp32 rounding (the
   tolerance of tests/_reference.py).
+* A separable layer never holds its whole mid (the fused-layer schedule of
+  Alwani et al., MICRO 2016, on the separable form of MobileNets, Howard et
+  al., 2017). Each block's grouped sum is written into a buffer of block
+  rows plus the Tp - 1 rows of halo its Tp x 1 x 1 (or 1x1) pointwise
+  stage reads, and each output row whose Tp mid rows are there is then
+  contracted, as im2col rows, straight into its rows of the output. The
+  halo rows are moved to the front for the next block, as a phase's are,
+  not computed again, and the trailing zero padding is written once the
+  last block is in. The mid and im2col rows count against _COPY_BYTES
+  with the phase rows, so ds3d2 at alpha=1 walks one output time at a time.
+  Every mid row is the grouped stage's own and every output row a GEMM over
+  the same im2col row, so the output equals the two stages run whole bit for
+  bit, on every shape tested.
 
 ``batchnorm_array`` lays any input out channels last (which copies nothing
 for a kernel's channels-last output) and works on (rows, W*C) against
 scale and shift tiled to W*C, with the shift added in place: the same fp32
 operations as the broadcast form, so bit-identical to it, with one
-activation-sized temporary fewer. Relu and residual adds keep the channels-
-last memory order, so each layer's move to channels last is a view, and its
-phases are contiguous copies, or no copy when nothing is padded.
+activation-sized temporary fewer. With ``inplace`` it and ``relu_array``
+write their result into the input (batchnorm into its channels-last copy
+when it had to make one), for a caller that owns the input, as
+``run_graph`` does; both are out of place by default. Relu and
+residual adds keep the channels-last memory order, so each layer's move to
+channels last is a view, and its phases are contiguous copies, or no copy
+when nothing is padded.
 
 Kernels check only what their own arithmetic needs: the input's channel
 count against the weights (axis "channel"), ranks, stride and padding. The
@@ -159,8 +177,7 @@ class _Phase:
         # blocks come in order and all but the last fill the buffer, so the
         # previous block's final halo rows are this one's first: moved, not gathered
         kept = self.halo if r0 else 0
-        if kept:
-            buf[:kept] = buf[len(buf) - kept:]
+        _move_to_front(buf, len(buf) - kept, kept)
         # buffer row j holds phase index r0 + j, which only grows from block to
         # block: a row before the input was padding in every earlier block and
         # is still zero, while a row past it may hold an earlier block's input
@@ -169,6 +186,13 @@ class _Phase:
         buf[(slice(d0, d1),) + self.dst] = self.inside[r0 + d0 - self.first:r0 + d1 - self.first]
         buf[d1:n] = 0
         return slice(0, r1 - r0)
+
+
+def _move_to_front(buf, start, n):
+    """Copy rows [start, start + n) of buf to rows [0, n), one row at a time,
+    so that overlapping rows need no temporary copy."""
+    for j in range(n):
+        buf[j] = buf[start + j]
 
 
 def _grouped_sum(windows, tiles, out, product):
@@ -191,12 +215,78 @@ def _grouped_sum(windows, tiles, out, product):
             block += term
 
 
-def _correlate(x, w, strides, padding, ledger, grouped, context):
+def _dense_block(windows, cols, wt, out):
+    """Contract a block's windows with the (Ci*K, Co) weights wt straight into
+    the block's rows of out: several windows are first stacked channel-major
+    into the im2col buffer cols, one is used as is."""
+    if cols is not None:
+        part = cols[:len(out)]
+        for k, window in enumerate(windows):
+            part[..., k] = window
+        windows = [part]
+    np.matmul(windows[0].reshape(-1, len(wt)), wt, out=out.reshape(-1, wt.shape[1]))
+
+
+class _Pointwise:
+    """The dense stage of a separable layer, (Co,C,Tp,1,1) or (Co,C,1,1): Tp
+    taps along the blocked axis (1 for a 1x1 stage) at stride 1 with same
+    padding, fed the grouped stage's mid one block of rows at a time.
+
+    The mid lives in a buffer of rows + Tp - 1 rows, padded mid rows
+    ``base``, ``base`` + 1, ...: the grouped stage sums each block straight into
+    ``block``'s rows of it, and ``emit`` then contracts every output row whose
+    Tp rows it holds into the output, as im2col rows. The Tp - 1 rows that the
+    next output row reads as well are then moved to the front, as
+    ``_Phase.load`` moves its halo, so no mid row is computed twice.
+    """
+
+    def __init__(self, w, tp, rows, outs, dtype):
+        co, c = w.shape[:2]
+        self.tp, self.lead = tp, (tp - 1) // 2  # same padding's leading zero rows
+        self.rows, self.extent, self.base = rows, outs[0], 0
+        self.wt = w.reshape(co, -1).T
+        self.mid = np.zeros((rows + tp - 1, *outs[1:], c), dtype=dtype)
+        self.cols = np.empty((rows, *outs[1:], c, tp), dtype=dtype) if tp > 1 else None
+        self.out = np.empty((*outs, co), dtype=np.float32)
+
+    def block(self, m0, m1):
+        """The rows of the buffer that mid rows [m0, m1) go to."""
+        return self.mid[m0 + self.lead - self.base:m1 + self.lead - self.base]
+
+    def emit(self, m1):
+        """Contract every output row whose Tp mid rows come before mid row m1,
+        and every row left once m1 is the mid's end."""
+        halo, last = self.tp - 1, m1 == self.extent
+        if last and halo:
+            self.mid[m1 + self.lead - self.base:] = 0  # the trailing zero padding
+        stop = self.extent if last else m1 + self.lead - halo
+        while self.base < stop:
+            n = min(stop - self.base, self.rows)
+            windows = [self.mid[k:k + n] for k in range(self.tp)]
+            _dense_block(windows, self.cols, self.wt, self.out[self.base:self.base + n])
+            _move_to_front(self.mid, n, halo)
+            if last and halo:  # rows past the mid's end are padding
+                self.mid[halo:] = 0
+            self.base += n
+
+
+def _tally(ledger, n, params):
+    """n multiply-adds, each reading one activation, and the weights once."""
+    ledger.multiplies += n
+    ledger.adds += n
+    ledger.param_reads += params
+    ledger.activation_reads += n
+
+
+def _correlate(x, w, strides, padding, ledger, grouped, context, pointwise=None):
     """Correlate a (B,C,*S) batch over its trailing len(strides) axes.
 
     Dense weights (Co,Ci,*K) mix channels and give (B,Co,*So); grouped
-    weights (C,*K) hold one filter per channel and give (B,C,*So). Either
-    result is a view of a channels-last buffer.
+    weights (C,*K) hold one filter per channel and give (B,C,*So). Grouped
+    weights may carry ``pointwise`` weights (Co,C,Tp,1,1) or (Co,C,1,1) for a
+    separable layer's dense stage, which then runs block by block on the
+    grouped stage's mid and gives (B,Co,*So). Either result is a view of a
+    channels-last buffer.
     """
     for stride in strides:
         _check_stride(stride)
@@ -214,6 +304,15 @@ def _correlate(x, w, strides, padding, ledger, grouped, context):
     if n > 1 and kernel[-2] != kernel[-1]:
         kh, kw = kernel[-2:]
         raise DimensionMismatch("kernel", f"square, {kh}x{kh}", f"{kh}x{kw}", f"{context} weights")
+    if pointwise is not None:
+        if pointwise.ndim != n + 2:
+            raise DimensionMismatch("rank", n + 2, pointwise.ndim, "pointwise weights")
+        if pointwise.shape[1] != c:
+            raise DimensionMismatch("channel", pointwise.shape[1], c,
+                                    "pointwise weights vs the grouped stage")
+        if pointwise.shape[-2:] != (1, 1):
+            kh, kw = pointwise.shape[-2:]
+            raise DimensionMismatch("kernel", "1x1", f"{kh}x{kw}", "pointwise weights")
     outs = [out_extent(m, k, s, padding, axis)
             for m, k, s, axis in zip(size, kernel, strides, _AXES[n])]
     # the leading zero padding that gives those extents: half the total, rounded down
@@ -225,7 +324,6 @@ def _correlate(x, w, strides, padding, ledger, grouped, context):
     else:  # a batch of one is blocked along its first correlated axis
         xl = xl[0]
     co = c if grouped else len(w)
-    out = np.empty((*outs, co), dtype=np.float32)
     # each offset reads a stride-1 window of one phase: (phase, its index there)
     phases, reads = {}, []
     for offset in np.ndindex(*kernel):
@@ -234,12 +332,17 @@ def _correlate(x, w, strides, padding, ledger, grouped, context):
             phases[phase] = _Phase(xl, phase, outs, kernel, strides, leads)
         reads.append((phase, (slice(offset[0] // strides[0], None),) + tuple(
             slice(o // s, o // s + m) for o, s, m in zip(offset[1:], strides[1:], outs[1:]))))
-    # the scratch one output row of axis 0 takes: copied phase rows, and for a
-    # dense filter of several offsets its im2col rows
+    # the scratch one output row of axis 0 takes: copied phase rows, then in
+    # (*So[1:], C) rows: for a dense filter of several offsets its im2col rows,
+    # for a separable layer its mid row and, past a 1x1 stage, Tp im2col rows
     columns = not grouped and taps > 1
+    tp = 0 if pointwise is None else (pointwise.shape[2] if n == 3 else 1)
+    copies = taps if columns else 0
+    if tp:
+        copies += 1 + (tp if tp > 1 else 0)
     row_bytes = sum(p.row_bytes for p in phases.values())
-    row_bytes += columns * math.prod(outs[1:]) * c * taps * xl.itemsize
-    rows = min(max(_COPY_BYTES // row_bytes, 1) if row_bytes else len(out), len(out))
+    row_bytes += copies * math.prod(outs[1:]) * c * xl.itemsize
+    rows = min(max(_COPY_BYTES // row_bytes, 1) if row_bytes else outs[0], outs[0])
     for phase in phases.values():
         phase.reserve(rows)
     # each offset's window, from its phase's first row on; a block slices it
@@ -248,33 +351,32 @@ def _correlate(x, w, strides, padding, ledger, grouped, context):
         # each tap tiled to (Wo,C), in np.ndindex order
         tiles = np.broadcast_to(np.moveaxis(w, 0, -1).reshape(-1, 1, c),
                                 (taps, outs[-1], c)).copy()
-        product = np.empty((min(rows, max(_BLOCK_BYTES // out[0].nbytes, 1)), *out.shape[1:]),
+        row = math.prod(outs[1:]) * c * 4  # one fp32 row of the grouped output
+        product = np.empty((min(rows, max(_BLOCK_BYTES // row, 1)), *outs[1:], c),
                            dtype=np.result_type(xl, tiles))
     else:
         # the (Ci*K, Co) transpose of the weights' own (Co, Ci*K) rows, a view
         # with no copy, against windows stacked channel-major
         wt = w.reshape(co, -1).T
         cols = np.empty((rows, *outs[1:], c, taps), dtype=xl.dtype) if columns else None
-    for r0 in range(0, len(out), rows):
-        r1 = min(r0 + rows, len(out))
+    stage = None if pointwise is None else _Pointwise(pointwise, tp, rows, outs, xl.dtype)
+    out = np.empty((*outs, co), dtype=np.float32) if stage is None else stage.out
+    for r0 in range(0, outs[0], rows):
+        r1 = min(r0 + rows, outs[0])
         spans = {key: phase.load(r0, r1) for key, phase in phases.items()}
         block = [window[spans[key]] for key, window in windows]
-        if grouped:
+        if not grouped:
+            # a 1x1 stage's one window is its whole phase block, used as is
+            _dense_block(block, cols, wt, out[r0:r1])
+        elif stage is None:
             _grouped_sum(block, tiles, out[r0:r1], product)
-            continue
-        if columns:
-            part = cols[:r1 - r0]
-            for k, window in enumerate(block):
-                part[..., k] = window
-            block = [part]
-        # a 1x1 stage's one window is its whole phase block, used as is
-        np.matmul(block[0].reshape(-1, c * taps), wt, out=out[r0:r1].reshape(-1, co))
+        else:
+            _grouped_sum(block, tiles, stage.block(r0, r1), product)
+            stage.emit(r1)
     if ledger is not None:
-        n = (out.size if grouped else out.size * c) * taps
-        ledger.multiplies += n
-        ledger.adds += n
-        ledger.param_reads += w.size
-        ledger.activation_reads += n  # one activation per multiply
+        _tally(ledger, math.prod(outs) * (c if grouped else co * c) * taps, w.size)
+        if stage is not None:
+            _tally(ledger, out.size * c * tp, pointwise.size)
     return np.moveaxis(out if b > 1 else out[None], -1, 1)
 
 
@@ -283,9 +385,13 @@ def conv2d_array(x, w, stride=1, padding="same", ledger=None):
     return _correlate(x, w, (stride, stride), padding, ledger, False, "conv2d")
 
 
-def depthwise2d_array(x, w, stride=1, padding="same", ledger=None):
-    """Grouped 2-D stage, groups == channels: (B,C,H,W) x (C,K,K) -> (B,C,Ho,Wo)."""
-    return _correlate(x, w, (stride, stride), padding, ledger, True, "depthwise")
+def depthwise2d_array(x, w, stride=1, padding="same", ledger=None, pointwise=None):
+    """Grouped 2-D stage, groups == channels: (B,C,H,W) x (C,K,K) -> (B,C,Ho,Wo).
+
+    With ``pointwise`` weights (Co,C,1,1) their 1x1 stage follows each block
+    of the grouped one, and the result is (B,Co,Ho,Wo): ds_conv2d_array.
+    """
+    return _correlate(x, w, (stride, stride), padding, ledger, True, "depthwise", pointwise)
 
 
 def conv3d_array(x, w, stride=1, padding="same", ledger=None):
@@ -293,9 +399,15 @@ def conv3d_array(x, w, stride=1, padding="same", ledger=None):
     return _correlate(x[None], w, (1, stride, stride), padding, ledger, False, "conv3d")[0]
 
 
-def depthwise3d_array(x, w, stride=1, padding="same", ledger=None):
-    """Grouped 3-D stage, temporal stride 1: (C,L,H,W) x (C,T,K,K) -> (C,Lo,Ho,Wo)."""
-    return _correlate(x[None], w, (1, stride, stride), padding, ledger, True, "depthwise")[0]
+def depthwise3d_array(x, w, stride=1, padding="same", ledger=None, pointwise=None):
+    """Grouped 3-D stage, temporal stride 1: (C,L,H,W) x (C,T,K,K) -> (C,Lo,Ho,Wo).
+
+    With ``pointwise`` weights (Co,C,Tp,1,1) their Tp x 1 x 1 stage follows
+    each block of output times, and the result is (Co,Lo,Ho,Wo):
+    ds_conv3d_array.
+    """
+    return _correlate(x[None], w, (1, stride, stride), padding, ledger, True, "depthwise",
+                      pointwise)[0]
 
 
 def conv1d_array(x, w, stride=1, padding="same", ledger=None):
@@ -305,22 +417,22 @@ def conv1d_array(x, w, stride=1, padding="same", ledger=None):
 
 def ds_conv2d_array(x, dw, pw, stride=1, padding="same", ledger=None):
     """Depthwise-separable 2-D conv on a batch: the grouped stage, then a dense
-    1x1 pointwise stage; only the final output is written.
+    1x1 pointwise stage, fused one block at a time; only the final output is
+    written.
 
     Returns a (B,Co,Ho,Wo) view of a channels-last buffer.
     """
-    mid = depthwise2d_array(x, dw, stride, padding, ledger)
-    return conv2d_array(mid, pw, 1, "same", ledger)
+    return depthwise2d_array(x, dw, stride, padding, ledger, pw)
 
 
 def ds_conv3d_array(x, dw, pw, stride=1, padding="same", ledger=None):
     """Depthwise-separable 3-D conv: the grouped stage, then a dense Tp x 1 x 1
-    pointwise stage at stride 1 with same padding, so the frame count is kept.
+    pointwise stage at stride 1 with same padding, so the frame count is kept,
+    fused one block of output times at a time.
 
     Tp is read off the pointwise weights (Co,Ci,Tp,1,1); the layer spec fixes it.
     """
-    mid = depthwise3d_array(x, dw, stride, padding, ledger)
-    return conv3d_array(mid, pw, 1, "same", ledger)
+    return depthwise3d_array(x, dw, stride, padding, ledger, pw)
 
 
 def fc_array(x, w, ledger=None):
@@ -347,12 +459,14 @@ def maxpool1d_array(x, window, stride):
     return out
 
 
-def relu_array(x):
-    return np.maximum(x, 0)
+def relu_array(x, inplace=False):
+    """max(x, 0); with ``inplace`` written into x and returned."""
+    return np.maximum(x, 0, out=x if inplace else None)
 
 
-def batchnorm_array(x, mean, var, gamma, beta, eps=1e-5):
-    """Inference-time normalization over the leading channel axis."""
+def batchnorm_array(x, mean, var, gamma, beta, eps=1e-5, inplace=False):
+    """Inference-time normalization over the leading channel axis; with
+    ``inplace`` written into x when x is channels last in memory."""
     if x.shape[0] != mean.shape[0]:
         raise DimensionMismatch("channel", mean.shape[0], x.shape[0],
                                 "batchnorm input vs statistics")
@@ -362,7 +476,8 @@ def batchnorm_array(x, mean, var, gamma, beta, eps=1e-5):
     # spans a whole (W*C) row, not the C channels. A rank-1 input is one row.
     last = np.ascontiguousarray(np.moveaxis(x, 0, -1))
     width = x.shape[-1] if x.ndim > 1 else 1
-    out = last.reshape(-1, width * len(scale)) * np.tile(scale, width)
+    rows = last.reshape(-1, width * len(scale))
+    out = np.multiply(rows, np.tile(scale, width), out=rows if inplace else None)
     out += np.tile(shift, width)
     return np.moveaxis(out.reshape(last.shape), -1, 0)
 

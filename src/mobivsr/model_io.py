@@ -308,7 +308,10 @@ class Clip:
     frames: np.ndarray
 
     def __post_init__(self):
-        frames = np.asarray(self.frames)
+        try:
+            frames = np.asarray(self.frames)
+        except ValueError as exc:  # a ragged nest of sequences
+            raise ValidationError(f"clip is not an array: {exc}") from None
         if frames.dtype.kind not in "biuf":
             raise ValidationError(f"clip must hold real numbers, got dtype {frames.dtype}")
         frames = frames.astype(np.float32, copy=False)
@@ -438,4 +441,7 @@ def read_clip(path) -> Clip:
         frames = np.load(path, allow_pickle=False)
     except (ValueError, EOFError) as exc:  # pickled, object, cut short or not a .npy
         raise ValidationError(f"{path}: not a clip .npy file: {exc}") from None
+    if isinstance(frames, np.lib.npyio.NpzFile):
+        frames.close()
+        raise ValidationError(f"{path}: an .npz archive, not a clip .npy file")
     return Clip(frames=frames)

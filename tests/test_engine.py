@@ -25,7 +25,7 @@ from mobivsr import (
     run_graph,
     shape_infer,
 )
-from mobivsr import kernels
+from mobivsr import engine, kernels
 from mobivsr.graph import LAYER_KINDS
 
 
@@ -133,13 +133,14 @@ def test_every_node_is_checked_before_any_kernel():
     graph = small_graph()
     bundle = init_weights(graph, seed=0)
     bundle["fc"]["weights"] = Tensor.from_array(np.zeros((4, 5), dtype=np.float32))
-    with counting_kernels(("batchnorm_array", "ds_conv2d_array", "conv2d_array")) as calls:
+    with counting_kernels(("batchnorm_array", "ds_conv2d_array", "depthwise2d_array",
+                           "conv2d_array")) as calls:
         with pytest.raises(MobiVSRError, match="node 'fc'"):
             run_graph(graph, bundle, INPUTS["small"])
         assert calls == []
         bundle["fc"]["weights"] = BUNDLES["small"]["fc"]["weights"]
         run_graph(graph, bundle, INPUTS["small"])
-    # bn, ds, the pointwise conv2d_array inside ds, and the skip
+    # bn, ds, the grouped stage inside ds (which runs its pointwise stage), and the skip
     assert len(calls) == 4
 
 
@@ -311,3 +312,104 @@ def test_an_alpha_1_pass_peaks_at_two_front_end_activations_and_2_mib():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * activation + 2 * 1024 * 1024
+
+
+# frontend.ds3d2's (32, 29, 48, 48) input and (64, 29, 24, 24) output: the
+# least any schedule holds there, since the input is read until its last block
+DS3D2_FLOOR = (32 * 29 * 48 * 48 + 64 * 29 * 24 * 24) * 4
+
+
+def _run_graph_peak(graph, bundle, x, **kwargs) -> int:
+    """The bytes run_graph allocates at its peak, beyond what was live before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_graph(graph, bundle, x, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_an_alpha_1_pass_peaks_at_the_ds3d2_floor_and_2_mib():
+    """With relu and batchnorm run in place on owned values and each separable
+    layer's mid built one block at a time, no node of the pass, its kernels'
+    scratch included, holds more than 2 MiB beyond ds3d2's input and output."""
+    peak = _run_graph_peak(GRAPHS["alpha1"], BUNDLES["alpha1"], INPUTS["alpha1"])
+    assert peak <= DS3D2_FLOOR + 2 * 1024 * 1024
+
+
+def test_an_alpha_4_int8_pass_peaks_at_the_ds3d2_floor_and_2_mib():
+    """The same bound holds for a counted α=4 pass on int8 weights, whose
+    nodes also hold their dequantized fp32 weights while they run."""
+    graph = build_mobivsr(4)
+    bundle = quantize_weights(init_weights(graph, seed=2))
+    x = np.random.default_rng(3).random(graph.input_shape, dtype=np.float32)
+    assert _run_graph_peak(graph, bundle, x, counted=True) <= DS3D2_FLOOR + 2 * 1024 * 1024
+
+
+ELEMENTWISE = ("relu", "batchnorm")
+
+
+@st.composite
+def elementwise_graphs(draw):
+    """(graph, bundle, source index, input) for a chain of relu, batchnorm and ds_conv2d
+    nodes that opens with an elementwise node and holds one node's output for
+    a later reader, a residual_add or an elementwise node that takes it as
+    its input, with an elementwise node right after that source. Batchnorm
+    statistics and the input are random, so that a write into a value shows."""
+    c, h, w = (draw(st.integers(1, 3)) for _ in range(3))
+    specs = {"relu": LayerSpec("relu"), "batchnorm": LayerSpec("batchnorm", in_channels=c),
+             "ds_conv2d": LayerSpec("ds_conv2d", in_channels=c, out_channels=c, kernel_size=3),
+             "residual_add": LayerSpec("residual_add")}
+    kinds = [draw(st.sampled_from(ELEMENTWISE))]
+    kinds += draw(st.lists(st.sampled_from(ELEMENTWISE + ("ds_conv2d",)), max_size=3))
+    src = draw(st.integers(0, len(kinds) - 1))
+    kinds.insert(src + 1, draw(st.sampled_from(ELEMENTWISE)))
+    reader = draw(st.integers(src + 2, len(kinds)))
+    kinds.insert(reader, draw(st.sampled_from(("residual_add",) + ELEMENTWISE)))
+    kinds += draw(st.lists(st.sampled_from(ELEMENTWISE), max_size=1))
+    graph = LayerGraph(nodes=[(f"n{i}", specs[kind]) for i, kind in enumerate(kinds)],
+                       residual_edges=[(f"n{src}", f"n{reader}")])
+    g = np.random.default_rng(draw(st.integers(0, 2**16)))
+    bundle = init_weights(graph, seed=1)
+    for node, kind in enumerate(kinds):
+        if kind == "batchnorm":
+            stats = {name: g.normal(size=c).astype(np.float32)
+                     for name in ("mean", "var", "gamma", "beta")}
+            stats["var"] = np.abs(stats["var"])
+            bundle[f"n{node}"] = {name: Tensor.from_array(a) for name, a in stats.items()}
+    x = g.normal(size=(c, h, w)).astype(np.float32)
+    return graph, bundle, src, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=elementwise_graphs(), as_tensor=st.booleans())
+def test_in_place_elementwise_nodes_write_only_values_run_graph_owns(case, as_tensor):
+    """run_graph leaves the caller's array or Tensor as it was and never
+    writes into a held residual source. With keep_outputs no value is owned,
+    so no node's output is written after it is made, and the plain run's
+    output equals the kept run's bit for bit."""
+    graph, bundle, src, x = case
+    value = Tensor.from_array(x.copy()) if as_tensor else x.copy()
+    forward_layer = engine.forward_layer
+
+    def run(**kwargs):
+        """The output, and (output, its copy when made) per node run, in node order."""
+        made = []
+
+        def recording(spec, v, weights, ledger=None):
+            out = forward_layer(spec, v, weights, ledger)
+            made.append((out, out.copy()))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "forward_layer", recording)
+            return run_graph(graph, bundle, value, **kwargs).output.as_array(), made
+
+    kept, kept_made = run(keep_outputs=True)
+    assert all(np.array_equal(out, copy) for out, copy in kept_made)
+    got, made = run()
+    assert np.array_equal(got, kept)
+    assert np.array_equal(value.as_array() if as_tensor else value, x)
+    held, copy = made[src]  # no node before the source is a residual_add
+    assert np.array_equal(held, copy)

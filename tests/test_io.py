@@ -410,6 +410,22 @@ def test_read_clip_refuses_a_file_that_is_not_a_clip(tmp_path, content):
         read_clip(path)
 
 
+def test_a_ragged_clip_is_a_validation_error():
+    with pytest.raises(ValidationError, match="clip is not an array"):
+        Clip(frames=[[0.5] * 96] * 95 + [[0.5] * 95])
+
+
+def test_read_clip_refuses_an_npz_archive_and_closes_it(tmp_path, monkeypatch):
+    path = tmp_path / "clip.npz"
+    np.savez(path, frames=np.full((29, 96, 96), 0.5, dtype=np.float32))
+    opened = []
+    load = np.load
+    monkeypatch.setattr(np, "load", lambda *a, **k: opened.append(load(*a, **k)) or opened[-1])
+    with pytest.raises(ValidationError, match=r"clip\.npz: an \.npz archive, not a clip \.npy"):
+        read_clip(path)
+    assert opened[0].fid is None  # closed
+
+
 def test_read_clip_of_a_missing_file_stays_an_os_error(tmp_path):
     with pytest.raises(OSError):
         read_clip(tmp_path / "missing.npy")

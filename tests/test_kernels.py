@@ -651,6 +651,89 @@ def test_one_row_blocks_leave_a_front_end_and_lipres_pass_equal():
     assert np.array_equal(counted.output.as_array(), plain.output.as_array())
 
 
+def _two_stages(x, dw, pw, stride, padding):
+    """The separable layer as its two stages, each a whole kernel call: the
+    grouped stage's mid, the output, and the ledger of both."""
+    ledger = CounterLedger()
+    if dw.ndim == 3:
+        mid = depthwise2d_array(x, dw, stride, padding, ledger)
+        return mid, conv2d_array(mid, pw, 1, "same", ledger), ledger
+    mid = depthwise3d_array(x, dw, stride, padding, ledger)
+    return mid, conv3d_array(mid, pw, 1, "same", ledger), ledger
+
+
+def _separable_cases():
+    """(name, x, dw, pw, stride, padding): ds_conv2d over a batch of 1 and 5,
+    ds_conv3d with Tp of 1, 3 and 5 over 5, 4 and 2 times (fewer than Tp),
+    at stride 1 and 2 and both paddings."""
+    g = rng(26)
+    for stride in (1, 2):
+        for padding in ("same", "valid"):
+            for b in (1, 5):
+                yield (f"2d-b{b}-s{stride}-{padding}", g.normal(size=(b, 3, 7, 8)),
+                       g.normal(size=(3, 3, 3)), g.normal(size=(4, 3, 1, 1)), stride, padding)
+            for tp in (1, 3, 5):
+                for frames in (5, 4, 2):
+                    if padding == "valid" and frames < 3:
+                        continue  # a valid temporal kernel of 3 needs 3 frames
+                    yield (f"3d-tp{tp}-l{frames}-s{stride}-{padding}",
+                           g.normal(size=(3, frames, 7, 8)), g.normal(size=(3, 3, 3, 3)),
+                           g.normal(size=(4, 3, tp, 1, 1)), stride, padding)
+
+
+SEPARABLE_CASES = [tuple(f32(a) if isinstance(a, np.ndarray) else a for a in case)
+                   for case in _separable_cases()]
+
+
+@pytest.mark.parametrize("name,x,dw,pw,stride,padding", SEPARABLE_CASES,
+                         ids=[case[0] for case in SEPARABLE_CASES])
+def test_fused_separable_walks_equal_their_two_stages(name, x, dw, pw, stride, padding):
+    """ds_conv2d_array and ds_conv3d_array sum each block's mid straight into
+    its pointwise stage. At a one-row budget and at a budget whose last block
+    is ragged, each equals its two stages run whole at the default budget bit
+    for bit, with the same ledger; with an identity pointwise stage it is the
+    grouped stage alone, bit for bit."""
+    fused = ds_conv2d_array if dw.ndim == 3 else ds_conv3d_array
+    mid, expected, counts = _two_stages(x, dw, pw, stride, padding)
+    # a pointwise stage that passes each mid channel through at its middle tap
+    identity = np.zeros((len(dw),) + pw.shape[1:], dtype=np.float32)
+    identity[(np.arange(len(dw)), np.arange(len(dw))) + tuple(
+        (k - 1) // 2 for k in pw.shape[2:])] = 1
+
+    def check(copy_bytes):
+        ledger = CounterLedger()
+        with _budgets(copy_bytes) as rows:
+            got = fused(x, dw, pw, stride, padding, ledger)
+            grouped = fused(x, dw, identity, stride, padding)
+        assert np.array_equal(got, expected)
+        assert ledger == counts
+        assert np.array_equal(grouped, mid)
+        return rows
+
+    assert set(check(1)) == {1}
+    # the blocked axis: output times, or a batch, or a single frame's output rows
+    extent = expected.shape[1] if dw.ndim == 4 else len(x) if len(x) > 1 else expected.shape[2]
+    if extent < 3:
+        return  # two rows are two blocks of one, or one block of two
+    copy_bytes = 8
+    while len(set(check(copy_bytes))) == 1:
+        assert copy_bytes < 2**20, "no budget gave a ragged last block"
+        copy_bytes += copy_bytes // 4
+
+
+def test_fused_separable_walks_check_their_pointwise_weights():
+    """The pointwise weights are checked before any block runs, as the dense
+    stage's kernel checked them: their rank, their channels against the
+    grouped stage's, and a 1x1 spatial extent."""
+    x, dw = np.ones((1, 3, 5, 5), dtype=np.float32), np.ones((3, 3, 3), dtype=np.float32)
+    for pw, axis in ((np.ones((4, 3, 1), dtype=np.float32), "rank"),
+                     (np.ones((4, 2, 1, 1), dtype=np.float32), "channel"),
+                     (np.ones((4, 3, 3, 3), dtype=np.float32), "kernel")):
+        with pytest.raises(DimensionMismatch) as exc:
+            ds_conv2d_array(x, dw, pw)
+        assert exc.value.axis == axis
+
+
 def _channels_first_batchnorm(x, mean, var, gamma, beta, eps):
     """The broadcast form over a (C,1,..,1) scale and shift."""
     span = (-1,) + (1,) * (x.ndim - 1)
@@ -735,6 +818,20 @@ def test_separable_3d_front_end_holds_its_mid_and_output_and_2_mib():
     out = len(pw) * frames * (h // 2) * (wd // 2) * x.itemsize
     peak = _traced_peak(lambda: ds_conv3d_array(x, dw, pw, 2))
     assert peak <= mid + out + 2 * 1024 * 1024
+
+
+def test_separable_3d_front_end_holds_its_output_and_2_mib_and_no_mid():
+    """ds3d2 sums its mid one block of output times at a time straight into
+    its Tp x 1 x 1 stage, so beside its output it holds at most 2 MiB, less
+    than its whole 2.14 MB mid alone."""
+    g = rng(25)
+    x = _channels_leading(g, FRONT_END_SHAPE, "channels last")
+    dw = g.normal(size=(32, 3, 3, 3)).astype(np.float32)
+    pw = g.normal(size=(64, 32, 3, 1, 1)).astype(np.float32)
+    _, frames, h, wd = FRONT_END_SHAPE
+    out = len(pw) * frames * (h // 2) * (wd // 2) * x.itemsize
+    peak = _traced_peak(lambda: ds_conv3d_array(x, dw, pw, 2))
+    assert peak <= out + 2 * 1024 * 1024
 
 
 def test_conv2d_array_rejects_an_unknown_padding():
