@@ -51,7 +51,15 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .graph import LayerGraph, LayerSpec, layer_output_shape, shape_infer, weight_shapes
+from .graph import (
+    ActivationPlan,
+    LayerGraph,
+    LayerSpec,
+    layer_output_shape,
+    plan_activations,
+    shape_infer,
+    weight_shapes,
+)
 from .model_io import (
     Clip,
     load_clip_dir,

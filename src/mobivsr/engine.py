@@ -7,13 +7,19 @@ on the input value's shape, which validates the graph and every node's input
 shape, and ``graph.checked_weights`` on every node's weights, so a bad input
 or weight tensor fails naming its node before any kernel runs. A second loop
 runs the nodes. int8 tensors are dequantized only when their node runs, so
-at most one layer's fp32 weights sit beside the activations. relu and
-batchnorm nodes run in place on a value ``run_graph`` owns: one that is not
-the caller's input (an array or a ``Tensor``'s data), not a residual source
-still held for a later reader, and not kept for ``keep_outputs``. The
-runner sees such a value as an ``_Owned`` view, since ``forward_layer``'s
-signature is the same for every caller; any other caller's value is never
-written.
+at most one layer's fp32 weights sit beside the activations.
+
+Unless ``keep_outputs`` is set, ``run_graph`` follows ``graph.plan_activations``:
+it allocates one arena per call and hands each planned node its slot, a
+flat fp32 view the node's kernel writes its output into (``out=``). A slot
+may be the bytes of the node's own input when that input dies there: relu,
+batchnorm and residual_add then run in place, and a separable layer writes
+over its input block by block. The caller's input is never written, nor is
+any value before its last reader has run. Only the values in the arena
+hold it, so it is freed after the last reader of the last of them; in
+MobiVSR that is before the backend dequantizes its large weights. The slot
+reaches the runner inside the weights dict, a ``_Slotted`` one, since
+``forward_layer``'s signature is the same for every caller.
 ``counted_forward``, the one way to run a single layer, checks its input as
 ``run_graph`` does, then the layer's weights and the value's rank, and
 leaves channel counts to the kernels.
@@ -34,7 +40,15 @@ import numpy as np
 from . import kernels
 from .costs import COSTED_KINDS
 from .errors import ValidationError
-from .graph import LAYER_KINDS, LayerGraph, LayerSpec, checked_weights, shape_infer, weight_shapes
+from .graph import (
+    LAYER_KINDS,
+    LayerGraph,
+    LayerSpec,
+    checked_weights,
+    plan_activations,
+    shape_infer,
+    weight_shapes,
+)
 from .tensor import CounterLedger, Tensor
 
 # batchnorm statistics start as the identity transform
@@ -97,56 +111,58 @@ def _arrays(tensors: dict) -> dict:
     return {name: _array(t) for name, t in tensors.items()}
 
 
-def _per_frame(kernel, x: np.ndarray, *args) -> np.ndarray:
+def _per_frame(kernel, x: np.ndarray, *args, out=None) -> np.ndarray:
     """Run a batched 2-D kernel on a (C,H,W) frame, or on the L frames of a
     (C,L,H,W) value folded into the batch axis and unfolded after."""
     if x.ndim == 4:
-        return kernel(x.swapaxes(0, 1), *args).swapaxes(0, 1)
-    return kernel(x[None], *args)[0]
+        return kernel(x.swapaxes(0, 1), *args, out=out).swapaxes(0, 1)
+    return kernel(x[None], *args, out=out)[0]
 
 
-class _Owned(np.ndarray):
-    """A view ``run_graph`` passes of a value it owns: no caller, held
-    residual source or kept output shares it, so an elementwise runner may
-    write its result into it."""
+class _Slotted(dict):
+    """A node's {name: array} weights, carrying the arena slot ``run_graph``
+    planned for its output."""
+
+    def __init__(self, arrays: dict, slot: np.ndarray):
+        super().__init__(arrays)
+        self.slot = slot
 
 
-# kinds whose runners write into an _Owned input
-_IN_PLACE = frozenset({"relu", "batchnorm"})
-
-# One runner per kind but residual_add: (spec, x, weights, ledger) -> array.
-# Each looks its kernel up in ``kernels`` when it runs, never at import.
+# One runner per kind but residual_add: (spec, x, weights, ledger, out) -> array,
+# where out is the node's slot or None. Each looks its kernel up in ``kernels``
+# when it runs, never at import, and passes the slot by keyword.
 _RUNNERS = {
-    "conv2d": lambda s, x, w, ledger: _per_frame(
-        kernels.conv2d_array, x, w["weights"], s.stride, s.padding, ledger),
-    "ds_conv2d": lambda s, x, w, ledger: _per_frame(
+    "conv2d": lambda s, x, w, ledger, out: _per_frame(
+        kernels.conv2d_array, x, w["weights"], s.stride, s.padding, ledger, out=out),
+    "ds_conv2d": lambda s, x, w, ledger, out: _per_frame(
         kernels.ds_conv2d_array, x, w["depthwise"], w["pointwise"], s.stride, s.padding,
-        ledger),
-    "conv3d": lambda s, x, w, ledger: kernels.conv3d_array(
+        ledger, out=out),
+    "conv3d": lambda s, x, w, ledger, out: kernels.conv3d_array(
         x, w["weights"], s.stride, s.padding, ledger),
-    "ds_conv3d": lambda s, x, w, ledger: kernels.ds_conv3d_array(
-        x, w["depthwise"], w["pointwise"], s.stride, s.padding, ledger),
-    "temporal_conv1d": lambda s, x, w, ledger: kernels.conv1d_array(
+    "ds_conv3d": lambda s, x, w, ledger, out: kernels.ds_conv3d_array(
+        x, w["depthwise"], w["pointwise"], s.stride, s.padding, ledger, out=out),
+    "temporal_conv1d": lambda s, x, w, ledger, out: kernels.conv1d_array(
         x, w["weights"], s.stride, s.padding, ledger),
-    "fc": lambda s, x, w, ledger: kernels.fc_array(x, w["weights"], ledger),
-    "maxpool": lambda s, x, w, ledger: kernels.maxpool1d_array(x, s.window, s.stride),
-    "relu": lambda s, x, w, ledger: kernels.relu_array(x, isinstance(x, _Owned)),
-    "batchnorm": lambda s, x, w, ledger: kernels.batchnorm_array(
-        x, w["mean"], w["var"], w["gamma"], w["beta"], s.eps, isinstance(x, _Owned)),
-    "softmax": lambda s, x, w, ledger: kernels.softmax_array(x),
-    "spatial_avg": lambda s, x, w, ledger: x.mean(axis=(-2, -1)),
-    "temporal_avg": lambda s, x, w, ledger: x.mean(axis=-1),
+    "fc": lambda s, x, w, ledger, out: kernels.fc_array(x, w["weights"], ledger),
+    "maxpool": lambda s, x, w, ledger, out: kernels.maxpool1d_array(x, s.window, s.stride),
+    "relu": lambda s, x, w, ledger, out: kernels.relu_array(x, out=out),
+    "batchnorm": lambda s, x, w, ledger, out: kernels.batchnorm_array(
+        x, w["mean"], w["var"], w["gamma"], w["beta"], s.eps, out=out),
+    "softmax": lambda s, x, w, ledger, out: kernels.softmax_array(x),
+    "spatial_avg": lambda s, x, w, ledger, out: x.mean(axis=(-2, -1)),
+    "temporal_avg": lambda s, x, w, ledger, out: x.mean(axis=-1),
 }
 
 
 def forward_layer(spec: LayerSpec, x: np.ndarray, weights: dict | None,
                   ledger: CounterLedger | None = None) -> np.ndarray:
     """Run one layer on an array value the caller has checked against the spec;
-    residual_add is handled by run_graph."""
+    residual_add is handled by run_graph. The output goes to the slot a
+    ``_Slotted`` weights dict carries, else wherever the kernel puts it."""
     run = _RUNNERS.get(spec.kind)
     if run is None:
         raise ValidationError(f"cannot execute layer kind {spec.kind!r} standalone")
-    out = run(spec, x, weights, ledger)
+    out = run(spec, x, weights, ledger, getattr(weights, "slot", None))
     if ledger is not None and spec.kind in COSTED_KINDS:
         ledger.output_writes += int(out.size)
     return np.asarray(out, dtype=np.float32)
@@ -171,6 +187,14 @@ def counted_forward(layer: LayerSpec, input, weights: dict | None = None):
     return Tensor.from_array(forward_layer(layer, x, _arrays(checked), ledger)), ledger
 
 
+def _slots(plan) -> dict:
+    """{node id: flat fp32 view of its slot} in a fresh arena. Only the views
+    hold the arena, so it is freed with the last value in it."""
+    arena = np.empty(plan.arena_bytes // 4, dtype=np.float32)
+    return {node_id: arena[offset // 4:(offset + size) // 4]
+            for node_id, (offset, size) in plan.slots.items()}
+
+
 @dataclass
 class RunResult:
     output: Tensor
@@ -190,12 +214,12 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
     ValidationError for a shape that is not all positive extents), and every
     node's weights are checked; int8 tensors are dequantized only when their
     node runs. With ``counted`` a single ledger accumulates over all layers.
-    Each node's output is freed after its last reader (the next node, or the
-    last node its residual edges feed), so memory stays flat in depth, and
-    relu and batchnorm nodes write into a value only ``run_graph`` holds;
-    the input is never written. With ``keep_outputs`` every node's output
-    array is retained and returned in ``node_outputs``, and no node runs in
-    place.
+    Node outputs go where ``plan_activations`` puts them, in one arena
+    allocated for this call: a node may write over an input that dies there,
+    but never over the caller's input or a value a later node still reads.
+    The arena is freed with the last value in it, so memory stays flat in
+    depth. With ``keep_outputs`` no plan is used: every node's output array
+    is fresh, retained and returned in ``node_outputs``.
     """
     value = _input_array(input)
     if not isinstance(weights, dict):
@@ -212,18 +236,17 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
              for node_id, spec in graph.nodes]
     ledger = CounterLedger() if counted else None
     outputs = {}
-    owned = False  # the caller's input is never written
+    slots = {} if keep_outputs else _slots(plan_activations(graph, value.shape))
     for node_id, spec, src, tensors in steps:
+        slot = slots.pop(node_id, None)
         if spec.kind == "residual_add":
-            value = value + outputs[src]
+            value = kernels.add_array(value, outputs[src], out=slot)
         else:
             if src is not None:
-                value, owned = outputs[src], False
-            if owned and spec.kind in _IN_PLACE:
-                value = value.view(_Owned)
-            value = forward_layer(spec, value, _arrays(tensors), ledger)
-        # a fresh output is owned unless it is kept or held for an edge
-        owned = not keep_outputs and node_id not in last_reader
+                value = outputs[src]
+            arrays = _arrays(tensors)
+            value = forward_layer(spec, value, arrays if slot is None else _Slotted(arrays, slot),
+                                  ledger)
         if not keep_outputs and last_reader.get(src) == node_id:
             del outputs[src]
         if keep_outputs or node_id in last_reader:

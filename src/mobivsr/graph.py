@@ -13,7 +13,9 @@ construction.
 
 Every layer shape rule lives here, in ``LAYER_KINDS``. ``shape_infer``
 applies them to a whole graph; the cost model and ``engine.run_graph`` both
-run it rather than checking shapes themselves.
+run it rather than checking shapes themselves. ``plan_activations`` gives
+``run_graph`` a static memory plan from those shapes and the edges: where in
+one arena each node's output lives.
 """
 
 from __future__ import annotations
@@ -67,7 +69,11 @@ class LayerKind:
     the accepted pointwise modes, default first (empty: the field is
     ignored); ``weights(spec)`` gives {tensor name: shape} in storage and
     initialization order; ``output(spec, in_shape)`` gives the output shape
-    once rank and leading extent have been checked.
+    once rank and leading extent have been checked. ``arena`` says where
+    ``run_graph`` may put the output (see ``plan_activations``): None, where
+    the kernel allocates it; "slot", in a slot of the activation arena;
+    "in_place", in such a slot, which may lie over an input that dies at the
+    node when the output is no larger.
     """
 
     required: tuple = ()
@@ -76,6 +82,7 @@ class LayerKind:
     weights: Callable = lambda spec: {}
     output: Callable = lambda spec, in_shape: in_shape
     modes: tuple = ()
+    arena: str | None = None
 
 
 _CONV = ("in_channels", "out_channels", "kernel_size")
@@ -85,7 +92,7 @@ LAYER_KINDS = {
     "conv2d": LayerKind(
         _CONV, range(3, 5), "in_channels",
         lambda s: {"weights": (s.out_channels, s.in_channels, s.kernel_size, s.kernel_size)},
-        _conv2d_out),
+        _conv2d_out, arena="slot"),
     "conv3d": LayerKind(
         _CONV_T, range(4, 5), "in_channels",
         lambda s: {"weights": (s.out_channels, s.in_channels, s.temporal_size,
@@ -95,14 +102,14 @@ LAYER_KINDS = {
         _CONV, range(3, 5), "in_channels",
         lambda s: {"depthwise": (s.in_channels, s.kernel_size, s.kernel_size),
                    "pointwise": (s.out_channels, s.in_channels, 1, 1)},
-        _conv2d_out),
+        _conv2d_out, arena="in_place"),
     "ds_conv3d": LayerKind(
         _CONV_T, range(4, 5), "in_channels",
         lambda s: {"depthwise": (s.in_channels, s.temporal_size, s.kernel_size, s.kernel_size),
                    # partial mode mixes T frames per output, full mode one
                    "pointwise": (s.out_channels, s.in_channels,
                                  s.temporal_size if s.pointwise_mode == "partial" else 1, 1, 1)},
-        _conv3d_out, modes=("partial", "full")),
+        _conv3d_out, modes=("partial", "full"), arena="in_place"),
     "temporal_conv1d": LayerKind(
         _CONV, range(2, 3), "in_channels",
         lambda s: {"weights": (s.out_channels, s.in_channels, s.kernel_size)},
@@ -113,12 +120,13 @@ LAYER_KINDS = {
         lambda s: {"weights": (s.out_features, s.in_features)},
         lambda s, x: (s.out_features,)),
     "maxpool": LayerKind(("window",), output=_pooled),
-    "relu": LayerKind(),
+    "relu": LayerKind(arena="in_place"),
     "batchnorm": LayerKind(
         ("in_channels",), lead="in_channels",
-        weights=lambda s: {name: (s.in_channels,) for name in ("mean", "var", "gamma", "beta")}),
+        weights=lambda s: {name: (s.in_channels,) for name in ("mean", "var", "gamma", "beta")},
+        arena="in_place"),
     "softmax": LayerKind(),
-    "residual_add": LayerKind(),
+    "residual_add": LayerKind(arena="in_place"),
     "spatial_avg": LayerKind(ranks=range(3, sys.maxsize), output=lambda s, x: x[:-2]),
     "temporal_avg": LayerKind(ranks=range(2, 3), output=lambda s, x: x[:1]),
 }
@@ -326,3 +334,63 @@ def shape_infer(graph: LayerGraph, input_shape):
 
 def volume(shape) -> int:
     return math.prod(int(v) for v in shape)
+
+
+@dataclass(frozen=True)
+class ActivationPlan:
+    """Where ``run_graph`` writes node outputs: ``slots`` maps each planned
+    node id to the (byte offset, bytes) of its fp32 output in one arena of
+    ``arena_bytes``."""
+
+    slots: dict
+    arena_bytes: int
+
+
+def plan_activations(graph: LayerGraph, input_shape) -> ActivationPlan:
+    """A static memory plan for the node outputs of ``graph`` on an input of
+    ``input_shape``, from ``shape_infer``'s shapes and the edges alone.
+
+    A node is planned when its kind has an ``arena`` rule, its input is the
+    caller's or a planned output, and it is not the last node, whose output
+    the caller owns. Each planned output is live from its node to its last
+    reader. A node of an "in_place" kind takes its input's offset when that
+    input is a planned output that dies at the node and is no smaller than
+    the output; such a chain keeps its offset while its size shrinks. Chains
+    are placed greedy by size (Pisarchyk & Lee, arXiv:2001.03288): the
+    largest first, each at the lowest offset where none of its members
+    overlaps an output placed before it that is live at the same node.
+    """
+    _, shapes = shape_infer(graph, input_shape)
+    incoming = {dst: src for src, dst in graph.residual_edges}
+    # each node's input (None: the caller's) and the last node reading each output
+    inputs, last_read = [], {}
+    for i, (node_id, spec) in enumerate(graph.nodes):
+        src = incoming.get(node_id)
+        prev = graph.nodes[i - 1][0] if i else None
+        inputs.append(src if src is not None and spec.kind != "residual_add" else prev)
+        for read in (inputs[-1], src):
+            if read is not None:
+                last_read[read] = i
+    size = {node_id: 4 * volume(shapes[node_id][1]) for node_id, _ in graph.nodes}
+    head, chains = {}, {}  # each planned node's chain (by its first node): (first, last, bytes)
+    for i, (node_id, spec) in enumerate(graph.nodes[:-1]):
+        rule, x = LAYER_KINDS[spec.kind].arena, inputs[i]
+        if rule is None or (x is not None and x not in head):
+            continue
+        in_place = rule == "in_place" and x is not None and last_read[x] == i \
+            and size[node_id] <= size[x]
+        head[node_id] = head[x] if in_place else node_id
+        chains.setdefault(head[node_id], []).append((i, last_read.get(node_id, i), size[node_id]))
+    live = [[] for _ in graph.nodes]  # per node: (offset, bytes) of the outputs placed live there
+    offsets = {}
+    for first in sorted(chains, key=lambda h: (-chains[h][0][2], chains[h][0][0])):
+        # a placed (offset o, b bytes) live with a member of n bytes bars (o - n, o + b)
+        barred = {(o - n, o + b) for start, stop, n in chains[first]
+                  for t in range(start, stop + 1) for o, b in live[t]}
+        offsets[first] = min(c for c in {0} | {hi for _, hi in barred}
+                             if not any(lo < c < hi for lo, hi in barred))
+        for start, stop, n in chains[first]:
+            for t in range(start, stop + 1):
+                live[t].append((offsets[first], n))
+    slots = {node_id: (offsets[first], size[node_id]) for node_id, first in head.items()}
+    return ActivationPlan(slots, max((o + b for o, b in slots.values()), default=0))

@@ -66,13 +66,26 @@ output, so counting stays weight stationary at any block size.
 for a kernel's channels-last output) and works on (rows, W*C) against
 scale and shift tiled to W*C, with the shift added in place: the same fp32
 operations as the broadcast form, so bit-identical to it, with one
-activation-sized temporary fewer. With ``inplace`` it and ``relu_array``
-write their result into the input (batchnorm into its channels-last copy
-when it had to make one), for a caller that owns the input, as
-``run_graph`` does; both are out of place by default. Relu and
-residual adds keep the channels-last memory order, so each layer's move to
+activation-sized temporary fewer. Relu and residual adds
+(``add_array``) keep the input's memory order, so each layer's move to
 channels last is a view, and its phases are contiguous copies, or no copy
 when nothing is padded.
+
+Every kernel that ``run_graph``'s activation plan gives a slot takes
+``out=``, a contiguous 1-D fp32 buffer of the output's size, and returns a
+view of it: ``conv2d_array``, the grouped and separable kernels, relu,
+batchnorm and ``add_array``. The elementwise kernels may be handed their
+input's own bytes, since every element is read before its result lands. So
+may a correlation, under a rule the core checks: every stride phase is
+copied block by block before any output row of that block is written, and
+the output rows written after each block end at or before the first input
+row a later block loads. ``run_graph``'s plan puts a separable layer over
+its input only when the output is no larger, and the core checks the rule
+all the same. Where it fails, as for a phase read in place (one that needs
+no padding or copy, such as valid padding at stride 1) or output rows that
+would outrun the reads, the core writes a fresh buffer instead, leaving
+``out`` and the input as they were. Without ``out`` every kernel allocates
+its output.
 
 Kernels check only what their own arithmetic needs: the input's channel
 count against the weights (axis "channel"), ranks, stride and padding. The
@@ -153,6 +166,8 @@ class _Phase:
             src.append(slice(start, start + (stop - first) * s, s))
         self.inside = xl[tuple(src)]
         self.first, self.stop = spans[0][:2]
+        # phase index i lies at row origin + i * step of xl's axis 0
+        self.origin, self.step = phase[0] - leads[0], strides[0]
         self.halo = spans[0][2] - outs[0]  # the rows past a block's own that it reads
         self.extents = [extent for *_, extent in spans[1:]]
         self.dst = tuple(slice(first, stop) for first, stop, _ in spans[1:])
@@ -167,6 +182,11 @@ class _Phase:
         if self.row_bytes:
             self.array = np.zeros((rows + self.halo, *self.extents, self.inside.shape[-1]),
                                   dtype=self.inside.dtype)
+
+    def unread(self, r1):
+        """The first row of xl that a block after output row r1 loads (inf: none)."""
+        i = max(r1 + self.halo, self.first)
+        return self.origin + i * self.step if i < self.stop else math.inf
 
     def load(self, r0, r1):
         """Put the phase rows output rows [r0, r1) read into ``self.array`` and
@@ -240,14 +260,14 @@ class _Pointwise:
     ``_Phase.load`` moves its halo, so no mid row is computed twice.
     """
 
-    def __init__(self, w, tp, rows, outs, dtype):
+    def __init__(self, w, tp, rows, outs, dtype, out):
         co, c = w.shape[:2]
         self.tp, self.lead = tp, (tp - 1) // 2  # same padding's leading zero rows
         self.rows, self.extent, self.base = rows, outs[0], 0
         self.wt = w.reshape(co, -1).T
         self.mid = np.zeros((rows + tp - 1, *outs[1:], c), dtype=dtype)
         self.cols = np.empty((rows, *outs[1:], c, tp), dtype=dtype) if tp > 1 else None
-        self.out = np.empty((*outs, co), dtype=np.float32)
+        self.out = out
 
     def block(self, m0, m1):
         """The rows of the buffer that mid rows [m0, m1) go to."""
@@ -278,7 +298,30 @@ def _tally(ledger, n, params):
     ledger.activation_reads += n
 
 
-def _correlate(x, w, strides, padding, ledger, grouped, context, pointwise=None):
+def _check_out(out, size):
+    if out.dtype != np.float32 or out.ndim != 1 or out.size != size \
+            or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a contiguous 1-D fp32 buffer of {size} elements, got "
+                         f"{out.dtype} {out.shape}")
+
+
+def _address(a) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def _overwrites_unread(out, xl, phases, rows, extent, row_bytes):
+    """Whether the walk, writing output rows [0, r1) of ``row_bytes`` each
+    into ``out`` after the block that ends at r1, could land on a row of xl
+    that a later block still loads. It could whenever a phase reads xl in
+    place, or xl is not one run of rows."""
+    if not xl.flags.c_contiguous or not all(p.row_bytes for p in phases):
+        return True
+    ahead, in_row = _address(out) - _address(xl), xl[0].nbytes
+    return any(ahead + r1 * row_bytes > min(p.unread(r1) for p in phases) * in_row
+               for r1 in range(rows, extent, rows))
+
+
+def _correlate(x, w, strides, padding, ledger, grouped, context, pointwise=None, out=None):
     """Correlate a (B,C,*S) batch over its trailing len(strides) axes.
 
     Dense weights (Co,Ci,*K) mix channels and give (B,Co,*So); grouped
@@ -286,7 +329,10 @@ def _correlate(x, w, strides, padding, ledger, grouped, context, pointwise=None)
     weights may carry ``pointwise`` weights (Co,C,Tp,1,1) or (Co,C,1,1) for a
     separable layer's dense stage, which then runs block by block on the
     grouped stage's mid and gives (B,Co,*So). Either result is a view of a
-    channels-last buffer.
+    channels-last buffer: ``out`` (a contiguous 1-D fp32 buffer of the
+    output's size) when given, else a fresh one. ``out`` may lie over x's own
+    bytes when every phase is copied and no output row lands on an input row
+    before its last load; otherwise a fresh buffer is used in its place.
     """
     for stride in strides:
         _check_stride(stride)
@@ -359,8 +405,14 @@ def _correlate(x, w, strides, padding, ledger, grouped, context, pointwise=None)
         # with no copy, against windows stacked channel-major
         wt = w.reshape(co, -1).T
         cols = np.empty((rows, *outs[1:], c, taps), dtype=xl.dtype) if columns else None
-    stage = None if pointwise is None else _Pointwise(pointwise, tp, rows, outs, xl.dtype)
-    out = np.empty((*outs, co), dtype=np.float32) if stage is None else stage.out
+    shape = (*outs, co if pointwise is None else len(pointwise))
+    if out is not None:
+        _check_out(out, math.prod(shape))
+        if np.may_share_memory(out, xl) and _overwrites_unread(
+                out, xl, phases.values(), rows, outs[0], math.prod(shape[1:]) * 4):
+            out = None
+    out = np.empty(shape, dtype=np.float32) if out is None else out.reshape(shape)
+    stage = None if pointwise is None else _Pointwise(pointwise, tp, rows, outs, xl.dtype, out)
     for r0 in range(0, outs[0], rows):
         r1 = min(r0 + rows, outs[0])
         spans = {key: phase.load(r0, r1) for key, phase in phases.items()}
@@ -380,18 +432,22 @@ def _correlate(x, w, strides, padding, ledger, grouped, context, pointwise=None)
     return np.moveaxis(out if b > 1 else out[None], -1, 1)
 
 
-def conv2d_array(x, w, stride=1, padding="same", ledger=None):
-    """Batched 2-D cross-correlation: (B,Ci,H,W) x (Co,Ci,K,K) -> (B,Co,Ho,Wo)."""
-    return _correlate(x, w, (stride, stride), padding, ledger, False, "conv2d")
+def conv2d_array(x, w, stride=1, padding="same", ledger=None, out=None):
+    """Batched 2-D cross-correlation: (B,Ci,H,W) x (Co,Ci,K,K) -> (B,Co,Ho,Wo),
+    written into ``out`` when given (see _correlate)."""
+    return _correlate(x, w, (stride, stride), padding, ledger, False, "conv2d", out=out)
 
 
-def depthwise2d_array(x, w, stride=1, padding="same", ledger=None, pointwise=None):
+def depthwise2d_array(x, w, stride=1, padding="same", ledger=None, pointwise=None, out=None):
     """Grouped 2-D stage, groups == channels: (B,C,H,W) x (C,K,K) -> (B,C,Ho,Wo).
 
     With ``pointwise`` weights (Co,C,1,1) their 1x1 stage follows each block
-    of the grouped one, and the result is (B,Co,Ho,Wo): ds_conv2d_array.
+    of the grouped one, and the result is (B,Co,Ho,Wo): ds_conv2d_array. The
+    result is written into ``out`` when given, which may be x's own buffer
+    (see _correlate).
     """
-    return _correlate(x, w, (stride, stride), padding, ledger, True, "depthwise", pointwise)
+    return _correlate(x, w, (stride, stride), padding, ledger, True, "depthwise", pointwise,
+                      out)
 
 
 def conv3d_array(x, w, stride=1, padding="same", ledger=None):
@@ -399,15 +455,16 @@ def conv3d_array(x, w, stride=1, padding="same", ledger=None):
     return _correlate(x[None], w, (1, stride, stride), padding, ledger, False, "conv3d")[0]
 
 
-def depthwise3d_array(x, w, stride=1, padding="same", ledger=None, pointwise=None):
+def depthwise3d_array(x, w, stride=1, padding="same", ledger=None, pointwise=None, out=None):
     """Grouped 3-D stage, temporal stride 1: (C,L,H,W) x (C,T,K,K) -> (C,Lo,Ho,Wo).
 
     With ``pointwise`` weights (Co,C,Tp,1,1) their Tp x 1 x 1 stage follows
     each block of output times, and the result is (Co,Lo,Ho,Wo):
-    ds_conv3d_array.
+    ds_conv3d_array. The result is written into ``out`` when given, which may
+    be x's own buffer (see _correlate).
     """
     return _correlate(x[None], w, (1, stride, stride), padding, ledger, True, "depthwise",
-                      pointwise)[0]
+                      pointwise, out)[0]
 
 
 def conv1d_array(x, w, stride=1, padding="same", ledger=None):
@@ -415,24 +472,25 @@ def conv1d_array(x, w, stride=1, padding="same", ledger=None):
     return _correlate(x[None], w, (stride,), padding, ledger, False, "temporal conv")[0]
 
 
-def ds_conv2d_array(x, dw, pw, stride=1, padding="same", ledger=None):
+def ds_conv2d_array(x, dw, pw, stride=1, padding="same", ledger=None, out=None):
     """Depthwise-separable 2-D conv on a batch: the grouped stage, then a dense
     1x1 pointwise stage, fused one block at a time; only the final output is
     written.
 
-    Returns a (B,Co,Ho,Wo) view of a channels-last buffer.
+    Returns a (B,Co,Ho,Wo) view of a channels-last buffer, ``out`` when given.
     """
-    return depthwise2d_array(x, dw, stride, padding, ledger, pw)
+    return depthwise2d_array(x, dw, stride, padding, ledger, pw, out=out)
 
 
-def ds_conv3d_array(x, dw, pw, stride=1, padding="same", ledger=None):
+def ds_conv3d_array(x, dw, pw, stride=1, padding="same", ledger=None, out=None):
     """Depthwise-separable 3-D conv: the grouped stage, then a dense Tp x 1 x 1
     pointwise stage at stride 1 with same padding, so the frame count is kept,
     fused one block of output times at a time.
 
     Tp is read off the pointwise weights (Co,Ci,Tp,1,1); the layer spec fixes it.
+    The result is written into ``out`` when given (see _correlate).
     """
-    return depthwise3d_array(x, dw, stride, padding, ledger, pw)
+    return depthwise3d_array(x, dw, stride, padding, ledger, pw, out=out)
 
 
 def fc_array(x, w, ledger=None):
@@ -459,14 +517,30 @@ def maxpool1d_array(x, window, stride):
     return out
 
 
-def relu_array(x, inplace=False):
-    """max(x, 0); with ``inplace`` written into x and returned."""
-    return np.maximum(x, 0, out=x if inplace else None)
+def _like(out, x):
+    """The flat fp32 buffer ``out`` as an array of x's shape whose axes lie in
+    memory in x's order, so an elementwise result keeps x's layout and, when
+    out holds x itself, lands on each element's own bytes."""
+    _check_out(out, x.size)
+    order = sorted(range(x.ndim), key=lambda axis: -x.strides[axis])  # outermost first
+    return out.reshape([x.shape[axis] for axis in order]).transpose(np.argsort(order))
 
 
-def batchnorm_array(x, mean, var, gamma, beta, eps=1e-5, inplace=False):
-    """Inference-time normalization over the leading channel axis; with
-    ``inplace`` written into x when x is channels last in memory."""
+def relu_array(x, out=None):
+    """max(x, 0), written into ``out`` (see _like) when given; out may be x's own buffer."""
+    return np.maximum(x, 0, out=None if out is None else _like(out, x))
+
+
+def add_array(x, y, out=None):
+    """x + y in x's memory order, written into ``out`` (see _like) when given;
+    out may be x's own buffer."""
+    return np.add(x, y, out=np.empty_like(x) if out is None else _like(out, x))
+
+
+def batchnorm_array(x, mean, var, gamma, beta, eps=1e-5, out=None):
+    """Inference-time normalization over the leading channel axis, written
+    channels last into ``out`` (a contiguous 1-D fp32 buffer of x's size)
+    when given; out may be x's own buffer."""
     if x.shape[0] != mean.shape[0]:
         raise DimensionMismatch("channel", mean.shape[0], x.shape[0],
                                 "batchnorm input vs statistics")
@@ -477,7 +551,10 @@ def batchnorm_array(x, mean, var, gamma, beta, eps=1e-5, inplace=False):
     last = np.ascontiguousarray(np.moveaxis(x, 0, -1))
     width = x.shape[-1] if x.ndim > 1 else 1
     rows = last.reshape(-1, width * len(scale))
-    out = np.multiply(rows, np.tile(scale, width), out=rows if inplace else None)
+    if out is not None:
+        _check_out(out, x.size)
+        out = out.reshape(rows.shape)
+    out = np.multiply(rows, np.tile(scale, width), out=out)
     out += np.tile(shift, width)
     return np.moveaxis(out.reshape(last.shape), -1, 0)
 

@@ -333,7 +333,8 @@ def preprocess_clip(raw_frames) -> Clip:
     """Center-crop, grayscale and scale raw RGB frames into a Clip.
 
     Expects (29, 256, 256, 3) 8-bit frames. The luma dot product is done in
-    integers and divided once by 255000, so pure white maps to exactly 1.0.
+    int32 on the crop's uint8 values, whose sum it holds exactly, and divided
+    once by 255000 in float64, so pure white maps to exactly 1.0.
     """
     raw = np.asarray(raw_frames)
     if raw.ndim != 4 or raw.shape != (FRAME_COUNT, FRAME_SIDE, FRAME_SIDE, 3):
@@ -341,13 +342,15 @@ def preprocess_clip(raw_frames) -> Clip:
             f"raw frames must be ({FRAME_COUNT}, {FRAME_SIDE}, {FRAME_SIDE}, 3), "
             f"got {raw.shape}"
         )
-    # other integer frames in [0, 255] need no uint8 copy: the crop widens to int64
+    # other integer frames in [0, 255] are read as uint8: a copy of the crop only
     if raw.dtype != np.uint8 and not (
             np.issubdtype(raw.dtype, np.integer) and raw.min() >= 0 and raw.max() <= 255):
         raise ValidationError(f"raw frames must be 8-bit, got dtype {raw.dtype}")
     crop = raw[:, CROP_OFFSET : CROP_OFFSET + CROP_SIDE,
-               CROP_OFFSET : CROP_OFFSET + CROP_SIDE, :].astype(np.int64)
-    luma = crop[..., 0] * 299 + crop[..., 1] * 587 + crop[..., 2] * 114
+               CROP_OFFSET : CROP_OFFSET + CROP_SIDE, :].astype(np.uint8, copy=False)
+    luma = np.multiply(crop[..., 0], 299, dtype=np.int32)
+    luma += np.multiply(crop[..., 1], 587, dtype=np.int32)
+    luma += np.multiply(crop[..., 2], 114, dtype=np.int32)
     frames = (luma / 255000.0).astype(np.float32)
     return Clip(frames=np.clip(frames, 0.0, 1.0))
 

@@ -3,6 +3,9 @@ checked before the first kernel runs, and a malformed input or bundle ends in
 a MobiVSRError naming the node."""
 
 import contextlib
+import dataclasses
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,9 +24,12 @@ from mobivsr import (
     build_mobivsr,
     counted_forward,
     init_weights,
+    layer_output_shape,
+    plan_activations,
     quantize_weights,
     run_graph,
     shape_infer,
+    weight_shapes,
 )
 from mobivsr import engine, kernels
 from mobivsr.graph import LAYER_KINDS
@@ -314,8 +320,9 @@ def test_an_alpha_1_pass_peaks_at_two_front_end_activations_and_2_mib():
     assert peak <= 2 * activation + 2 * 1024 * 1024
 
 
-# frontend.ds3d2's (32, 29, 48, 48) input and (64, 29, 24, 24) output: the
-# least any schedule holds there, since the input is read until its last block
+# frontend.ds3d2's (32, 29, 48, 48) input and (64, 29, 24, 24) output, both
+# live when the output goes to a buffer of its own; run_graph's plan now
+# writes the output over the input, so this bound is no longer tight
 DS3D2_FLOOR = (32 * 29 * 48 * 48 + 64 * 29 * 24 * 24) * 4
 
 
@@ -347,69 +354,168 @@ def test_an_alpha_4_int8_pass_peaks_at_the_ds3d2_floor_and_2_mib():
     assert _run_graph_peak(graph, bundle, x, counted=True) <= DS3D2_FLOOR + 2 * 1024 * 1024
 
 
+def test_an_alpha_1_pass_peaks_at_its_arena_and_2_mib():
+    """Every planned output lives in the one arena, so no node of the pass,
+    its kernels' scratch included, holds more than 2 MiB beyond it."""
+    graph = GRAPHS["alpha1"]
+    arena = plan_activations(graph, graph.input_shape).arena_bytes
+    assert _run_graph_peak(graph, BUNDLES["alpha1"], INPUTS["alpha1"]) <= arena + 2 * 1024 * 1024
+
+
+def test_an_alpha_4_int8_pass_peaks_at_its_arena_2_mib_and_one_nodes_weights():
+    """A counted α=4 pass on int8 weights holds the arena, 2 MiB of kernel
+    scratch and the dequantized fp32 weights of the node running, the largest
+    being the 4·P bytes of an s4 node's 512x512 pointwise stage. The arena is
+    freed before the backend, whose tconv2 dequantizes 6.49 MB of weights."""
+    graph = build_mobivsr(4)
+    bundle = quantize_weights(init_weights(graph, seed=2))
+    x = np.random.default_rng(3).random(graph.input_shape, dtype=np.float32)
+    plan = plan_activations(graph, graph.input_shape)
+    weights = max(4 * sum(math.prod(shape) for shape in weight_shapes(spec).values())
+                  for node_id, spec in graph.nodes if node_id in plan.slots)
+    peak = _run_graph_peak(graph, bundle, x, counted=True)
+    assert peak <= plan.arena_bytes + 2 * 1024 * 1024 + weights
+
+
 ELEMENTWISE = ("relu", "batchnorm")
+KINDS = ELEMENTWISE + ("ds_conv2d", "ds_conv3d", "residual_add")
+
+
+def _spec(draw, kind, in_shape):
+    """A ``kind`` layer that takes a value of ``in_shape`` (C, L, H, W)."""
+    c = in_shape[0]
+    if kind == "relu":
+        return LayerSpec("relu")
+    if kind == "batchnorm":
+        return LayerSpec("batchnorm", in_channels=c)
+    conv = {"in_channels": c, "out_channels": draw(st.integers(1, 4)),
+            "kernel_size": draw(st.sampled_from((1, 3))), "stride": draw(st.integers(1, 2)),
+            "padding": draw(st.sampled_from(("same", "valid")))}
+    if kind == "ds_conv3d":
+        conv.update(temporal_size=draw(st.integers(1, 3)),
+                    pointwise_mode=draw(st.sampled_from(("partial", "full"))))
+    spec = LayerSpec(kind, **conv)
+    try:
+        layer_output_shape(spec, in_shape)
+    except DimensionMismatch:  # too short for a valid window
+        spec = dataclasses.replace(spec, padding="same")
+    return spec
 
 
 @st.composite
 def elementwise_graphs(draw):
-    """(graph, bundle, source index, input) for a chain of relu, batchnorm and ds_conv2d
-    nodes that opens with an elementwise node and holds one node's output for
-    a later reader, a residual_add or an elementwise node that takes it as
-    its input, with an elementwise node right after that source. Batchnorm
-    statistics and the input are random, so that a write into a value shows."""
-    c, h, w = (draw(st.integers(1, 3)) for _ in range(3))
-    specs = {"relu": LayerSpec("relu"), "batchnorm": LayerSpec("batchnorm", in_channels=c),
-             "ds_conv2d": LayerSpec("ds_conv2d", in_channels=c, out_channels=c, kernel_size=3),
-             "residual_add": LayerSpec("residual_add")}
-    kinds = [draw(st.sampled_from(ELEMENTWISE))]
-    kinds += draw(st.lists(st.sampled_from(ELEMENTWISE + ("ds_conv2d",)), max_size=3))
-    src = draw(st.integers(0, len(kinds) - 1))
-    kinds.insert(src + 1, draw(st.sampled_from(ELEMENTWISE)))
-    reader = draw(st.integers(src + 2, len(kinds)))
-    kinds.insert(reader, draw(st.sampled_from(("residual_add",) + ELEMENTWISE)))
-    kinds += draw(st.lists(st.sampled_from(ELEMENTWISE), max_size=1))
-    graph = LayerGraph(nodes=[(f"n{i}", specs[kind]) for i, kind in enumerate(kinds)],
-                       residual_edges=[(f"n{src}", f"n{reader}")])
+    """(graph, bundle, input) for a chain of 2 to 7 relu, batchnorm, ds_conv2d,
+    ds_conv3d and residual_add nodes on a (C, L, H, W) input, at stride 1 and
+    2 and both paddings. A residual_add adds an earlier output of the same
+    shape; any other node after the first two may take an earlier output as
+    its input instead of the last one. Batchnorm statistics and the input are
+    random, so that a write into a value shows."""
+    shape = input_shape = tuple(draw(st.integers(1, n)) for n in (3, 4, 6, 6))
+    nodes, edges, shapes = [], [], []
+    for i in range(draw(st.integers(2, 7))):
+        kind = draw(st.sampled_from(KINDS if i else ELEMENTWISE))
+        same = [j for j in range(i - 1) if shapes[j] == shapes[-1]]
+        if kind == "residual_add" and not same:
+            kind = "relu"
+        if kind == "residual_add":
+            edges.append((f"n{draw(st.sampled_from(same))}", f"n{i}"))
+            spec = LayerSpec("residual_add")
+        else:
+            if i > 1 and draw(st.booleans()):
+                src = draw(st.integers(0, i - 2))
+                edges.append((f"n{src}", f"n{i}"))
+                shape = shapes[src]
+            spec = _spec(draw, kind, shape)
+            shape = layer_output_shape(spec, shape)
+        nodes.append((f"n{i}", spec))
+        shapes.append(shape)
+    graph = LayerGraph(nodes=nodes, residual_edges=edges)
     g = np.random.default_rng(draw(st.integers(0, 2**16)))
     bundle = init_weights(graph, seed=1)
-    for node, kind in enumerate(kinds):
-        if kind == "batchnorm":
-            stats = {name: g.normal(size=c).astype(np.float32)
+    for node_id, spec in nodes:
+        if spec.kind == "batchnorm":
+            stats = {name: g.normal(size=spec.in_channels).astype(np.float32)
                      for name in ("mean", "var", "gamma", "beta")}
             stats["var"] = np.abs(stats["var"])
-            bundle[f"n{node}"] = {name: Tensor.from_array(a) for name, a in stats.items()}
-    x = g.normal(size=(c, h, w)).astype(np.float32)
-    return graph, bundle, src, x
+            bundle[node_id] = {name: Tensor.from_array(a) for name, a in stats.items()}
+    return graph, bundle, g.normal(size=input_shape).astype(np.float32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=elementwise_graphs())
+def test_planned_slots_live_together_never_overlap(case):
+    """plan_activations places every node of these graphs but the last, whose
+    output the caller owns, in an arena no smaller than the largest of them.
+    Two outputs live at the same node lie in disjoint bytes, unless the later
+    one was written over the earlier, its input, which dies there and is no
+    smaller."""
+    graph, _, x = case
+    plan = plan_activations(graph, x.shape)
+    ids = [node_id for node_id, _ in graph.nodes]
+    assert set(plan.slots) == set(ids[:-1])
+    _, shapes = shape_infer(graph, x.shape)
+    sizes = {node_id: 4 * math.prod(shapes[node_id][1]) for node_id in ids}
+    assert plan.arena_bytes >= max((sizes[n] for n in ids[:-1]), default=0)
+    incoming = {dst: src for src, dst in graph.residual_edges}
+    # the inputs of each node, in order: its main input, then a residual_add's addend
+    reads = []
+    for i, (node_id, spec) in enumerate(graph.nodes):
+        src = incoming.get(node_id)
+        main = src if src is not None and spec.kind != "residual_add" else ids[i - 1] if i else None
+        reads.append({main, src} - {None})
+    life = {n: (i, max([i] + [j for j, r in enumerate(reads) if n in r])) for i, n in enumerate(ids)}
+    for node_id, (offset, size) in plan.slots.items():
+        assert size == sizes[node_id] and 0 <= offset <= plan.arena_bytes - size
+    for a, b in itertools.combinations(plan.slots, 2):
+        (oa, na), (ob, nb) = plan.slots[a], plan.slots[b]
+        if life[a][1] < life[b][0] or life[b][1] < life[a][0]:
+            continue
+        over = life[a][1] == life[b][0] and a in reads[life[b][0]] and ob == oa and nb <= na
+        assert over or oa + na <= ob or ob + nb <= oa, (a, b)
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=elementwise_graphs(), as_tensor=st.booleans())
 def test_in_place_elementwise_nodes_write_only_values_run_graph_owns(case, as_tensor):
-    """run_graph leaves the caller's array or Tensor as it was and never
-    writes into a held residual source. With keep_outputs no value is owned,
-    so no node's output is written after it is made, and the plain run's
-    output equals the kept run's bit for bit."""
-    graph, bundle, src, x = case
+    """run_graph follows its plan without writing a value before its last
+    reader has read it: every value a node reads is still the one its node
+    made, and the caller's array or Tensor is left as it was. With
+    keep_outputs no value is written after it is made, and the planned run's
+    output and ledger equal the kept run's bit for bit."""
+    graph, bundle, x = case
     value = Tensor.from_array(x.copy()) if as_tensor else x.copy()
-    forward_layer = engine.forward_layer
+    forward_layer, add_array = engine.forward_layer, kernels.add_array
 
     def run(**kwargs):
-        """The output, and (output, its copy when made) per node run, in node order."""
+        """The result, and (output, its copy when made) per node run, in node order."""
         made = []
 
-        def recording(spec, v, weights, ledger=None):
+        def unchanged(*values):
+            for v in values:
+                for out, copy in made:
+                    if v is out:
+                        assert np.array_equal(v, copy)
+
+        def layer(spec, v, weights, ledger=None):
+            unchanged(v)
             out = forward_layer(spec, v, weights, ledger)
             made.append((out, out.copy()))
             return out
 
+        def add(v, w, out=None):
+            unchanged(v, w)
+            out = add_array(v, w, out=out)
+            made.append((out, out.copy()))
+            return out
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "forward_layer", recording)
-            return run_graph(graph, bundle, value, **kwargs).output.as_array(), made
+            mp.setattr(engine, "forward_layer", layer)
+            mp.setattr(kernels, "add_array", add)
+            return run_graph(graph, bundle, value, counted=True, **kwargs), made
 
     kept, kept_made = run(keep_outputs=True)
     assert all(np.array_equal(out, copy) for out, copy in kept_made)
     got, made = run()
-    assert np.array_equal(got, kept)
+    assert got.output.as_array().tobytes() == kept.output.as_array().tobytes()
+    assert got.ledger == kept.ledger
     assert np.array_equal(value.as_array() if as_tensor else value, x)
-    held, copy = made[src]  # no node before the source is a residual_add
-    assert np.array_equal(held, copy)

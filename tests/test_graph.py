@@ -22,6 +22,7 @@ from mobivsr import (
     params_of,
     parse_graph,
     parse_weights,
+    plan_activations,
     quantize_weights,
     serialize_graph,
     serialize_weights,
@@ -341,3 +342,49 @@ def test_spatial_avg_on_a_rank_2_shape_names_the_accepted_ranks():
     with pytest.raises(DimensionMismatch, match="expected >= 3, got 2") as exc:
         layer_output_shape(LayerSpec("spatial_avg"), (4, 5))
     assert exc.value.axis == "rank"
+
+
+# frontend.ds3d1's (32, 29, 48, 48) fp32 output, the largest activation of
+# every MobiVSR-α
+DS3D1_BYTES = 32 * 29 * 48 * 48 * 4
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+def test_the_mobivsr_arena_is_its_largest_activation(alpha):
+    """Every node from the front end to s4's last relu gets a slot, and the
+    arena they share is no larger than ds3d1's output alone."""
+    graph = build_mobivsr(alpha)
+    plan = plan_activations(graph, graph.input_shape)
+    assert plan.arena_bytes == DS3D1_BYTES == 8_552_448
+    _, shapes = shape_infer(graph, graph.input_shape)
+    planned = [node_id for node_id, _ in graph.nodes if node_id in plan.slots]
+    assert planned == [node_id for node_id, _ in graph.nodes][:len(planned)]
+    assert planned[-1] == f"s4.b{alpha}.relu2"
+
+
+def test_ds3d2_writes_over_the_front_half_of_its_input():
+    """ds3d2's output takes the offset of relu1's, its dying input, at half the
+    size, and s1.b1.ds1, whose input relu2 is held for the block's add, takes
+    the back half."""
+    graph = build_mobivsr(1)
+    slots = plan_activations(graph, graph.input_shape).slots
+    half = DS3D1_BYTES // 2
+    assert slots["frontend.relu1"] == (0, DS3D1_BYTES)
+    assert slots["frontend.ds3d2"] == slots["frontend.relu2"] == (0, half)
+    assert slots["s1.b1.ds1"] == slots["s1.b1.add"] == (half, half)
+
+
+def test_an_output_that_grows_gets_a_slot_of_its_own():
+    """A separable layer whose output is larger than its dying input cannot
+    write over it, and the graph's last node is left to the caller. Greedy by
+    size, the larger chain is placed first."""
+    graph = LayerGraph(nodes=[
+        ("relu", LayerSpec("relu")),
+        ("ds", LayerSpec("ds_conv2d", in_channels=2, out_channels=4, kernel_size=3)),
+        ("bn", LayerSpec("batchnorm", in_channels=4)),
+        ("out", LayerSpec("relu")),
+    ])
+    plan = plan_activations(graph, (2, 5, 5))
+    small, large = 2 * 25 * 4, 4 * 25 * 4
+    assert plan.slots == {"ds": (0, large), "bn": (0, large), "relu": (large, small)}
+    assert plan.arena_bytes == small + large

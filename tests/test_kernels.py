@@ -734,6 +734,152 @@ def test_fused_separable_walks_check_their_pointwise_weights():
         assert exc.value.axis == axis
 
 
+def _in_place_cases():
+    """(name, x, dw, pw, stride, padding) with as many output channels as input
+    ones, so the output is no larger than the input: ds_conv2d over a batch of
+    1 and 5, ds_conv3d with Tp of 1, 3 and 5 over 5, 4 and 2 times, at
+    stride 1 and 2 and both paddings."""
+    g = rng(27)
+    for stride in (1, 2):
+        for padding in ("same", "valid"):
+            for b in (1, 5):
+                yield (f"2d-b{b}-s{stride}-{padding}", g.normal(size=(b, 4, 7, 8)),
+                       g.normal(size=(4, 3, 3)), g.normal(size=(4, 4, 1, 1)), stride, padding)
+            for tp in (1, 3, 5):
+                for frames in (5, 4, 2):
+                    if padding == "valid" and frames < 3:
+                        continue  # a valid temporal kernel of 3 needs 3 frames
+                    yield (f"3d-tp{tp}-l{frames}-s{stride}-{padding}",
+                           g.normal(size=(4, frames, 7, 8)), g.normal(size=(4, 3, 3, 3)),
+                           g.normal(size=(4, 4, tp, 1, 1)), stride, padding)
+
+
+IN_PLACE_CASES = [tuple(f32(a) if isinstance(a, np.ndarray) else a for a in case)
+                  for case in _in_place_cases()]
+
+
+def _channels_last(x, channel=1, size=None):
+    """(flat buffer, x's values as a view of it laid out channels last, as a
+    kernel leaves its output): every axis but ``channel`` in order, then
+    ``channel``. ``size`` elements, x's own by default."""
+    buf = np.zeros(size or x.size, dtype=np.float32)
+    order = [a for a in range(x.ndim) if a != channel] + [channel]
+    view = buf[:x.size].reshape([x.shape[a] for a in order]).transpose(np.argsort(order))
+    view[...] = x
+    return buf, view
+
+
+@pytest.mark.parametrize("name,x,dw,pw,stride,padding", IN_PLACE_CASES,
+                         ids=[case[0] for case in IN_PLACE_CASES])
+def test_separable_walks_write_over_their_own_input(name, x, dw, pw, stride, padding):
+    """Given ``out`` over the front of its own channels-last input, a separable
+    walk at a one-row budget and at one whose last block is ragged equals a
+    call into a fresh buffer bit for bit, with the same ledger. It writes
+    into out, except where a phase is read in place (valid padding at
+    stride 1, no copy): there it uses a fresh buffer and leaves x as it was."""
+    fused = ds_conv2d_array if dw.ndim == 3 else ds_conv3d_array
+    counts = CounterLedger()
+    expected = fused(x, dw, pw, stride, padding, counts)
+    read_in_place = stride == 1 and padding == "valid"
+
+    def check(copy_bytes):
+        buf, held = _channels_last(x if dw.ndim == 3 else x[None])
+        held = held if dw.ndim == 3 else held[0]
+        ledger = CounterLedger()
+        with _budgets(copy_bytes) as rows:
+            got = fused(held, dw, pw, stride, padding, ledger, out=buf[:expected.size])
+        assert np.array_equal(got, expected)
+        assert ledger == counts
+        assert np.shares_memory(got, buf) != read_in_place
+        if read_in_place:
+            assert np.array_equal(held, x)
+        return rows
+
+    assert set(check(1)) == {1}
+    extent = expected.shape[1] if dw.ndim == 4 else len(x) if len(x) > 1 else expected.shape[2]
+    if extent < 3:
+        return  # two rows are two blocks of one, or one block of two
+    copy_bytes = 8
+    while len(set(check(copy_bytes))) == 1:
+        assert copy_bytes < 2**20, "no budget gave a ragged last block"
+        copy_bytes += copy_bytes // 4
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("b", [1, 5])
+def test_a_walk_whose_output_outgrows_its_input_writes_a_fresh_buffer(b, stride):
+    """Output rows larger than the input rows they would land on would
+    overwrite rows a later block still loads, so the walk leaves ``out``
+    and its input alone and writes a fresh buffer."""
+    g = rng(28)
+    x, dw = f32(g.normal(size=(b, 2, 7, 8))), f32(g.normal(size=(2, 3, 3)))
+    pw = f32(g.normal(size=(8 * stride * stride, 2, 1, 1)))
+    expected = ds_conv2d_array(x, dw, pw, stride)
+    buf, held = _channels_last(x, size=expected.size)
+    with _budgets(1):
+        got = ds_conv2d_array(held, dw, pw, stride, out=buf)
+    assert np.array_equal(got, expected)
+    assert not np.shares_memory(got, buf)
+    assert np.array_equal(held, x)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_writes_a_1x1_skip_into_out(stride):
+    """A 1x1 conv2d writes into a separate ``out``; over its own input at
+    stride 2 its one phase is a copy, so it may write there, while at stride
+    1 the input is read in place and it writes a fresh buffer."""
+    g = rng(29)
+    x, w = f32(g.normal(size=(5, 4, 6, 6))), f32(g.normal(size=(4, 4, 1, 1)))
+    expected = conv2d_array(x, w, stride)
+    out = np.empty(expected.size, dtype=np.float32)
+    assert np.array_equal(conv2d_array(x, w, stride, out=out), expected)
+    assert np.array_equal(out, np.moveaxis(expected, 1, -1).ravel())
+    buf, held = _channels_last(x)
+    with _budgets(1):
+        got = conv2d_array(held, w, stride, out=buf[:expected.size])
+    assert np.array_equal(got, expected)
+    assert np.shares_memory(got, buf) == (stride == 2)
+
+
+@pytest.mark.parametrize("layout", ["channels last", "channels first"])
+def test_elementwise_kernels_write_into_out_in_the_inputs_layout(layout):
+    """relu, batchnorm and add give the same bytes into ``out``, over their own
+    input or into a separate buffer, as into a fresh array; relu and add keep
+    the input's memory order."""
+    g = rng(30)
+    x = f32(g.normal(size=(3, 4, 5, 6)))
+    y = f32(g.normal(size=x.shape))
+    stats = [f32(g.normal(size=3)) for _ in range(4)]
+    stats[1] = np.abs(stats[1])
+    ops = {"relu": lambda v, **k: relu_array(v, **k),
+           "batchnorm": lambda v, **k: batchnorm_array(v, *stats, **k),
+           "add": lambda v, **k: kernels.add_array(v, y, **k)}
+    for name, op in ops.items():
+        expected = op(x)
+        for over_input in (False, True):
+            buf, held = _channels_last(x, channel=0) if layout == "channels last" else (
+                np.ascontiguousarray(x).ravel(), None)
+            held = held if held is not None else buf.reshape(x.shape)
+            out = buf if over_input else np.empty(x.size, dtype=np.float32)
+            got = op(held, out=out)
+            assert np.array_equal(got, expected), (name, over_input)
+            assert np.shares_memory(got, out), (name, over_input)
+            if name != "batchnorm":
+                assert np.argsort(got.strides).tolist() == np.argsort(held.strides).tolist()
+
+
+def test_out_must_be_a_contiguous_fp32_buffer_of_the_outputs_size():
+    x = np.ones((1, 2, 4, 4), dtype=np.float32)
+    dw, pw = np.ones((2, 3, 3), dtype=np.float32), np.ones((2, 2, 1, 1), dtype=np.float32)
+    for out in (np.empty(31, dtype=np.float32), np.empty(32, dtype=np.float64),
+                np.empty(64, dtype=np.float32)[::2], np.empty((4, 8), dtype=np.float32)):
+        for call in (lambda: ds_conv2d_array(x, dw, pw, out=out),
+                     lambda: relu_array(x, out=out),
+                     lambda: batchnorm_array(x[0], *np.ones((4, 2), dtype=np.float32), out=out)):
+            with pytest.raises(ValueError, match="out must be"):
+                call()
+
+
 def _channels_first_batchnorm(x, mean, var, gamma, beta, eps):
     """The broadcast form over a (C,1,..,1) scale and shift."""
     span = (-1,) + (1,) * (x.ndim - 1)
