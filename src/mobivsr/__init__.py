@@ -55,8 +55,11 @@ from .graph import (
     ActivationPlan,
     LayerGraph,
     LayerSpec,
+    TilePlan,
     layer_output_shape,
+    node_inputs,
     plan_activations,
+    plan_tiles,
     shape_infer,
     weight_shapes,
 )

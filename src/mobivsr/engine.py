@@ -5,35 +5,48 @@ Each layer kind but ``residual_add`` has one runner in ``_RUNNERS``, which
 ``run_graph`` checks, then runs. Its check pass calls ``graph.shape_infer``
 on the input value's shape, which validates the graph and every node's input
 shape, and ``graph.checked_weights`` on every node's weights, so a bad input
-or weight tensor fails naming its node before any kernel runs. A second loop
-runs the nodes. int8 tensors are dequantized only when their node runs, so
-at most one layer's fp32 weights sit beside the activations.
+or weight tensor fails naming its node before any kernel runs. Those shapes
+and ``graph.node_inputs``'s reads then give ``graph.plan_tiles`` its
+schedule, so no plan infers shapes again.
 
-Unless ``keep_outputs`` is set, ``run_graph`` follows ``graph.plan_activations``:
-it allocates one arena per call and hands each planned node its slot, a
-flat fp32 view the node's kernel writes its output into (``out=``). A slot
-may be the bytes of the node's own input when that input dies there: relu,
-batchnorm and residual_add then run in place, and a separable layer writes
-over its input block by block. The caller's input is never written, nor is
-any value before its last reader has run. Only the values in the arena
-hold it, so it is freed after the last reader of the last of them; in
-MobiVSR that is before the backend dequantizes its large weights. The slot
-reaches the runner inside the weights dict, a ``_Slotted`` one, since
+Unless ``keep_outputs`` is set, ``run_graph`` runs the graph's leading
+region depth-first, one tile of frames per step (``_run_tiles``), then the
+rest whole. In MobiVSR the region is the front end through s2: no step holds
+more than a tile and 2 frames of ds3d1's output, where whole layers would
+hold all 29. Each node outputs into a slot, a flat fp32 view its kernel
+writes into (``out=``): a region node's in a step arena that every step
+reuses, a held node's slot there being a window of the frames it keeps and
+then its tile, the region's last node's in its whole output, and a later
+node's in an arena of its own. A slot may be the bytes of the node's own
+input when that input dies there: relu, batchnorm and residual_add then run
+in place, and a separable layer writes over its input block by block. The
+caller's input is never written, nor is any value before its last reader
+has run. Only the values in an arena hold it, so it is freed after the last
+reader of the last of them; in MobiVSR that is before the backend
+dequantizes its large weights. What a call needs beyond its weights, the
+slot, a 3-D layer's ``kernels.Frames`` walk and the counts of its earlier
+tiles, reaches the runner inside the weights dict, a ``_Slotted`` one, since
 ``forward_layer``'s signature is the same for every caller.
 ``counted_forward``, the one way to run a single layer, checks its input as
 ``run_graph`` does, then the layer's weights and the value's rank, and
 leaves channel counts to the kernels.
 
+int8 tensors are dequantized when their node runs, so at most one layer's
+fp32 weights sit beside the activations, but a region node's are dequantized
+once for all its tiles and held until the region ends. Counting stays weight
+stationary: every tile's kernel tallies the layer's weights, but a node's
+tiles before its last tally into a ledger of its own, whose counts bar the
+weight reads its last tile adds to the pass's ledger. A node's counts for
+the pass so reach that ledger in one call, equal to a whole-layer run's.
+
 The middle stack's 2-D layers run per frame: a rank-4 (C, L, H, W) value is
 folded so the time axis becomes the kernels' batch axis and unfolded after.
-Weight-stationary counting is preserved because a folded layer is still a
-single kernel invocation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,12 +58,15 @@ from .graph import (
     LayerGraph,
     LayerSpec,
     checked_weights,
-    plan_activations,
+    frames_read,
+    node_inputs,
+    plan_tiles,
     shape_infer,
     weight_shapes,
 )
 from .tensor import CounterLedger, Tensor
 
+_LEDGER_FIELDS = tuple(f.name for f in fields(CounterLedger))
 # batchnorm statistics start as the identity transform
 _IDENTITY_STATS = {"mean": 0.0, "var": 1.0, "gamma": 1.0, "beta": 0.0}
 
@@ -120,12 +136,14 @@ def _per_frame(kernel, x: np.ndarray, *args, out=None) -> np.ndarray:
 
 
 class _Slotted(dict):
-    """A node's {name: array} weights, carrying the arena slot ``run_graph``
-    planned for its output."""
+    """A node's {name: array} weights, carrying what ``run_graph`` planned for
+    this call: ``slot``, the buffer its output goes to (or None); ``frames``,
+    the ``kernels.Frames`` walk of a 3-D layer run in tiles (or None); and
+    ``carried``, the counts its earlier tiles tallied (or None)."""
 
-    def __init__(self, arrays: dict, slot: np.ndarray):
+    def __init__(self, arrays: dict, slot=None, frames=None, carried=None):
         super().__init__(arrays)
-        self.slot = slot
+        self.slot, self.frames, self.carried = slot, frames, carried
 
 
 # One runner per kind but residual_add: (spec, x, weights, ledger, out) -> array,
@@ -138,9 +156,10 @@ _RUNNERS = {
         kernels.ds_conv2d_array, x, w["depthwise"], w["pointwise"], s.stride, s.padding,
         ledger, out=out),
     "conv3d": lambda s, x, w, ledger, out: kernels.conv3d_array(
-        x, w["weights"], s.stride, s.padding, ledger),
+        x, w["weights"], s.stride, s.padding, ledger, frames=getattr(w, "frames", None)),
     "ds_conv3d": lambda s, x, w, ledger, out: kernels.ds_conv3d_array(
-        x, w["depthwise"], w["pointwise"], s.stride, s.padding, ledger, out=out),
+        x, w["depthwise"], w["pointwise"], s.stride, s.padding, ledger, out=out,
+        frames=getattr(w, "frames", None)),
     "temporal_conv1d": lambda s, x, w, ledger, out: kernels.conv1d_array(
         x, w["weights"], s.stride, s.padding, ledger),
     "fc": lambda s, x, w, ledger, out: kernels.fc_array(x, w["weights"], ledger),
@@ -158,13 +177,19 @@ def forward_layer(spec: LayerSpec, x: np.ndarray, weights: dict | None,
                   ledger: CounterLedger | None = None) -> np.ndarray:
     """Run one layer on an array value the caller has checked against the spec;
     residual_add is handled by run_graph. The output goes to the slot a
-    ``_Slotted`` weights dict carries, else wherever the kernel puts it."""
+    ``_Slotted`` weights dict carries, else wherever the kernel puts it; the
+    counts it carries are added to ``ledger`` with the layer's own."""
     run = _RUNNERS.get(spec.kind)
     if run is None:
         raise ValidationError(f"cannot execute layer kind {spec.kind!r} standalone")
     out = run(spec, x, weights, ledger, getattr(weights, "slot", None))
-    if ledger is not None and spec.kind in COSTED_KINDS:
-        ledger.output_writes += int(out.size)
+    if ledger is not None:
+        if spec.kind in COSTED_KINDS:
+            ledger.output_writes += int(out.size)
+        carried = getattr(weights, "carried", None)
+        if carried is not None:
+            for name in _LEDGER_FIELDS:
+                setattr(ledger, name, getattr(ledger, name) + getattr(carried, name))
     return np.asarray(out, dtype=np.float32)
 
 
@@ -187,11 +212,13 @@ def counted_forward(layer: LayerSpec, input, weights: dict | None = None):
     return Tensor.from_array(forward_layer(layer, x, _arrays(checked), ledger)), ledger
 
 
-def _slots(plan) -> dict:
-    """{node id: flat fp32 view of its slot} in a fresh arena. Only the views
-    hold the arena, so it is freed with the last value in it."""
+def _slots(plan, before=None) -> dict:
+    """{node id: flat fp32 view of its slot} in a fresh arena, from the
+    ``before`` bytes the plan keeps before a held node's output. Only the
+    views hold the arena, so it is freed with the last value in it."""
     arena = np.empty(plan.arena_bytes // 4, dtype=np.float32)
-    return {node_id: arena[offset // 4:(offset + size) // 4]
+    before = before or {}
+    return {node_id: arena[(offset - before.get(node_id, 0)) // 4:(offset + size) // 4]
             for node_id, (offset, size) in plan.slots.items()}
 
 
@@ -212,44 +239,155 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
     weights); ``shape_infer`` checks the graph and the input value's shape
     against every node (GraphValidationError naming the node, or
     ValidationError for a shape that is not all positive extents), and every
-    node's weights are checked; int8 tensors are dequantized only when their
-    node runs. With ``counted`` a single ledger accumulates over all layers.
-    Node outputs go where ``plan_activations`` puts them, in one arena
-    allocated for this call: a node may write over an input that dies there,
-    but never over the caller's input or a value a later node still reads.
-    The arena is freed with the last value in it, so memory stays flat in
-    depth. With ``keep_outputs`` no plan is used: every node's output array
-    is fresh, retained and returned in ``node_outputs``.
+    node's weights are checked. With ``counted`` a single ledger accumulates
+    over all layers.
+
+    The graph runs as ``plan_tiles`` schedules it: its leading region, if it
+    has one, depth-first in tiles of frames, then the rest whole. Node
+    outputs go where the plan puts them, in arenas allocated for this call: a
+    node may write over an input that dies there, but never over the caller's
+    input or a value a later node still reads. Each arena is freed with the
+    last value in it, so memory stays flat in depth. int8 tensors are
+    dequantized when their node runs, a region node's once for all its tiles.
+    With ``keep_outputs`` no plan is used: every node runs once, on its whole
+    input, and its output array is fresh, retained and returned in
+    ``node_outputs``.
     """
     value = _input_array(input)
     if not isinstance(weights, dict):
         raise ValidationError("run_graph weights must be a {node id: {name: Tensor}} dict, "
                               f"got {type(weights).__name__}")
-    shape_infer(graph, value.shape)
-    # a valid graph has at most one edge into each node
-    incoming = {dst: src for src, dst in graph.residual_edges}
-    # the last node, in graph order, that reads each edge source
-    last_reader = {incoming[n]: n for n, _ in graph.nodes if n in incoming}
-    # check every node first: (id, spec, edge source, checked weights)
-    steps = [(node_id, spec, incoming.get(node_id),
-              checked_weights(spec, weights.get(node_id), f"node {node_id!r}"))
+    _, shapes = shape_infer(graph, value.shape)
+    inputs = node_inputs(graph)
+    # check every node first: (id, spec, checked weights)
+    steps = [(node_id, spec, checked_weights(spec, weights.get(node_id), f"node {node_id!r}"))
              for node_id, spec in graph.nodes]
     ledger = CounterLedger() if counted else None
-    outputs = {}
-    slots = {} if keep_outputs else _slots(plan_activations(graph, value.shape))
-    for node_id, spec, src, tensors in steps:
+    if keep_outputs:
+        values = _run(steps, inputs, {None: value}, {}, ledger, keep=True)
+        del values[None]
+        return RunResult(Tensor.from_array(values[steps[-1][0]]), ledger, values)
+    plan = plan_tiles(graph, shapes, inputs)
+    values = {None: value}
+    if plan.region:
+        region = steps[:plan.region]
+        values = {region[-1][0]: _run_tiles(region, inputs, shapes, plan, value, ledger)}
+    values = _run(steps[plan.region:], inputs, values, _slots(plan.rest), ledger)
+    return RunResult(output=Tensor.from_array(values[steps[-1][0]]), ledger=ledger)
+
+
+def _run(steps, inputs, values, slots, ledger, keep=False) -> dict:
+    """Run ``steps`` whole, in order, on ``values`` ({id: array}, None the
+    graph's input), each node's output going to its slot in ``slots``. A value
+    is dropped after its last reader unless ``keep``; returns ``values``."""
+    last = {}  # the last of these nodes that reads each value
+    for node_id, _, _ in steps:
+        x, addend = inputs[node_id]
+        last[x] = node_id
+        if addend is not None:
+            last[addend] = node_id
+    final = steps[-1][0] if steps else None
+    for node_id, spec, tensors in steps:
+        x, addend = inputs[node_id]
         slot = slots.pop(node_id, None)
-        if spec.kind == "residual_add":
-            value = kernels.add_array(value, outputs[src], out=slot)
+        if addend is not None:
+            out = kernels.add_array(values[x], values[addend], out=slot)
         else:
-            if src is not None:
-                value = outputs[src]
             arrays = _arrays(tensors)
-            value = forward_layer(spec, value, arrays if slot is None else _Slotted(arrays, slot),
-                                  ledger)
-        if not keep_outputs and last_reader.get(src) == node_id:
-            del outputs[src]
-        if keep_outputs or node_id in last_reader:
-            outputs[node_id] = value
-    return RunResult(output=Tensor.from_array(value), ledger=ledger,
-                     node_outputs=outputs if keep_outputs else None)
+            out = forward_layer(spec, values[x], arrays if slot is None else _Slotted(arrays, slot),
+                                ledger)
+        for read in () if keep else (x, addend):
+            if last.get(read) == node_id:
+                values.pop(read, None)
+        if keep or node_id in last or node_id == final:
+            values[node_id] = out
+    return values
+
+
+def _frames(flat, shape) -> np.ndarray:
+    """A flat fp32 buffer of whole frames of a (C, L, H, W) value, frame-major
+    and channels last, as a (C, n, H, W) view: the layout a correlation,
+    batchnorm, relu or add writes a slot in on such a value."""
+    c, _, h, w = shape
+    return flat.reshape(-1, h, w, c).transpose(3, 0, 1, 2)
+
+
+def _put(flat, shape, value):
+    """Make the frames of ``flat`` hold ``value``, unless a kernel wrote it there."""
+    frames = _frames(flat, shape)
+    if value.__array_interface__ != frames.__array_interface__:
+        frames[...] = value
+
+
+def _run_tiles(steps, inputs, shapes, plan, clip, ledger) -> np.ndarray:
+    """Run the region's ``steps`` depth-first, one tile of frames per step, as
+    ``plan`` (a TilePlan) schedules them, and return the region's output.
+
+    A planned node's slot in the step arena holds the frames it computes in
+    a step, in order, and a held node's slot is a window that holds the
+    frames it keeps before them; the region's last node writes into its
+    whole output. After a held node's turn its window takes the frames
+    carried from the step before, and the frames the next step keeps are
+    carried on, so that readers that lag it or reach across frames find them
+    there. A 3-D layer reads its
+    window, halo included, through its own ``kernels.Frames`` walk. Weights
+    are dequantized once, and a node's tiles but its last tally into a ledger
+    of its own that the last one adds, with the weights' reads once, to
+    ``ledger``.
+    """
+    total, frames = clip.shape[1], plan.frames
+    first = 1 - -(-max(plan.lags.values()) // frames)  # 0 unless a lag passes a tile
+    final = steps[-1][0]
+    size = {node_id: math.prod(shapes[node_id][1]) // total for node_id, _, _ in steps}
+    slots = _slots(plan.steps, {node_id: 4 * size[node_id] * hold
+                                for node_id, hold in plan.held.items()})
+    carried = {node_id: np.empty(size[node_id] * hold, dtype=np.float32)
+               for node_id, hold in plan.held.items()}
+    whole = np.empty(size[final] * total, dtype=np.float32)
+    nodes = []  # (id, spec, frames read ahead and behind, weights, walk, own ledger)
+    for node_id, spec, tensors in steps:
+        ahead, behind = frames_read(spec)
+        nodes.append((node_id, spec, ahead, behind, _arrays(tensors),
+                      kernels.Frames(total) if ahead else None, CounterLedger()))
+
+    def read(value, f0, f1):
+        f0, f1 = max(f0, 0), min(f1, total)
+        if value is None:
+            return clip[:, f0:f1]
+        if value not in plan.held:
+            return made[value]
+        base = (k - 1) * frames + plan.lags[value] - plan.held[value]  # the window's first frame
+        return _frames(slots[value], shapes[value][1])[:, f0 - base:f1 - base]
+
+    for k in range(first, -(-total // frames) + 1):
+        made = {}
+        for node_id, spec, ahead, behind, arrays, walk, own in nodes:
+            s0 = (k - 1) * frames + plan.lags[node_id]  # the first frame of this step's tile
+            f0, f1 = max(s0, 0), min(s0 + frames, total)
+            hold = plan.held.get(node_id, 0)
+            slot = whole[f0 * size[node_id]:f1 * size[node_id]] if node_id == final else None
+            if node_id in slots:
+                slot = slots[node_id][(f0 - s0 + hold) * size[node_id]:
+                                      (f1 - s0 + hold) * size[node_id]]
+            if f0 < f1:
+                x, addend = inputs[node_id]
+                if addend is not None:
+                    out = kernels.add_array(read(x, f0, f1), read(addend, f0, f1), out=slot)
+                else:
+                    if walk is not None:
+                        walk.start, walk.stop = max(f0 - behind, 0), f1
+                    last = f1 == total
+                    if last:
+                        own.param_reads = 0  # the last tile's kernel reads the weights once
+                    out = forward_layer(spec, read(x, f0 - behind, f1 + ahead),
+                                        _Slotted(arrays, slot, walk, own if last else None),
+                                        ledger if last else own)
+                if hold or node_id == final:
+                    _put(slot, shapes[node_id][1], out)
+                else:
+                    made[node_id] = out
+            if hold:  # the window: the carried frames, then this tile's; carry the last on
+                window = slots[node_id]
+                window[:carried[node_id].size] = carried[node_id]
+                carried[node_id][...] = window[frames * size[node_id]:(frames + hold) * size[node_id]]
+    return _frames(whole, shapes[final][1])

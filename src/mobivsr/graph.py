@@ -13,9 +13,11 @@ construction.
 
 Every layer shape rule lives here, in ``LAYER_KINDS``. ``shape_infer``
 applies them to a whole graph; the cost model and ``engine.run_graph`` both
-run it rather than checking shapes themselves. ``plan_activations`` gives
-``run_graph`` a static memory plan from those shapes and the edges: where in
-one arena each node's output lives.
+run it rather than checking shapes themselves. From those shapes and the
+reads ``node_inputs`` derives from the edges, ``plan_tiles`` gives
+``run_graph`` its schedule, which leading nodes run depth-first in tiles of
+frames and with what lag, and ``plan_activations`` its static memory plans:
+where in an arena each node's output lives.
 """
 
 from __future__ import annotations
@@ -73,7 +75,13 @@ class LayerKind:
     ``run_graph`` may put the output (see ``plan_activations``): None, where
     the kernel allocates it; "slot", in a slot of the activation arena;
     "in_place", in such a slot, which may lie over an input that dies at the
-    node when the output is no larger.
+    node when the output is no larger. ``reach(spec)`` is how many frames on
+    either side of an output frame the input frames it reads lie, for a
+    rank-4 (C, L, H, W) value whose L the layer keeps: 0 for a per-frame kind.
+    ``behind(spec)`` is how many frames before its first output frame the
+    layer reads when it runs in a ``kernels.Frames`` walk, call by call (None:
+    its reach); a partial separable layer carries the mid rows it reads
+    again, so it reads none.
     """
 
     required: tuple = ()
@@ -83,6 +91,8 @@ class LayerKind:
     output: Callable = lambda spec, in_shape: in_shape
     modes: tuple = ()
     arena: str | None = None
+    reach: Callable = lambda spec: 0
+    behind: Callable | None = None
 
 
 _CONV = ("in_channels", "out_channels", "kernel_size")
@@ -97,7 +107,7 @@ LAYER_KINDS = {
         _CONV_T, range(4, 5), "in_channels",
         lambda s: {"weights": (s.out_channels, s.in_channels, s.temporal_size,
                                s.kernel_size, s.kernel_size)},
-        _conv3d_out),
+        _conv3d_out, reach=lambda s: s.temporal_size // 2),
     "ds_conv2d": LayerKind(
         _CONV, range(3, 5), "in_channels",
         lambda s: {"depthwise": (s.in_channels, s.kernel_size, s.kernel_size),
@@ -109,7 +119,10 @@ LAYER_KINDS = {
                    # partial mode mixes T frames per output, full mode one
                    "pointwise": (s.out_channels, s.in_channels,
                                  s.temporal_size if s.pointwise_mode == "partial" else 1, 1, 1)},
-        _conv3d_out, modes=("partial", "full"), arena="in_place"),
+        _conv3d_out, modes=("partial", "full"), arena="in_place",
+        # the grouped stage's T frames, then a partial pointwise stage's T more
+        reach=lambda s: s.temporal_size // 2 * (2 if s.pointwise_mode == "partial" else 1),
+        behind=lambda s: 0 if s.pointwise_mode == "partial" else s.temporal_size // 2),
     "temporal_conv1d": LayerKind(
         _CONV, range(2, 3), "in_channels",
         lambda s: {"weights": (s.out_channels, s.in_channels, s.kernel_size)},
@@ -336,6 +349,30 @@ def volume(shape) -> int:
     return math.prod(int(v) for v in shape)
 
 
+def node_inputs(graph: LayerGraph) -> dict:
+    """{node id: (input, addend)} in node order, for a graph that validates:
+    the id of the node whose output the node reads (None: the graph's input)
+    and, for a residual_add, the edge source it adds (else None)."""
+    incoming = {dst: src for src, dst in graph.residual_edges}
+    inputs, prev = {}, None
+    for node_id, spec in graph.nodes:
+        src = incoming.get(node_id)
+        inputs[node_id] = (prev, src) if spec.kind == "residual_add" else \
+            (prev if src is None else src, None)
+        prev = node_id
+    return inputs
+
+
+def _last_reads(inputs: dict) -> dict:
+    """{value: index of the last node reading it}; None is the graph's input."""
+    last = {}
+    for i, (x, addend) in enumerate(inputs.values()):
+        last[x] = i
+        if addend is not None:
+            last[addend] = i
+    return last
+
+
 @dataclass(frozen=True)
 class ActivationPlan:
     """Where ``run_graph`` writes node outputs: ``slots`` maps each planned
@@ -346,51 +383,161 @@ class ActivationPlan:
     arena_bytes: int
 
 
-def plan_activations(graph: LayerGraph, input_shape) -> ActivationPlan:
-    """A static memory plan for the node outputs of ``graph`` on an input of
-    ``input_shape``, from ``shape_infer``'s shapes and the edges alone.
+def plan_activations(graph: LayerGraph, shapes: dict, inputs: dict, place=None,
+                     before=None) -> ActivationPlan:
+    """A static memory plan for the outputs of the nodes ``place`` names (ids
+    in node order; by default every node but the last, whose output the caller
+    owns), from the shapes ``shape_infer`` gives and the reads ``node_inputs``
+    gives alone.
 
-    A node is planned when its kind has an ``arena`` rule, its input is the
-    caller's or a planned output, and it is not the last node, whose output
-    the caller owns. Each planned output is live from its node to its last
-    reader. A node of an "in_place" kind takes its input's offset when that
-    input is a planned output that dies at the node and is no smaller than
-    the output; such a chain keeps its offset while its size shrinks. Chains
-    are placed greedy by size (Pisarchyk & Lee, arXiv:2001.03288): the
+    A value of a node that ``place`` leaves out is the caller's. A node is
+    planned when its kind has an ``arena`` rule and its input is the caller's
+    or a planned output. Each planned output is live from its node to its
+    last reader. A node of an "in_place" kind takes its input's offset when
+    that input is a planned output that dies at the node and is no smaller
+    than the output; such a chain keeps its offset while its size shrinks.
+    ``before`` ({node id: bytes}) names nodes, always planned, whose slot
+    keeps that many bytes before their output: a window whose front holds
+    frames from the step before. A chain writes such a node's output behind
+    them, and a node in place over it writes from the window's front.
+    Chains are placed greedy by size (Pisarchyk & Lee, arXiv:2001.03288): the
     largest first, each at the lowest offset where none of its members
     overlaps an output placed before it that is live at the same node.
     """
-    _, shapes = shape_infer(graph, input_shape)
-    incoming = {dst: src for src, dst in graph.residual_edges}
-    # each node's input (None: the caller's) and the last node reading each output
-    inputs, last_read = [], {}
-    for i, (node_id, spec) in enumerate(graph.nodes):
-        src = incoming.get(node_id)
-        prev = graph.nodes[i - 1][0] if i else None
-        inputs.append(src if src is not None and spec.kind != "residual_add" else prev)
-        for read in (inputs[-1], src):
-            if read is not None:
-                last_read[read] = i
-    size = {node_id: 4 * volume(shapes[node_id][1]) for node_id, _ in graph.nodes}
-    head, chains = {}, {}  # each planned node's chain (by its first node): (first, last, bytes)
-    for i, (node_id, spec) in enumerate(graph.nodes[:-1]):
-        rule, x = LAYER_KINDS[spec.kind].arena, inputs[i]
-        if rule is None or (x is not None and x not in head):
+    order = {node_id: i for i, node_id in enumerate(inputs)}
+    place, before = list(inputs)[:-1] if place is None else list(place), before or {}
+    last_read, kinds, placed = _last_reads(inputs), dict(graph.nodes), set(place)
+    size = {node_id: 4 * volume(shapes[node_id][1]) for node_id in place}
+    head, chains = {}, {}  # each planned node's chain (by its first node) and its members
+    at = {}  # each planned node's (window start, output start) from its chain's offset
+    for node_id in place:
+        i, x = order[node_id], inputs[node_id][0]
+        rule = LAYER_KINDS[kinds[node_id].kind].arena
+        if node_id not in before and (rule is None or (x in placed and x not in head)):
             continue
-        in_place = rule == "in_place" and x is not None and last_read[x] == i \
+        in_place = rule == "in_place" and x in head and last_read[x] == i \
             and size[node_id] <= size[x]
+        out = at[x][0] if in_place else 0
+        at[node_id] = (out - before.get(node_id, 0), out)
         head[node_id] = head[x] if in_place else node_id
-        chains.setdefault(head[node_id], []).append((i, last_read.get(node_id, i), size[node_id]))
-    live = [[] for _ in graph.nodes]  # per node: (offset, bytes) of the outputs placed live there
+        chains.setdefault(head[node_id], []).append(node_id)
+    live = {}  # per node index: (offset, bytes) of what is placed live there
     offsets = {}
-    for first in sorted(chains, key=lambda h: (-chains[h][0][2], chains[h][0][0])):
-        # a placed (offset o, b bytes) live with a member of n bytes bars (o - n, o + b)
-        barred = {(o - n, o + b) for start, stop, n in chains[first]
-                  for t in range(start, stop + 1) for o, b in live[t]}
-        offsets[first] = min(c for c in {0} | {hi for _, hi in barred}
-                             if not any(lo < c < hi for lo, hi in barred))
-        for start, stop, n in chains[first]:
+    for first in sorted(chains, key=lambda h: (-size[h] - before.get(h, 0), order[h])):
+        # (first index, last index, start, end) of each member's bytes from the offset
+        spans = [(order[n], last_read.get(n, order[n]), at[n][0], at[n][1] + size[n])
+                 for n in chains[first]]
+        # a placed (o, b) live with a member spanning [lo, hi) bars offsets (o - hi, o + b - lo)
+        barred = {(o - hi, o + b - lo) for start, stop, lo, hi in spans
+                  for t in range(start, stop + 1) for o, b in live.get(t, ())}
+        low = -min(lo for _, _, lo, _ in spans)
+        offsets[first] = min(c for c in {low} | {b for _, b in barred if b >= low}
+                             if not any(a < c < b for a, b in barred))
+        for start, stop, lo, hi in spans:
             for t in range(start, stop + 1):
-                live[t].append((offsets[first], n))
-    slots = {node_id: (offsets[first], size[node_id]) for node_id, first in head.items()}
+                live.setdefault(t, []).append((offsets[first] + lo, hi - lo))
+    slots = {node_id: (offsets[first] + at[node_id][1], size[node_id])
+             for node_id, first in head.items()}
     return ActivationPlan(slots, max((o + b for o, b in slots.values()), default=0))
+
+
+def frames_read(spec: LayerSpec) -> tuple:
+    """(ahead, behind): how many frames past its last output frame and before
+    its first a layer reads when it runs in a ``kernels.Frames`` walk."""
+    kind = LAYER_KINDS[spec.kind]
+    ahead = kind.reach(spec)
+    return ahead, ahead if kind.behind is None else kind.behind(spec)
+
+
+# fp32 bytes a tile of a region's widest value may take, which fixes the
+# frames per tile: 8 of MobiVSR's ds3d1 output. Each step costs every region
+# node a kernel call, while the step arena grows by a frame of ds3d1 output
+# per tile frame: on the measured 2-vCPU host an alpha=1 request's median
+# latency rose about 13 % with 5-frame tiles and about 5 % with 8-frame ones
+_TILE_BYTES = 2304 * 1024
+
+
+@dataclass(frozen=True)
+class TilePlan:
+    """How ``run_graph`` schedules a graph: nodes [0, ``region``) depth-first,
+    one tile of ``frames`` frames at a time, then the rest whole.
+
+    Step k, up to ceil(L / frames), makes the region's output frames
+    [(k - 1) * frames, k * frames): a node computes its output frames
+    [(k - 1) * frames + lag, k * frames + lag) within the clip, ``lags``
+    giving each node's lag, so steps before 1 run only nodes that lead. A
+    node in ``held`` keeps that many frames of its output from one step to
+    the next, for readers that lag it or reach across frames. ``steps``
+    places every region output but the last, a tile's worth, in one arena
+    that each step reuses, a held node's in a window of its held frames and
+    then its tile; the region's last node keeps its whole output, the value
+    the rest reads. ``rest`` places the outputs past the region. Without a
+    region (``region`` 0) the whole graph runs on ``rest``.
+    """
+
+    region: int
+    frames: int
+    lags: dict
+    held: dict
+    steps: ActivationPlan
+    rest: ActivationPlan
+
+
+def plan_tiles(graph: LayerGraph, shapes: dict, inputs: dict) -> TilePlan:
+    """The schedule of ``graph`` from the shapes ``shape_infer`` gives and the
+    reads ``node_inputs`` gives alone.
+
+    The region is the longest run of leading nodes, on a rank-4 (C, L, H, W)
+    input, whose values all keep rank 4 and L frames and whose last value is
+    the only one read past it and is larger than the input. Past the region
+    every value at such a cut is no larger than the input, which stays live
+    throughout, so whole layers there cost less than the tiled region holds.
+    A tile is as many frames of the region's widest value as fit in
+    _TILE_BYTES; a region no longer than one tile runs whole.
+
+    Lags run back from the region's last node: a node's lag is the largest
+    of its readers' lag plus reach, so a reader finds every frame it reads
+    computed in the same step, and it holds the frames back to its readers'
+    smallest lag minus the frames they read behind (``frames_read``) for the
+    next steps: the fused-layer schedule of Alwani et al. (MICRO 2016), with
+    Halide's sliding-window storage folding (Ragan-Kelley et al., PLDI 2013).
+    """
+    ids, kinds, last_read = list(inputs), dict(graph.nodes), _last_reads(inputs)
+    clip = shapes[ids[0]][0]
+    region = widest = cut_widest = 0
+    if len(clip) == 4:
+        read_past = 0  # the last reader of any value before node i
+        for i, node_id in enumerate(ids):
+            in_shape, out_shape = shapes[node_id]
+            if len(in_shape) != 4 or len(out_shape) != 4 or out_shape[1] != clip[1]:
+                break
+            widest = max(widest, volume(out_shape) // clip[1])
+            if read_past <= i and volume(out_shape) > volume(clip):
+                region, cut_widest = i + 1, widest
+            read_past = max(read_past, last_read.get(node_id, i))
+    frames = max(_TILE_BYTES // (4 * cut_widest), 1) if region else 0
+    if not region or frames >= clip[1]:
+        return TilePlan(0, 0, {}, {}, ActivationPlan({}, 0),
+                        plan_activations(graph, shapes, inputs))
+    inside = ids[:region]
+    # per region value: (reader, frames it reads ahead, frames it reads behind)
+    readers = {node_id: [] for node_id in inside}
+    for node_id in inside:
+        x, addend = inputs[node_id]
+        if x is not None:
+            readers[x].append((node_id, *frames_read(kinds[node_id])))
+        if addend is not None:
+            readers[addend].append((node_id, 0, 0))
+    lag, held = {}, {}
+    for node_id in reversed(inside):
+        lag[node_id] = max((lag[r] + ahead for r, ahead, _ in readers[node_id]), default=0)
+        hold = lag[node_id] - min((lag[r] - behind for r, _, behind in readers[node_id]),
+                                  default=lag[node_id])
+        if hold:
+            held[node_id] = hold
+    tile = {node_id: (shapes[node_id][0], (shapes[node_id][1][0], frames, *shapes[node_id][1][2:]))
+            for node_id in inside}
+    steps = plan_activations(graph, tile, inputs, inside[:-1], {
+        node_id: 4 * volume(shapes[node_id][1]) // clip[1] * hold for node_id, hold in held.items()})
+    return TilePlan(region, frames, lag, held, steps,
+                    plan_activations(graph, shapes, inputs, ids[region:-1]))

@@ -61,6 +61,15 @@ output, so counting stays weight stationary at any block size.
   Every mid row is the grouped stage's own and every output row a GEMM over
   the same im2col row, so the output equals the two stages run whole bit for
   bit, on every shape tested.
+* A 3-D kernel given a ``Frames`` walk computes only output frames
+  [done, stop) of its time axis, from a window of the input whose first
+  frame it is told. The walk is ``run_graph``'s tiled region (see engine):
+  the window carries its own halo, and zero padding lies only past the
+  clip's ends, so the walk's first correlated row and lead are those of the
+  window, not the clip. A separable layer starts each call with the Tp - 1
+  mid rows the last one left, carried in the walk, in place of leading zero
+  padding, so across the calls each mid row and each output frame is
+  computed once. Each call tallies its own rows and the weights once.
 
 ``batchnorm_array`` lays any input out channels last (which copies nothing
 for a kernel's channels-last output) and works on (rows, W*C) against
@@ -111,6 +120,7 @@ bit-identical to the uncounted one.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -151,8 +161,9 @@ class _Phase:
 
     A phase that reads no padding and is a contiguous slice of xl is sliced
     as is. Any other is copied into one buffer, made by ``reserve`` and reused
-    by every block. Only the input part is rewritten: the buffer starts zeroed,
-    and a block re-zeroes only its rows past the input's end on axis 0.
+    by every block. Only the input part is rewritten: the buffer's padding on
+    the other axes is zeroed once, and a block zeroes only its rows outside
+    the input on axis 0.
     """
 
     def __init__(self, xl, phase, outs, kernel, strides, leads):
@@ -180,8 +191,13 @@ class _Phase:
         is then what every window of this phase is a slice of."""
         self.array = self.inside
         if self.row_bytes:
-            self.array = np.zeros((rows + self.halo, *self.extents, self.inside.shape[-1]),
+            self.array = np.empty((rows + self.halo, *self.extents, self.inside.shape[-1]),
                                   dtype=self.inside.dtype)
+            # the padding on the other axes, which no block writes
+            for axis, (part, extent) in enumerate(zip(self.dst, self.extents), start=1):
+                lead = (slice(None),) * axis
+                self.array[lead + (slice(0, part.start),)] = 0
+                self.array[lead + (slice(part.stop, extent),)] = 0
 
     def unread(self, r1):
         """The first row of xl that a block after output row r1 loads (inf: none)."""
@@ -198,11 +214,10 @@ class _Phase:
         # previous block's final halo rows are this one's first: moved, not gathered
         kept = self.halo if r0 else 0
         _move_to_front(buf, len(buf) - kept, kept)
-        # buffer row j holds phase index r0 + j, which only grows from block to
-        # block: a row before the input was padding in every earlier block and
-        # is still zero, while a row past it may hold an earlier block's input
+        # buffer row j holds phase index r0 + j; rows before and past the input are padding
         d0 = min(max(self.first - r0, kept), n)
         d1 = max(min(self.stop - r0, n), d0)
+        buf[kept:d0] = 0
         buf[(slice(d0, d1),) + self.dst] = self.inside[r0 + d0 - self.first:r0 + d1 - self.first]
         buf[d1:n] = 0
         return slice(0, r1 - r0)
@@ -252,21 +267,26 @@ class _Pointwise:
     taps along the blocked axis (1 for a 1x1 stage) at stride 1 with same
     padding, fed the grouped stage's mid one block of rows at a time.
 
-    The mid lives in a buffer of rows + Tp - 1 rows, padded mid rows
-    ``base``, ``base`` + 1, ...: the grouped stage sums each block straight into
-    ``block``'s rows of it, and ``emit`` then contracts every output row whose
-    Tp rows it holds into the output, as im2col rows. The Tp - 1 rows that the
-    next output row reads as well are then moved to the front, as
-    ``_Phase.load`` moves its halo, so no mid row is computed twice.
+    The mid lives in a buffer of rows + Tp - 1 rows: ``lead`` rows come first,
+    the leading zero padding or the Tp - 1 rows ``carried`` over from the
+    call before, then the ``mids`` mid rows this call computes. The grouped
+    stage sums each block straight into ``block``'s rows of it, and ``emit``
+    then contracts every output row whose Tp rows it holds into ``out``, as
+    im2col rows. The Tp - 1 rows that the next output row reads as well are
+    then moved to the front, as ``_Phase.load`` moves its halo, so no mid row
+    is computed twice; after the last row they are the ones the next call
+    carries.
     """
 
-    def __init__(self, w, tp, rows, outs, dtype, out):
+    def __init__(self, w, tp, rows, lead, mids, out, carried=None):
         co, c = w.shape[:2]
-        self.tp, self.lead = tp, (tp - 1) // 2  # same padding's leading zero rows
-        self.rows, self.extent, self.base = rows, outs[0], 0
+        self.tp, self.lead, self.mids = tp, lead, mids
+        self.rows, self.extent, self.base = rows, len(out), 0
         self.wt = w.reshape(co, -1).T
-        self.mid = np.zeros((rows + tp - 1, *outs[1:], c), dtype=dtype)
-        self.cols = np.empty((rows, *outs[1:], c, tp), dtype=dtype) if tp > 1 else None
+        # every row but the first ``lead`` is summed into before it is read
+        self.mid = np.empty((rows + tp - 1, *out.shape[1:-1], c), dtype=out.dtype)
+        self.mid[:lead] = 0 if carried is None else carried
+        self.cols = np.empty((rows, *out.shape[1:-1], c, tp), dtype=out.dtype) if tp > 1 else None
         self.out = out
 
     def block(self, m0, m1):
@@ -275,8 +295,8 @@ class _Pointwise:
 
     def emit(self, m1):
         """Contract every output row whose Tp mid rows come before mid row m1,
-        and every row left once m1 is the mid's end."""
-        halo, last = self.tp - 1, m1 == self.extent
+        and every row left once m1 is the last mid row of this call."""
+        halo, last = self.tp - 1, m1 == self.mids
         if last and halo:
             self.mid[m1 + self.lead - self.base:] = 0  # the trailing zero padding
         stop = self.extent if last else m1 + self.lead - halo
@@ -321,7 +341,25 @@ def _overwrites_unread(out, xl, phases, rows, extent, row_bytes):
                for r1 in range(rows, extent, rows))
 
 
-def _correlate(x, w, strides, padding, ledger, grouped, context, pointwise=None, out=None):
+class Frames:
+    """A walk down the time axis of a (C, L, H, W) input of ``total`` frames,
+    resumed call by call, for ``conv3d_array`` and ``ds_conv3d_array``.
+
+    Before each call the caller sets ``start``, the input frame its window
+    (the ``x`` of that call) begins at, and ``stop``; the call computes output
+    frames [``done``, ``stop``) and sets ``done`` to ``stop``. The window must
+    hold every input frame those output frames read, which is zero padding
+    only past the clip's ends. A separable layer keeps in ``mid`` the Tp - 1
+    mid rows the next call's first output frames read, so across the calls
+    each output frame and each mid row is computed exactly once.
+    """
+
+    def __init__(self, total):
+        self.total, self.start, self.stop, self.done, self.mid = total, 0, total, 0, None
+
+
+def _correlate(x, w, strides, padding, ledger, grouped, context, pointwise=None, out=None,
+               frames=None):
     """Correlate a (B,C,*S) batch over its trailing len(strides) axes.
 
     Dense weights (Co,Ci,*K) mix channels and give (B,Co,*So); grouped
@@ -333,6 +371,10 @@ def _correlate(x, w, strides, padding, ledger, grouped, context, pointwise=None,
     output's size) when given, else a fresh one. ``out`` may lie over x's own
     bytes when every phase is copied and no output row lands on an input row
     before its last load; otherwise a fresh buffer is used in its place.
+
+    With ``frames`` (a ``Frames`` walk, for a batch of one) x holds only a
+    window of the input's first correlated axis, and the call computes output
+    rows [frames.done, frames.stop) of that axis.
     """
     for stride in strides:
         _check_stride(stride)
@@ -359,44 +401,70 @@ def _correlate(x, w, strides, padding, ledger, grouped, context, pointwise=None,
         if pointwise.shape[-2:] != (1, 1):
             kh, kw = pointwise.shape[-2:]
             raise DimensionMismatch("kernel", "1x1", f"{kh}x{kw}", "pointwise weights")
+    extents = size if frames is None else [frames.total, *size[1:]]
     outs = [out_extent(m, k, s, padding, axis)
-            for m, k, s, axis in zip(size, kernel, strides, _AXES[n])]
+            for m, k, s, axis in zip(extents, kernel, strides, _AXES[n])]
     # the leading zero padding that gives those extents: half the total, rounded down
-    leads = [max((o - 1) * s + k - m, 0) // 2 for o, s, k, m in zip(outs, strides, kernel, size)]
+    leads = [max((o - 1) * s + k - m, 0) // 2
+             for o, s, k, m in zip(outs, strides, kernel, extents)]
     taps = math.prod(kernel)
-    xl = np.moveaxis(x, 1, -1)
+    tp = 0 if pointwise is None else (pointwise.shape[2] if n == 3 else 1)
+    # this call's output rows [r0, r1) of axis 0 and the rows [m0, m1) its first
+    # stage computes: the same, or for a separable layer the mid rows they read
+    # that no earlier call did. Each later call finds the Tp - 1 mid rows its
+    # first output row reads carried over; the first finds leading zero padding.
+    r0, r1, start = (0, outs[0], 0) if frames is None else (frames.done, frames.stop, frames.start)
+    if not 0 <= r0 <= r1 <= outs[0]:
+        raise ValueError(f"{context}: output frames [{r0}, {r1}) are not within [0, {outs[0]})")
+    m0, m1, lead = r0, r1, 0
+    if tp:
+        skip = (tp - 1) // 2  # same padding's leading zero mid rows
+        lead = skip if r0 == 0 else tp - 1
+        m0 = 0 if r0 == 0 else min(r0 - skip + tp - 1, outs[0])
+        m1 = min(r1 - skip + tp - 1, outs[0])
+    if frames is not None:  # conv3d and ds_conv3d pass a batch of one
+        s0, k0 = strides[0], kernel[0]
+        need = (max(m0 * s0 - leads[0], 0), min((m1 - 1) * s0 + k0 - leads[0], frames.total))
+        if m1 > m0 and (need[0] < start or need[1] > start + size[0]):
+            raise ValueError(f"{context}: input frames [{start}, {start + size[0]}) do not hold "
+                             f"frames [{need[0]}, {need[1]}) that output frames [{r0}, {r1}) read")
+        # the window's first row is input row ``start``, and row m0 is the first computed
+        outs[0], leads[0] = m1 - m0, leads[0] + start - m0 * s0
+    xl = x.transpose(0, *range(2, n + 2), 1)  # channels last; np.moveaxis costs more
     if b > 1:  # the batch is axis 0, a correlated axis of kernel and stride 1
         kernel, strides, outs, leads = (1, *kernel), (1, *strides), [b, *outs], [0, *leads]
     else:  # a batch of one is blocked along its first correlated axis
         xl = xl[0]
     co = c if grouped else len(w)
-    # each offset reads a stride-1 window of one phase: (phase, its index there)
+    # each offset reads a stride-1 window of one phase: (phase, its index there),
+    # in np.ndindex order; per axis, offset o lies in phase o % s from index o // s
+    axes = [[(o % s, slice(o // s, o // s + m)) for o in range(k)]
+            for k, s, m in zip(kernel, strides, outs)]
+    axes[0] = [(p, slice(index.start, None)) for p, index in axes[0]]
     phases, reads = {}, []
-    for offset in np.ndindex(*kernel):
-        phase = tuple(o % s for o, s in zip(offset, strides))
+    for parts in itertools.product(*axes):
+        phase, index = zip(*parts)
         if phase not in phases:
             phases[phase] = _Phase(xl, phase, outs, kernel, strides, leads)
-        reads.append((phase, (slice(offset[0] // strides[0], None),) + tuple(
-            slice(o // s, o // s + m) for o, s, m in zip(offset[1:], strides[1:], outs[1:]))))
+        reads.append((phase, index))
     # the scratch one output row of axis 0 takes: copied phase rows, then in
     # (*So[1:], C) rows: for a dense filter of several offsets its im2col rows,
     # for a separable layer its mid row and, past a 1x1 stage, Tp im2col rows
     columns = not grouped and taps > 1
-    tp = 0 if pointwise is None else (pointwise.shape[2] if n == 3 else 1)
     copies = taps if columns else 0
     if tp:
         copies += 1 + (tp if tp > 1 else 0)
     row_bytes = sum(p.row_bytes for p in phases.values())
     row_bytes += copies * math.prod(outs[1:]) * c * xl.itemsize
-    rows = min(max(_COPY_BYTES // row_bytes, 1) if row_bytes else outs[0], outs[0])
+    rows = max(min(_COPY_BYTES // row_bytes if row_bytes else outs[0], outs[0]), 1)
     for phase in phases.values():
         phase.reserve(rows)
     # each offset's window, from its phase's first row on; a block slices it
     windows = [(key, phases[key].array[index]) for key, index in reads]
     if grouped:
         # each tap tiled to (Wo,C), in np.ndindex order
-        tiles = np.broadcast_to(np.moveaxis(w, 0, -1).reshape(-1, 1, c),
-                                (taps, outs[-1], c)).copy()
+        tiles = np.empty((taps, outs[-1], c), dtype=w.dtype)
+        tiles[...] = w.reshape(c, taps).T[:, None]
         row = math.prod(outs[1:]) * c * 4  # one fp32 row of the grouped output
         product = np.empty((min(rows, max(_BLOCK_BYTES // row, 1)), *outs[1:], c),
                            dtype=np.result_type(xl, tiles))
@@ -406,30 +474,41 @@ def _correlate(x, w, strides, padding, ledger, grouped, context, pointwise=None,
         wt = w.reshape(co, -1).T
         cols = np.empty((rows, *outs[1:], c, taps), dtype=xl.dtype) if columns else None
     shape = (*outs, co if pointwise is None else len(pointwise))
+    if frames is not None:  # a separable layer's output rows, not its mid rows
+        shape = (r1 - r0, *shape[1:])
     if out is not None:
         _check_out(out, math.prod(shape))
         if np.may_share_memory(out, xl) and _overwrites_unread(
                 out, xl, phases.values(), rows, outs[0], math.prod(shape[1:]) * 4):
             out = None
     out = np.empty(shape, dtype=np.float32) if out is None else out.reshape(shape)
-    stage = None if pointwise is None else _Pointwise(pointwise, tp, rows, outs, xl.dtype, out)
-    for r0 in range(0, outs[0], rows):
-        r1 = min(r0 + rows, outs[0])
-        spans = {key: phase.load(r0, r1) for key, phase in phases.items()}
+    stage = None
+    if tp:
+        carried = frames.mid if frames is not None and r0 else None
+        stage = _Pointwise(pointwise, tp, rows, lead, outs[0], out, carried)
+        if not outs[0]:  # every mid row this call's output reads was carried
+            stage.emit(0)
+    for b0 in range(0, outs[0], rows):
+        b1 = min(b0 + rows, outs[0])
+        spans = {key: phase.load(b0, b1) for key, phase in phases.items()}
         block = [window[spans[key]] for key, window in windows]
         if not grouped:
             # a 1x1 stage's one window is its whole phase block, used as is
-            _dense_block(block, cols, wt, out[r0:r1])
+            _dense_block(block, cols, wt, out[b0:b1])
         elif stage is None:
-            _grouped_sum(block, tiles, out[r0:r1], product)
+            _grouped_sum(block, tiles, out[b0:b1], product)
         else:
-            _grouped_sum(block, tiles, stage.block(r0, r1), product)
-            stage.emit(r1)
+            _grouped_sum(block, tiles, stage.block(b0, b1), product)
+            stage.emit(b1)
+    if frames is not None:
+        frames.done = r1
+        if stage is not None:
+            frames.mid = stage.mid[:tp - 1].copy()
     if ledger is not None:
         _tally(ledger, math.prod(outs) * (c if grouped else co * c) * taps, w.size)
         if stage is not None:
             _tally(ledger, out.size * c * tp, pointwise.size)
-    return np.moveaxis(out if b > 1 else out[None], -1, 1)
+    return (out if b > 1 else out[None]).transpose(0, n + 1, *range(1, n + 1))
 
 
 def conv2d_array(x, w, stride=1, padding="same", ledger=None, out=None):
@@ -450,21 +529,25 @@ def depthwise2d_array(x, w, stride=1, padding="same", ledger=None, pointwise=Non
                       out)
 
 
-def conv3d_array(x, w, stride=1, padding="same", ledger=None):
-    """3-D cross-correlation, temporal stride 1: (Ci,L,H,W) x (Co,Ci,T,K,K) -> (Co,Lo,Ho,Wo)."""
-    return _correlate(x[None], w, (1, stride, stride), padding, ledger, False, "conv3d")[0]
+def conv3d_array(x, w, stride=1, padding="same", ledger=None, frames=None):
+    """3-D cross-correlation, temporal stride 1: (Ci,L,H,W) x (Co,Ci,T,K,K) -> (Co,Lo,Ho,Wo),
+    or with ``frames`` the output frames [frames.done, frames.stop) (see Frames)."""
+    return _correlate(x[None], w, (1, stride, stride), padding, ledger, False, "conv3d",
+                      frames=frames)[0]
 
 
-def depthwise3d_array(x, w, stride=1, padding="same", ledger=None, pointwise=None, out=None):
+def depthwise3d_array(x, w, stride=1, padding="same", ledger=None, pointwise=None, out=None,
+                      frames=None):
     """Grouped 3-D stage, temporal stride 1: (C,L,H,W) x (C,T,K,K) -> (C,Lo,Ho,Wo).
 
     With ``pointwise`` weights (Co,C,Tp,1,1) their Tp x 1 x 1 stage follows
     each block of output times, and the result is (Co,Lo,Ho,Wo):
     ds_conv3d_array. The result is written into ``out`` when given, which may
-    be x's own buffer (see _correlate).
+    be x's own buffer (see _correlate). With ``frames`` only output frames
+    [frames.done, frames.stop) are computed, from a window of x (see Frames).
     """
     return _correlate(x[None], w, (1, stride, stride), padding, ledger, True, "depthwise",
-                      pointwise, out)[0]
+                      pointwise, out, frames)[0]
 
 
 def conv1d_array(x, w, stride=1, padding="same", ledger=None):
@@ -482,15 +565,17 @@ def ds_conv2d_array(x, dw, pw, stride=1, padding="same", ledger=None, out=None):
     return depthwise2d_array(x, dw, stride, padding, ledger, pw, out=out)
 
 
-def ds_conv3d_array(x, dw, pw, stride=1, padding="same", ledger=None, out=None):
+def ds_conv3d_array(x, dw, pw, stride=1, padding="same", ledger=None, out=None, frames=None):
     """Depthwise-separable 3-D conv: the grouped stage, then a dense Tp x 1 x 1
     pointwise stage at stride 1 with same padding, so the frame count is kept,
     fused one block of output times at a time.
 
     Tp is read off the pointwise weights (Co,Ci,Tp,1,1); the layer spec fixes it.
-    The result is written into ``out`` when given (see _correlate).
+    The result is written into ``out`` when given (see _correlate). With
+    ``frames`` a call computes output frames [frames.done, frames.stop) from a
+    window of x, and carries the mid rows the next call reads (see Frames).
     """
-    return depthwise3d_array(x, dw, stride, padding, ledger, pw, out=out)
+    return depthwise3d_array(x, dw, stride, padding, ledger, pw, out=out, frames=frames)
 
 
 def fc_array(x, w, ledger=None):
@@ -548,7 +633,7 @@ def batchnorm_array(x, mean, var, gamma, beta, eps=1e-5, out=None):
     shift = beta - mean * scale
     # channels last, copied only when not already; numpy's inner loop then
     # spans a whole (W*C) row, not the C channels. A rank-1 input is one row.
-    last = np.ascontiguousarray(np.moveaxis(x, 0, -1))
+    last = np.ascontiguousarray(x.transpose(*range(1, x.ndim), 0))
     width = x.shape[-1] if x.ndim > 1 else 1
     rows = last.reshape(-1, width * len(scale))
     if out is not None:
@@ -556,7 +641,7 @@ def batchnorm_array(x, mean, var, gamma, beta, eps=1e-5, out=None):
         out = out.reshape(rows.shape)
     out = np.multiply(rows, np.tile(scale, width), out=out)
     out += np.tile(shift, width)
-    return np.moveaxis(out.reshape(last.shape), -1, 0)
+    return out.reshape(last.shape).transpose(x.ndim - 1, *range(x.ndim - 1))
 
 
 def softmax_array(x):

@@ -21,17 +21,22 @@ from mobivsr import (
     MobiVSRError,
     Tensor,
     ValidationError,
+    aggregate,
     build_mobivsr,
     counted_forward,
     init_weights,
     layer_output_shape,
+    node_inputs,
+    params_of,
     plan_activations,
+    plan_tiles,
     quantize_weights,
     run_graph,
     shape_infer,
     weight_shapes,
 )
 from mobivsr import engine, kernels
+from mobivsr import graph as graph_module
 from mobivsr.graph import LAYER_KINDS
 
 
@@ -354,27 +359,52 @@ def test_an_alpha_4_int8_pass_peaks_at_the_ds3d2_floor_and_2_mib():
     assert _run_graph_peak(graph, bundle, x, counted=True) <= DS3D2_FLOOR + 2 * 1024 * 1024
 
 
+def _region_bytes(graph, shape) -> int:
+    """The bytes the tiled region of ``graph`` holds through its steps: the step
+    arena, the frames each held node carries from step to step and the
+    region's whole output."""
+    _, shapes = shape_infer(graph, shape)
+    plan = plan_tiles(graph, shapes, node_inputs(graph))
+    frame = {node_id: 4 * math.prod(shapes[node_id][1]) // shape[1]
+             for node_id, _ in graph.nodes[:plan.region]}
+    last = graph.nodes[plan.region - 1][0]
+    return plan.steps.arena_bytes + frame[last] * shape[1] + sum(
+        frame[node_id] * hold for node_id, hold in plan.held.items())
+
+
+def _weight_bytes(spec) -> int:
+    return 4 * sum(math.prod(shape) for shape in weight_shapes(spec).values())
+
+
 def test_an_alpha_1_pass_peaks_at_its_arena_and_2_mib():
-    """Every planned output lives in the one arena, so no node of the pass,
-    its kernels' scratch included, holds more than 2 MiB beyond it."""
+    """The region runs in tiles of frames, and the rest on an arena no larger
+    than the region's output, so no node of the pass, its kernels' scratch
+    included, holds more than 2 MiB beyond the region's step arena, carried
+    frames and output: 7.55 MB against 10.17 MB for whole layers. The pass
+    stays under 8.5 MB."""
     graph = GRAPHS["alpha1"]
-    arena = plan_activations(graph, graph.input_shape).arena_bytes
-    assert _run_graph_peak(graph, BUNDLES["alpha1"], INPUTS["alpha1"]) <= arena + 2 * 1024 * 1024
+    peak = _run_graph_peak(graph, BUNDLES["alpha1"], INPUTS["alpha1"])
+    assert peak <= _region_bytes(graph, graph.input_shape) + 2 * 1024 * 1024
+    assert peak <= 8.5e6
 
 
 def test_an_alpha_4_int8_pass_peaks_at_its_arena_2_mib_and_one_nodes_weights():
-    """A counted α=4 pass on int8 weights holds the arena, 2 MiB of kernel
-    scratch and the dequantized fp32 weights of the node running, the largest
-    being the 4·P bytes of an s4 node's 512x512 pointwise stage. The arena is
-    freed before the backend, whose tconv2 dequantizes 6.49 MB of weights."""
+    """A counted α=4 pass on int8 weights also holds the region's dequantized
+    fp32 weights, for all of its tiles, and those of the node running past it,
+    the largest being the 4·P bytes of an s4 node's 512x512 pointwise stage.
+    The rest's arena is freed before the backend, whose tconv2 dequantizes
+    6.49 MB of weights. The pass stays under 9.0 MB."""
     graph = build_mobivsr(4)
     bundle = quantize_weights(init_weights(graph, seed=2))
     x = np.random.default_rng(3).random(graph.input_shape, dtype=np.float32)
-    plan = plan_activations(graph, graph.input_shape)
-    weights = max(4 * sum(math.prod(shape) for shape in weight_shapes(spec).values())
-                  for node_id, spec in graph.nodes if node_id in plan.slots)
+    _, shapes = shape_infer(graph, graph.input_shape)
+    plan = plan_tiles(graph, shapes, node_inputs(graph))
+    held = sum(_weight_bytes(spec) for _, spec in graph.nodes[:plan.region])
+    weights = max(_weight_bytes(spec) for node_id, spec in graph.nodes[plan.region:]
+                  if node_id in plan.rest.slots)
     peak = _run_graph_peak(graph, bundle, x, counted=True)
-    assert peak <= plan.arena_bytes + 2 * 1024 * 1024 + weights
+    assert peak <= _region_bytes(graph, graph.input_shape) + 2 * 1024 * 1024 + held + weights
+    assert peak <= 9.0e6
 
 
 ELEMENTWISE = ("relu", "batchnorm")
@@ -450,10 +480,10 @@ def test_planned_slots_live_together_never_overlap(case):
     one was written over the earlier, its input, which dies there and is no
     smaller."""
     graph, _, x = case
-    plan = plan_activations(graph, x.shape)
+    _, shapes = shape_infer(graph, x.shape)
+    plan = plan_activations(graph, shapes, node_inputs(graph))
     ids = [node_id for node_id, _ in graph.nodes]
     assert set(plan.slots) == set(ids[:-1])
-    _, shapes = shape_infer(graph, x.shape)
     sizes = {node_id: 4 * math.prod(shapes[node_id][1]) for node_id in ids}
     assert plan.arena_bytes >= max((sizes[n] for n in ids[:-1]), default=0)
     incoming = {dst: src for src, dst in graph.residual_edges}
@@ -519,3 +549,116 @@ def test_in_place_elementwise_nodes_write_only_values_run_graph_owns(case, as_te
     assert got.output.as_array().tobytes() == kept.output.as_array().tobytes()
     assert got.ledger == kept.ledger
     assert np.array_equal(value.as_array() if as_tensor else value, x)
+
+
+PER_FRAME = ("relu", "batchnorm", "ds_conv2d", "conv2d", "residual_add")
+
+
+@st.composite
+def tiled_graphs(draw):
+    """(graph, bundle, input, tile frames) for 1 or 2 ds_conv3d or conv3d
+    layers (T 1 or 3, partial or full pointwise, stride 1 or 2) on a (1, L,
+    H, W) clip of 1 to 12 frames, then up to 5 per-frame layers, a residual
+    add joining an earlier output of the same shape and any layer after the
+    second maybe reading an earlier output instead of the last; half of the
+    graphs end in a spatial_avg, which leaves the rank-4 region. The first
+    layer widens the clip, so most graphs have a region."""
+    shape = input_shape = (1, draw(st.integers(1, 12)), *(draw(st.integers(3, 7)),) * 2)
+    nodes, edges, shapes = [], [], []
+    temporal = draw(st.integers(1, 2))
+    for i in range(temporal + draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(("ds_conv3d", "conv3d") if i < temporal else PER_FRAME))
+        same = [j for j in range(i - 1) if shapes[j] == shapes[-1]]
+        if kind == "residual_add" and not same:
+            kind = "relu"
+        if kind == "residual_add":
+            edges.append((f"n{draw(st.sampled_from(same))}", f"n{i}"))
+            spec = LayerSpec("residual_add")
+        else:
+            if i > 1 and draw(st.booleans()):
+                src = draw(st.integers(0, i - 2))
+                edges.append((f"n{src}", f"n{i}"))
+                shape = shapes[src]
+            if kind in ("relu", "batchnorm"):
+                spec = LayerSpec(kind, in_channels=shape[0]) if kind == "batchnorm" \
+                    else LayerSpec("relu")
+            else:
+                conv = {"in_channels": shape[0], "out_channels": draw(st.integers(2, 4)),
+                        "kernel_size": draw(st.sampled_from((1, 3))),
+                        "stride": 1 if i == 0 else draw(st.integers(1, 2))}
+                if kind in ("ds_conv3d", "conv3d"):
+                    conv["temporal_size"] = draw(st.sampled_from((1, 3, 3)))
+                if kind == "ds_conv3d":
+                    conv["pointwise_mode"] = draw(st.sampled_from(("partial", "full")))
+                spec = LayerSpec(kind, **conv)
+            shape = layer_output_shape(spec, shape)
+        nodes.append((f"n{i}", spec))
+        shapes.append(shape)
+    if draw(st.booleans()):
+        nodes.append(("avg", LayerSpec("spatial_avg")))
+    graph = LayerGraph(nodes=nodes, residual_edges=edges)
+    x = np.random.default_rng(draw(st.integers(0, 2**16))).normal(size=input_shape)
+    return graph, init_weights(graph, seed=1), x.astype(np.float32), draw(st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=tiled_graphs())
+def test_a_tiled_pass_equals_whole_layers(case):
+    """With the tile budget shrunk to a few frames of the widest value, a
+    graph whose region spans more than one tile runs in tiles: its output is
+    within 1e-5 of whole layers', and its counted ledger equal. keep_outputs
+    still runs whole layers and returns every node's whole output."""
+    graph, bundle, x, frames = case
+    _, shapes = shape_infer(graph, x.shape)
+    widest = max(4 * math.prod(out) // out[1] for _, out in shapes.values() if len(out) == 4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_TILE_BYTES", frames * widest)
+        plan = plan_tiles(graph, shapes, node_inputs(graph))
+        assert not plan.region or frames <= plan.frames < x.shape[1]
+        tiled = run_graph(graph, bundle, x, counted=True)
+        kept = run_graph(graph, bundle, x, counted=True, keep_outputs=True)
+    whole = kept.output.as_array()
+    assert np.abs(tiled.output.as_array() - whole).max() <= 1e-5 * max(1.0, np.abs(whole).max())
+    assert tiled.ledger == kept.ledger
+    assert list(kept.node_outputs) == [node_id for node_id, _ in graph.nodes]
+    for node_id, value in kept.node_outputs.items():
+        assert value.shape == shapes[node_id][1]
+
+
+@pytest.mark.parametrize("dtype", ["fp32", "int8"])
+@pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+def test_a_tiled_mobivsr_ledger_reads_each_weight_once(alpha, dtype):
+    """A counted MobiVSR-α pass runs its front end and s1-s2 in tiles, yet its
+    ledger equals a whole-layer pass's, and its FLOPs the analytical total:
+    every weight is read once per pass, not once per tile."""
+    graph = build_mobivsr(alpha)
+    bundle = init_weights(graph, seed=2)
+    if dtype == "int8":
+        bundle = quantize_weights(bundle)
+    x = np.random.default_rng(3).random(graph.input_shape, dtype=np.float32)
+    tiled = run_graph(graph, bundle, x, counted=True)
+    whole = run_graph(graph, bundle, x, counted=True, keep_outputs=True)
+    assert tiled.ledger == whole.ledger
+    assert tiled.ledger.flops() == aggregate(graph).totals.flops
+    assert tiled.ledger.param_reads == sum(params_of(spec) for _, spec in graph.nodes)
+    np.testing.assert_array_equal(tiled.output.as_array(), whole.output.as_array())
+
+
+@pytest.mark.parametrize("frames", [1, 2, 3])
+@pytest.mark.parametrize("length", [2, 5, 9])
+def test_tiles_shorter_than_the_front_ends_lag_still_cover_every_frame(frames, length):
+    """ds3d1 leads the rest of the region by 2 frames, more than a tile of 1:
+    the steps then start early enough that it still computes every frame. A
+    small MobiVSR-1 clip gives the same output and ledger as whole layers."""
+    graph = build_mobivsr(1)
+    x = np.random.default_rng(length).random((1, length, 32, 32), dtype=np.float32)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_TILE_BYTES", frames * 32 * 16 * 16 * 4)
+        _, shapes = shape_infer(graph, x.shape)
+        plan = plan_tiles(graph, shapes, node_inputs(graph))
+        assert (plan.frames, plan.held) == ((frames, {"frontend.relu1": 2}) if frames < length
+                                            else (0, {}))
+        tiled = run_graph(graph, BUNDLES["alpha1"], x, counted=True)
+    whole = run_graph(graph, BUNDLES["alpha1"], x, counted=True, keep_outputs=True)
+    np.testing.assert_array_equal(tiled.output.as_array(), whole.output.as_array())
+    assert tiled.ledger == whole.ledger

@@ -19,10 +19,12 @@ from mobivsr import (
     build_mobivsr,
     init_weights,
     layer_output_shape,
+    node_inputs,
     params_of,
     parse_graph,
     parse_weights,
     plan_activations,
+    plan_tiles,
     quantize_weights,
     serialize_graph,
     serialize_weights,
@@ -349,16 +351,38 @@ def test_spatial_avg_on_a_rank_2_shape_names_the_accepted_ranks():
 DS3D1_BYTES = 32 * 29 * 48 * 48 * 4
 
 
+def _plans(graph, shape=None):
+    """(whole-graph activation plan, tile plan) for ``graph`` on ``shape``."""
+    _, shapes = shape_infer(graph, shape or graph.input_shape)
+    inputs = node_inputs(graph)
+    return plan_activations(graph, shapes, inputs), plan_tiles(graph, shapes, inputs)
+
+
 @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
 def test_the_mobivsr_arena_is_its_largest_activation(alpha):
-    """Every node from the front end to s4's last relu gets a slot, and the
-    arena they share is no larger than ds3d1's output alone."""
+    """The front end through s2 runs in tiles of 8 frames, and each arena is
+    no larger than the largest activation it holds: relu1's window of a tile
+    and the 2 frames before it for the region's steps, two of s3's outputs
+    for the rest, which runs from s3's first node to s4's last relu. ds1's
+    chain writes its tile behind the 2 carried frames, ds3d2 writes over the
+    window from its front, and s1's first output lies in the window's
+    consumed frames. Whole layers would need an arena of all of ds3d1's
+    output."""
     graph = build_mobivsr(alpha)
-    plan = plan_activations(graph, graph.input_shape)
-    assert plan.arena_bytes == DS3D1_BYTES == 8_552_448
-    _, shapes = shape_infer(graph, graph.input_shape)
-    planned = [node_id for node_id, _ in graph.nodes if node_id in plan.slots]
-    assert planned == [node_id for node_id, _ in graph.nodes][:len(planned)]
+    whole, plan = _plans(graph)
+    assert whole.arena_bytes == DS3D1_BYTES == 8_552_448
+    ids = [node_id for node_id, _ in graph.nodes]
+    assert ids[plan.region - 1] == f"s2.b{alpha}.relu2"
+    assert (plan.frames, plan.held) == (8, {"frontend.relu1": 2})
+    frame = DS3D1_BYTES // 29
+    assert plan.steps.arena_bytes == frame * (8 + 2) == 2_949_120
+    slots = plan.steps.slots
+    assert slots["frontend.ds3d1"] == slots["frontend.relu1"] == (2 * frame, 8 * frame)
+    assert slots["frontend.ds3d2"] == slots["frontend.relu2"] == (0, 4 * frame)
+    assert slots["s1.b1.ds1"] == (4 * frame, 4 * frame)
+    assert plan.rest.arena_bytes == 2 * 256 * 29 * 6 * 6 * 4 == 2_138_112
+    planned = [node_id for node_id in ids if node_id in plan.rest.slots]
+    assert planned == ids[plan.region:plan.region + len(planned)]
     assert planned[-1] == f"s4.b{alpha}.relu2"
 
 
@@ -367,7 +391,7 @@ def test_ds3d2_writes_over_the_front_half_of_its_input():
     size, and s1.b1.ds1, whose input relu2 is held for the block's add, takes
     the back half."""
     graph = build_mobivsr(1)
-    slots = plan_activations(graph, graph.input_shape).slots
+    slots = _plans(graph)[0].slots
     half = DS3D1_BYTES // 2
     assert slots["frontend.relu1"] == (0, DS3D1_BYTES)
     assert slots["frontend.ds3d2"] == slots["frontend.relu2"] == (0, half)
@@ -384,7 +408,47 @@ def test_an_output_that_grows_gets_a_slot_of_its_own():
         ("bn", LayerSpec("batchnorm", in_channels=4)),
         ("out", LayerSpec("relu")),
     ])
-    plan = plan_activations(graph, (2, 5, 5))
+    plan = _plans(graph, (2, 5, 5))[0]
     small, large = 2 * 25 * 4, 4 * 25 * 4
     assert plan.slots == {"ds": (0, large), "bn": (0, large), "relu": (large, small)}
     assert plan.arena_bytes == small + large
+
+
+def test_the_tile_plan_reads_shapes_and_edges_not_names():
+    """MobiVSR-2 with every node renamed gets the same region, tile and lags:
+    ds3d1, bn1 and relu1 lead the rest by ds3d2's reach of 2 frames, and relu1
+    holds the 2 frames before a tile that ds3d2's walk reads again."""
+    graph = build_mobivsr(2)
+    names = {node_id: f"n{i}" for i, (node_id, _) in enumerate(graph.nodes)}
+    renamed = LayerGraph(nodes=[(names[n], spec) for n, spec in graph.nodes],
+                         residual_edges=[(names[a], names[b]) for a, b in graph.residual_edges])
+    plan, plan2 = _plans(graph)[1], _plans(renamed, graph.input_shape)[1]
+    assert (plan2.region, plan2.frames) == (plan.region, plan.frames) == (27, 8)
+    assert plan2.lags == {names[n]: lag for n, lag in plan.lags.items()}
+    assert {n for n, lag in plan.lags.items() if lag} == \
+        {"frontend.ds3d1", "frontend.bn1", "frontend.relu1"}
+    assert set(plan.lags.values()) == {0, 2}
+    assert plan.held == {"frontend.relu1": 2}
+
+
+def test_a_slim_mobivsr_tiles_only_up_to_the_last_value_larger_than_its_clip():
+    """In the slim plan s2's output is as large as the clip, so the region
+    ends with s1, and its narrower front end takes tiles of 16 frames."""
+    from mobivsr.arch import CHANNEL_PLAN_CANDIDATES
+    slim = next(p for p in CHANNEL_PLAN_CANDIDATES if p.name == "slim")
+    graph = build_mobivsr(3, slim)
+    plan = _plans(graph)[1]
+    assert graph.nodes[plan.region - 1][0] == "s1.b3.relu2"
+    assert plan.frames == 16
+
+
+def test_no_region_without_frames_to_tile():
+    """A rank-3 input has no time axis, and a clip no longer than one tile runs
+    whole: the rest's plan is then the whole graph's."""
+    graph = LayerGraph(nodes=[("ds", LayerSpec("ds_conv2d", in_channels=2, out_channels=4,
+                                               kernel_size=3)),
+                              ("out", LayerSpec("relu"))])
+    for shape in ((2, 5, 5), (2, 5, 5, 5)):
+        whole, plan = _plans(graph, shape)
+        assert (plan.region, plan.frames) == (0, 0)
+        assert plan.rest == whole

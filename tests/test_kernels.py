@@ -992,3 +992,69 @@ def test_fc_array_rejects_a_mismatched_input_width():
         fc_array(np.zeros(3, dtype=np.float32), np.zeros((4, 5), dtype=np.float32))
     assert exc.value.axis == "features"
     assert exc.value.expected == 5
+
+
+def _walk(kernel, x, weights, frames, stride, reach, ledger):
+    """``kernel`` run through a Frames walk in tiles of ``frames`` output
+    frames, each call handed only the input frames within ``reach`` of its
+    own; the tiles' outputs stacked along time."""
+    walk, tiles = kernels.Frames(x.shape[1]), []
+    for f0 in range(0, x.shape[1], frames):
+        f1 = min(f0 + frames, x.shape[1])
+        walk.start, walk.stop = max(f0 - reach, 0), f1
+        tiles.append(kernel(x[:, walk.start:f1 + reach], *weights, stride, "same", ledger,
+                            frames=walk))
+        assert walk.done == f1
+    return np.concatenate(tiles, axis=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(c=st.integers(1, 3), co=st.integers(1, 3), length=st.integers(1, 9),
+       side=st.integers(1, 6), t=st.sampled_from((1, 2, 3, 5)), stride=st.integers(1, 2),
+       partial=st.booleans(), frames=st.integers(1, 4), seed=st.integers(0, 99))
+def test_a_separable_3d_walk_in_tiles_equals_the_whole_layer(c, co, length, side, t, stride,
+                                                             partial, frames, seed):
+    """A ds_conv3d walk, in tiles of any size, computes each output frame and
+    each mid row once: its output equals the whole layer's to fp32 rounding
+    (a GEMM over fewer rows may sum in another order), and its tallies but
+    the weight reads equal a whole call's, each call reading the weights once."""
+    g = rng(seed)
+    x = f32(g.normal(size=(c, length, side, side)))
+    dw = f32(g.normal(size=(c, t, 3, 3)))
+    pw = f32(g.normal(size=(co, c, t if partial else 1, 1, 1)))
+    whole, tiled = CounterLedger(), CounterLedger()
+    expected = ds_conv3d_array(x, dw, pw, stride, "same", whole)
+    got = _walk(ds_conv3d_array, x, (dw, pw), frames, stride, t // 2 * (1 + partial), tiled)
+    np.testing.assert_allclose(got, expected, rtol=1e-5, atol=1e-5)
+    calls = -(-length // frames)
+    assert (tiled.multiplies, tiled.adds, tiled.activation_reads) == \
+        (whole.multiplies, whole.adds, whole.activation_reads)
+    assert tiled.param_reads == calls * whole.param_reads
+
+
+@pytest.mark.parametrize("frames", [1, 2, 4])
+def test_a_dense_3d_walk_in_tiles_equals_the_whole_layer(frames):
+    """A conv3d walk in tiles matches the whole layer to fp32 rounding (its GEMMs
+    sum over fewer rows) with the same multiply count."""
+    g = rng(4)
+    x, w = f32(g.normal(size=(2, 7, 5, 5))), f32(g.normal(size=(3, 2, 3, 3, 3)))
+    whole, tiled = CounterLedger(), CounterLedger()
+    expected = conv3d_array(x, w, 2, "same", whole)
+    np.testing.assert_allclose(_walk(conv3d_array, x, (w,), frames, 2, 1, tiled), expected,
+                               rtol=1e-5, atol=1e-5)
+    assert tiled.multiplies == whole.multiplies
+
+
+def test_a_walk_refuses_a_window_without_its_halo():
+    """A call whose window lacks an input frame its output frames read, or
+    that asks for frames past the output's end, is a ValueError."""
+    g = rng(5)
+    x = f32(g.normal(size=(2, 6, 4, 4)))
+    dw, pw = f32(g.normal(size=(2, 3, 3, 3))), f32(g.normal(size=(3, 2, 3, 1, 1)))
+    walk = kernels.Frames(6)
+    walk.start, walk.stop = 0, 2
+    with pytest.raises(ValueError, match=r"do not hold frames \[0, 4\)"):
+        ds_conv3d_array(x[:, :3], dw, pw, frames=walk)
+    walk.stop = 7
+    with pytest.raises(ValueError, match=r"output frames \[0, 7\) are not within \[0, 6\)"):
+        ds_conv3d_array(x, dw, pw, frames=walk)
