@@ -20,12 +20,13 @@ then its tile, the region's last node's in its whole output, and a later
 node's in an arena of its own. A slot may be the bytes of the node's own
 input when that input dies there: relu, batchnorm and residual_add then run
 in place, and a separable layer writes over its input block by block. The
-caller's input is never written, nor is any value before its last reader
-has run. Only the values in an arena hold it, so it is freed after the last
-reader of the last of them; in MobiVSR that is before the backend
-dequantizes its large weights. What a call needs beyond its weights, the
-slot, a 3-D layer's ``kernels.Frames`` walk and the counts of its earlier
-tiles, reaches the runner inside the weights dict, a ``_Slotted`` one, since
+caller's input is never written, nor is any value before its last reader has
+run, by the lifetimes ``graph.last_reads`` gives the arenas' plans. Only the
+values in an arena hold it, so it is freed after the last reader of the last
+of them; in MobiVSR that is before the backend dequantizes its large
+weights. What a call needs beyond its weights, the slot, a 3-D layer's
+``kernels.Frames`` walk and the counts of its earlier tiles, reaches the
+runner inside the weights dict, a ``_Slotted`` one, since
 ``forward_layer``'s signature is the same for every caller.
 ``counted_forward``, the one way to run a single layer, checks its input as
 ``run_graph`` does, then the layer's weights and the value's rank, and
@@ -37,7 +38,8 @@ once for all its tiles and held until the region ends. Counting stays weight
 stationary: every tile's kernel tallies the layer's weights, but a node's
 tiles before its last tally into a ledger of its own, whose counts bar the
 weight reads its last tile adds to the pass's ledger. A node's counts for
-the pass so reach that ledger in one call, equal to a whole-layer run's.
+the pass so reach that ledger in one call, equal to a whole-layer run's. A
+call whose kernel tallies multiplies tallies its output's writes.
 
 The middle stack's 2-D layers run per frame: a rank-4 (C, L, H, W) value is
 folded so the time axis becomes the kernels' batch axis and unfolded after.
@@ -51,7 +53,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import kernels
-from .costs import COSTED_KINDS
 from .errors import ValidationError
 from .graph import (
     LAYER_KINDS,
@@ -59,6 +60,7 @@ from .graph import (
     LayerSpec,
     checked_weights,
     frames_read,
+    last_reads,
     node_inputs,
     plan_tiles,
     shape_infer,
@@ -177,14 +179,16 @@ def forward_layer(spec: LayerSpec, x: np.ndarray, weights: dict | None,
                   ledger: CounterLedger | None = None) -> np.ndarray:
     """Run one layer on an array value the caller has checked against the spec;
     residual_add is handled by run_graph. The output goes to the slot a
-    ``_Slotted`` weights dict carries, else wherever the kernel puts it; the
-    counts it carries are added to ``ledger`` with the layer's own."""
+    ``_Slotted`` weights dict carries, else wherever the kernel puts it. When
+    the kernel tallies multiplies into ``ledger``, the output's writes are
+    tallied too; the counts the weights dict carries are added after."""
     run = _RUNNERS.get(spec.kind)
     if run is None:
         raise ValidationError(f"cannot execute layer kind {spec.kind!r} standalone")
+    multiplies = ledger.multiplies if ledger is not None else 0
     out = run(spec, x, weights, ledger, getattr(weights, "slot", None))
     if ledger is not None:
-        if spec.kind in COSTED_KINDS:
+        if ledger.multiplies > multiplies:
             ledger.output_writes += int(out.size)
         carried = getattr(weights, "carried", None)
         if carried is not None:
@@ -279,14 +283,10 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
 def _run(steps, inputs, values, slots, ledger, keep=False) -> dict:
     """Run ``steps`` whole, in order, on ``values`` ({id: array}, None the
     graph's input), each node's output going to its slot in ``slots``. A value
-    is dropped after its last reader unless ``keep``; returns ``values``."""
-    last = {}  # the last of these nodes that reads each value
-    for node_id, _, _ in steps:
-        x, addend = inputs[node_id]
-        last[x] = node_id
-        if addend is not None:
-            last[addend] = node_id
-    final = steps[-1][0] if steps else None
+    is dropped after its last reader (``graph.last_reads``) unless ``keep``;
+    returns ``values``."""
+    ids = list(inputs)
+    last, final = {value: ids[i] for value, i in last_reads(inputs).items()}, ids[-1]
     for node_id, spec, tensors in steps:
         x, addend = inputs[node_id]
         slot = slots.pop(node_id, None)

@@ -9,15 +9,17 @@ two edge-driven exceptions:
   source (a tap, used for skip-path convolutions).
 
 Edges always point forward in node order, so graphs are acyclic by
-construction.
+construction. The edge rule above is coded once, in ``node_inputs``, which
+gives every node's reads; ``shape_infer`` and the plans all walk them.
 
 Every layer shape rule lives here, in ``LAYER_KINDS``. ``shape_infer``
 applies them to a whole graph; the cost model and ``engine.run_graph`` both
 run it rather than checking shapes themselves. From those shapes and the
-reads ``node_inputs`` derives from the edges, ``plan_tiles`` gives
-``run_graph`` its schedule, which leading nodes run depth-first in tiles of
-frames and with what lag, and ``plan_activations`` its static memory plans:
-where in an arena each node's output lives.
+reads, ``plan_tiles`` gives ``run_graph`` its schedule, which leading nodes
+run depth-first in tiles of frames and with what lag, and
+``plan_activations`` its static memory plans: where in an arena each node's
+output lives, for as long as ``last_reads`` says it is read, the lifetimes
+``run_graph`` frees values by.
 """
 
 from __future__ import annotations
@@ -271,7 +273,6 @@ class LayerGraph:
                     raise GraphValidationError(
                         f"residual_add node {node_id!r} has no incoming edge", node_id=node_id
                     )
-        return incoming
 
 
 def weight_shapes(spec: LayerSpec) -> dict:
@@ -312,37 +313,27 @@ def layer_output_shape(spec: LayerSpec, in_shape) -> tuple:
 
 
 def shape_infer(graph: LayerGraph, input_shape):
-    """Propagate shapes through a graph.
+    """Propagate shapes through a graph, along the reads ``node_inputs``
+    derives from its edges.
 
     Returns (output_shape, {node_id: (in_shape, out_shape)}). Raises
     GraphValidationError naming the first inconsistent edge or node.
     """
-    incoming = graph.validate()
-    shapes = {}
-    prev_shape = checked_shape(input_shape)
-    for node_id, spec in graph.nodes:
-        if spec.kind == "residual_add":
-            main = prev_shape
-            src = incoming[node_id]
-            other = shapes[src][1]
-            if main != other:
-                raise GraphValidationError(
-                    f"residual edge ({src!r}, {node_id!r}) joins shapes {other} and {main}",
-                    edge=(src, node_id),
-                )
-            in_shape, out_shape = main, main
-        else:
-            src = incoming.get(node_id)
-            in_shape = shapes[src][1] if src is not None else prev_shape
-            try:
-                out_shape = layer_output_shape(spec, in_shape)
-            except DimensionMismatch as exc:
-                raise GraphValidationError(
-                    f"node {node_id!r}: {exc}", node_id=node_id
-                ) from exc
+    graph.validate()
+    out_shape = checked_shape(input_shape)
+    made, shapes, kinds = {None: out_shape}, {}, dict(graph.nodes)
+    for node_id, (x, addend) in node_inputs(graph).items():
+        in_shape = made[x]
+        if addend is not None and made[addend] != in_shape:
+            raise GraphValidationError(
+                f"residual edge ({addend!r}, {node_id!r}) joins shapes {made[addend]} and "
+                f"{in_shape}", edge=(addend, node_id))
+        try:
+            out_shape = made[node_id] = layer_output_shape(kinds[node_id], in_shape)
+        except DimensionMismatch as exc:
+            raise GraphValidationError(f"node {node_id!r}: {exc}", node_id=node_id) from exc
         shapes[node_id] = (in_shape, out_shape)
-        prev_shape = out_shape
-    return prev_shape, shapes
+    return out_shape, shapes
 
 
 def volume(shape) -> int:
@@ -363,7 +354,7 @@ def node_inputs(graph: LayerGraph) -> dict:
     return inputs
 
 
-def _last_reads(inputs: dict) -> dict:
+def last_reads(inputs: dict) -> dict:
     """{value: index of the last node reading it}; None is the graph's input."""
     last = {}
     for i, (x, addend) in enumerate(inputs.values()):
@@ -406,7 +397,7 @@ def plan_activations(graph: LayerGraph, shapes: dict, inputs: dict, place=None,
     """
     order = {node_id: i for i, node_id in enumerate(inputs)}
     place, before = list(inputs)[:-1] if place is None else list(place), before or {}
-    last_read, kinds, placed = _last_reads(inputs), dict(graph.nodes), set(place)
+    last_read, kinds, placed = last_reads(inputs), dict(graph.nodes), set(place)
     size = {node_id: 4 * volume(shapes[node_id][1]) for node_id in place}
     head, chains = {}, {}  # each planned node's chain (by its first node) and its members
     at = {}  # each planned node's (window start, output start) from its chain's offset
@@ -502,7 +493,7 @@ def plan_tiles(graph: LayerGraph, shapes: dict, inputs: dict) -> TilePlan:
     next steps: the fused-layer schedule of Alwani et al. (MICRO 2016), with
     Halide's sliding-window storage folding (Ragan-Kelley et al., PLDI 2013).
     """
-    ids, kinds, last_read = list(inputs), dict(graph.nodes), _last_reads(inputs)
+    ids, kinds, last_read = list(inputs), dict(graph.nodes), last_reads(inputs)
     clip = shapes[ids[0]][0]
     region = widest = cut_widest = 0
     if len(clip) == 4:
@@ -516,9 +507,11 @@ def plan_tiles(graph: LayerGraph, shapes: dict, inputs: dict) -> TilePlan:
                 region, cut_widest = i + 1, widest
             read_past = max(read_past, last_read.get(node_id, i))
     frames = max(_TILE_BYTES // (4 * cut_widest), 1) if region else 0
-    if not region or frames >= clip[1]:
-        return TilePlan(0, 0, {}, {}, ActivationPlan({}, 0),
-                        plan_activations(graph, shapes, inputs))
+    if region and frames >= clip[1]:
+        region = frames = 0
+    rest = plan_activations(graph, shapes, inputs, ids[region:-1])
+    if not region:
+        return TilePlan(0, 0, {}, {}, ActivationPlan({}, 0), rest)
     inside = ids[:region]
     # per region value: (reader, frames it reads ahead, frames it reads behind)
     readers = {node_id: [] for node_id in inside}
@@ -539,5 +532,4 @@ def plan_tiles(graph: LayerGraph, shapes: dict, inputs: dict) -> TilePlan:
             for node_id in inside}
     steps = plan_activations(graph, tile, inputs, inside[:-1], {
         node_id: 4 * volume(shapes[node_id][1]) // clip[1] * hold for node_id, hold in held.items()})
-    return TilePlan(region, frames, lag, held, steps,
-                    plan_activations(graph, shapes, inputs, ids[region:-1]))
+    return TilePlan(region, frames, lag, held, steps, rest)

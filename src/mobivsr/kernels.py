@@ -6,22 +6,21 @@ filters that mix channels or per-channel filters. Each separable kernel is
 one core call: its grouped stage, given the pointwise weights, which runs
 the pointwise stage block by block on its mid (see the last item below).
 
-The core works channels last. It moves the input to (B,*S,C), allocates
-its fp32 output once and walks it in blocks along the leading axis: the
-batch, or the first output axis when the batch is 1. The zero-padded input
-is split by stride phase, and only the phases some kernel offset reads are
-built (a stride-2 1x1 skip needs one). A phase that reads no padding and is
-already contiguous (a stride-1 stage on an unpadded channels-last input) is
-used in place. Any other is built one block at a time, its rows for that
-block only, into one buffer per phase that every block reuses: a block
-rewrites only the input part, re-zeroes padding only past the input's end on
-the blocked axis, and moves the halo rows it shares with the last block to
-the front rather than gathering them again. Blocks hold about _COPY_BYTES =
-1 MiB of such scratch, so a layer's scratch no longer grows with its input.
-Every offset then reads a stride-1 window of one phase block, so its (Wo,C)
-rows are contiguous at any stride. The result is a (B,Co,*So) view of a
-channels-last buffer. Tallies are taken once per call, over the whole
-output, so counting stays weight stationary at any block size.
+The core works channels last. It moves the input to (B,*S,C), allocates its
+fp32 output once and walks it in blocks along the leading axis: the batch,
+or the first output axis when the batch is 1. The zero-padded input is split
+by stride phase, and only the phases some kernel offset reads are built (a
+stride-2 1x1 skip needs one). Each is built one block at a time, its rows
+for that block only, into one buffer per phase that every block reuses: a
+block rewrites only the input part, re-zeroes padding only past the input's
+end on the blocked axis, and moves the halo rows it shares with the last
+block to the front rather than gathering them again. Blocks hold about
+_COPY_BYTES = 1 MiB of such scratch, so a layer's scratch no longer grows
+with its input. Every offset then reads a stride-1 window of one phase
+block, so its (Wo,C) rows are contiguous at any stride. The result is a
+(B,Co,*So) view of a channels-last buffer. Tallies are taken once per call,
+over the whole output, so counting stays weight stationary at any block
+size.
 
 * A per-channel stage is summed block-outer, tap-inner (loop tiling for
   locality, Wolf & Lam, 1991). Each copy block is split again into blocks of
@@ -44,8 +43,7 @@ output, so counting stays weight stationary at any block size.
   block, whose column order is that of the weights' own (Co, Ci*K) reshape.
   np.matmul contracts them with no copy of the weights, straight into the
   block's rows of the output. A 1x1 stage's one window is its whole phase
-  block, so it is not copied again, and a 1x1 stride-1 stage on a contiguous
-  input is one GEMM over the input itself. The GEMM sums in BLAS order, so
+  block, so it is not copied again. The GEMM sums in BLAS order, so
   dense outputs match a plain offset sum only to within fp32 rounding (the
   tolerance of tests/_reference.py).
 * A separable layer never holds its whole mid (the fused-layer schedule of
@@ -77,24 +75,21 @@ scale and shift tiled to W*C, with the shift added in place: the same fp32
 operations as the broadcast form, so bit-identical to it, with one
 activation-sized temporary fewer. Relu and residual adds
 (``add_array``) keep the input's memory order, so each layer's move to
-channels last is a view, and its phases are contiguous copies, or no copy
-when nothing is padded.
+channels last is a view, and its phases are contiguous copies.
 
 Every kernel that ``run_graph``'s activation plan gives a slot takes
 ``out=``, a contiguous 1-D fp32 buffer of the output's size, and returns a
 view of it: ``conv2d_array``, the grouped and separable kernels, relu,
 batchnorm and ``add_array``. The elementwise kernels may be handed their
 input's own bytes, since every element is read before its result lands. So
-may a correlation, under a rule the core checks: every stride phase is
-copied block by block before any output row of that block is written, and
-the output rows written after each block end at or before the first input
-row a later block loads. ``run_graph``'s plan puts a separable layer over
-its input only when the output is no larger, and the core checks the rule
-all the same. Where it fails, as for a phase read in place (one that needs
-no padding or copy, such as valid padding at stride 1) or output rows that
-would outrun the reads, the core writes a fresh buffer instead, leaving
-``out`` and the input as they were. Without ``out`` every kernel allocates
-its output.
+may a correlation: every stride phase is copied block by block before any
+output row of that block is written, and the core checks that the output
+rows written after each block end at or before the first input row a later
+block loads. ``run_graph``'s plan puts a separable layer over its input
+only when the output is no larger, and the core checks the rule all the
+same. Where output rows would outrun the reads, the core writes a fresh
+buffer instead, leaving ``out`` and the input as they were. Without
+``out`` every kernel allocates its output.
 
 Kernels check only what their own arithmetic needs: the input's channel
 count against the weights (axis "channel"), ranks, stride and padding. The
@@ -159,9 +154,8 @@ class _Phase:
     along each axis the padded positions p, p+s, p+2s, ..., as far as the
     phase's last kernel offset reads, built one block of axis 0 at a time.
 
-    A phase that reads no padding and is a contiguous slice of xl is sliced
-    as is. Any other is copied into one buffer, made by ``reserve`` and reused
-    by every block. Only the input part is rewritten: the buffer's padding on
+    The phase is copied into one buffer, made by ``reserve`` and reused by
+    every block. Only the input part is rewritten: the buffer's padding on
     the other axes is zeroed once, and a block zeroes only its rows outside
     the input on axis 0.
     """
@@ -182,22 +176,18 @@ class _Phase:
         self.halo = spans[0][2] - outs[0]  # the rows past a block's own that it reads
         self.extents = [extent for *_, extent in spans[1:]]
         self.dst = tuple(slice(first, stop) for first, stop, _ in spans[1:])
-        padded = any(first > 0 or stop < extent for first, stop, extent in spans)
-        self.row_bytes = 0 if not padded and self.inside.flags.c_contiguous else \
-            math.prod(self.extents) * xl.shape[-1] * xl.itemsize
+        self.row_bytes = math.prod(self.extents) * xl.shape[-1] * xl.itemsize
 
     def reserve(self, rows):
         """Make the buffer for blocks of ``rows`` output rows; ``self.array``
         is then what every window of this phase is a slice of."""
-        self.array = self.inside
-        if self.row_bytes:
-            self.array = np.empty((rows + self.halo, *self.extents, self.inside.shape[-1]),
-                                  dtype=self.inside.dtype)
-            # the padding on the other axes, which no block writes
-            for axis, (part, extent) in enumerate(zip(self.dst, self.extents), start=1):
-                lead = (slice(None),) * axis
-                self.array[lead + (slice(0, part.start),)] = 0
-                self.array[lead + (slice(part.stop, extent),)] = 0
+        self.array = np.empty((rows + self.halo, *self.extents, self.inside.shape[-1]),
+                              dtype=self.inside.dtype)
+        # the padding on the other axes, which no block writes
+        for axis, (part, extent) in enumerate(zip(self.dst, self.extents), start=1):
+            lead = (slice(None),) * axis
+            self.array[lead + (slice(0, part.start),)] = 0
+            self.array[lead + (slice(part.stop, extent),)] = 0
 
     def unread(self, r1):
         """The first row of xl that a block after output row r1 loads (inf: none)."""
@@ -207,8 +197,6 @@ class _Phase:
     def load(self, r0, r1):
         """Put the phase rows output rows [r0, r1) read into ``self.array`` and
         return the slice of it at which phase indices [r0, r1) lie."""
-        if self.array is self.inside:
-            return slice(r0, r1)
         buf, n = self.array, r1 - r0 + self.halo
         # blocks come in order and all but the last fill the buffer, so the
         # previous block's final halo rows are this one's first: moved, not gathered
@@ -332,9 +320,9 @@ def _address(a) -> int:
 def _overwrites_unread(out, xl, phases, rows, extent, row_bytes):
     """Whether the walk, writing output rows [0, r1) of ``row_bytes`` each
     into ``out`` after the block that ends at r1, could land on a row of xl
-    that a later block still loads. It could whenever a phase reads xl in
-    place, or xl is not one run of rows."""
-    if not xl.flags.c_contiguous or not all(p.row_bytes for p in phases):
+    that a later block still loads. It could whenever xl is not one run of
+    rows."""
+    if not xl.flags.c_contiguous:
         return True
     ahead, in_row = _address(out) - _address(xl), xl[0].nbytes
     return any(ahead + r1 * row_bytes > min(p.unread(r1) for p in phases) * in_row
@@ -369,8 +357,8 @@ def _correlate(x, w, strides, padding, ledger, grouped, context, pointwise=None,
     grouped stage's mid and gives (B,Co,*So). Either result is a view of a
     channels-last buffer: ``out`` (a contiguous 1-D fp32 buffer of the
     output's size) when given, else a fresh one. ``out`` may lie over x's own
-    bytes when every phase is copied and no output row lands on an input row
-    before its last load; otherwise a fresh buffer is used in its place.
+    bytes when no output row lands on an input row before its last load;
+    otherwise a fresh buffer is used in its place.
 
     With ``frames`` (a ``Frames`` walk, for a batch of one) x holds only a
     window of the input's first correlated axis, and the call computes output
@@ -456,7 +444,7 @@ def _correlate(x, w, strides, padding, ledger, grouped, context, pointwise=None,
         copies += 1 + (tp if tp > 1 else 0)
     row_bytes = sum(p.row_bytes for p in phases.values())
     row_bytes += copies * math.prod(outs[1:]) * c * xl.itemsize
-    rows = max(min(_COPY_BYTES // row_bytes if row_bytes else outs[0], outs[0]), 1)
+    rows = max(min(_COPY_BYTES // row_bytes, outs[0]), 1)
     for phase in phases.values():
         phase.reserve(rows)
     # each offset's window, from its phase's first row on; a block slices it

@@ -774,13 +774,11 @@ def _channels_last(x, channel=1, size=None):
 def test_separable_walks_write_over_their_own_input(name, x, dw, pw, stride, padding):
     """Given ``out`` over the front of its own channels-last input, a separable
     walk at a one-row budget and at one whose last block is ragged equals a
-    call into a fresh buffer bit for bit, with the same ledger. It writes
-    into out, except where a phase is read in place (valid padding at
-    stride 1, no copy): there it uses a fresh buffer and leaves x as it was."""
+    call into a fresh buffer bit for bit, with the same ledger, and writes
+    into out: every phase is copied before any output row lands."""
     fused = ds_conv2d_array if dw.ndim == 3 else ds_conv3d_array
     counts = CounterLedger()
     expected = fused(x, dw, pw, stride, padding, counts)
-    read_in_place = stride == 1 and padding == "valid"
 
     def check(copy_bytes):
         buf, held = _channels_last(x if dw.ndim == 3 else x[None])
@@ -790,9 +788,7 @@ def test_separable_walks_write_over_their_own_input(name, x, dw, pw, stride, pad
             got = fused(held, dw, pw, stride, padding, ledger, out=buf[:expected.size])
         assert np.array_equal(got, expected)
         assert ledger == counts
-        assert np.shares_memory(got, buf) != read_in_place
-        if read_in_place:
-            assert np.array_equal(held, x)
+        assert np.shares_memory(got, buf)
         return rows
 
     assert set(check(1)) == {1}
@@ -825,9 +821,8 @@ def test_a_walk_whose_output_outgrows_its_input_writes_a_fresh_buffer(b, stride)
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_conv2d_writes_a_1x1_skip_into_out(stride):
-    """A 1x1 conv2d writes into a separate ``out``; over its own input at
-    stride 2 its one phase is a copy, so it may write there, while at stride
-    1 the input is read in place and it writes a fresh buffer."""
+    """A 1x1 conv2d writes into a separate ``out``, and over its own input
+    too, since its one phase is copied before any output row lands."""
     g = rng(29)
     x, w = f32(g.normal(size=(5, 4, 6, 6))), f32(g.normal(size=(4, 4, 1, 1)))
     expected = conv2d_array(x, w, stride)
@@ -838,7 +833,7 @@ def test_conv2d_writes_a_1x1_skip_into_out(stride):
     with _budgets(1):
         got = conv2d_array(held, w, stride, out=buf[:expected.size])
     assert np.array_equal(got, expected)
-    assert np.shares_memory(got, buf) == (stride == 2)
+    assert np.shares_memory(got, buf)
 
 
 @pytest.mark.parametrize("layout", ["channels last", "channels first"])
