@@ -27,6 +27,7 @@ from .costs import (
     LayerCost,
     aggregate,
     efficiency_ratios,
+    exact_accesses_of,
     flops_of,
     mem_access_of,
     params_of,

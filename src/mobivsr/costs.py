@@ -17,17 +17,21 @@ fc                I Q
 ================  ================================================
 
 Each weight takes part in one multiply per output position, and there are
-V_out / C_out positions for an output volume V_out (one for fc). Convolutions
-read one activation per multiply, so P / C_in reads per input element over
-the input volume V_in; fc reads its input once. At 2 FLOPs per multiply:
+V_out / C_out positions for an output volume V_out (one for fc). At 2 FLOPs
+per multiply, and with V_in the input volume:
 
     FLOPs            = 2 P V_out / C_out           (an exact integer)
     memory accesses  = P + P V_in / C_in + V_out   (fc: P + V_in + V_out)
+    exact accesses   = P + P V_out / C_out + V_out (fc: P + V_in + V_out)
 
-The read term assumes stride 1 and same padding, where each channel has as
-many output positions as input positions; for strided or valid-padded
-layers it is an upper bound on the instrumented counts. Activations,
-pooling, normalization, softmax and residual adds cost nothing.
+Convolutions read one activation per multiply, so the exact read term is the
+multiply count P V_out / C_out, and ``exact_accesses_of`` equals the
+instrumented counts at any stride and padding; fc reads its input once. The
+memory-access column, ``mem_access_of``, counts P / C_in reads per input
+element instead. That assumes stride 1 and same padding, where each channel
+has as many output positions as input positions; for strided or
+valid-padded layers it is an upper bound on the instrumented counts.
+Activations, pooling, normalization, softmax and residual adds cost nothing.
 """
 
 from __future__ import annotations
@@ -112,6 +116,19 @@ def _cost(spec: LayerSpec, in_shape, out_shape=None) -> LayerCost:
 def mem_access_of(layer: LayerSpec, input_shape) -> int:
     """Memory accesses of one layer: weight reads + activation reads + writes."""
     return _cost(layer, input_shape).memory_accesses
+
+
+def exact_accesses_of(spec: LayerSpec, in_shape) -> int:
+    """Memory accesses of one layer as the reference kernels count them:
+    P + P V_out / C_out + V_out, one activation read per multiply (fc:
+    P + V_in + V_out); zero for cost-free kinds."""
+    formula = _PARAMS.get(spec.kind)
+    if formula is None:
+        return 0
+    out_shape = layer_output_shape(spec, in_shape)
+    p, vo = formula(spec), volume(out_shape)
+    reads = volume(in_shape) if spec.kind == "fc" else p * vo // out_shape[0]
+    return p + reads + vo
 
 
 def flops_of(layer: LayerSpec, input_shape) -> int:

@@ -441,11 +441,13 @@ def frames_read(spec: LayerSpec) -> tuple:
 
 
 # fp32 bytes a tile of a region's widest value may take, which fixes the
-# frames per tile: 8 of MobiVSR's ds3d1 output. Each step costs every region
-# node a kernel call, while the step arena grows by a frame of ds3d1 output
-# per tile frame: on the measured 2-vCPU host an alpha=1 request's median
-# latency rose about 13 % with 5-frame tiles and about 5 % with 8-frame ones
-_TILE_BYTES = 2304 * 1024
+# frames per tile: 4 of MobiVSR's ds3d1 output. The step arena grows by a
+# frame of ds3d1 output per tile frame, and each step costs every region node
+# a kernel call, whose geometry the kernels keep across calls. An alpha=1
+# request peaks at 8.66 MB with 8-frame tiles, 7.48 MB with 4 and 6.89 MB
+# with 2; on a 2-vCPU host 4-frame tiles cost its median latency about 12 %
+# over 8-frame ones without that memo and about 5 % with it, 2-frame ones 23 %
+_TILE_BYTES = 1152 * 1024
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,15 @@ filters that mix channels or per-channel filters. Each separable kernel is
 one core call: its grouped stage, given the pointwise weights, which runs
 the pointwise stage block by block on its mid (see the last item below).
 
+A core call has two steps. The geometry step, ``_geometry``, is the index
+arithmetic done before data is touched: the checks, output extents and
+padding leads, a walk's frame window, the stride phases and the input slice
+each copies, each offset's phase window, and the rows of a block under the
+budgets below. A pure function of shapes, ints and the budgets, holding no
+array, it is memoized in a bounded LRU cache, as a tiled region repeats its
+calls' shapes tile after tile. The compute step makes the call's views,
+buffers and tap tiles and runs the block loop, every multiply every call.
+
 The core works channels last. It moves the input to (B,*S,C), allocates its
 fp32 output once and walks it in blocks along the leading axis: the batch,
 or the first output axis when the batch is 1. The zero-padded input is split
@@ -115,8 +124,10 @@ bit-identical to the uncounted one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -149,66 +160,67 @@ def _check_stride(stride):
 # ---------------------------------------------------------------------------
 
 
-class _Phase:
-    """Stride phase ``phase`` of the zero-padded channels-last input xl (*S,C):
-    along each axis the padded positions p, p+s, p+2s, ..., as far as the
-    phase's last kernel offset reads, built one block of axis 0 at a time.
-
-    The phase is copied into one buffer, made by ``reserve`` and reused by
-    every block. Only the input part is rewritten: the buffer's padding on
-    the other axes is zeroed once, and a block zeroes only its rows outside
-    the input on axis 0.
-    """
-
-    def __init__(self, xl, phase, outs, kernel, strides, leads):
-        spans, src = [], []
-        for p, m, k, s, so, lo in zip(phase, xl.shape, kernel, strides, outs, leads):
-            extent = so + (k - 1 - p) // s  # as far as this phase's last offset reads
-            first = max(-((p - lo) // s), 0)  # the first phase index inside the input
-            stop = max(min(extent, -((p - lo - m) // s)), first)  # one past the last
-            start = p + first * s - lo
-            spans.append((first, stop, extent))
-            src.append(slice(start, start + (stop - first) * s, s))
-        self.inside = xl[tuple(src)]
-        self.first, self.stop = spans[0][:2]
-        # phase index i lies at row origin + i * step of xl's axis 0
-        self.origin, self.step = phase[0] - leads[0], strides[0]
-        self.halo = spans[0][2] - outs[0]  # the rows past a block's own that it reads
-        self.extents = [extent for *_, extent in spans[1:]]
-        self.dst = tuple(slice(first, stop) for first, stop, _ in spans[1:])
-        self.row_bytes = math.prod(self.extents) * xl.shape[-1] * xl.itemsize
-
-    def reserve(self, rows):
-        """Make the buffer for blocks of ``rows`` output rows; ``self.array``
-        is then what every window of this phase is a slice of."""
-        self.array = np.empty((rows + self.halo, *self.extents, self.inside.shape[-1]),
-                              dtype=self.inside.dtype)
-        # the padding on the other axes, which no block writes
-        for axis, (part, extent) in enumerate(zip(self.dst, self.extents), start=1):
-            lead = (slice(None),) * axis
-            self.array[lead + (slice(0, part.start),)] = 0
-            self.array[lead + (slice(part.stop, extent),)] = 0
+class _Span(namedtuple("_Span", "src first stop origin step halo extents dst row_bytes")):
+    """A stride phase's geometry (see _Phase): ``src`` slices its input part
+    out of xl; phase indices [first, stop) of axis 0, index i at xl row origin
+    + i * step, are inside; a block reads ``halo`` rows past its own; its other
+    ``extents`` hold the input part at ``dst``; a row copies ``row_bytes``."""
 
     def unread(self, r1):
         """The first row of xl that a block after output row r1 loads (inf: none)."""
         i = max(r1 + self.halo, self.first)
         return self.origin + i * self.step if i < self.stop else math.inf
 
+
+def _span(phase, dims, outs, kernel, strides, leads, channels, itemsize):
+    """The _Span of stride phase ``phase`` of an input of extents ``dims``."""
+    spans, src = [], []
+    for p, m, k, s, so, lo in zip(phase, dims, kernel, strides, outs, leads):
+        extent = so + (k - 1 - p) // s  # as far as this phase's last offset reads
+        first = max(-((p - lo) // s), 0)  # the first phase index inside the input
+        stop = max(min(extent, -((p - lo - m) // s)), first)  # one past the last
+        start = p + first * s - lo
+        spans.append((first, stop, extent))
+        src.append(slice(start, start + (stop - first) * s, s))
+    extents = tuple(extent for *_, extent in spans[1:])
+    return _Span(tuple(src), *spans[0][:2], phase[0] - leads[0], strides[0],
+                 spans[0][2] - outs[0], extents,
+                 tuple(slice(first, stop) for first, stop, _ in spans[1:]),
+                 math.prod(extents) * channels * itemsize)
+
+
+class _Phase:
+    """Stride phase ``span`` of the zero-padded channels-last input xl (*S,C):
+    along each axis the padded positions p, p+s, p+2s, ..., as far as the
+    phase's last kernel offset reads, copied one block of axis 0 at a time
+    into ``self.array``, of which each of its windows is a slice. Every block
+    reuses the buffer and rewrites only the input part: the padding on the
+    other axes is zeroed once, and a block's rows outside the input on axis 0.
+    """
+
+    def __init__(self, span, xl, rows):
+        self.span, self.inside = span, xl[span.src]
+        self.array = np.empty((rows + span.halo, *span.extents, xl.shape[-1]), dtype=xl.dtype)
+        # the padding on the other axes, which no block writes
+        for axis, (part, extent) in enumerate(zip(span.dst, span.extents), start=1):
+            lead = (slice(None),) * axis
+            self.array[lead + (slice(0, part.start),)] = 0
+            self.array[lead + (slice(part.stop, extent),)] = 0
+
     def load(self, r0, r1):
-        """Put the phase rows output rows [r0, r1) read into ``self.array`` and
-        return the slice of it at which phase indices [r0, r1) lie."""
-        buf, n = self.array, r1 - r0 + self.halo
+        """Put the phase rows output rows [r0, r1) read into ``self.array``;
+        phase indices [r0, r1) then lie at its front."""
+        span, buf, n = self.span, self.array, r1 - r0 + self.span.halo
         # blocks come in order and all but the last fill the buffer, so the
         # previous block's final halo rows are this one's first: moved, not gathered
-        kept = self.halo if r0 else 0
+        kept = span.halo if r0 else 0
         _move_to_front(buf, len(buf) - kept, kept)
         # buffer row j holds phase index r0 + j; rows before and past the input are padding
-        d0 = min(max(self.first - r0, kept), n)
-        d1 = max(min(self.stop - r0, n), d0)
+        d0 = min(max(span.first - r0, kept), n)
+        d1 = max(min(span.stop - r0, n), d0)
         buf[kept:d0] = 0
-        buf[(slice(d0, d1),) + self.dst] = self.inside[r0 + d0 - self.first:r0 + d1 - self.first]
+        buf[(slice(d0, d1),) + span.dst] = self.inside[r0 + d0 - span.first:r0 + d1 - span.first]
         buf[d1:n] = 0
-        return slice(0, r1 - r0)
 
 
 def _move_to_front(buf, start, n):
@@ -317,18 +329,6 @@ def _address(a) -> int:
     return a.__array_interface__["data"][0]
 
 
-def _overwrites_unread(out, xl, phases, rows, extent, row_bytes):
-    """Whether the walk, writing output rows [0, r1) of ``row_bytes`` each
-    into ``out`` after the block that ends at r1, could land on a row of xl
-    that a later block still loads. It could whenever xl is not one run of
-    rows."""
-    if not xl.flags.c_contiguous:
-        return True
-    ahead, in_row = _address(out) - _address(xl), xl[0].nbytes
-    return any(ahead + r1 * row_bytes > min(p.unread(r1) for p in phases) * in_row
-               for r1 in range(rows, extent, rows))
-
-
 class Frames:
     """A walk down the time axis of a (C, L, H, W) input of ``total`` frames,
     resumed call by call, for ``conv3d_array`` and ``ds_conv3d_array``.
@@ -344,6 +344,104 @@ class Frames:
 
     def __init__(self, total):
         self.total, self.start, self.stop, self.done, self.mid = total, 0, total, 0, None
+
+
+# batch, channels, pointwise depth (0: none), output rows [r0, r1) and their
+# lead of mid rows, extents, (key, _Span) per phase, (key, window) per offset,
+# block rows, im2col or not, product rows, output shape, (r1, unread), tally
+_Geometry = namedtuple("_Geometry", "b c tp r0 r1 lead outs phases reads rows columns "
+                                    "product shape loads multiplies")
+
+
+@functools.lru_cache(maxsize=256)
+def _geometry(x_shape, w_shape, pw_shape, strides, padding, grouped, context, walk, itemsize,
+              copy_bytes, block_bytes):
+    """The geometry step of a _correlate call (see the module docstring), of a
+    Frames walk's (total, start, done, stop) too; its value holds no array."""
+    n = len(strides)
+    w_rank = n + 1 if grouped else n + 2
+    if len(x_shape) != n + 2 or len(w_shape) != w_rank:
+        raise DimensionMismatch("rank", (n + 2, w_rank), (len(x_shape), len(w_shape)),
+                                f"{context} input and weights")
+    b, c, *size = x_shape
+    kernel = w_shape[-n:]
+    cw = w_shape[0] if grouped else w_shape[1]
+    if cw != c:
+        raise DimensionMismatch("channel", cw, c, f"{context} input vs weights")
+    if n > 1 and kernel[-2] != kernel[-1]:
+        kh, kw = kernel[-2:]
+        raise DimensionMismatch("kernel", f"square, {kh}x{kh}", f"{kh}x{kw}", f"{context} weights")
+    if pw_shape is not None:
+        if len(pw_shape) != n + 2:
+            raise DimensionMismatch("rank", n + 2, len(pw_shape), "pointwise weights")
+        if pw_shape[1] != c:
+            raise DimensionMismatch("channel", pw_shape[1], c,
+                                    "pointwise weights vs the grouped stage")
+        if pw_shape[-2:] != (1, 1):
+            kh, kw = pw_shape[-2:]
+            raise DimensionMismatch("kernel", "1x1", f"{kh}x{kw}", "pointwise weights")
+    extents = size if walk is None else [walk[0], *size[1:]]
+    outs = [out_extent(m, k, s, padding, axis)
+            for m, k, s, axis in zip(extents, kernel, strides, _AXES[n])]
+    # the leading zero padding that gives those extents: half the total, rounded down
+    leads = [max((o - 1) * s + k - m, 0) // 2
+             for o, s, k, m in zip(outs, strides, kernel, extents)]
+    taps = math.prod(kernel)
+    tp = 0 if pw_shape is None else (pw_shape[2] if n == 3 else 1)
+    # this call's output rows [r0, r1) of axis 0 and the rows [m0, m1) its first
+    # stage computes: the same, or for a separable layer the mid rows they read
+    # that no earlier call did. Each later call finds the Tp - 1 mid rows its
+    # first output row reads carried over; the first finds leading zero padding.
+    start, r0, r1 = (0, 0, outs[0]) if walk is None else walk[1:]
+    if not 0 <= r0 <= r1 <= outs[0]:
+        raise ValueError(f"{context}: output frames [{r0}, {r1}) are not within [0, {outs[0]})")
+    m0, m1, lead = r0, r1, 0
+    if tp:
+        skip = (tp - 1) // 2  # same padding's leading zero mid rows
+        lead = skip if r0 == 0 else tp - 1
+        m0 = 0 if r0 == 0 else min(r0 - skip + tp - 1, outs[0])
+        m1 = min(r1 - skip + tp - 1, outs[0])
+    if walk is not None:  # conv3d and ds_conv3d pass a batch of one
+        s0, k0 = strides[0], kernel[0]
+        need = (max(m0 * s0 - leads[0], 0), min((m1 - 1) * s0 + k0 - leads[0], walk[0]))
+        if m1 > m0 and (need[0] < start or need[1] > start + size[0]):
+            raise ValueError(f"{context}: input frames [{start}, {start + size[0]}) do not hold "
+                             f"frames [{need[0]}, {need[1]}) that output frames [{r0}, {r1}) read")
+        # the window's first row is input row ``start``, and row m0 is the first computed
+        outs[0], leads[0] = m1 - m0, leads[0] + start - m0 * s0
+    if b > 1:  # the batch is axis 0, a correlated axis of kernel and stride 1
+        kernel, strides, outs, leads, size = ((1, *kernel), (1, *strides), [b, *outs],
+                                              [0, *leads], [b, *size])
+    # each offset reads a stride-1 window of one phase: (phase, its index there),
+    # in np.ndindex order; per axis, offset o lies in phase o % s from index o // s
+    axes = [[(o % s, slice(o // s, o // s + m)) for o in range(k)]
+            for k, s, m in zip(kernel, strides, outs)]
+    axes[0] = [(p, slice(index.start, None)) for p, index in axes[0]]
+    phases, reads = {}, []
+    for parts in itertools.product(*axes):
+        key, index = zip(*parts)
+        if key not in phases:
+            phases[key] = _span(key, size, outs, kernel, strides, leads, c, itemsize)
+        reads.append((key, index))
+    # the scratch one output row of axis 0 takes: copied phase rows, then in
+    # (*So[1:], C) rows: for a dense filter of several offsets its im2col rows,
+    # for a separable layer its mid row and, past a 1x1 stage, Tp im2col rows
+    columns = not grouped and taps > 1
+    copies = taps if columns else 0
+    if tp:
+        copies += 1 + (tp if tp > 1 else 0)
+    row = math.prod(outs[1:]) * c  # elements of one output row of the first stage
+    row_bytes = sum(p.row_bytes for p in phases.values()) + copies * row * itemsize
+    rows = max(min(copy_bytes // row_bytes, outs[0]), 1)
+    co = c if grouped else w_shape[0]
+    shape = (*outs, co if pw_shape is None else pw_shape[0])
+    if walk is not None:  # a separable layer's output rows, not its mid rows
+        shape = (r1 - r0, *shape[1:])
+    edges = ((r, min(p.unread(r) for p in phases.values())) for r in range(rows, outs[0], rows))
+    return _Geometry(b, c, tp, r0, r1, lead, tuple(outs), tuple(phases.items()), tuple(reads),
+                     rows, columns, min(rows, max(block_bytes // (row * 4), 1)), shape,
+                     tuple((r, u) for r, u in edges if u < math.inf),
+                     math.prod(outs) * (c if grouped else co * c) * taps)
 
 
 def _correlate(x, w, strides, padding, ledger, grouped, context, pointwise=None, out=None,
@@ -364,122 +462,54 @@ def _correlate(x, w, strides, padding, ledger, grouped, context, pointwise=None,
     window of the input's first correlated axis, and the call computes output
     rows [frames.done, frames.stop) of that axis.
     """
+    # checked before the memo, whose keys would hold a stride of True as 1
     for stride in strides:
         _check_stride(stride)
     _check_padding(padding)
-    n = len(strides)
-    w_rank = n + 1 if grouped else n + 2
-    if x.ndim != n + 2 or w.ndim != w_rank:
-        raise DimensionMismatch("rank", (n + 2, w_rank), (x.ndim, w.ndim),
-                                f"{context} input and weights")
-    b, c, *size = x.shape
-    kernel = w.shape[-n:]
-    cw = w.shape[0] if grouped else w.shape[1]
-    if cw != c:
-        raise DimensionMismatch("channel", cw, c, f"{context} input vs weights")
-    if n > 1 and kernel[-2] != kernel[-1]:
-        kh, kw = kernel[-2:]
-        raise DimensionMismatch("kernel", f"square, {kh}x{kh}", f"{kh}x{kw}", f"{context} weights")
-    if pointwise is not None:
-        if pointwise.ndim != n + 2:
-            raise DimensionMismatch("rank", n + 2, pointwise.ndim, "pointwise weights")
-        if pointwise.shape[1] != c:
-            raise DimensionMismatch("channel", pointwise.shape[1], c,
-                                    "pointwise weights vs the grouped stage")
-        if pointwise.shape[-2:] != (1, 1):
-            kh, kw = pointwise.shape[-2:]
-            raise DimensionMismatch("kernel", "1x1", f"{kh}x{kw}", "pointwise weights")
-    extents = size if frames is None else [frames.total, *size[1:]]
-    outs = [out_extent(m, k, s, padding, axis)
-            for m, k, s, axis in zip(extents, kernel, strides, _AXES[n])]
-    # the leading zero padding that gives those extents: half the total, rounded down
-    leads = [max((o - 1) * s + k - m, 0) // 2
-             for o, s, k, m in zip(outs, strides, kernel, extents)]
-    taps = math.prod(kernel)
-    tp = 0 if pointwise is None else (pointwise.shape[2] if n == 3 else 1)
-    # this call's output rows [r0, r1) of axis 0 and the rows [m0, m1) its first
-    # stage computes: the same, or for a separable layer the mid rows they read
-    # that no earlier call did. Each later call finds the Tp - 1 mid rows its
-    # first output row reads carried over; the first finds leading zero padding.
-    r0, r1, start = (0, outs[0], 0) if frames is None else (frames.done, frames.stop, frames.start)
-    if not 0 <= r0 <= r1 <= outs[0]:
-        raise ValueError(f"{context}: output frames [{r0}, {r1}) are not within [0, {outs[0]})")
-    m0, m1, lead = r0, r1, 0
-    if tp:
-        skip = (tp - 1) // 2  # same padding's leading zero mid rows
-        lead = skip if r0 == 0 else tp - 1
-        m0 = 0 if r0 == 0 else min(r0 - skip + tp - 1, outs[0])
-        m1 = min(r1 - skip + tp - 1, outs[0])
-    if frames is not None:  # conv3d and ds_conv3d pass a batch of one
-        s0, k0 = strides[0], kernel[0]
-        need = (max(m0 * s0 - leads[0], 0), min((m1 - 1) * s0 + k0 - leads[0], frames.total))
-        if m1 > m0 and (need[0] < start or need[1] > start + size[0]):
-            raise ValueError(f"{context}: input frames [{start}, {start + size[0]}) do not hold "
-                             f"frames [{need[0]}, {need[1]}) that output frames [{r0}, {r1}) read")
-        # the window's first row is input row ``start``, and row m0 is the first computed
-        outs[0], leads[0] = m1 - m0, leads[0] + start - m0 * s0
+    walk = None if frames is None else (frames.total, frames.start, frames.done, frames.stop)
+    g = _geometry(x.shape, w.shape, None if pointwise is None else pointwise.shape,
+                  tuple(map(int, strides)), padding, grouped, context, walk, x.itemsize,
+                  _COPY_BYTES, _BLOCK_BYTES)
+    n, outs, rows = len(strides), g.outs, g.rows
     xl = x.transpose(0, *range(2, n + 2), 1)  # channels last; np.moveaxis costs more
-    if b > 1:  # the batch is axis 0, a correlated axis of kernel and stride 1
-        kernel, strides, outs, leads = (1, *kernel), (1, *strides), [b, *outs], [0, *leads]
-    else:  # a batch of one is blocked along its first correlated axis
+    if g.b == 1:  # a batch of one is blocked along its first correlated axis
         xl = xl[0]
-    co = c if grouped else len(w)
-    # each offset reads a stride-1 window of one phase: (phase, its index there),
-    # in np.ndindex order; per axis, offset o lies in phase o % s from index o // s
-    axes = [[(o % s, slice(o // s, o // s + m)) for o in range(k)]
-            for k, s, m in zip(kernel, strides, outs)]
-    axes[0] = [(p, slice(index.start, None)) for p, index in axes[0]]
-    phases, reads = {}, []
-    for parts in itertools.product(*axes):
-        phase, index = zip(*parts)
-        if phase not in phases:
-            phases[phase] = _Phase(xl, phase, outs, kernel, strides, leads)
-        reads.append((phase, index))
-    # the scratch one output row of axis 0 takes: copied phase rows, then in
-    # (*So[1:], C) rows: for a dense filter of several offsets its im2col rows,
-    # for a separable layer its mid row and, past a 1x1 stage, Tp im2col rows
-    columns = not grouped and taps > 1
-    copies = taps if columns else 0
-    if tp:
-        copies += 1 + (tp if tp > 1 else 0)
-    row_bytes = sum(p.row_bytes for p in phases.values())
-    row_bytes += copies * math.prod(outs[1:]) * c * xl.itemsize
-    rows = max(min(_COPY_BYTES // row_bytes, outs[0]), 1)
-    for phase in phases.values():
-        phase.reserve(rows)
+    phases = {key: _Phase(span, xl, rows) for key, span in g.phases}
     # each offset's window, from its phase's first row on; a block slices it
-    windows = [(key, phases[key].array[index]) for key, index in reads]
+    windows = [phases[key].array[index] for key, index in g.reads]
     if grouped:
         # each tap tiled to (Wo,C), in np.ndindex order
-        tiles = np.empty((taps, outs[-1], c), dtype=w.dtype)
-        tiles[...] = w.reshape(c, taps).T[:, None]
-        row = math.prod(outs[1:]) * c * 4  # one fp32 row of the grouped output
-        product = np.empty((min(rows, max(_BLOCK_BYTES // row, 1)), *outs[1:], c),
-                           dtype=np.result_type(xl, tiles))
+        tiles = np.empty((len(windows), outs[-1], g.c), dtype=w.dtype)
+        tiles[...] = w.reshape(g.c, -1).T[:, None]
+        product = np.empty((g.product, *outs[1:], g.c), dtype=np.result_type(xl, tiles))
     else:
         # the (Ci*K, Co) transpose of the weights' own (Co, Ci*K) rows, a view
         # with no copy, against windows stacked channel-major
-        wt = w.reshape(co, -1).T
-        cols = np.empty((rows, *outs[1:], c, taps), dtype=xl.dtype) if columns else None
-    shape = (*outs, co if pointwise is None else len(pointwise))
-    if frames is not None:  # a separable layer's output rows, not its mid rows
-        shape = (r1 - r0, *shape[1:])
+        wt = w.reshape(len(w), -1).T
+        cols = np.empty((rows, *outs[1:], g.c, len(windows)), dtype=xl.dtype) \
+            if g.columns else None
     if out is not None:
-        _check_out(out, math.prod(shape))
-        if np.may_share_memory(out, xl) and _overwrites_unread(
-                out, xl, phases.values(), rows, outs[0], math.prod(shape[1:]) * 4):
-            out = None
-    out = np.empty(shape, dtype=np.float32) if out is None else out.reshape(shape)
+        _check_out(out, math.prod(g.shape))
+        if np.may_share_memory(out, xl):
+            # output rows [0, r1) land once the block ending at r1 is in: a fresh
+            # buffer if one could land on the row u of xl a later block loads, for
+            # an (r1, u) of g.loads, or anywhere when xl is not one run of rows
+            ahead, row = _address(out) - _address(xl), math.prod(g.shape[1:]) * 4
+            if not xl.flags.c_contiguous or any(ahead + r1 * row > u * xl[0].nbytes
+                                                for r1, u in g.loads):
+                out = None
+    out = np.empty(g.shape, dtype=np.float32) if out is None else out.reshape(g.shape)
     stage = None
-    if tp:
-        carried = frames.mid if frames is not None and r0 else None
-        stage = _Pointwise(pointwise, tp, rows, lead, outs[0], out, carried)
+    if g.tp:
+        carried = frames.mid if frames is not None and g.r0 else None
+        stage = _Pointwise(pointwise, g.tp, rows, g.lead, outs[0], out, carried)
         if not outs[0]:  # every mid row this call's output reads was carried
             stage.emit(0)
     for b0 in range(0, outs[0], rows):
         b1 = min(b0 + rows, outs[0])
-        spans = {key: phase.load(b0, b1) for key, phase in phases.items()}
-        block = [window[spans[key]] for key, window in windows]
+        for phase in phases.values():
+            phase.load(b0, b1)
+        block = [window[:b1 - b0] for window in windows]
         if not grouped:
             # a 1x1 stage's one window is its whole phase block, used as is
             _dense_block(block, cols, wt, out[b0:b1])
@@ -489,14 +519,14 @@ def _correlate(x, w, strides, padding, ledger, grouped, context, pointwise=None,
             _grouped_sum(block, tiles, stage.block(b0, b1), product)
             stage.emit(b1)
     if frames is not None:
-        frames.done = r1
+        frames.done = g.r1
         if stage is not None:
-            frames.mid = stage.mid[:tp - 1].copy()
+            frames.mid = stage.mid[:g.tp - 1].copy()
     if ledger is not None:
-        _tally(ledger, math.prod(outs) * (c if grouped else co * c) * taps, w.size)
+        _tally(ledger, g.multiplies, w.size)
         if stage is not None:
-            _tally(ledger, out.size * c * tp, pointwise.size)
-    return (out if b > 1 else out[None]).transpose(0, n + 1, *range(1, n + 1))
+            _tally(ledger, out.size * g.c * g.tp, pointwise.size)
+    return (out if g.b > 1 else out[None]).transpose(0, n + 1, *range(1, n + 1))
 
 
 def conv2d_array(x, w, stride=1, padding="same", ledger=None, out=None):

@@ -3,6 +3,7 @@
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mobivsr
@@ -12,12 +13,20 @@ from mobivsr import (
     MissingDimension,
     aggregate,
     build_mobivsr,
+    counted_forward,
     efficiency_ratios,
+    exact_accesses_of,
     flops_of,
+    init_weights,
     mem_access_of,
+    node_inputs,
     params_of,
     published_models,
+    quantize_weights,
+    run_graph,
+    shape_infer,
 )
+from mobivsr.costs import COSTED_KINDS
 
 
 def conv(kind="conv2d", ci=3, co=64, k=3, t=None, **kw):
@@ -199,3 +208,45 @@ def test_analytical_route_imports_no_kernel_code(module):
 def test_aggregate_rejects_an_unknown_dtype():
     with pytest.raises(ValueError, match="dtype must be 'fp32' or 'int8', got 'fp16'"):
         aggregate(build_mobivsr(1), dtype="fp16")
+
+
+def _counted_mobivsr(alpha, dtype):
+    graph = build_mobivsr(alpha)
+    bundle = init_weights(graph, seed=2)
+    if dtype == "int8":
+        bundle = quantize_weights(bundle)
+    x = np.random.default_rng(3).random(graph.input_shape, dtype=np.float32)
+    return graph, bundle, x
+
+
+def test_exact_accesses_equal_each_mobivsr_nodes_counted_accesses():
+    """On every costed node of MobiVSR-1, the strided ones included, the
+    exact closed form equals the accesses its counted kernel tallies."""
+    graph, bundle, x = _counted_mobivsr(1, "fp32")
+    kept = run_graph(graph, bundle, x, keep_outputs=True).node_outputs
+    _, shapes = shape_infer(graph, graph.input_shape)
+    inputs, costed = node_inputs(graph), 0
+    for node_id, spec in graph.nodes:
+        if spec.kind in COSTED_KINDS:
+            source = inputs[node_id][0]
+            source = x if source is None else kept[source]
+            _, ledger = counted_forward(spec, source, bundle[node_id])
+            assert exact_accesses_of(spec, shapes[node_id][0]) == ledger.memory_accesses(), \
+                node_id
+            costed += 1
+    assert costed == 17
+
+
+@pytest.mark.parametrize("dtype", ["fp32", "int8"])
+@pytest.mark.parametrize("alpha,accesses", [(1, 762_155_407), (2, 1_350_315_279),
+                                            (3, 1_938_475_151), (4, 2_526_635_023)])
+def test_exact_accesses_sum_to_a_counted_mobivsr_pass(alpha, accesses, dtype):
+    """Summed over a MobiVSR-α graph, the exact closed form equals the counted
+    pass's ledger, where the memory-access column over-counts the strided
+    nodes' reads."""
+    graph, bundle, x = _counted_mobivsr(alpha, dtype)
+    _, shapes = shape_infer(graph, graph.input_shape)
+    total = sum(exact_accesses_of(spec, shapes[node_id][0]) for node_id, spec in graph.nodes)
+    assert total == accesses
+    assert run_graph(graph, bundle, x, counted=True).ledger.memory_accesses() == accesses
+    assert aggregate(graph).totals.memory_accesses > accesses

@@ -360,7 +360,7 @@ def _plans(graph, shape=None):
 
 @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
 def test_the_mobivsr_arena_is_its_largest_activation(alpha):
-    """The front end through s2 runs in tiles of 8 frames, and each arena is
+    """The front end through s2 runs in tiles of 4 frames, and each arena is
     no larger than the largest activation it holds: relu1's window of a tile
     and the 2 frames before it for the region's steps, two of s3's outputs
     for the rest, which runs from s3's first node to s4's last relu. ds1's
@@ -373,13 +373,13 @@ def test_the_mobivsr_arena_is_its_largest_activation(alpha):
     assert whole.arena_bytes == DS3D1_BYTES == 8_552_448
     ids = [node_id for node_id, _ in graph.nodes]
     assert ids[plan.region - 1] == f"s2.b{alpha}.relu2"
-    assert (plan.frames, plan.held) == (8, {"frontend.relu1": 2})
+    assert (plan.frames, plan.held) == (4, {"frontend.relu1": 2})
     frame = DS3D1_BYTES // 29
-    assert plan.steps.arena_bytes == frame * (8 + 2) == 2_949_120
+    assert plan.steps.arena_bytes == frame * (4 + 2) == 1_769_472
     slots = plan.steps.slots
-    assert slots["frontend.ds3d1"] == slots["frontend.relu1"] == (2 * frame, 8 * frame)
-    assert slots["frontend.ds3d2"] == slots["frontend.relu2"] == (0, 4 * frame)
-    assert slots["s1.b1.ds1"] == (4 * frame, 4 * frame)
+    assert slots["frontend.ds3d1"] == slots["frontend.relu1"] == (2 * frame, 4 * frame)
+    assert slots["frontend.ds3d2"] == slots["frontend.relu2"] == (0, 2 * frame)
+    assert slots["s1.b1.ds1"] == (2 * frame, 2 * frame)
     assert plan.rest.arena_bytes == 2 * 256 * 29 * 6 * 6 * 4 == 2_138_112
     planned = [node_id for node_id in ids if node_id in plan.rest.slots]
     assert planned == ids[plan.region:plan.region + len(planned)]
@@ -423,7 +423,7 @@ def test_the_tile_plan_reads_shapes_and_edges_not_names():
     renamed = LayerGraph(nodes=[(names[n], spec) for n, spec in graph.nodes],
                          residual_edges=[(names[a], names[b]) for a, b in graph.residual_edges])
     plan, plan2 = _plans(graph)[1], _plans(renamed, graph.input_shape)[1]
-    assert (plan2.region, plan2.frames) == (plan.region, plan.frames) == (27, 8)
+    assert (plan2.region, plan2.frames) == (plan.region, plan.frames) == (27, 4)
     assert plan2.lags == {names[n]: lag for n, lag in plan.lags.items()}
     assert {n for n, lag in plan.lags.items() if lag} == \
         {"frontend.ds3d1", "frontend.bn1", "frontend.relu1"}
@@ -433,13 +433,13 @@ def test_the_tile_plan_reads_shapes_and_edges_not_names():
 
 def test_a_slim_mobivsr_tiles_only_up_to_the_last_value_larger_than_its_clip():
     """In the slim plan s2's output is as large as the clip, so the region
-    ends with s1, and its narrower front end takes tiles of 16 frames."""
+    ends with s1, and its narrower front end takes tiles of 8 frames."""
     from mobivsr.arch import CHANNEL_PLAN_CANDIDATES
     slim = next(p for p in CHANNEL_PLAN_CANDIDATES if p.name == "slim")
     graph = build_mobivsr(3, slim)
     plan = _plans(graph)[1]
     assert graph.nodes[plan.region - 1][0] == "s1.b3.relu2"
-    assert plan.frames == 16
+    assert plan.frames == 8
 
 
 def test_no_region_without_frames_to_tile():

@@ -1053,3 +1053,56 @@ def test_a_walk_refuses_a_window_without_its_halo():
     walk.stop = 7
     with pytest.raises(ValueError, match=r"output frames \[0, 7\) are not within \[0, 6\)"):
         ds_conv3d_array(x, dw, pw, frames=walk)
+
+
+def _leaves(value):
+    """Every non-container leaf of nested tuples (named tuples included) and
+    slices."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _leaves(item)
+    elif isinstance(value, slice):
+        yield from (value.start, value.stop, value.step)
+    else:
+        yield value
+
+
+def test_a_correlations_geometry_holds_only_shapes_ints_and_slices(monkeypatch):
+    """Every key and value the geometry memo keeps over a LipRes pass, with
+    strided, separable, dense and walked calls, is made of ints, tuples,
+    slices and the padding and context strings: no array is kept across
+    calls."""
+    seen = []
+    geometry = kernels._geometry
+
+    def record(*args):
+        seen.append((args, geometry(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(kernels, "_geometry", record)
+    block = build_lipres("downsample", 3, 6)
+    nodes = [("stem", LayerSpec("relu"))] + list(block.layers)
+    edges = [("stem" if src == "@in" else src, dst) for src, dst in block.edges]
+    graph = LayerGraph(nodes=nodes, residual_edges=edges)
+    run_graph(graph, init_weights(graph, seed=6), f32(rng(21).normal(size=(3, 5, 9, 9))))
+    g = rng(4)
+    x, w = f32(g.normal(size=(2, 7, 5, 5))), f32(g.normal(size=(3, 2, 3, 3, 3)))
+    _walk(conv3d_array, x, (w,), 2, 2, 1, CounterLedger())
+    dw, pw = f32(g.normal(size=(2, 3, 3, 3))), f32(g.normal(size=(3, 2, 3, 1, 1)))
+    _walk(ds_conv3d_array, x, (dw, pw), 3, 1, 2, CounterLedger())
+    assert seen
+    for args, value in seen:
+        assert not any(isinstance(leaf, np.ndarray) for leaf in _leaves(value))
+        for leaf in _leaves((args, value)):
+            assert leaf is None or type(leaf) in (int, bool, str), type(leaf)
+
+
+def test_a_channel_mismatch_raises_on_every_call():
+    """A failed check is not memoized, so the same mismatched call raises
+    DimensionMismatch each time, and a good call of those shapes still runs."""
+    x, w = f32(rng(7).normal(size=(1, 3, 5, 5))), f32(rng(8).normal(size=(4, 2, 3, 3)))
+    for _ in range(2):
+        with pytest.raises(DimensionMismatch) as exc:
+            conv2d_array(x, w)
+        assert exc.value.axis == "channel"
+    assert conv2d_array(x[:, :2], w).shape == (1, 4, 5, 5)
