@@ -220,7 +220,7 @@ def _slots(plan, before=None) -> dict:
     """{node id: flat fp32 view of its slot} in a fresh arena, from the
     ``before`` bytes the plan keeps before a held node's output. Only the
     views hold the arena, so it is freed with the last value in it."""
-    arena = np.empty(plan.arena_bytes // 4, dtype=np.float32)
+    arena = kernels.empty(plan.arena_bytes // 4)
     before = before or {}
     return {node_id: arena[(offset - before.get(node_id, 0)) // 4:(offset + size) // 4]
             for node_id, (offset, size) in plan.slots.items()}
@@ -341,9 +341,9 @@ def _run_tiles(steps, inputs, shapes, plan, clip, ledger) -> np.ndarray:
     size = {node_id: math.prod(shapes[node_id][1]) // total for node_id, _, _ in steps}
     slots = _slots(plan.steps, {node_id: 4 * size[node_id] * hold
                                 for node_id, hold in plan.held.items()})
-    carried = {node_id: np.empty(size[node_id] * hold, dtype=np.float32)
+    carried = {node_id: kernels.empty(size[node_id] * hold)
                for node_id, hold in plan.held.items()}
-    whole = np.empty(size[final] * total, dtype=np.float32)
+    whole = kernels.empty(size[final] * total)
     nodes = []  # (id, spec, frames read ahead and behind, weights, walk, own ledger)
     for node_id, spec, tensors in steps:
         ahead, behind = frames_read(spec)

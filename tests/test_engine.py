@@ -691,3 +691,49 @@ def test_a_warm_geometry_memo_changes_no_output_or_ledger(alpha, dtype, counted)
     cold = run_graph(graph, bundle, x, counted=counted)
     np.testing.assert_array_equal(warm.output.as_array(), cold.output.as_array())
     assert warm.ledger == cold.ledger
+
+
+def _bits(a):
+    """An array's shape, dtype and bytes: equal only when every bit is."""
+    return a.shape, a.dtype, a.tobytes()
+
+
+def _empty_past_a_line(offset, calls):
+    """kernels.empty, but each buffer starts ``offset`` bytes past a 64-byte
+    boundary; counts its calls in ``calls``."""
+    aligned = kernels.empty
+
+    def empty(shape, dtype=np.float32):
+        calls.append(shape)
+        dtype = np.dtype(dtype)
+        nbytes = dtype.itemsize * math.prod(np.atleast_1d(shape).tolist())
+        return np.ndarray(shape, dtype, aligned(nbytes + offset, np.uint8), offset)
+
+    return empty
+
+
+@pytest.mark.parametrize("alpha,dtype,counted,keep", [(1, "fp32", False, False),
+                                                      (1, "int8", True, False),
+                                                      (2, "int8", True, False),
+                                                      (1, "fp32", True, True)])
+def test_buffers_off_a_cache_line_change_no_output_or_ledger(alpha, dtype, counted, keep):
+    """Every kernel buffer and arena handed out 4, 16 or 32 bytes past a
+    cache line gives the output, node outputs and ledger of aligned ones, bit
+    for bit: alignment moves speed only."""
+    graph = build_mobivsr(alpha)
+    bundle = init_weights(graph, seed=2)
+    if dtype == "int8":
+        bundle = quantize_weights(bundle)
+    x = np.random.default_rng(3).random(graph.input_shape, dtype=np.float32)
+    aligned = run_graph(graph, bundle, x, counted=counted, keep_outputs=keep)
+    for offset in (4, 16, 32):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "empty", _empty_past_a_line(offset, calls))
+            shifted = run_graph(graph, bundle, x, counted=counted, keep_outputs=keep)
+        assert calls
+        assert _bits(shifted.output.as_array()) == _bits(aligned.output.as_array())
+        assert shifted.ledger == aligned.ledger
+        if keep:
+            assert ({node_id: _bits(value) for node_id, value in shifted.node_outputs.items()}
+                    == {node_id: _bits(value) for node_id, value in aligned.node_outputs.items()})

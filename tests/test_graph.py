@@ -1,6 +1,7 @@
 """Graph IR: validation, shape inference, and file round-trips."""
 
 import json
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -384,6 +385,27 @@ def test_the_mobivsr_arena_is_its_largest_activation(alpha):
     planned = [node_id for node_id in ids if node_id in plan.rest.slots]
     assert planned == ids[plan.region:plan.region + len(planned)]
     assert planned[-1] == f"s4.b{alpha}.relu2"
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+def test_every_mobivsr_slot_starts_a_multiple_of_64_bytes_in(alpha):
+    """Every slot offset of the tile plan's step arena, a held node's window
+    included, and of the rest's arena is a multiple of 64 bytes, as is each
+    region value's frame, by which a tile's slot moves. That is why one
+    arena base on a cache line (``kernels.empty``) puts every slot and tile
+    on one too."""
+    graph = build_mobivsr(alpha)
+    _, shapes = shape_infer(graph, graph.input_shape)
+    plan = plan_tiles(graph, shapes, node_inputs(graph))
+    frame = {node_id: 4 * math.prod(shapes[node_id][1]) // graph.input_shape[1]
+             for node_id, _ in graph.nodes[:plan.region]}
+    assert all(size % 64 == 0 for size in frame.values())
+    for node_id, (offset, _) in plan.steps.slots.items():
+        assert offset % 64 == 0, node_id
+        assert (offset - frame[node_id] * plan.held.get(node_id, 0)) % 64 == 0, node_id
+    assert plan.held
+    for node_id, (offset, _) in plan.rest.slots.items():
+        assert offset % 64 == 0, node_id
 
 
 def test_ds3d2_writes_over_the_front_half_of_its_input():

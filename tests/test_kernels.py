@@ -1106,3 +1106,61 @@ def test_a_channel_mismatch_raises_on_every_call():
             conv2d_array(x, w)
         assert exc.value.axis == "channel"
     assert conv2d_array(x[:, :2], w).shape == (1, 4, 5, 5)
+
+
+@pytest.mark.parametrize("shape", [0, (0, 3), (), 1, 7, (3, 5, 7), (1 << 20,)])
+@pytest.mark.parametrize("dtype", [np.float32, np.int32])
+def test_empty_starts_a_writeable_c_contiguous_array_on_a_cache_line(shape, dtype):
+    """kernels.empty gives np.empty's shape and dtype for empty, one-element,
+    odd and large counts, C-contiguous and writeable, with its first element
+    on a 64-byte boundary."""
+    for _ in range(4):  # numpy's own offset may differ from one buffer to the next
+        a = kernels.empty(shape, dtype)
+        assert a.shape == np.empty(shape, dtype).shape
+        assert a.dtype == dtype
+        assert a.flags.c_contiguous and a.flags.writeable
+        assert kernels._address(a) % 64 == 0
+        a[...] = 1
+        assert (a == 1).all()
+
+
+def test_a_correlations_scratch_starts_on_cache_lines(monkeypatch):
+    """Every stride phase, tap tile set, product buffer, mid and im2col buffer
+    that a LipRes ds_conv2d call and a partial ds_conv3d walk make starts on a
+    64-byte boundary, where numpy's allocator leaves a fresh buffer 16 to 48
+    bytes past one."""
+    made = []
+    phase_init, pointwise_init = kernels._Phase.__init__, kernels._Pointwise.__init__
+    grouped_sum, dense_block = kernels._grouped_sum, kernels._dense_block
+
+    def phase(self, *args):
+        phase_init(self, *args)
+        made.append(("phase", self.array))
+
+    def pointwise(self, *args):
+        pointwise_init(self, *args)
+        made.append(("mid", self.mid))
+
+    def grouped(windows, tiles, out, product):
+        made.extend([("tiles", tiles), ("product", product)])
+        grouped_sum(windows, tiles, out, product)
+
+    def dense(windows, cols, wt, out):
+        if cols is not None:
+            made.append(("cols", cols))
+        dense_block(windows, cols, wt, out)
+
+    monkeypatch.setattr(kernels._Phase, "__init__", phase)
+    monkeypatch.setattr(kernels._Pointwise, "__init__", pointwise)
+    monkeypatch.setattr(kernels, "_grouped_sum", grouped)
+    monkeypatch.setattr(kernels, "_dense_block", dense)
+    spec = dict(build_lipres("downsample", 3, 6).layers)["ds1"]
+    weights = init_weights(LayerGraph(nodes=[("ds1", spec)]), seed=6)["ds1"]
+    counted_forward(spec, f32(rng(21).normal(size=(3, 5, 9, 9))), weights)
+    g = rng(4)
+    x = f32(g.normal(size=(2, 7, 5, 5)))
+    dw, pw = f32(g.normal(size=(2, 3, 3, 3))), f32(g.normal(size=(3, 2, 3, 1, 1)))
+    _walk(ds_conv3d_array, x, (dw, pw), 3, 1, 2, CounterLedger())
+    assert {kind for kind, _ in made} == {"phase", "mid", "tiles", "product", "cols"}
+    for kind, array in made:
+        assert kernels._address(array) % 64 == 0, kind
