@@ -25,13 +25,17 @@ per multiply, and with V_in the input volume:
     exact accesses   = P + P V_out / C_out + V_out (fc: P + V_in + V_out)
 
 Convolutions read one activation per multiply, so the exact read term is the
-multiply count P V_out / C_out, and ``exact_accesses_of`` equals the
-instrumented counts at any stride and padding; fc reads its input once. The
-memory-access column, ``mem_access_of``, counts P / C_in reads per input
-element instead. That assumes stride 1 and same padding, where each channel
-has as many output positions as input positions; for strided or
-valid-padded layers it is an upper bound on the instrumented counts.
-Activations, pooling, normalization, softmax and residual adds cost nothing.
+multiply count P V_out / C_out; fc reads its input once. ``exact_accesses_of``
+equals the instrumented count on every node, at every stride and padding (a
+property test draws both over small graphs). The memory-access column,
+``mem_access_of``, counts P / C_in reads per input element instead. That
+assumes stride 1 and same padding, where each channel has as many output
+positions as input positions. A strided layer has about stride^2 fewer
+output positions, so the column over-counts its reads by about stride^2
+(3.4-4.0x on MobiVSR's eight stride-2 nodes), and that is the whole 2.32
+ratio of the column to the instrumented count at alpha=1. A valid-padded
+layer with a kernel wider than 1 is over-counted too. Activations, pooling,
+normalization, softmax and residual adds cost nothing.
 """
 
 from __future__ import annotations

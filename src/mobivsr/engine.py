@@ -4,10 +4,11 @@ Each layer kind but ``residual_add`` has one runner in ``_RUNNERS``, which
 ``forward_layer`` dispatches to; the engine holds no shape rule of its own.
 ``run_graph`` checks, then runs. Its check pass calls ``graph.shape_infer``
 on the input value's shape, which validates the graph and every node's input
-shape, and ``graph.checked_weights`` on every node's weights, so a bad input
-or weight tensor fails naming its node before any kernel runs. Those shapes
-and ``graph.node_inputs``'s reads then give ``graph.plan_tiles`` its
-schedule, so no plan infers shapes again.
+shape, and ``graph.checked_weights`` on every node's weights, with a weight
+given as an array held to the input's value rule, so a bad input or weight
+tensor fails naming its node before any kernel runs. Those shapes and
+``graph.node_inputs``'s reads then give ``graph.plan_tiles`` its schedule,
+so no plan infers shapes again.
 
 Unless ``keep_outputs`` is set, ``run_graph`` runs the graph's leading
 region depth-first, one tile of frames per step (``_run_tiles``), then the
@@ -66,7 +67,7 @@ from .graph import (
     shape_infer,
     weight_shapes,
 )
-from .tensor import CounterLedger, Tensor
+from .tensor import CounterLedger, Tensor, _real_array
 
 _LEDGER_FIELDS = tuple(f.name for f in fields(CounterLedger))
 # batchnorm statistics start as the identity transform
@@ -105,23 +106,27 @@ def _array(value) -> np.ndarray:
     return value.as_array() if isinstance(value, Tensor) else np.asarray(value, dtype=np.float32)
 
 
-def _input_array(value) -> np.ndarray:
-    """A layer or graph input value as fp32; ValidationError unless it is an
-    array of real numbers, every one finite in fp32."""
-    if isinstance(value, Tensor):
-        a = value.as_array()
-    else:
-        try:
-            a = np.asarray(value)
-        except ValueError as exc:  # a ragged nest of sequences
-            raise ValidationError(f"input is not an array: {exc}") from None
-        if a.dtype.kind not in "biuf":
-            raise ValidationError(f"input must hold real numbers, got dtype {a.dtype}")
-        with np.errstate(over="ignore"):  # a value past fp32's range fails below
-            a = a.astype(np.float32, copy=False)
+def _finite(value, what: str) -> np.ndarray:
+    """A layer or graph input, or a weight given as an array, as fp32;
+    ValidationError naming ``what`` unless it holds real numbers, every one
+    finite in fp32."""
+    a = value.as_array() if isinstance(value, Tensor) else _real_array(value, what)
     if not np.isfinite(a).all():
-        raise ValidationError("input holds NaN or values that are infinite in fp32")
+        raise ValidationError(f"{what} holds NaN or values that are infinite in fp32")
     return a
+
+
+def _checked(spec: LayerSpec, tensors, where: str) -> dict:
+    """``graph.checked_weights``, with every tensor given as an array checked
+    as an input is (see _finite), naming ``where`` and the tensor. Its fp32
+    copy is dropped here, and made again when the node runs. Tensors are
+    not scanned: ``parse_weights`` checks a file's, and a pass would pay to
+    scan them all."""
+    checked = checked_weights(spec, tensors, where)
+    for name, value in checked.items():
+        if not isinstance(value, Tensor):
+            _finite(value, f"{where}: weight tensor {name!r}")
+    return checked
 
 
 def _arrays(tensors: dict) -> dict:
@@ -203,13 +208,14 @@ def counted_forward(layer: LayerSpec, input, weights: dict | None = None):
     ``weights`` maps tensor names to Tensors (or arrays) for weighted kinds.
     Before the kernel runs, the input must be an array of real numbers, all
     finite in fp32 (ValidationError), the weights must have the spec's shapes
-    (ValidationError or DimensionMismatch) and the value a rank the kind takes
-    (ValidationError); the kernels check channel counts. The output is
-    bit-identical to an uncounted call; cost-free kinds yield an all-zero
-    ledger.
+    (ValidationError or DimensionMismatch), each given as an array held to
+    the input's rule (ValidationError naming the kind and the tensor), and
+    the value a rank the kind takes (ValidationError); the kernels check
+    channel counts. The output is bit-identical to an uncounted call;
+    cost-free kinds yield an all-zero ledger.
     """
-    x = _input_array(input)
-    checked = checked_weights(layer, weights, layer.kind)
+    x = _finite(input, "input")
+    checked = _checked(layer, weights, layer.kind)
     if x.ndim not in LAYER_KINDS[layer.kind].ranks:
         raise ValidationError(f"{layer.kind} cannot take a rank {x.ndim} value")
     ledger = CounterLedger()
@@ -243,8 +249,9 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
     weights); ``shape_infer`` checks the graph and the input value's shape
     against every node (GraphValidationError naming the node, or
     ValidationError for a shape that is not all positive extents), and every
-    node's weights are checked. With ``counted`` a single ledger accumulates
-    over all layers.
+    node's weights are checked, those given as arrays by the input's rule
+    (ValidationError naming the node and the tensor). With ``counted`` a
+    single ledger accumulates over all layers.
 
     The graph runs as ``plan_tiles`` schedules it: its leading region, if it
     has one, depth-first in tiles of frames, then the rest whole. Node
@@ -257,14 +264,14 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
     input, and its output array is fresh, retained and returned in
     ``node_outputs``.
     """
-    value = _input_array(input)
+    value = _finite(input, "input")
     if not isinstance(weights, dict):
         raise ValidationError("run_graph weights must be a {node id: {name: Tensor}} dict, "
                               f"got {type(weights).__name__}")
     _, shapes = shape_infer(graph, value.shape)
     inputs = node_inputs(graph)
     # check every node first: (id, spec, checked weights)
-    steps = [(node_id, spec, checked_weights(spec, weights.get(node_id), f"node {node_id!r}"))
+    steps = [(node_id, spec, _checked(spec, weights.get(node_id), f"node {node_id!r}"))
              for node_id, spec in graph.nodes]
     ledger = CounterLedger() if counted else None
     if keep_outputs:

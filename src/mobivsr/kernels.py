@@ -10,7 +10,7 @@ A core call has two steps. The geometry step, ``_geometry``, is the index
 arithmetic done before data is touched: the checks, output extents and
 padding leads, a walk's frame window, the stride phases and the input slice
 each copies, each offset's phase window, and the rows of a block under the
-budgets below. A pure function of shapes, ints and the budgets, holding no
+budget below. A pure function of shapes, ints and the budget, holding no
 array, it is memoized in a bounded LRU cache, as a tiled region repeats its
 calls' shapes tile after tile. The compute step makes the call's views,
 buffers and tap tiles and runs the block loop, every multiply every call.
@@ -32,15 +32,15 @@ over the whole output, so counting stays weight stationary at any block
 size.
 
 * A per-channel stage is summed block-outer, tap-inner (loop tiling for
-  locality, Wolf & Lam, 1991). Each copy block is split again into blocks of
-  about _BLOCK_BYTES = 256 KiB of fp32 output. Each takes all 9 (2-D) or 27
-  (3-D) taps in np.ndindex order before the next one starts: the first tap's
-  product is written straight into the block, and each later one into a
-  single product buffer, reused across taps and blocks, then added in place.
-  The block, the buffer and the window rows they read stay in a core's L2
-  (2 MiB on the measured host) across all taps; a tap streaming the whole
-  activation runs at L3 speed instead, and 2 MiB blocks lost most of the
-  gain. Each tap multiplies a window by its (C,) tap tiled to (Wo,C), so
+  locality, Wolf & Lam, 1991), over the copy blocks themselves. Each takes
+  all 9 (2-D) or 27 (3-D) taps in np.ndindex order before the next one
+  starts: the first tap's product is written straight into the block, and
+  each later one into a single product buffer of block rows, reused across
+  taps and blocks, then added in place. A block's 1 MiB of scratch and its
+  product rows stay in a core's L2 (2 MiB on the measured host) across all
+  taps; a tap streaming the whole activation runs at L3 speed instead.
+  Splitting each copy block again, into 256 KiB of output, measured no
+  faster. Each tap multiplies a window by its (C,) tap tiled to (Wo,C), so
   numpy's inner loop spans Wo*C elements rather than the Wo (3 in the
   deepest stage) a channels-first broadcast gives. Each output element gets
   the same fp32 multiply-adds in the same order as a channels-first sum, so
@@ -145,11 +145,9 @@ from .graph import PADDINGS, out_extent
 
 # names of the correlated axes, by their count, for error messages
 _AXES = {1: ("time",), 2: ("height", "width"), 3: ("time", "height", "width")}
-# fp32 output bytes per block of a grouped stage's sum: with its product
-# buffer and the window rows it reads, a block stays in a core's L2
-_BLOCK_BYTES = 256 * 1024
-# scratch bytes (copied phase rows and im2col rows) per block of a
-# correlation's output; every block reuses the same buffers
+# scratch bytes (copied phase rows, mid and im2col rows) per block of a
+# correlation's output; every block reuses the same buffers, and a block with
+# its grouped stage's product rows stays in a core's L2
 _COPY_BYTES = 1024 * 1024
 # a cache line: every buffer the kernels and the engine allocate starts on one
 _ALIGN = 64
@@ -252,22 +250,18 @@ def _move_to_front(buf, start, n):
 
 def _grouped_sum(windows, tiles, out, product):
     """Sum each (R,...,Wo,C) window times its offset's (Wo,C) tile into the
-    fp32 block out (R,...,Wo,C), _BLOCK_BYTES of out at a time.
+    fp32 block out (R,...,Wo,C), one tap at a time over the whole block.
 
-    Every tap is summed into an inner block before the next block starts: the
-    first is written straight into it, each later one into ``product`` and
-    then added in place. ``product`` has the operands' result dtype, as a
-    fresh temporary would, so each element's fp32 sum is that of a
-    whole-array tap loop, at any block size.
+    The first tap is written straight into out, each later one into the
+    first R rows of ``product`` and then added in place. ``product`` has the
+    operands' result dtype, as a fresh temporary would, so each element's
+    fp32 sum is that of a whole-array tap loop, at any block size.
     """
-    rows = max(_BLOCK_BYTES // out[0].nbytes, 1)
-    for start in range(0, len(out), rows):
-        block = out[start:start + rows]
-        np.multiply(windows[0][start:start + rows], tiles[0], out=block)
-        term = product[:len(block)]
-        for view, tile in zip(windows[1:], tiles[1:]):
-            np.multiply(view[start:start + rows], tile, out=term)
-            block += term
+    np.multiply(windows[0], tiles[0], out=out)
+    term = product[:len(out)]
+    for view, tile in zip(windows[1:], tiles[1:]):
+        np.multiply(view, tile, out=term)
+        out += term
 
 
 def _dense_block(windows, cols, wt, out):
@@ -368,14 +362,14 @@ class Frames:
 
 # batch, channels, pointwise depth (0: none), output rows [r0, r1) and their
 # lead of mid rows, extents, (key, _Span) per phase, (key, window) per offset,
-# block rows, im2col or not, product rows, output shape, (r1, unread), tally
+# block rows, im2col or not, output shape, (r1, unread), tally
 _Geometry = namedtuple("_Geometry", "b c tp r0 r1 lead outs phases reads rows columns "
-                                    "product shape loads multiplies")
+                                    "shape loads multiplies")
 
 
 @functools.lru_cache(maxsize=256)
 def _geometry(x_shape, w_shape, pw_shape, strides, padding, grouped, context, walk, itemsize,
-              copy_bytes, block_bytes):
+              copy_bytes):
     """The geometry step of a _correlate call (see the module docstring), of a
     Frames walk's (total, start, done, stop) too; its value holds no array."""
     n = len(strides)
@@ -459,7 +453,7 @@ def _geometry(x_shape, w_shape, pw_shape, strides, padding, grouped, context, wa
         shape = (r1 - r0, *shape[1:])
     edges = ((r, min(p.unread(r) for p in phases.values())) for r in range(rows, outs[0], rows))
     return _Geometry(b, c, tp, r0, r1, lead, tuple(outs), tuple(phases.items()), tuple(reads),
-                     rows, columns, min(rows, max(block_bytes // (row * 4), 1)), shape,
+                     rows, columns, shape,
                      tuple((r, u) for r, u in edges if u < math.inf),
                      math.prod(outs) * (c if grouped else co * c) * taps)
 
@@ -489,7 +483,7 @@ def _correlate(x, w, strides, padding, ledger, grouped, context, pointwise=None,
     walk = None if frames is None else (frames.total, frames.start, frames.done, frames.stop)
     g = _geometry(x.shape, w.shape, None if pointwise is None else pointwise.shape,
                   tuple(map(int, strides)), padding, grouped, context, walk, x.itemsize,
-                  _COPY_BYTES, _BLOCK_BYTES)
+                  _COPY_BYTES)
     n, outs, rows = len(strides), g.outs, g.rows
     xl = x.transpose(0, *range(2, n + 2), 1)  # channels last; np.moveaxis costs more
     if g.b == 1:  # a batch of one is blocked along its first correlated axis
@@ -501,7 +495,7 @@ def _correlate(x, w, strides, padding, ledger, grouped, context, pointwise=None,
         # each tap tiled to (Wo,C), in np.ndindex order
         tiles = empty((len(windows), outs[-1], g.c), w.dtype)
         tiles[...] = w.reshape(g.c, -1).T[:, None]
-        product = empty((g.product, *outs[1:], g.c), np.result_type(xl, tiles))
+        product = empty((rows, *outs[1:], g.c), np.result_type(xl, tiles))
     else:
         # the (Ci*K, Co) transpose of the weights' own (Co, Ci*K) rows, a view
         # with no copy, against windows stacked channel-major

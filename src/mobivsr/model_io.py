@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, PayloadBoundsError, SchemaError, ValidationError
 from .graph import LayerGraph, LayerSpec, checked_weights, is_int
-from .tensor import QuantParams, Tensor
+from .tensor import QuantParams, Tensor, _real_array
 
 GRAPH_SCHEMA_VERSION = 1
 WEIGHTS_SCHEMA_VERSION = 1
@@ -308,13 +308,7 @@ class Clip:
     frames: np.ndarray
 
     def __post_init__(self):
-        try:
-            frames = np.asarray(self.frames)
-        except ValueError as exc:  # a ragged nest of sequences
-            raise ValidationError(f"clip is not an array: {exc}") from None
-        if frames.dtype.kind not in "biuf":
-            raise ValidationError(f"clip must hold real numbers, got dtype {frames.dtype}")
-        frames = frames.astype(np.float32, copy=False)
+        frames = _real_array(self.frames, "clip")
         if frames.shape != (FRAME_COUNT, CROP_SIDE, CROP_SIDE):
             raise ValidationError(
                 f"clip must be {FRAME_COUNT}x{CROP_SIDE}x{CROP_SIDE}, got {frames.shape}"

@@ -12,7 +12,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .graph import is_int
+
+
+def _real_array(value, what: str) -> np.ndarray:
+    """``value`` as an fp32 array; ValidationError naming ``what`` unless it
+    is an array of real numbers (dtype kind b, i, u or f). A value past
+    fp32's range becomes infinite, without a warning."""
+    try:
+        a = np.asarray(value)
+    except ValueError as exc:  # a ragged nest of sequences
+        raise ValidationError(f"{what} is not an array: {exc}") from None
+    if a.dtype.kind not in "biuf":
+        raise ValidationError(f"{what} must hold real numbers, got dtype {a.dtype}")
+    with np.errstate(over="ignore"):
+        return a.astype(np.float32, copy=False)
 
 
 @dataclass(frozen=True)

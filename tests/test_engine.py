@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from mobivsr import (
@@ -24,6 +24,8 @@ from mobivsr import (
     aggregate,
     build_mobivsr,
     counted_forward,
+    exact_accesses_of,
+    flops_of,
     init_weights,
     layer_output_shape,
     node_inputs,
@@ -37,6 +39,7 @@ from mobivsr import (
 )
 from mobivsr import engine, kernels
 from mobivsr import graph as graph_module
+from mobivsr.costs import COSTED_KINDS
 from mobivsr.graph import LAYER_KINDS
 
 
@@ -242,6 +245,51 @@ def test_run_graph_refuses_an_input_that_is_not_finite_reals_before_any_kernel(e
     with counting_kernels() as calls, pytest.raises(ValidationError, match=match):
         entry(value)
     assert calls == []
+
+
+CONV = LayerSpec("conv2d", in_channels=2, out_channels=3, kernel_size=3)
+CONV_SHAPE = weight_shapes(CONV)["weights"]
+BAD_WEIGHT_ARRAYS = {
+    "nan": (np.full(CONV_SHAPE, np.nan, dtype=np.float32), "holds NaN"),
+    "inf": (np.where(np.arange(54).reshape(CONV_SHAPE) % 2, np.inf, -np.inf), "holds NaN"),
+    "past fp32": (np.full(CONV_SHAPE, 1e300), "infinite in fp32"),  # finite in fp64 only
+    "complex": (np.ones(CONV_SHAPE, dtype=np.complex64), "must hold real numbers"),
+    "object": (np.ones(CONV_SHAPE).astype(object), "must hold real numbers"),
+    "string": (np.full(CONV_SHAPE, "1.5"), "must hold real numbers"),
+}
+# run_graph on a one-node conv2d graph, and counted_forward on its node: the
+# output Tensor given the weight array, and the name a failure starts with
+WEIGHT_ENTRY_POINTS = {
+    "": (lambda w: run_graph(LayerGraph(nodes=[("c", CONV)]), {"c": {"weights": w}},
+                             np.ones((2, 5, 5), dtype=np.float32)).output, "node 'c'"),
+    "counted_forward ": (lambda w: counted_forward(CONV, np.ones((2, 5, 5), dtype=np.float32),
+                                                   {"weights": w})[0], "conv2d"),
+}
+
+
+@pytest.mark.parametrize("entry,where,value,match", [
+    pytest.param(entry, where, value, match, id=prefix + name)
+    for prefix, (entry, where) in WEIGHT_ENTRY_POINTS.items()
+    for name, (value, match) in BAD_WEIGHT_ARRAYS.items()])
+def test_a_weight_array_that_is_not_finite_reals_fails_before_any_kernel(entry, where, value,
+                                                                          match):
+    """A weight given as an array, not a Tensor, is held to the input's rule:
+    real numbers, every one finite in fp32. A failure names the node (or
+    kind) and the tensor, and no kernel runs."""
+    with counting_kernels() as calls, pytest.raises(ValidationError) as exc:
+        entry(value)
+    assert calls == []
+    assert str(exc.value).startswith(f"{where}: weight tensor 'weights' ")
+    assert match in str(exc.value)
+
+
+@pytest.mark.parametrize("prefix", WEIGHT_ENTRY_POINTS)
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8, bool])
+def test_int_and_bool_weight_arrays_run_as_their_fp32_values(prefix, dtype):
+    entry, _ = WEIGHT_ENTRY_POINTS[prefix]
+    codes = (np.arange(54).reshape(CONV_SHAPE) % 3).astype(dtype)
+    np.testing.assert_array_equal(entry(codes).as_array(),
+                                  entry(codes.astype(np.float32)).as_array())
 
 
 def test_run_graph_refuses_weights_that_are_not_a_dict_before_any_kernel():
@@ -562,8 +610,10 @@ def tiled_graphs(draw):
     H, W) clip of 1 to 12 frames, then up to 5 per-frame layers, a residual
     add joining an earlier output of the same shape and any layer after the
     second maybe reading an earlier output instead of the last; half of the
-    graphs end in a spatial_avg, which leaves the rank-4 region. The first
-    layer widens the clip, so most graphs have a region."""
+    graphs end in a spatial_avg, which leaves the rank-4 region. Every
+    convolution has same or valid padding; a graph whose valid padding meets
+    an extent shorter than its kernel is not drawn. The first layer widens
+    the clip, so most graphs have a region."""
     shape = input_shape = (1, draw(st.integers(1, 12)), *(draw(st.integers(3, 7)),) * 2)
     nodes, edges, shapes = [], [], []
     temporal = draw(st.integers(1, 2))
@@ -586,13 +636,17 @@ def tiled_graphs(draw):
             else:
                 conv = {"in_channels": shape[0], "out_channels": draw(st.integers(2, 4)),
                         "kernel_size": draw(st.sampled_from((1, 3))),
-                        "stride": 1 if i == 0 else draw(st.integers(1, 2))}
+                        "stride": 1 if i == 0 else draw(st.integers(1, 2)),
+                        "padding": draw(st.sampled_from(("same", "valid")))}
                 if kind in ("ds_conv3d", "conv3d"):
                     conv["temporal_size"] = draw(st.sampled_from((1, 3, 3)))
                 if kind == "ds_conv3d":
                     conv["pointwise_mode"] = draw(st.sampled_from(("partial", "full")))
                 spec = LayerSpec(kind, **conv)
-            shape = layer_output_shape(spec, shape)
+            try:
+                shape = layer_output_shape(spec, shape)
+            except DimensionMismatch:  # out_extent: valid padding past the extent
+                assume(False)
         nodes.append((f"n{i}", spec))
         shapes.append(shape)
     if draw(st.booleans()):
@@ -600,6 +654,16 @@ def tiled_graphs(draw):
     graph = LayerGraph(nodes=nodes, residual_edges=edges)
     x = np.random.default_rng(draw(st.integers(0, 2**16))).normal(size=input_shape)
     return graph, init_weights(graph, seed=1), x.astype(np.float32), draw(st.integers(1, 4))
+
+
+@contextlib.contextmanager
+def _tiles_of(frames, shapes):
+    """The tile budget shrunk to ``frames`` frames of the widest rank-4 value
+    among ``shapes`` ({node id: (in, out)}) while the context is open."""
+    widest = max(4 * math.prod(out) // out[1] for _, out in shapes.values() if len(out) == 4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_TILE_BYTES", frames * widest)
+        yield
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -611,9 +675,7 @@ def test_a_tiled_pass_equals_whole_layers(case):
     still runs whole layers and returns every node's whole output."""
     graph, bundle, x, frames = case
     _, shapes = shape_infer(graph, x.shape)
-    widest = max(4 * math.prod(out) // out[1] for _, out in shapes.values() if len(out) == 4)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph_module, "_TILE_BYTES", frames * widest)
+    with _tiles_of(frames, shapes):
         plan = plan_tiles(graph, shapes, node_inputs(graph))
         assert not plan.region or frames <= plan.frames < x.shape[1]
         tiled = run_graph(graph, bundle, x, counted=True)
@@ -624,6 +686,32 @@ def test_a_tiled_pass_equals_whole_layers(case):
     assert list(kept.node_outputs) == [node_id for node_id, _ in graph.nodes]
     for node_id, value in kept.node_outputs.items():
         assert value.shape == shapes[node_id][1]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=tiled_graphs())
+def test_every_costed_node_counts_its_exact_closed_forms(case):
+    """On every costed node, at every stride and padding, counted_forward on
+    the node's keep_outputs input gives shape_infer's output shape, and a
+    ledger whose accesses are exact_accesses_of and whose FLOPs are
+    flops_of; a tiled counted pass's ledger equals their sums."""
+    graph, bundle, x, frames = case
+    _, shapes = shape_infer(graph, x.shape)
+    inputs = node_inputs(graph)
+    values = {None: x, **run_graph(graph, bundle, x, keep_outputs=True).node_outputs}
+    accesses = flops = 0
+    for node_id, spec in graph.nodes:
+        if spec.kind not in COSTED_KINDS:
+            continue
+        in_shape, out_shape = shapes[node_id]
+        out, ledger = counted_forward(spec, values[inputs[node_id][0]], bundle[node_id])
+        assert out.shape == out_shape
+        assert ledger.memory_accesses() == exact_accesses_of(spec, in_shape)
+        assert ledger.flops() == flops_of(spec, in_shape)
+        accesses, flops = accesses + ledger.memory_accesses(), flops + ledger.flops()
+    with _tiles_of(frames, shapes):
+        tiled = run_graph(graph, bundle, x, counted=True)
+    assert (tiled.ledger.memory_accesses(), tiled.ledger.flops()) == (accesses, flops)
 
 
 @pytest.mark.parametrize("dtype", ["fp32", "int8"])

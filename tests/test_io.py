@@ -121,6 +121,15 @@ def test_clip_rejects_non_finite_values(bad):
         Clip(frames=frames)
 
 
+def test_a_clip_value_past_fp32_is_refused_without_a_warning():
+    """1e300 is finite in float64 but infinite in fp32: the range check
+    refuses it, and the cast raises no overflow warning first."""
+    frames = np.full((29, 96, 96), 0.5)
+    frames[3, 4, 5] = 1e300
+    with pytest.raises(ValidationError, match="finite and lie in"):
+        Clip(frames=frames)
+
+
 def weights_blob(manifest):
     """A weights file holding ``manifest`` as its JSON manifest and no payload."""
     text = json.dumps(manifest).encode("utf-8")

@@ -509,8 +509,8 @@ def test_grouped_stage_bit_identical_to_channels_first_sum(rank, b, c, t, k, h, 
 @pytest.mark.parametrize("padding", ["same", "valid"])
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("rank", [2, 3])
-def test_grouped_stage_blocks_are_bit_identical(monkeypatch, rank, stride, padding, rows):
-    """With the block budget cut to one or two output rows, the grouped stages
+def test_grouped_stage_blocks_are_bit_identical(rank, stride, padding, rows):
+    """With the copy budget cut to one or two output rows, the grouped stages
     still give the channels-first sum bit for bit, with the same counts. Five
     batch items, or five or three output times, leave a ragged last block."""
     g = rng(20)
@@ -518,23 +518,28 @@ def test_grouped_stage_blocks_are_bit_identical(monkeypatch, rank, stride, paddi
     wt = g.normal(size=(3,) + (3,) * rank).astype(np.float32)
     if rank == 3:  # a batch of one (C,L,H,W) clip, blocked over its output times
         x = x.swapaxes(0, 1)
-    expected, counts = _channels_first_grouped(
-        x if rank == 2 else x[None], wt, (1, stride, stride)[-rank:], padding)
-    row = 3 * expected.shape[-2] * expected.shape[-1] * 4  # one (C,Ho,Wo) fp32 output frame
-    monkeypatch.setattr(kernels, "_BLOCK_BYTES", rows * row)
+    strides = (1, stride, stride)[-rank:]
+    expected, counts = _channels_first_grouped(x if rank == 2 else x[None], wt, strides, padding)
+    # the phase bytes one output row copies, from the call's own geometry
+    geometry = kernels._geometry(x.shape if rank == 2 else (1, *x.shape), wt.shape, None,
+                                 strides, padding, True, "depthwise", None, 4, 1)
+    row = sum(span.row_bytes for _, span in geometry.phases)
     ledger = CounterLedger()
-    if rank == 2:
-        got = depthwise2d_array(x, wt, stride, padding, ledger)
-    else:
-        got, expected = depthwise3d_array(x, wt, stride, padding, ledger), expected[0]
+    with _budgets(rows * row) as loaded:
+        if rank == 2:
+            got = depthwise2d_array(x, wt, stride, padding, ledger)
+        else:
+            got, expected = depthwise3d_array(x, wt, stride, padding, ledger), expected[0]
+    assert max(loaded) == rows
     assert np.array_equal(got, expected)
     assert ledger == counts
 
 
 def test_one_row_blocks_leave_a_lipres_pass_bit_identical(monkeypatch):
     """A counted pass of a downsample LipRes block on 5 frames, with every
-    grouped stage summed one row at a time, equals the plain pass at the
-    default budget bit for bit, with the same ledger."""
+    correlation's phases copied and its grouped stage summed one row at a
+    time, equals the plain pass at the default budget bit for bit, with the
+    same ledger."""
     block = build_lipres("downsample", 3, 6)
     nodes = [("stem", LayerSpec("relu"))] + list(block.layers)
     edges = [("stem" if src == "@in" else src, dst) for src, dst in block.edges]
@@ -543,21 +548,20 @@ def test_one_row_blocks_leave_a_lipres_pass_bit_identical(monkeypatch):
     x = rng(21).normal(size=(3, 5, 9, 9)).astype(np.float32)
     plain = run_graph(graph, weights, x)
     counted = run_graph(graph, weights, x, counted=True)
-    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(kernels, "_COPY_BYTES", 1)
     blocked = run_graph(graph, weights, x, counted=True)
     assert np.array_equal(blocked.output.as_array(), plain.output.as_array())
     assert blocked.ledger == counted.ledger
 
 
 @contextlib.contextmanager
-def _budgets(copy_bytes, block_bytes=1):
+def _budgets(copy_bytes):
     """The rows of every block a correlation builds its phases for, recorded
-    while the copy and grouped-sum budgets are cut to the given bytes."""
+    while the copy budget is cut to the given bytes."""
     rows = []
     load = kernels._Phase.load
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_COPY_BYTES", copy_bytes)
-        mp.setattr(kernels, "_BLOCK_BYTES", block_bytes)
         mp.setattr(kernels._Phase, "load",
                    lambda self, r0, r1: rows.append(r1 - r0) or load(self, r0, r1))
         yield rows
