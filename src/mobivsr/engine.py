@@ -26,12 +26,28 @@ run, by the lifetimes ``graph.last_reads`` gives the arenas' plans. Only the
 values in an arena hold it, so it is freed after the last reader of the last
 of them; in MobiVSR that is before the backend dequantizes its large
 weights. What a call needs beyond its weights, the slot, a 3-D layer's
-``kernels.Frames`` walk and the counts of its earlier tiles, reaches the
-runner inside the weights dict, a ``_Slotted`` one, since
+``kernels.Frames`` walk, the counts of its earlier tiles and its epilogue,
+reaches the runner inside the weights dict, a ``_Slotted`` one, since
 ``forward_layer``'s signature is the same for every caller.
 ``counted_forward``, the one way to run a single layer, checks its input as
 ``run_graph`` does, then the layer's weights and the value's rank, and
 leaves channel counts to the kernels.
+
+Epilogues. Once per pass ``run_graph`` reads which relu, batchnorm and
+residual_add nodes form a tail of the correlation before them (``_fused``),
+from ``graph.node_inputs`` and ``graph.last_reads`` alone, never from node
+ids: a tail node reads the previous node's value, which no other node
+reads, and a residual_add's addend must be made before the producer. The
+producer's kernel runs the tail as its epilogue on each block of output
+rows it writes, the same fp32 operations in node order, so outputs and
+ledgers are the unfused pass's (these kinds tally nothing); batchnorm's
+scale and shift are computed once per node per pass. A chain writes into
+its last node's slot, which is the producer's own when the producer has
+one, as every tail node of it is planned in place over the value only it
+reads; a chain ending in the region's last node writes into the region's
+output. Fused nodes make no ``forward_layer`` call, so a tracer that wraps
+it sees none of them. ``keep_outputs`` runs every node unfused. In
+MobiVSR-1 18 of the 40 nodes are tails, and MobiVSR-4 54 of its 100.
 
 int8 tensors are dequantized when their node runs, so at most one layer's
 fp32 weights sit beside the activations, but a region node's are dequantized
@@ -134,49 +150,64 @@ def _arrays(tensors: dict) -> dict:
     return {name: _array(t) for name, t in tensors.items()}
 
 
-def _per_frame(kernel, x: np.ndarray, *args, out=None) -> np.ndarray:
+def _per_frame(kernel, x: np.ndarray, *args, out=None, epilogue=()) -> np.ndarray:
     """Run a batched 2-D kernel on a (C,H,W) frame, or on the L frames of a
-    (C,L,H,W) value folded into the batch axis and unfolded after."""
-    if x.ndim == 4:
-        return kernel(x.swapaxes(0, 1), *args, out=out).swapaxes(0, 1)
-    return kernel(x[None], *args, out=out)[0]
+    (C,L,H,W) value folded into the batch axis and unfolded after; the
+    epilogue's activation operands are folded as x is."""
+    fold = (lambda a: a.swapaxes(0, 1)) if x.ndim == 4 else (lambda a: a[None])
+    y = kernel(fold(x), *args, out=out, epilogue=kernels.folded(epilogue, fold))
+    return y.swapaxes(0, 1) if x.ndim == 4 else y[0]
 
 
 class _Slotted(dict):
     """A node's {name: array} weights, carrying what ``run_graph`` planned for
     this call: ``slot``, the buffer its output goes to (or None); ``frames``,
-    the ``kernels.Frames`` walk of a 3-D layer run in tiles (or None); and
-    ``carried``, the counts its earlier tiles tallied (or None)."""
+    the ``kernels.Frames`` walk of a 3-D layer run in tiles (or None);
+    ``carried``, the counts its earlier tiles tallied (or None); and
+    ``epilogue``, the kernel steps of the tail nodes fused into it (see
+    _fused)."""
 
-    def __init__(self, arrays: dict, slot=None, frames=None, carried=None):
+    def __init__(self, arrays: dict, slot=None, frames=None, carried=None, epilogue=()):
         super().__init__(arrays)
-        self.slot, self.frames, self.carried = slot, frames, carried
+        self.slot, self.frames, self.carried, self.epilogue = slot, frames, carried, epilogue
 
 
-# One runner per kind but residual_add: (spec, x, weights, ledger, out) -> array,
-# where out is the node's slot or None. Each looks its kernel up in ``kernels``
-# when it runs, never at import, and passes the slot by keyword.
+# One runner per kind but residual_add: (spec, x, weights, ledger) -> array, the
+# weights a _Slotted. Each looks its kernel up in ``kernels`` when it runs,
+# never at import, and passes what was planned by keyword.
 _RUNNERS = {
-    "conv2d": lambda s, x, w, ledger, out: _per_frame(
-        kernels.conv2d_array, x, w["weights"], s.stride, s.padding, ledger, out=out),
-    "ds_conv2d": lambda s, x, w, ledger, out: _per_frame(
+    "conv2d": lambda s, x, w, ledger: _per_frame(
+        kernels.conv2d_array, x, w["weights"], s.stride, s.padding, ledger, out=w.slot,
+        epilogue=w.epilogue),
+    "ds_conv2d": lambda s, x, w, ledger: _per_frame(
         kernels.ds_conv2d_array, x, w["depthwise"], w["pointwise"], s.stride, s.padding,
-        ledger, out=out),
-    "conv3d": lambda s, x, w, ledger, out: kernels.conv3d_array(
-        x, w["weights"], s.stride, s.padding, ledger, frames=getattr(w, "frames", None)),
-    "ds_conv3d": lambda s, x, w, ledger, out: kernels.ds_conv3d_array(
-        x, w["depthwise"], w["pointwise"], s.stride, s.padding, ledger, out=out,
-        frames=getattr(w, "frames", None)),
-    "temporal_conv1d": lambda s, x, w, ledger, out: kernels.conv1d_array(
-        x, w["weights"], s.stride, s.padding, ledger),
-    "fc": lambda s, x, w, ledger, out: kernels.fc_array(x, w["weights"], ledger),
-    "maxpool": lambda s, x, w, ledger, out: kernels.maxpool1d_array(x, s.window, s.stride),
-    "relu": lambda s, x, w, ledger, out: kernels.relu_array(x, out=out),
-    "batchnorm": lambda s, x, w, ledger, out: kernels.batchnorm_array(
-        x, w["mean"], w["var"], w["gamma"], w["beta"], s.eps, out=out),
-    "softmax": lambda s, x, w, ledger, out: kernels.softmax_array(x),
-    "spatial_avg": lambda s, x, w, ledger, out: x.mean(axis=(-2, -1)),
-    "temporal_avg": lambda s, x, w, ledger, out: x.mean(axis=-1),
+        ledger, out=w.slot, epilogue=w.epilogue),
+    "conv3d": lambda s, x, w, ledger: kernels.conv3d_array(
+        x, w["weights"], s.stride, s.padding, ledger, frames=w.frames, epilogue=w.epilogue),
+    "ds_conv3d": lambda s, x, w, ledger: kernels.ds_conv3d_array(
+        x, w["depthwise"], w["pointwise"], s.stride, s.padding, ledger, out=w.slot,
+        frames=w.frames, epilogue=w.epilogue),
+    "temporal_conv1d": lambda s, x, w, ledger: kernels.conv1d_array(
+        x, w["weights"], s.stride, s.padding, ledger, epilogue=w.epilogue),
+    "fc": lambda s, x, w, ledger: kernels.fc_array(x, w["weights"], ledger),
+    "maxpool": lambda s, x, w, ledger: kernels.maxpool1d_array(x, s.window, s.stride),
+    "relu": lambda s, x, w, ledger: kernels.relu_array(x, out=w.slot),
+    "batchnorm": lambda s, x, w, ledger: kernels.batchnorm_array(
+        x, w["mean"], w["var"], w["gamma"], w["beta"], s.eps, out=w.slot),
+    "softmax": lambda s, x, w, ledger: kernels.softmax_array(x),
+    "spatial_avg": lambda s, x, w, ledger: x.mean(axis=(-2, -1)),
+    "temporal_avg": lambda s, x, w, ledger: x.mean(axis=-1),
+}
+# the kinds whose kernel takes an epilogue: the correlations
+_PRODUCERS = ("conv2d", "ds_conv2d", "conv3d", "ds_conv3d", "temporal_conv1d")
+# the epilogue steps of each kind that can run as one, from its spec and fp32
+# weights, once per pass; a residual_add's step, adding its addend, is made
+# per call
+_TAILS = {
+    "relu": lambda s, w: [kernels.RELU],
+    "batchnorm": lambda s, w: kernels.batchnorm_steps(w["mean"], w["var"], w["gamma"],
+                                                      w["beta"], s.eps),
+    "residual_add": lambda s, w: [],
 }
 
 
@@ -184,21 +215,23 @@ def forward_layer(spec: LayerSpec, x: np.ndarray, weights: dict | None,
                   ledger: CounterLedger | None = None) -> np.ndarray:
     """Run one layer on an array value the caller has checked against the spec;
     residual_add is handled by run_graph. The output goes to the slot a
-    ``_Slotted`` weights dict carries, else wherever the kernel puts it. When
-    the kernel tallies multiplies into ``ledger``, the output's writes are
-    tallied too; the counts the weights dict carries are added after."""
+    ``_Slotted`` weights dict carries, else wherever the kernel puts it, after
+    the epilogue it carries, if any, has run on it. When the kernel tallies
+    multiplies into ``ledger``, the output's writes are tallied too; the
+    counts the weights dict carries are added after."""
     run = _RUNNERS.get(spec.kind)
     if run is None:
         raise ValidationError(f"cannot execute layer kind {spec.kind!r} standalone")
+    if not isinstance(weights, _Slotted):
+        weights = _Slotted(weights or {})
     multiplies = ledger.multiplies if ledger is not None else 0
-    out = run(spec, x, weights, ledger, getattr(weights, "slot", None))
+    out = run(spec, x, weights, ledger)
     if ledger is not None:
         if ledger.multiplies > multiplies:
             ledger.output_writes += int(out.size)
-        carried = getattr(weights, "carried", None)
-        if carried is not None:
+        if weights.carried is not None:
             for name in _LEDGER_FIELDS:
-                setattr(ledger, name, getattr(ledger, name) + getattr(carried, name))
+                setattr(ledger, name, getattr(ledger, name) + getattr(weights.carried, name))
     return np.asarray(out, dtype=np.float32)
 
 
@@ -275,39 +308,93 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
              for node_id, spec in graph.nodes]
     ledger = CounterLedger() if counted else None
     if keep_outputs:
-        values = _run(steps, inputs, {None: value}, {}, ledger, keep=True)
+        values = _run(steps, inputs, {None: value}, {}, ledger, {}, keep=True)
         del values[None]
         return RunResult(Tensor.from_array(values[steps[-1][0]]), ledger, values)
     plan = plan_tiles(graph, shapes, inputs)
+    chains = _chains(steps, inputs, _fused([spec.kind for _, spec, _ in steps], inputs,
+                                            plan.region))
     values = {None: value}
     if plan.region:
         region = steps[:plan.region]
-        values = {region[-1][0]: _run_tiles(region, inputs, shapes, plan, value, ledger)}
-    values = _run(steps[plan.region:], inputs, values, _slots(plan.rest), ledger)
+        values = {region[-1][0]: _run_tiles(region, inputs, shapes, plan, value, ledger, chains)}
+    values = _run(steps[plan.region:], inputs, values, _slots(plan.rest), ledger, chains)
     return RunResult(output=Tensor.from_array(values[steps[-1][0]]), ledger=ledger)
 
 
-def _run(steps, inputs, values, slots, ledger, keep=False) -> dict:
+def _fused(kinds, inputs: dict, cut: int = 0) -> dict:
+    """{producer id: [tail ids]}: the relu, batchnorm and residual_add nodes
+    that run as the epilogue of the correlation before them, read off the
+    node ``kinds`` (in node order), ``graph.node_inputs``'s ``inputs`` and
+    their last readers alone. A tail node reads the previous node's value,
+    which no other node reads, and a residual_add's addend must be made
+    before the producer. No chain crosses node index ``cut``, where the tiled
+    region ends."""
+    ids, last = list(inputs), last_reads(inputs)
+    order = {node_id: i for i, node_id in enumerate(ids)}
+    tails, head = {}, {}
+    for i in range(1, len(ids)):
+        prev, (x, addend) = ids[i - 1], inputs[ids[i]]
+        producer = head.get(prev, prev if kinds[i - 1] in _PRODUCERS else None)
+        if producer is None or i == cut or kinds[i] not in _TAILS or x != prev \
+                or last[prev] != i or (addend is not None and order[addend] >= order[producer]):
+            continue
+        head[ids[i]] = producer
+        tails.setdefault(producer, []).append(ids[i])
+    return tails
+
+
+def _chains(steps, inputs, tails) -> dict:
+    """{producer id: (its tail ids, [(steps, addend)] per tail)} for the
+    chains ``tails`` (see _fused) gives: each tail node's epilogue steps, made
+    once per pass, and its addend (None but for a residual_add), read per
+    call."""
+    specs = {node_id: (spec, tensors) for node_id, spec, tensors in steps}
+    return {producer: (chain, [(_TAILS[specs[t][0].kind](specs[t][0], _arrays(specs[t][1])),
+                                inputs[t][1]) for t in chain])
+            for producer, chain in tails.items()}
+
+
+def _epilogue(parts, read) -> list:
+    """A chain's epilogue from its ``parts`` (see _chains), each residual_add's
+    addend read by ``read``."""
+    steps = []
+    for tail_steps, addend in parts:
+        steps += tail_steps if addend is None else [(np.add, read(addend))]
+    return steps
+
+
+def _run(steps, inputs, values, slots, ledger, chains, keep=False) -> dict:
     """Run ``steps`` whole, in order, on ``values`` ({id: array}, None the
-    graph's input), each node's output going to its slot in ``slots``. A value
-    is dropped after its last reader (``graph.last_reads``) unless ``keep``;
-    returns ``values``."""
+    graph's input), each node's output going to its slot in ``slots``. The
+    tail nodes of ``chains`` (see _chains) run as their producer's epilogue,
+    and the chain's output goes to its last node's slot. A value is dropped
+    after its last reader (``graph.last_reads``) unless ``keep``; returns
+    ``values``."""
     ids = list(inputs)
     last, final = {value: ids[i] for value, i in last_reads(inputs).items()}, ids[-1]
+    fused = {t for tails, _ in chains.values() for t in tails}
     for node_id, spec, tensors in steps:
+        if node_id in fused:
+            continue
+        tails, parts = chains.get(node_id, ((), []))
+        members = [node_id, *tails]
+        result = members[-1]
+        # the chain's slot is its last node's; the others' views would keep the arena alive
+        slot = [slots.pop(member, None) for member in members][-1]
         x, addend = inputs[node_id]
-        slot = slots.pop(node_id, None)
         if addend is not None:
             out = kernels.add_array(values[x], values[addend], out=slot)
         else:
-            arrays = _arrays(tensors)
-            out = forward_layer(spec, values[x], arrays if slot is None else _Slotted(arrays, slot),
+            epilogue = _epilogue(parts, values.__getitem__)
+            out = forward_layer(spec, values[x], _Slotted(_arrays(tensors), slot, epilogue=epilogue),
                                 ledger)
-        for read in () if keep else (x, addend):
-            if last.get(read) == node_id:
-                values.pop(read, None)
-        if keep or node_id in last or node_id == final:
-            values[node_id] = out
+        for member in () if keep else members:
+            for read in inputs[member]:
+                if last.get(read) == member:
+                    values.pop(read, None)
+        if keep or result in last or result == final:
+            values[result] = out
     return values
 
 
@@ -326,7 +413,7 @@ def _put(flat, shape, value):
         frames[...] = value
 
 
-def _run_tiles(steps, inputs, shapes, plan, clip, ledger) -> np.ndarray:
+def _run_tiles(steps, inputs, shapes, plan, clip, ledger, chains) -> np.ndarray:
     """Run the region's ``steps`` depth-first, one tile of frames per step, as
     ``plan`` (a TilePlan) schedules them, and return the region's output.
 
@@ -336,11 +423,13 @@ def _run_tiles(steps, inputs, shapes, plan, clip, ledger) -> np.ndarray:
     whole output. After a held node's turn its window takes the frames
     carried from the step before, and the frames the next step keeps are
     carried on, so that readers that lag it or reach across frames find them
-    there. A 3-D layer reads its
-    window, halo included, through its own ``kernels.Frames`` walk. Weights
-    are dequantized once, and a node's tiles but its last tally into a ledger
-    of its own that the last one adds, with the weights' reads once, to
-    ``ledger``.
+    there. A 3-D layer reads its window, halo included, through its own
+    ``kernels.Frames`` walk. The tail nodes of ``chains`` run as their
+    producer's epilogue, which writes into the chain's last node's slot: the
+    producer's own bytes when it has a slot, as the chain runs in place
+    there, or the region's output. Weights are dequantized once, and a node's
+    tiles but its last tally into a ledger of its own that the last one adds,
+    with the weights' reads once, to ``ledger``.
     """
     total, frames = clip.shape[1], plan.frames
     first = 1 - -(-max(plan.lags.values()) // frames)  # 0 unless a lag passes a tile
@@ -351,11 +440,17 @@ def _run_tiles(steps, inputs, shapes, plan, clip, ledger) -> np.ndarray:
     carried = {node_id: kernels.empty(size[node_id] * hold)
                for node_id, hold in plan.held.items()}
     whole = kernels.empty(size[final] * total)
-    nodes = []  # (id, spec, frames read ahead and behind, weights, walk, own ledger)
+    fused = {t for tails, _ in chains.values() for t in tails}
+    # (id, spec, frames read ahead and behind, weights, walk, own ledger, the
+    # chain's last node, its epilogue's parts)
+    nodes = []
     for node_id, spec, tensors in steps:
-        ahead, behind = frames_read(spec)
-        nodes.append((node_id, spec, ahead, behind, _arrays(tensors),
-                      kernels.Frames(total) if ahead else None, CounterLedger()))
+        if node_id not in fused:
+            ahead, behind = frames_read(spec)
+            tails, parts = chains.get(node_id, ((), []))
+            nodes.append((node_id, spec, ahead, behind, _arrays(tensors),
+                          kernels.Frames(total) if ahead else None, CounterLedger(),
+                          [node_id, *tails][-1], parts))
 
     def read(value, f0, f1):
         f0, f1 = max(f0, 0), min(f1, total)
@@ -368,14 +463,14 @@ def _run_tiles(steps, inputs, shapes, plan, clip, ledger) -> np.ndarray:
 
     for k in range(first, -(-total // frames) + 1):
         made = {}
-        for node_id, spec, ahead, behind, arrays, walk, own in nodes:
+        for node_id, spec, ahead, behind, arrays, walk, own, result, parts in nodes:
             s0 = (k - 1) * frames + plan.lags[node_id]  # the first frame of this step's tile
             f0, f1 = max(s0, 0), min(s0 + frames, total)
-            hold = plan.held.get(node_id, 0)
-            slot = whole[f0 * size[node_id]:f1 * size[node_id]] if node_id == final else None
-            if node_id in slots:
-                slot = slots[node_id][(f0 - s0 + hold) * size[node_id]:
-                                      (f1 - s0 + hold) * size[node_id]]
+            hold, n = plan.held.get(result, 0), size[result]
+            mine = whole[f0 * n:f1 * n] if result == final else None
+            if result in slots:
+                mine = slots[result][(f0 - s0 + hold) * n:(f1 - s0 + hold) * n]
+            slot = mine if node_id in slots or result in (node_id, final) else None
             if f0 < f1:
                 x, addend = inputs[node_id]
                 if addend is not None:
@@ -386,15 +481,17 @@ def _run_tiles(steps, inputs, shapes, plan, clip, ledger) -> np.ndarray:
                     last = f1 == total
                     if last:
                         own.param_reads = 0  # the last tile's kernel reads the weights once
+                    epilogue = _epilogue(parts, lambda value: read(value, f0, f1))
                     out = forward_layer(spec, read(x, f0 - behind, f1 + ahead),
-                                        _Slotted(arrays, slot, walk, own if last else None),
+                                        _Slotted(arrays, slot, walk, own if last else None,
+                                                 epilogue),
                                         ledger if last else own)
-                if hold or node_id == final:
-                    _put(slot, shapes[node_id][1], out)
+                if hold or result == final:
+                    _put(mine, shapes[result][1], out)
                 else:
-                    made[node_id] = out
+                    made[result] = out
             if hold:  # the window: the carried frames, then this tile's; carry the last on
-                window = slots[node_id]
-                window[:carried[node_id].size] = carried[node_id]
-                carried[node_id][...] = window[frames * size[node_id]:(frames + hold) * size[node_id]]
+                window = slots[result]
+                window[:carried[result].size] = carried[result]
+                carried[result][...] = window[frames * n:(frames + hold) * n]
     return _frames(whole, shapes[final][1])

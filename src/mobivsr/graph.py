@@ -443,10 +443,12 @@ def frames_read(spec: LayerSpec) -> tuple:
 # fp32 bytes a tile of a region's widest value may take, which fixes the
 # frames per tile: 4 of MobiVSR's ds3d1 output. The step arena grows by a
 # frame of ds3d1 output per tile frame, and each step costs every region node
-# a kernel call, whose geometry the kernels keep across calls. An alpha=1
-# request peaks at 8.66 MB with 8-frame tiles, 7.48 MB with 4 and 6.89 MB
-# with 2; on a 2-vCPU host 4-frame tiles cost its median latency about 12 %
-# over 8-frame ones without that memo and about 5 % with it, 2-frame ones 23 %
+# a kernel call, whose geometry the kernels keep across calls. run_graph
+# peaks at 10.18 MB on whole layers, 7.56 MB in 8-frame tiles and 6.38 MB in
+# 4-frame ones at alpha=1 fp32, and at 11.09, 8.33 and 7.16 MB at alpha=4
+# int8 (counted). Run interleaved in one process on a 2-vCPU host (30 passes
+# each, tails fused), 8-frame tiles cost 6.8 % and 4-frame ones 11.0 % over
+# whole layers' median at alpha=1, and 2.8 % and 5.9 % at alpha=4
 _TILE_BYTES = 1152 * 1024
 
 

@@ -557,10 +557,12 @@ def test_planned_slots_live_together_never_overlap(case):
 @given(case=elementwise_graphs(), as_tensor=st.booleans())
 def test_in_place_elementwise_nodes_write_only_values_run_graph_owns(case, as_tensor):
     """run_graph follows its plan without writing a value before its last
-    reader has read it: every value a node reads is still the one its node
-    made, and the caller's array or Tensor is left as it was. With
-    keep_outputs no value is written after it is made, and the planned run's
-    output and ledger equal the kept run's bit for bit."""
+    reader has read it: every value a node reads, a fused residual_add's
+    addend included, is still the one its node made, and the caller's array
+    or Tensor is left as it was. With keep_outputs no value is written after
+    it is made, and the planned run's output and ledger equal the kept run's
+    bit for bit. A fused chain runs in its producer's call, whose value is
+    bit for bit the kept run's value of the chain's last node."""
     graph, bundle, x = case
     value = Tensor.from_array(x.copy()) if as_tensor else x.copy()
     forward_layer, add_array = engine.forward_layer, kernels.add_array
@@ -576,7 +578,7 @@ def test_in_place_elementwise_nodes_write_only_values_run_graph_owns(case, as_te
                         assert np.array_equal(v, copy)
 
         def layer(spec, v, weights, ledger=None):
-            unchanged(v)
+            unchanged(v, *(operand for _, operand in getattr(weights, "epilogue", ())))
             out = forward_layer(spec, v, weights, ledger)
             made.append((out, out.copy()))
             return out
@@ -598,6 +600,14 @@ def test_in_place_elementwise_nodes_write_only_values_run_graph_owns(case, as_te
     assert got.output.as_array().tobytes() == kept.output.as_array().tobytes()
     assert got.ledger == kept.ledger
     assert np.array_equal(value.as_array() if as_tensor else value, x)
+    # these graphs run whole: one call per node that is not a fused tail, in order
+    tails = _tails_of(graph)
+    ran = [node_id for node_id, _ in graph.nodes
+           if node_id not in {t for chain in tails.values() for t in chain}]
+    assert len(made) == len(ran)
+    for node_id, (_, copy) in zip(ran, made):
+        last = tails.get(node_id, [node_id])[-1]
+        assert _bits(copy) == _bits(np.ascontiguousarray(kept.node_outputs[last]))
 
 
 PER_FRAME = ("relu", "batchnorm", "ds_conv2d", "conv2d", "residual_add")
@@ -714,6 +724,148 @@ def test_every_costed_node_counts_its_exact_closed_forms(case):
     assert (tiled.ledger.memory_accesses(), tiled.ledger.flops()) == (accesses, flops)
 
 
+def _tails_of(graph, cut=0) -> dict:
+    """{producer id: [tail ids]}: the nodes run_graph fuses into a
+    correlation's kernel as its epilogue."""
+    return engine._fused([spec.kind for _, spec in graph.nodes], node_inputs(graph), cut)
+
+
+@contextlib.contextmanager
+def _unfused():
+    """run_graph with no node fused while the context is open."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_fused", lambda kinds, inputs, cut=0: {})
+        yield
+
+
+def _layer_calls(graph, bundle, x, **kwargs):
+    """The result of run_graph and how many forward_layer calls it made."""
+    calls, forward_layer = [], engine.forward_layer
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "forward_layer",
+                   lambda *args: calls.append(args[0]) or forward_layer(*args))
+        return run_graph(graph, bundle, x, **kwargs), len(calls)
+
+
+def _chain_graph(edges):
+    """A 1x1 conv2d between a relu and two elementwise nodes, the last a
+    residual_add with ``edges`` or else a relu, on a (2, 4, 4) frame."""
+    add = any(dst == "n3" for _, dst in edges)
+    nodes = [("n0", LayerSpec("relu")),
+             ("n1", LayerSpec("conv2d", in_channels=2, out_channels=2, kernel_size=1)),
+             ("n2", LayerSpec("batchnorm", in_channels=2)),
+             ("n3", LayerSpec("residual_add" if add else "relu"))]
+    graph = LayerGraph(nodes=nodes, residual_edges=edges, input_shape=(2, 4, 4))
+    x = np.random.default_rng(5).normal(size=(2, 4, 4)).astype(np.float32)
+    return graph, init_weights(graph, seed=4), x
+
+
+@pytest.mark.parametrize("edges,tails", [
+    ([], {"n1": ["n2", "n3"]}),
+    ([("n1", "n3")], {}),  # n1's value has a second reader: n3
+    ([("n0", "n2")], {}),  # n2 reads n0, not the value before it
+])
+def test_a_producer_whose_value_has_a_second_reader_is_not_fused(edges, tails):
+    """A tail node reads the value just before it, which nothing else reads:
+    a relu or batchnorm after a correlation whose value another node also
+    reads runs on its own, and the pass equals an unfused one bit for bit,
+    ledger included."""
+    graph, bundle, x = _chain_graph(edges)
+    assert _tails_of(graph) == tails
+    got, calls = _layer_calls(graph, bundle, x, counted=True)
+    with _unfused():
+        plain, plain_calls = _layer_calls(graph, bundle, x, counted=True)
+    assert _bits(got.output.as_array()) == _bits(plain.output.as_array())
+    assert got.ledger == plain.ledger
+    assert calls == plain_calls - sum(map(len, tails.values()))
+
+
+@pytest.mark.parametrize("source,tails", [
+    ("n0", {"n1": ["n2", "n3"]}),  # made before the producer n1
+    ("n2", {"n1": ["n2"]}),  # n2 is made after n1
+])
+def test_an_add_fuses_only_when_its_addend_is_made_before_the_producer(source, tails):
+    """A residual_add joins its producer's chain only when its addend exists
+    before the producer runs; either way the output and ledger equal an
+    unfused pass's, bit for bit."""
+    graph, bundle, x = _chain_graph([(source, "n3")])
+    assert _tails_of(graph) == tails
+    got = run_graph(graph, bundle, x, counted=True)
+    with _unfused():
+        plain = run_graph(graph, bundle, x, counted=True)
+    assert _bits(got.output.as_array()) == _bits(plain.output.as_array())
+    assert got.ledger == plain.ledger
+
+
+def test_renaming_every_node_leaves_the_fused_set_and_the_output_unchanged():
+    """The fusion rule reads the graph's dataflow, never its node ids: MobiVSR-1
+    with every node renamed fuses the same nodes, 18 of its 40, and gives the
+    same output bytes."""
+    graph = GRAPHS["alpha1"]
+    names = {node_id: f"v{len(graph.nodes) - i}" for i, (node_id, _) in enumerate(graph.nodes)}
+    renamed = LayerGraph(nodes=[(names[node_id], spec) for node_id, spec in graph.nodes],
+                         residual_edges=[(names[a], names[b]) for a, b in graph.residual_edges],
+                         input_shape=graph.input_shape)
+    bundle = {names[node_id]: tensors for node_id, tensors in BUNDLES["alpha1"].items()}
+    tails = _tails_of(graph)
+    assert sum(map(len, tails.values())) == 18
+    assert _tails_of(renamed) == {names[p]: [names[t] for t in chain] for p, chain in tails.items()}
+    assert _bits(run_graph(renamed, bundle, INPUTS["alpha1"]).output.as_array()) \
+        == _bits(OUTPUTS["alpha1"])
+
+
+def test_keep_outputs_runs_and_returns_every_node_fused_ones_included():
+    """keep_outputs runs no epilogue: every node of MobiVSR-1, each tail
+    node included, is run and returned, and its output equals a fused
+    pass's bit for bit."""
+    graph = GRAPHS["alpha1"]
+    epilogues = []
+    forward_layer = engine.forward_layer
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "forward_layer", lambda spec, v, weights, ledger=None: epilogues.append(
+            weights.epilogue) or forward_layer(spec, v, weights, ledger))
+        kept = run_graph(graph, BUNDLES["alpha1"], INPUTS["alpha1"], keep_outputs=True)
+    assert list(kept.node_outputs) == [node_id for node_id, _ in graph.nodes]
+    assert not any(epilogues)
+    assert _bits(kept.output.as_array()) == _bits(OUTPUTS["alpha1"])
+
+
+@pytest.mark.parametrize("alpha,calls", [(1, 73), (4, 181)])
+def test_a_mobivsr_pass_calls_forward_layer_once_per_unfused_node_and_tile(alpha, calls):
+    """Fusing every relu, batchnorm and residual_add tail into the correlation
+    before it takes MobiVSR-1's pass from 141 forward_layer calls to at most
+    73, and MobiVSR-4's from 357 to at most 181."""
+    graph = build_mobivsr(alpha)
+    x = np.random.default_rng(3).random(graph.input_shape, dtype=np.float32)
+    bundle = BUNDLES["alpha1"] if alpha == 1 else init_weights(graph, seed=2)
+    assert _layer_calls(graph, bundle, x)[1] <= calls
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.one_of(elementwise_graphs().map(lambda case: (*case, None)), tiled_graphs()))
+def test_a_fused_pass_equals_the_unfused_pass(case):
+    """A counted pass with every tail fused equals the same pass unfused, bit
+    for bit, tiled or not, with an equal ledger, and within 1e-5 of whole
+    layers. Where a chain's producer has a slot of its own, its last node's
+    slot is the same bytes, which the chain writes into."""
+    graph, bundle, x, frames = case
+    _, shapes = shape_infer(graph, x.shape)
+    with _tiles_of(frames, shapes) if frames else contextlib.nullcontext():
+        plan = plan_tiles(graph, shapes, node_inputs(graph))
+        tails = _tails_of(graph, plan.region)
+        fused = run_graph(graph, bundle, x, counted=True)
+        with _unfused():
+            plain = run_graph(graph, bundle, x, counted=True)
+    assert _bits(fused.output.as_array()) == _bits(plain.output.as_array())
+    assert fused.ledger == plain.ledger
+    whole = run_graph(graph, bundle, x, keep_outputs=True).output.as_array()
+    assert np.abs(fused.output.as_array() - whole).max() <= 1e-5 * max(1.0, np.abs(whole).max())
+    for producer, chain in tails.items():
+        for slots in (plan.steps.slots, plan.rest.slots):
+            if producer in slots and chain[-1] in slots:
+                assert slots[producer][0] == slots[chain[-1]][0]
+
+
 @pytest.mark.parametrize("dtype", ["fp32", "int8"])
 @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
 def test_a_tiled_mobivsr_ledger_reads_each_weight_once(alpha, dtype):
@@ -825,3 +977,4 @@ def test_buffers_off_a_cache_line_change_no_output_or_ledger(alpha, dtype, count
         if keep:
             assert ({node_id: _bits(value) for node_id, value in shifted.node_outputs.items()}
                     == {node_id: _bits(value) for node_id, value in aligned.node_outputs.items()})
+
