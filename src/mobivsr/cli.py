@@ -25,6 +25,7 @@ from .arch import (
     CHANNEL_PLAN_CANDIDATES,
     DEFAULT_CHANNEL_PLAN,
     IMPACT_OUTLIERS,
+    MAX_ALPHA,
     PUBLISHED_IMPACT,
     build_mobivsr,
     published_models,
@@ -95,10 +96,17 @@ def _positive_int(text):
     return value
 
 
+def _alpha(text):
+    alpha = _positive_int(text)
+    if alpha > MAX_ALPHA:
+        raise argparse.ArgumentTypeError(f"expected an alpha <= {MAX_ALPHA}, got {alpha}")
+    return alpha
+
+
 def _alpha_list(text):
     if not text.strip():
         return []
-    alphas = [_positive_int(part) for part in text.split(",")]
+    alphas = [_alpha(part) for part in text.split(",")]
     for i, alpha in enumerate(alphas):
         if alpha in alphas[:i]:
             raise argparse.ArgumentTypeError(f"alpha {alpha} is repeated")
@@ -120,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="emit a MobiVSR-alpha graph JSON file")
-    p.add_argument("--alpha", type=_positive_int, required=True)
+    p.add_argument("--alpha", type=_alpha, required=True)
     p.add_argument("--plan", type=_plan, default=DEFAULT_CHANNEL_PLAN)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)

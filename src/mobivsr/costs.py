@@ -188,11 +188,12 @@ def efficiency_ratios(source, accuracy: float) -> EfficiencyRatios:
     memory accesses (thousands).
 
     ``source`` is anything with size_mb / flops_b / params_m / mem_kaccess
-    attributes in those units: a CostReport or a reference preset. A zero
-    column leaves its ratio undefined and raises ValueError.
+    attributes in those units: a CostReport or a reference preset.
+    ``accuracy`` is a percentage, finite and in [0, 100] (else ValueError). A
+    zero column leaves its ratio undefined and raises ValueError.
     """
-    if not math.isfinite(accuracy):
-        raise ValueError(f"accuracy must be finite, got {accuracy!r}")
+    if not (math.isfinite(accuracy) and 0 <= accuracy <= 100):
+        raise ValueError(f"accuracy must be finite and in [0, 100] percent, got {accuracy!r}")
     ratios = {}
     for ratio, column in (("acc_per_mb", "size_mb"), ("acc_per_gflop", "flops_b"),
                           ("acc_per_mparam", "params_m"), ("acc_per_kaccess", "mem_kaccess")):

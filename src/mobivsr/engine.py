@@ -10,25 +10,29 @@ tensor fails naming its node before any kernel runs. Those shapes and
 ``graph.node_inputs``'s reads then give ``graph.plan_tiles`` its schedule,
 so no plan infers shapes again.
 
-Unless ``keep_outputs`` is set, ``run_graph`` runs the graph's leading
-region depth-first, one tile of frames per step (``_run_tiles``), then the
-rest whole. In MobiVSR the region is the front end through s2: no step holds
-more than a tile and 2 frames of ds3d1's output, where whole layers would
-hold all 29. Each node outputs into a slot, a flat fp32 view its kernel
-writes into (``out=``): a region node's in a step arena that every step
-reuses, a held node's slot there being a window of the frames it keeps and
-then its tile, the region's last node's in its whole output, and a later
-node's in an arena of its own. A slot may be the bytes of the node's own
-input when that input dies there: relu, batchnorm and residual_add then run
-in place, and a separable layer writes over its input block by block. The
-caller's input is never written, nor is any value before its last reader has
-run, by the lifetimes ``graph.last_reads`` gives the arenas' plans. Only the
-values in an arena hold it, so it is freed after the last reader of the last
-of them; in MobiVSR that is before the backend dequantizes its large
-weights. What a call needs beyond its weights, the slot, a 3-D layer's
-``kernels.Frames`` walk, the counts of its earlier tiles and its epilogue,
-reaches the runner inside the weights dict, a ``_Slotted`` one, since
-``forward_layer``'s signature is the same for every caller.
+``run_graph`` is one interpreter loop (``_run``) over the ``TilePlan``
+``graph.plan_tiles`` makes: each step runs one tile of frames through the
+graph's leading region, depth-first, and the last step runs every node past
+the region whole, as one tile of every frame. In MobiVSR the region is the
+front end through s2: no step holds more than a tile and 2 frames of ds3d1's
+output, where whole layers would hold all 29. ``keep_outputs`` runs the same
+loop on a plan with no region and no slots, fusing and freeing nothing.
+Each node outputs into a slot, a flat fp32 view its kernel writes into
+(``out=``): a region node's in a step arena that every step reuses, a held
+node's slot there being a window of the frames it keeps and then its tile,
+the region's last node's in its whole output, and a later node's in an arena
+of its own. A slot may be the bytes of the node's own input when that input
+dies there: relu, batchnorm and residual_add then run in place, and a
+separable layer writes over its input block by block. The caller's input is
+never written, nor is any value before its last reader has run, by the
+lifetimes ``graph.last_reads`` gives the arenas' plans. Only the values in an
+arena hold it, so it is freed after the last reader of the last of them; in
+MobiVSR that is before the backend dequantizes its large weights. The step
+arena and the carried frames are freed, with every view of them, before the
+rest's arena is made. What a call needs beyond its weights, the slot, a 3-D
+layer's ``kernels.Frames`` walk, the counts of its earlier tiles and its
+epilogue, reaches the runner inside the weights dict, a ``_Slotted`` one,
+since ``forward_layer``'s signature is the same for every caller.
 ``counted_forward``, the one way to run a single layer, checks its input as
 ``run_graph`` does, then the layer's weights and the value's rank, and
 leaves channel counts to the kernels.
@@ -73,8 +77,10 @@ from . import kernels
 from .errors import ValidationError
 from .graph import (
     LAYER_KINDS,
+    ActivationPlan,
     LayerGraph,
     LayerSpec,
+    TilePlan,
     checked_weights,
     frames_read,
     last_reads,
@@ -293,9 +299,9 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
     input or a value a later node still reads. Each arena is freed with the
     last value in it, so memory stays flat in depth. int8 tensors are
     dequantized when their node runs, a region node's once for all its tiles.
-    With ``keep_outputs`` no plan is used: every node runs once, on its whole
-    input, and its output array is fresh, retained and returned in
-    ``node_outputs``.
+    With ``keep_outputs`` the same loop runs a plan with no region and no
+    slots: every node runs once, unfused, on its whole input, and its output
+    array is fresh, retained and returned in ``node_outputs``.
     """
     value = _finite(input, "input")
     if not isinstance(weights, dict):
@@ -307,19 +313,16 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
     steps = [(node_id, spec, _checked(spec, weights.get(node_id), f"node {node_id!r}"))
              for node_id, spec in graph.nodes]
     ledger = CounterLedger() if counted else None
-    if keep_outputs:
-        values = _run(steps, inputs, {None: value}, {}, ledger, {}, keep=True)
-        del values[None]
-        return RunResult(Tensor.from_array(values[steps[-1][0]]), ledger, values)
-    plan = plan_tiles(graph, shapes, inputs)
-    chains = _chains(steps, inputs, _fused([spec.kind for _, spec, _ in steps], inputs,
-                                            plan.region))
-    values = {None: value}
-    if plan.region:
-        region = steps[:plan.region]
-        values = {region[-1][0]: _run_tiles(region, inputs, shapes, plan, value, ledger, chains)}
-    values = _run(steps[plan.region:], inputs, values, _slots(plan.rest), ledger, chains)
-    return RunResult(output=Tensor.from_array(values[steps[-1][0]]), ledger=ledger)
+    if keep_outputs:  # every node runs whole and unfused, and every value is kept
+        plan, chains = TilePlan(0, 0, {}, {}, *[ActivationPlan({}, 0)] * 2), {}
+    else:
+        plan = plan_tiles(graph, shapes, inputs)
+        chains = _chains(steps, inputs, _fused([spec.kind for _, spec, _ in steps], inputs,
+                                                plan.region))
+    values = _run(steps, inputs, shapes, plan, value, ledger, chains, keep_outputs)
+    values.pop(None, None)
+    return RunResult(Tensor.from_array(values[steps[-1][0]]), ledger,
+                     values if keep_outputs else None)
 
 
 def _fused(kinds, inputs: dict, cut: int = 0) -> dict:
@@ -364,40 +367,6 @@ def _epilogue(parts, read) -> list:
     return steps
 
 
-def _run(steps, inputs, values, slots, ledger, chains, keep=False) -> dict:
-    """Run ``steps`` whole, in order, on ``values`` ({id: array}, None the
-    graph's input), each node's output going to its slot in ``slots``. The
-    tail nodes of ``chains`` (see _chains) run as their producer's epilogue,
-    and the chain's output goes to its last node's slot. A value is dropped
-    after its last reader (``graph.last_reads``) unless ``keep``; returns
-    ``values``."""
-    ids = list(inputs)
-    last, final = {value: ids[i] for value, i in last_reads(inputs).items()}, ids[-1]
-    fused = {t for tails, _ in chains.values() for t in tails}
-    for node_id, spec, tensors in steps:
-        if node_id in fused:
-            continue
-        tails, parts = chains.get(node_id, ((), []))
-        members = [node_id, *tails]
-        result = members[-1]
-        # the chain's slot is its last node's; the others' views would keep the arena alive
-        slot = [slots.pop(member, None) for member in members][-1]
-        x, addend = inputs[node_id]
-        if addend is not None:
-            out = kernels.add_array(values[x], values[addend], out=slot)
-        else:
-            epilogue = _epilogue(parts, values.__getitem__)
-            out = forward_layer(spec, values[x], _Slotted(_arrays(tensors), slot, epilogue=epilogue),
-                                ledger)
-        for member in () if keep else members:
-            for read in inputs[member]:
-                if last.get(read) == member:
-                    values.pop(read, None)
-        if keep or result in last or result == final:
-            values[result] = out
-    return values
-
-
 def _frames(flat, shape) -> np.ndarray:
     """A flat fp32 buffer of whole frames of a (C, L, H, W) value, frame-major
     and channels last, as a (C, n, H, W) view: the layout a correlation,
@@ -413,85 +382,113 @@ def _put(flat, shape, value):
         frames[...] = value
 
 
-def _run_tiles(steps, inputs, shapes, plan, clip, ledger, chains) -> np.ndarray:
-    """Run the region's ``steps`` depth-first, one tile of frames per step, as
-    ``plan`` (a TilePlan) schedules them, and return the region's output.
+def _run(steps, inputs, shapes, plan, clip, ledger, chains, keep=False) -> dict:
+    """Run ``steps`` on the graph's input ``clip`` as ``plan`` (a TilePlan)
+    schedules them, and return {id: value}: the last node's, and with
+    ``keep`` every node's (None the input's).
 
-    A planned node's slot in the step arena holds the frames it computes in
-    a step, in order, and a held node's slot is a window that holds the
-    frames it keeps before them; the region's last node writes into its
-    whole output. After a held node's turn its window takes the frames
-    carried from the step before, and the frames the next step keeps are
-    carried on, so that readers that lag it or reach across frames find them
-    there. A 3-D layer reads its window, halo included, through its own
-    ``kernels.Frames`` walk. The tail nodes of ``chains`` run as their
-    producer's epilogue, which writes into the chain's last node's slot: the
-    producer's own bytes when it has a slot, as the chain runs in place
-    there, or the region's output. Weights are dequantized once, and a node's
-    tiles but its last tally into a ledger of its own that the last one adds,
-    with the weights' reads once, to ``ledger``.
+    Each step runs one tile of frames through the region's nodes, in node
+    order; the last step runs every node past the region whole, as one tile
+    of every frame. A node's output goes to its slot: in the region, its
+    tile's part of a slot in the step arena, which every step reuses, or of
+    the region's whole output for the region's last node; past the region, a
+    slot in ``plan.rest``'s arena, allocated only once nothing holds the step
+    arena, the carried frames or the region's weights. A held node's slot is
+    a window that holds the frames it keeps before its tile: after the
+    node's turn the window takes the frames carried from the step before,
+    and the frames the next step keeps are carried on, so that readers that
+    lag it or reach across frames find them there. A 3-D layer in the region
+    reads its window, halo included, through its own ``kernels.Frames`` walk.
+    The tail nodes of ``chains`` (see _chains) run as their producer's
+    epilogue, which writes into the chain's last node's slot: the producer's
+    own bytes when it has a slot, as the chain runs in place there, or the
+    region's output. A value is dropped after its last reader
+    (``graph.last_reads``) unless ``keep``. A region node's weights are
+    dequantized once, and its tiles but its last tally into a ledger of its
+    own that the last one adds, with the weights' reads once, to ``ledger``;
+    a later node's weights are dequantized for its call alone.
     """
-    total, frames = clip.shape[1], plan.frames
-    first = 1 - -(-max(plan.lags.values()) // frames)  # 0 unless a lag passes a tile
-    final = steps[-1][0]
-    size = {node_id: math.prod(shapes[node_id][1]) // total for node_id, _, _ in steps}
-    slots = _slots(plan.steps, {node_id: 4 * size[node_id] * hold
-                                for node_id, hold in plan.held.items()})
-    carried = {node_id: kernels.empty(size[node_id] * hold)
-               for node_id, hold in plan.held.items()}
-    whole = kernels.empty(size[final] * total)
+    region, frames, held, final = plan.region, plan.frames, plan.held, steps[-1][0]
+    end, total = (steps[region - 1][0], clip.shape[1]) if region else (None, 1)
     fused = {t for tails, _ in chains.values() for t in tails}
-    # (id, spec, frames read ahead and behind, weights, walk, own ledger, the
-    # chain's last node, its epilogue's parts)
-    nodes = []
-    for node_id, spec, tensors in steps:
-        if node_id not in fused:
-            ahead, behind = frames_read(spec)
-            tails, parts = chains.get(node_id, ((), []))
-            nodes.append((node_id, spec, ahead, behind, _arrays(tensors),
-                          kernels.Frames(total) if ahead else None, CounterLedger(),
-                          [node_id, *tails][-1], parts))
+    values, slots, carried, state = {None: clip}, {}, {}, {}
 
-    def read(value, f0, f1):
+    def size(node_id):  # the fp32 elements in one frame of a region node's output
+        return math.prod(shapes[node_id][1]) // total
+
+    if region:
+        slots = _slots(plan.steps, {node_id: 4 * size(node_id) * hold
+                                    for node_id, hold in held.items()})
+        slots[end] = kernels.empty(size(end) * total)
+        carried = {node_id: kernels.empty(size(node_id) * hold) for node_id, hold in held.items()}
+        # per region node: its fp32 weights, walk and own ledger, for all its tiles
+        state = {node_id: (_arrays(tensors), kernels.Frames(total) if frames_read(spec)[0]
+                           else None, CounterLedger())
+                 for node_id, spec, tensors in steps[:region] if node_id not in fused}
+
+    def read(k, value, f0, f1):
+        """Frames [f0, f1) of ``value`` in step ``k``; all of it when k is None."""
         f0, f1 = max(f0, 0), min(f1, total)
-        if value is None:
+        if k is not None and value is None:
             return clip[:, f0:f1]
-        if value not in plan.held:
-            return made[value]
-        base = (k - 1) * frames + plan.lags[value] - plan.held[value]  # the window's first frame
+        if k is None or value not in held:
+            return values[value]
+        base = (k - 1) * frames + plan.lags[value] - held[value]  # the window's first frame
         return _frames(slots[value], shapes[value][1])[:, f0 - base:f1 - base]
 
-    for k in range(first, -(-total // frames) + 1):
-        made = {}
-        for node_id, spec, ahead, behind, arrays, walk, own, result, parts in nodes:
-            s0 = (k - 1) * frames + plan.lags[node_id]  # the first frame of this step's tile
-            f0, f1 = max(s0, 0), min(s0 + frames, total)
-            hold, n = plan.held.get(result, 0), size[result]
-            mine = whole[f0 * n:f1 * n] if result == final else None
-            if result in slots:
-                mine = slots[result][(f0 - s0 + hold) * n:(f1 - s0 + hold) * n]
-            slot = mine if node_id in slots or result in (node_id, final) else None
+    def run(k, nodes):
+        """Run ``nodes`` on step ``k``'s tile of frames, or whole when k is None."""
+        take = slots.pop if k is None else slots.get
+        # {value: index of its last reader}; a region value is read only in the region
+        last = last_reads({node_id: inputs[node_id] for node_id, _, _ in nodes})
+        for i, (node_id, spec, tensors) in enumerate(nodes):
+            if node_id in fused:
+                continue
+            tails, parts = chains.get(node_id, ((), []))
+            members = [node_id, *tails]
+            result, (x, addend), (ahead, behind) = members[-1], inputs[node_id], frames_read(spec)
+            s0 = 0 if k is None else (k - 1) * frames + plan.lags[node_id]  # the tile's first frame
+            f0, f1 = max(s0, 0), total if k is None else min(s0 + frames, total)
+            hold, n = held.get(result, 0), size(result)
+            # the chain's slot is its last node's; past the region the others'
+            # views would keep the arena alive
+            slot = [take(member, None) for member in members][-1]
+            if k is not None and slot is not None:
+                base = 0 if result == end else s0 - hold  # the frame at the slot's front
+                slot = slot[(f0 - base) * n:(f1 - base) * n]
             if f0 < f1:
-                x, addend = inputs[node_id]
                 if addend is not None:
-                    out = kernels.add_array(read(x, f0, f1), read(addend, f0, f1), out=slot)
+                    out = kernels.add_array(read(k, x, f0, f1), read(k, addend, f0, f1), out=slot)
                 else:
+                    arrays, walk, own = state.get(node_id, (None, None, None))
                     if walk is not None:
                         walk.start, walk.stop = max(f0 - behind, 0), f1
-                    last = f1 == total
-                    if last:
-                        own.param_reads = 0  # the last tile's kernel reads the weights once
-                    epilogue = _epilogue(parts, lambda value: read(value, f0, f1))
-                    out = forward_layer(spec, read(x, f0 - behind, f1 + ahead),
-                                        _Slotted(arrays, slot, walk, own if last else None,
-                                                 epilogue),
-                                        ledger if last else own)
-                if hold or result == final:
-                    _put(mine, shapes[result][1], out)
-                else:
-                    made[result] = out
+                    carry = own if f1 == total else None
+                    if carry is not None:
+                        carry.param_reads = 0  # the last tile's kernel reads the weights once
+                    epilogue = _epilogue(parts, lambda value: read(k, value, f0, f1))
+                    out = forward_layer(
+                        spec, read(k, x, f0 - behind, f1 + ahead),
+                        _Slotted(_arrays(tensors) if arrays is None else arrays, slot, walk,
+                                 carry, epilogue), ledger if f1 == total else own)
+                if hold or result == end:
+                    _put(slot, shapes[result][1], out)
+                elif keep or result in last or result == final:
+                    values[result] = out
             if hold:  # the window: the carried frames, then this tile's; carry the last on
                 window = slots[result]
                 window[:carried[result].size] = carried[result]
                 carried[result][...] = window[frames * n:(frames + hold) * n]
-    return _frames(whole, shapes[final][1])
+            for j, member in enumerate(() if keep else members, i):  # a chain is consecutive
+                for value in inputs[member]:
+                    if last.get(value) == j:
+                        values.pop(value, None)
+
+    if region:  # steps before 1 run only nodes that lead
+        for k in range(1 - -(-max(plan.lags.values()) // frames), -(-total // frames) + 1):
+            run(k, steps[:region])
+        # drop every reference into the step arena before the rest's arena is made
+        values, slots, carried, state = {end: _frames(slots[end], shapes[end][1])}, {}, {}, {}
+    slots = _slots(plan.rest)
+    run(None, steps[region:])
+    return values

@@ -66,8 +66,14 @@ size.
   last block is in. The mid and im2col rows count against _COPY_BYTES
   with the phase rows, so ds3d2 at alpha=1 walks one output time at a time.
   Every mid row is the grouped stage's own and every output row a GEMM over
-  the same im2col row, so the output equals the two stages run whole bit for
-  bit, on every shape tested.
+  the same im2col row. How a GEMM rounds can still depend on how many rows
+  one call contracts, so the output equals the two stages run whole bit for
+  bit only where the block size does not change that: on the shapes of
+  MobiVSR-1 to 4's separable layers (every one of them is bit-identical in
+  1-row blocks and at the default budget on a seeded clip) and in the
+  1-row-block tests of tests/test_kernels.py. A seeded (1, 3, 3, 3) input
+  with 1x1 depthwise and 3-to-1 pointwise weights differs by 1 ulp between
+  1-row blocks and the default budget.
 * An epilogue, elementwise steps such as ``batchnorm_steps`` and ``RELU``
   or adding an activation of the output's shape, runs in place on each
   block of output rows as soon as the GEMM or grouped sum writes it, while

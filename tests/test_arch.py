@@ -22,6 +22,7 @@ from mobivsr import (
     run_graph,
     shape_infer,
 )
+from mobivsr.arch import MAX_ALPHA
 
 
 def block_graph(block):
@@ -181,6 +182,9 @@ def test_alpha_must_be_positive_int():
         build_mobivsr(-2)
     with pytest.raises(ValueError):  # bool is an int subclass, but True is no count
         build_mobivsr(True)
+    with pytest.raises(ValueError, match=f"from 1 to {MAX_ALPHA}"):
+        build_mobivsr(MAX_ALPHA + 1)
+    assert len(build_mobivsr(MAX_ALPHA).nodes) == 20 * MAX_ALPHA + 20
 
 
 def test_reference_presets_are_the_two_comparison_rows():

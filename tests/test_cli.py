@@ -26,6 +26,7 @@ from mobivsr import (
     serialize_graph,
     write_ppm,
 )
+from mobivsr.arch import MAX_ALPHA
 from mobivsr.cli import ReportRow, main
 
 
@@ -63,6 +64,13 @@ def test_build_alpha_zero_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "build", "--alpha", "0", "--out", str(tmp_path / "g.json"))
     assert code == 1
     assert "alpha" in err
+    # an alpha past MAX_ALPHA would build a graph too large to hold
+    for args in (["build", "--alpha", str(MAX_ALPHA + 1), "--out", str(tmp_path / "g.json")],
+                 ["compare", "--alphas", f"1,{MAX_ALPHA + 1}"], ["compare", "--alphas", "99999999"]):
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (1, "")
+        assert f"alpha <= {MAX_ALPHA}" in err
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_report_json_and_csv_agree(graph_path, capsys):
@@ -277,7 +285,7 @@ def test_energy_non_finite_or_negative_count_is_validation_error(capsys, flops, 
     assert out == "" and "finite and nonnegative" in err
 
 
-@pytest.mark.parametrize("accuracy", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("accuracy", ["nan", "inf", "-inf", "-5", "250"])
 def test_report_non_finite_accuracy_is_validation_error(graph_path, capsys, accuracy):
     code, out, err = run(capsys, "report", str(graph_path), "--format", "json",
                          f"--accuracy={accuracy}")

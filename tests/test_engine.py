@@ -7,6 +7,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -456,6 +457,57 @@ def test_an_alpha_4_int8_pass_peaks_at_its_arena_2_mib_and_one_nodes_weights():
     assert peak <= 7.8e6
 
 
+@pytest.mark.parametrize("alpha, int8", [(1, False), (4, True)])
+def test_the_regions_buffers_are_freed_before_the_rest_needs_their_memory(alpha, int8):
+    """When the first node past the tiled region calls forward_layer, the
+    step arena and every carried-frame buffer kernels.empty made for the
+    region are freed, and the region's output is freed by the first call
+    after its last reader: no tile, window or loop variable keeps them."""
+    graph = build_mobivsr(alpha)
+    bundle = init_weights(graph, seed=2)
+    bundle = quantize_weights(bundle) if int8 else bundle
+    x = np.random.default_rng(3).random(graph.input_shape, dtype=np.float32)
+    total = graph.input_shape[1]
+    _, shapes = shape_infer(graph, graph.input_shape)
+    inputs = node_inputs(graph)
+    plan = plan_tiles(graph, shapes, inputs)
+    ids, kinds = list(inputs), dict(graph.nodes)
+    frame = {node_id: math.prod(shapes[node_id][1]) // total for node_id in ids[:plan.region]}
+    end = ids[plan.region - 1]
+    # the nodes past the region that call forward_layer, in the order they run
+    fused = {t for tails in _tails_of(graph, plan.region).values() for t in tails}
+    callers = [node_id for node_id in ids[plan.region:]
+               if node_id not in fused and kinds[node_id].kind != "residual_add"]
+    after = next(i for i, node_id in enumerate(callers)
+                 if ids.index(node_id) > graph_module.last_reads(inputs)[end])
+    # {index of a call past the region: element counts of buffers freed by then}
+    freed = {0: [plan.steps.arena_bytes // 4, *(frame[node_id] * hold
+                                                 for node_id, hold in plan.held.items())],
+             after: [frame[end] * total]}
+    region_specs = {id(spec) for _, spec in graph.nodes[:plan.region]}
+    made, calls = {}, []  # {element count: weakrefs to the buffers made before the first call}
+    empty, forward_layer = kernels.empty, engine.forward_layer
+
+    def recording_empty(shape, dtype=np.float32):
+        a = empty(shape, dtype)
+        if not calls:
+            made.setdefault(a.size, []).append(weakref.ref(a.base))
+        return a
+
+    def layer(spec, v, weights, ledger=None):
+        calls.append(id(spec) not in region_specs)
+        past = calls.count(True) - 1
+        for size in freed.get(past, ()) if calls[-1] else ():
+            assert made[size] and all(ref() is None for ref in made[size]), (past, size)
+        return forward_layer(spec, v, weights, ledger)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "empty", recording_empty)
+        mp.setattr(engine, "forward_layer", layer)
+        run_graph(graph, bundle, x, counted=int8)
+    assert calls.count(True) == len(callers) > after
+
+
 ELEMENTWISE = ("relu", "batchnorm")
 KINDS = ELEMENTWISE + ("ds_conv2d", "ds_conv3d", "residual_add")
 
@@ -903,6 +955,34 @@ def test_tiles_shorter_than_the_front_ends_lag_still_cover_every_frame(frames, l
     whole = run_graph(graph, BUNDLES["alpha1"], x, counted=True, keep_outputs=True)
     np.testing.assert_array_equal(tiled.output.as_array(), whole.output.as_array())
     assert tiled.ledger == whole.ledger
+
+
+def test_a_held_tail_of_a_producer_without_a_slot_runs_in_its_window():
+    """conv2d reads conv3d's output, which no arena plans, so it has no slot
+    of its own; the relu after it is its tail and is held for ds_conv3d.
+    The chain writes into the relu's window, and the tiled pass equals the
+    unfused one bit for bit and whole layers within 1e-5, ledgers equal."""
+    conv = {"kernel_size": 3, "temporal_size": 3}
+    nodes = [("c3", LayerSpec("conv3d", in_channels=2, out_channels=3, **conv)),
+             ("c2", LayerSpec("conv2d", in_channels=3, out_channels=4, kernel_size=3)),
+             ("r", LayerSpec("relu")),
+             ("d3", LayerSpec("ds_conv3d", in_channels=4, out_channels=5, **conv)),
+             ("r2", LayerSpec("relu"))]
+    graph = LayerGraph(nodes=nodes, residual_edges=[], input_shape=(2, 12, 6, 6))
+    bundle = init_weights(graph, seed=1)
+    x = np.random.default_rng(2).normal(size=graph.input_shape).astype(np.float32)
+    _, shapes = shape_infer(graph, graph.input_shape)
+    with _tiles_of(3, shapes):
+        plan = plan_tiles(graph, shapes, node_inputs(graph))
+        assert (plan.region, plan.held) == (5, {"r": 2})
+        assert "c2" not in plan.steps.slots and _tails_of(graph, plan.region)["c2"] == ["r"]
+        tiled = run_graph(graph, bundle, x, counted=True)
+        with _unfused():
+            unfused = run_graph(graph, bundle, x, counted=True)
+    whole = run_graph(graph, bundle, x, counted=True, keep_outputs=True)
+    np.testing.assert_array_equal(tiled.output.as_array(), unfused.output.as_array())
+    np.testing.assert_allclose(tiled.output.as_array(), whole.output.as_array(), atol=1e-5)
+    assert tiled.ledger == unfused.ledger == whole.ledger
 
 
 def test_a_second_mobivsr_pass_builds_no_correlation_geometry():
