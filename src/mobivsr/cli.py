@@ -86,18 +86,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _positive_int(text):
+def _int_at_least(text, least=1):
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {value}")
     return value
 
 
 def _alpha(text):
-    alpha = _positive_int(text)
+    alpha = _int_at_least(text)
     if alpha > MAX_ALPHA:
         raise argparse.ArgumentTypeError(f"expected an alpha <= {MAX_ALPHA}, got {alpha}")
     return alpha
@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("weights")
     p.add_argument("clipdir")
     p.add_argument("--counted", action="store_true", help="also report operation counts")
-    p.add_argument("--top", type=_positive_int, default=5)
+    p.add_argument("--top", type=_int_at_least, default=5)
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(func=cmd_infer)
 
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("init-weights", help="write seeded random weights for a graph")
     p.add_argument("graph")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=lambda text: _int_at_least(text, 0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_init_weights)
 

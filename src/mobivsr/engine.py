@@ -30,22 +30,25 @@ arena hold it, so it is freed after the last reader of the last of them; in
 MobiVSR that is before the backend dequantizes its large weights. The step
 arena and the carried frames are freed, with every view of them, before the
 rest's arena is made. What a call needs beyond its weights, the slot, a 3-D
-layer's ``kernels.Frames`` walk, the counts of its earlier tiles and its
-epilogue, reaches the runner inside the weights dict, a ``_Slotted`` one,
-since ``forward_layer``'s signature is the same for every caller.
+layer's ``kernels.Frames`` walk and the counts of its earlier tiles, reaches
+the runner inside the weights dict, a ``_Slotted`` one, since
+``forward_layer``'s signature is the same for every caller.
 ``counted_forward``, the one way to run a single layer, checks its input as
 ``run_graph`` does, then the layer's weights and the value's rank, and
 leaves channel counts to the kernels.
 
-Epilogues. Once per pass ``run_graph`` reads which relu, batchnorm and
+Fused tails. Once per pass ``run_graph`` reads which relu, batchnorm and
 residual_add nodes form a tail of the correlation before them (``_fused``),
 from ``graph.node_inputs`` and ``graph.last_reads`` alone, never from node
 ids: a tail node reads the previous node's value, which no other node
-reads, and a residual_add's addend must be made before the producer. The
-producer's kernel runs the tail as its epilogue on each block of output
-rows it writes, the same fp32 operations in node order, so outputs and
-ledgers are the unfused pass's (these kinds tally nothing); batchnorm's
-scale and shift are computed once per node per pass. A chain writes into
+reads, and a residual_add's addend must be made before the producer. Right
+after the producer's ``forward_layer`` call returns, the engine runs the
+tail in place on its whole output (``_tail``), the same fp32 ufuncs the
+elementwise kernels apply, in node order, so outputs and ledgers are the
+unfused pass's (these kinds tally nothing); batchnorm's scale and shift
+are computed once per node per pass. The gain is the dispatch these nodes
+no longer make: running the tail on each output block inside the kernel,
+while the block is in cache, measured no faster. A chain writes into
 its last node's slot, which is the producer's own when the producer has
 one, as every tail node of it is planned in place over the value only it
 reads; a chain ending in the region's last node writes into the region's
@@ -102,8 +105,11 @@ def init_weights(graph: LayerGraph, seed: int = 0) -> dict:
     Normal draws with std 1/sqrt(fan_in), which keeps activations (and hence
     the untrained softmax) well conditioned through the deep stack. Batchnorm
     layers get identity statistics. Returns {node id: {tensor name: Tensor}}
-    in graph order.
+    in graph order. ``seed`` must be a non-negative int (ValueError).
     """
+    # bool is an int subclass, but True is no seed
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
     rng = np.random.default_rng(seed)
     bundle = {}
     for node_id, spec in graph.nodes:
@@ -156,12 +162,10 @@ def _arrays(tensors: dict) -> dict:
     return {name: _array(t) for name, t in tensors.items()}
 
 
-def _per_frame(kernel, x: np.ndarray, *args, out=None, epilogue=()) -> np.ndarray:
+def _per_frame(kernel, x: np.ndarray, *args, out=None) -> np.ndarray:
     """Run a batched 2-D kernel on a (C,H,W) frame, or on the L frames of a
-    (C,L,H,W) value folded into the batch axis and unfolded after; the
-    epilogue's activation operands are folded as x is."""
-    fold = (lambda a: a.swapaxes(0, 1)) if x.ndim == 4 else (lambda a: a[None])
-    y = kernel(fold(x), *args, out=out, epilogue=kernels.folded(epilogue, fold))
+    (C,L,H,W) value folded into the batch axis and unfolded after."""
+    y = kernel(x.swapaxes(0, 1) if x.ndim == 4 else x[None], *args, out=out)
     return y.swapaxes(0, 1) if x.ndim == 4 else y[0]
 
 
@@ -169,13 +173,11 @@ class _Slotted(dict):
     """A node's {name: array} weights, carrying what ``run_graph`` planned for
     this call: ``slot``, the buffer its output goes to (or None); ``frames``,
     the ``kernels.Frames`` walk of a 3-D layer run in tiles (or None);
-    ``carried``, the counts its earlier tiles tallied (or None); and
-    ``epilogue``, the kernel steps of the tail nodes fused into it (see
-    _fused)."""
+    and ``carried``, the counts its earlier tiles tallied (or None)."""
 
-    def __init__(self, arrays: dict, slot=None, frames=None, carried=None, epilogue=()):
+    def __init__(self, arrays: dict, slot=None, frames=None, carried=None):
         super().__init__(arrays)
-        self.slot, self.frames, self.carried, self.epilogue = slot, frames, carried, epilogue
+        self.slot, self.frames, self.carried = slot, frames, carried
 
 
 # One runner per kind but residual_add: (spec, x, weights, ledger) -> array, the
@@ -183,18 +185,17 @@ class _Slotted(dict):
 # never at import, and passes what was planned by keyword.
 _RUNNERS = {
     "conv2d": lambda s, x, w, ledger: _per_frame(
-        kernels.conv2d_array, x, w["weights"], s.stride, s.padding, ledger, out=w.slot,
-        epilogue=w.epilogue),
+        kernels.conv2d_array, x, w["weights"], s.stride, s.padding, ledger, out=w.slot),
     "ds_conv2d": lambda s, x, w, ledger: _per_frame(
         kernels.ds_conv2d_array, x, w["depthwise"], w["pointwise"], s.stride, s.padding,
-        ledger, out=w.slot, epilogue=w.epilogue),
+        ledger, out=w.slot),
     "conv3d": lambda s, x, w, ledger: kernels.conv3d_array(
-        x, w["weights"], s.stride, s.padding, ledger, frames=w.frames, epilogue=w.epilogue),
+        x, w["weights"], s.stride, s.padding, ledger, frames=w.frames),
     "ds_conv3d": lambda s, x, w, ledger: kernels.ds_conv3d_array(
         x, w["depthwise"], w["pointwise"], s.stride, s.padding, ledger, out=w.slot,
-        frames=w.frames, epilogue=w.epilogue),
+        frames=w.frames),
     "temporal_conv1d": lambda s, x, w, ledger: kernels.conv1d_array(
-        x, w["weights"], s.stride, s.padding, ledger, epilogue=w.epilogue),
+        x, w["weights"], s.stride, s.padding, ledger),
     "fc": lambda s, x, w, ledger: kernels.fc_array(x, w["weights"], ledger),
     "maxpool": lambda s, x, w, ledger: kernels.maxpool1d_array(x, s.window, s.stride),
     "relu": lambda s, x, w, ledger: kernels.relu_array(x, out=w.slot),
@@ -204,13 +205,13 @@ _RUNNERS = {
     "spatial_avg": lambda s, x, w, ledger: x.mean(axis=(-2, -1)),
     "temporal_avg": lambda s, x, w, ledger: x.mean(axis=-1),
 }
-# the kinds whose kernel takes an epilogue: the correlations
+# the kinds a chain of tail nodes can follow: the correlations
 _PRODUCERS = ("conv2d", "ds_conv2d", "conv3d", "ds_conv3d", "temporal_conv1d")
-# the epilogue steps of each kind that can run as one, from its spec and fp32
-# weights, once per pass; a residual_add's step, adding its addend, is made
-# per call
+# the in-place steps (ufunc, operand) of each kind that can run as a tail, from
+# its spec and fp32 weights, once per pass; a residual_add's step, adding its
+# addend, is made per call
 _TAILS = {
-    "relu": lambda s, w: [kernels.RELU],
+    "relu": lambda s, w: [(np.maximum, 0)],
     "batchnorm": lambda s, w: kernels.batchnorm_steps(w["mean"], w["var"], w["gamma"],
                                                       w["beta"], s.eps),
     "residual_add": lambda s, w: [],
@@ -221,10 +222,9 @@ def forward_layer(spec: LayerSpec, x: np.ndarray, weights: dict | None,
                   ledger: CounterLedger | None = None) -> np.ndarray:
     """Run one layer on an array value the caller has checked against the spec;
     residual_add is handled by run_graph. The output goes to the slot a
-    ``_Slotted`` weights dict carries, else wherever the kernel puts it, after
-    the epilogue it carries, if any, has run on it. When the kernel tallies
-    multiplies into ``ledger``, the output's writes are tallied too; the
-    counts the weights dict carries are added after."""
+    ``_Slotted`` weights dict carries, else wherever the kernel puts it. When
+    the kernel tallies multiplies into ``ledger``, the output's writes are
+    tallied too; the counts the weights dict carries are added after."""
     run = _RUNNERS.get(spec.kind)
     if run is None:
         raise ValidationError(f"cannot execute layer kind {spec.kind!r} standalone")
@@ -327,12 +327,12 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
 
 def _fused(kinds, inputs: dict, cut: int = 0) -> dict:
     """{producer id: [tail ids]}: the relu, batchnorm and residual_add nodes
-    that run as the epilogue of the correlation before them, read off the
-    node ``kinds`` (in node order), ``graph.node_inputs``'s ``inputs`` and
-    their last readers alone. A tail node reads the previous node's value,
-    which no other node reads, and a residual_add's addend must be made
-    before the producer. No chain crosses node index ``cut``, where the tiled
-    region ends."""
+    that run in place on the output of the correlation before them (see
+    _tail), read off the node ``kinds`` (in node order),
+    ``graph.node_inputs``'s ``inputs`` and their last readers alone. A tail
+    node reads the previous node's value, which no other node reads, and a
+    residual_add's addend must be made before the producer. No chain
+    crosses node index ``cut``, where the tiled region ends."""
     ids, last = list(inputs), last_reads(inputs)
     order = {node_id: i for i, node_id in enumerate(ids)}
     tails, head = {}, {}
@@ -349,7 +349,7 @@ def _fused(kinds, inputs: dict, cut: int = 0) -> dict:
 
 def _chains(steps, inputs, tails) -> dict:
     """{producer id: (its tail ids, [(steps, addend)] per tail)} for the
-    chains ``tails`` (see _fused) gives: each tail node's epilogue steps, made
+    chains ``tails`` (see _fused) gives: each tail node's in-place steps, made
     once per pass, and its addend (None but for a residual_add), read per
     call."""
     specs = {node_id: (spec, tensors) for node_id, spec, tensors in steps}
@@ -358,13 +358,16 @@ def _chains(steps, inputs, tails) -> dict:
             for producer, chain in tails.items()}
 
 
-def _epilogue(parts, read) -> list:
-    """A chain's epilogue from its ``parts`` (see _chains), each residual_add's
-    addend read by ``read``."""
-    steps = []
-    for tail_steps, addend in parts:
-        steps += tail_steps if addend is None else [(np.add, read(addend))]
-    return steps
+def _tail(out, parts, read):
+    """Run a chain's tail nodes, its ``parts`` (see _chains), in place on its
+    producer's output ``out``, in node order: ufunc(out, operand, out=out),
+    each residual_add's addend read by ``read``. Both are taken with their
+    axes reversed, so that a channel operand, which batchnorm's are,
+    broadcasts along axis 0 of ``out``."""
+    last = out.T
+    for steps, addend in parts:
+        for ufunc, operand in steps if addend is None else [(np.add, read(addend).T)]:
+            ufunc(last, operand, out=last)
 
 
 def _frames(flat, shape) -> np.ndarray:
@@ -399,10 +402,10 @@ def _run(steps, inputs, shapes, plan, clip, ledger, chains, keep=False) -> dict:
     and the frames the next step keeps are carried on, so that readers that
     lag it or reach across frames find them there. A 3-D layer in the region
     reads its window, halo included, through its own ``kernels.Frames`` walk.
-    The tail nodes of ``chains`` (see _chains) run as their producer's
-    epilogue, which writes into the chain's last node's slot: the producer's
-    own bytes when it has a slot, as the chain runs in place there, or the
-    region's output. A value is dropped after its last reader
+    The tail nodes of ``chains`` (see _chains) run in place on their
+    producer's output right after its call, which writes into the chain's
+    last node's slot: the producer's own bytes when it has a slot, as the
+    chain runs in place there, or the region's output. A value is dropped after its last reader
     (``graph.last_reads``) unless ``keep``. A region node's weights are
     dequantized once, and its tiles but its last tally into a ledger of its
     own that the last one adds, with the weights' reads once, to ``ledger``;
@@ -466,11 +469,11 @@ def _run(steps, inputs, shapes, plan, clip, ledger, chains, keep=False) -> dict:
                     carry = own if f1 == total else None
                     if carry is not None:
                         carry.param_reads = 0  # the last tile's kernel reads the weights once
-                    epilogue = _epilogue(parts, lambda value: read(k, value, f0, f1))
                     out = forward_layer(
                         spec, read(k, x, f0 - behind, f1 + ahead),
                         _Slotted(_arrays(tensors) if arrays is None else arrays, slot, walk,
-                                 carry, epilogue), ledger if f1 == total else own)
+                                 carry), ledger if f1 == total else own)
+                    _tail(out, parts, lambda value: read(k, value, f0, f1))
                 if hold or result == end:
                     _put(slot, shapes[result][1], out)
                 elif keep or result in last or result == final:

@@ -4,7 +4,7 @@ Every convolution (2-D, 3-D, 1-D temporal, and both stages of the separable
 layers) runs through one correlation core, ``_correlate``, with dense
 filters that mix channels or per-channel filters. Each separable kernel is
 one core call: its grouped stage, given the pointwise weights, which runs
-the pointwise stage block by block on its mid (see the last item below).
+the pointwise stage block by block on its mid (see the third item below).
 
 A core call has two steps. The geometry step, ``_geometry``, is the index
 arithmetic done before data is touched: the checks, output extents and
@@ -74,12 +74,6 @@ size.
   1-row-block tests of tests/test_kernels.py. A seeded (1, 3, 3, 3) input
   with 1x1 depthwise and 3-to-1 pointwise weights differs by 1 ulp between
   1-row blocks and the default budget.
-* An epilogue, elementwise steps such as ``batchnorm_steps`` and ``RELU``
-  or adding an activation of the output's shape, runs in place on each
-  block of output rows as soon as the GEMM or grouped sum writes it, while
-  the block is in cache, so a following relu, batchnorm or residual add
-  needs no pass of its own. Each step is the ufunc the elementwise kernel
-  applies, on the same operands, so the result is theirs bit for bit.
 * A 3-D kernel given a ``Frames`` walk computes only output frames
   [done, stop) of its time axis, from a window of the input whose first
   frame it is told. The walk is ``run_graph``'s tiled region (see engine):
@@ -288,16 +282,6 @@ def _dense_block(windows, cols, wt, out):
     np.matmul(windows[0].reshape(-1, len(wt)), wt, out=out.reshape(-1, wt.shape[1]))
 
 
-def _finish(steps, out, r0, r1):
-    """Run the bound epilogue ``steps`` (see _correlate) in place on rows
-    [r0, r1) of out, in order: ufunc(block, operand, out=block), an
-    activation operand read at the same rows."""
-    if steps:
-        block = out[r0:r1]
-        for ufunc, operand, rows in steps:
-            ufunc(block, operand[r0:r1] if rows else operand, out=block)
-
-
 class _Pointwise:
     """The dense stage of a separable layer, (Co,C,Tp,1,1) or (Co,C,1,1): Tp
     taps along the blocked axis (1 for a 1x1 stage) at stride 1 with same
@@ -308,16 +292,15 @@ class _Pointwise:
     call before, then the ``mids`` mid rows this call computes. The grouped
     stage sums each block straight into ``block``'s rows of it, and ``emit``
     then contracts every output row whose Tp rows it holds into ``out``, as
-    im2col rows, and runs the epilogue ``steps`` on those output rows (see
-    _finish). The Tp - 1 rows that the next output row reads as well are
+    im2col rows. The Tp - 1 rows that the next output row reads as well are
     then moved to the front, as ``_Phase.load`` moves its halo, so no mid row
     is computed twice; after the last row they are the ones the next call
     carries.
     """
 
-    def __init__(self, w, tp, rows, lead, mids, out, carried=None, steps=()):
+    def __init__(self, w, tp, rows, lead, mids, out, carried=None):
         co, c = w.shape[:2]
-        self.tp, self.lead, self.mids, self.steps = tp, lead, mids, steps
+        self.tp, self.lead, self.mids = tp, lead, mids
         self.rows, self.extent, self.base = rows, len(out), 0
         self.wt = w.reshape(co, -1).T
         # every row but the first ``lead`` is summed into before it is read
@@ -341,7 +324,6 @@ class _Pointwise:
             n = min(stop - self.base, self.rows)
             windows = [self.mid[k:k + n] for k in range(self.tp)]
             _dense_block(windows, self.cols, self.wt, self.out[self.base:self.base + n])
-            _finish(self.steps, self.out, self.base, self.base + n)
             _move_to_front(self.mid, n, halo)
             if last and halo:  # rows past the mid's end are padding
                 self.mid[halo:] = 0
@@ -483,7 +465,7 @@ def _geometry(x_shape, w_shape, pw_shape, strides, padding, grouped, context, wa
 
 
 def _correlate(x, w, strides, padding, ledger, grouped, context, pointwise=None, out=None,
-               frames=None, epilogue=()):
+               frames=None):
     """Correlate a (B,C,*S) batch over its trailing len(strides) axes.
 
     Dense weights (Co,Ci,*K) mix channels and give (B,Co,*So); grouped
@@ -499,12 +481,6 @@ def _correlate(x, w, strides, padding, ledger, grouped, context, pointwise=None,
     With ``frames`` (a ``Frames`` walk, for a batch of one) x holds only a
     window of the input's first correlated axis, and the call computes output
     rows [frames.done, frames.stop) of that axis.
-
-    ``epilogue`` is a sequence of elementwise steps (ufunc, operand) that run
-    in place, in order, on each block of output rows as soon as it is written:
-    ufunc(block, operand, out=block). An operand of more than one axis is an
-    activation of the (B,Co,*So) result's shape, read at the block's rows; a
-    channel vector or a scalar broadcasts along the channels.
     """
     # checked before the memo, whose keys would hold a stride of True as 1
     for stride in strides:
@@ -542,21 +518,10 @@ def _correlate(x, w, strides, padding, ledger, grouped, context, pointwise=None,
                                                 for r1, u in g.loads):
                 out = None
     out = empty(g.shape) if out is None else out.reshape(g.shape)
-    # the epilogue, each activation operand moved channels last as x is
-    steps = []
-    for ufunc, operand in epilogue:
-        rows_of = np.ndim(operand) > 1
-        if rows_of:
-            operand = operand.transpose(0, *range(2, n + 2), 1)
-            operand = operand if g.b > 1 else operand[0]
-            if operand.shape != out.shape:
-                raise ValueError(f"{context}: an epilogue operand of shape {operand.shape} "
-                                 f"does not match the output's {out.shape}, channels last")
-        steps.append((ufunc, operand, rows_of))
     stage = None
     if g.tp:
         carried = frames.mid if frames is not None and g.r0 else None
-        stage = _Pointwise(pointwise, g.tp, rows, g.lead, outs[0], out, carried, steps)
+        stage = _Pointwise(pointwise, g.tp, rows, g.lead, outs[0], out, carried)
         if not outs[0]:  # every mid row this call's output reads was carried
             stage.emit(0)
     for b0 in range(0, outs[0], rows):
@@ -567,10 +532,8 @@ def _correlate(x, w, strides, padding, ledger, grouped, context, pointwise=None,
         if not grouped:
             # a 1x1 stage's one window is its whole phase block, used as is
             _dense_block(block, cols, wt, out[b0:b1])
-            _finish(steps, out, b0, b1)
         elif stage is None:
             _grouped_sum(block, tiles, out[b0:b1], product)
-            _finish(steps, out, b0, b1)
         else:
             _grouped_sum(block, tiles, stage.block(b0, b1), product)
             stage.emit(b1)
@@ -585,92 +548,69 @@ def _correlate(x, w, strides, padding, ledger, grouped, context, pointwise=None,
     return (out if g.b > 1 else out[None]).transpose(0, n + 1, *range(1, n + 1))
 
 
-def folded(epilogue, fold):
-    """The epilogue (see _correlate) with each activation operand passed
-    through ``fold``, as a kernel's input is folded for its core call."""
-    return [(ufunc, fold(operand) if np.ndim(operand) > 1 else operand)
-            for ufunc, operand in epilogue]
-
-
-def _batched(epilogue):
-    """An epilogue of a (C,...) output as that of its batch of one, (1,C,...)."""
-    return folded(epilogue, lambda operand: operand[None])
-
-
-def conv2d_array(x, w, stride=1, padding="same", ledger=None, out=None, epilogue=()):
+def conv2d_array(x, w, stride=1, padding="same", ledger=None, out=None):
     """Batched 2-D cross-correlation: (B,Ci,H,W) x (Co,Ci,K,K) -> (B,Co,Ho,Wo),
-    written into ``out`` when given, with ``epilogue`` (see _correlate)."""
-    return _correlate(x, w, (stride, stride), padding, ledger, False, "conv2d", out=out,
-                      epilogue=epilogue)
+    written into ``out`` when given."""
+    return _correlate(x, w, (stride, stride), padding, ledger, False, "conv2d", out=out)
 
 
-def depthwise2d_array(x, w, stride=1, padding="same", ledger=None, pointwise=None, out=None,
-                      epilogue=()):
+def depthwise2d_array(x, w, stride=1, padding="same", ledger=None, pointwise=None, out=None):
     """Grouped 2-D stage, groups == channels: (B,C,H,W) x (C,K,K) -> (B,C,Ho,Wo).
 
     With ``pointwise`` weights (Co,C,1,1) their 1x1 stage follows each block
     of the grouped one, and the result is (B,Co,Ho,Wo): ds_conv2d_array. The
-    result is written into ``out`` when given, which may be x's own buffer,
-    with ``epilogue`` (see _correlate).
+    result is written into ``out`` when given, which may be x's own buffer.
     """
-    return _correlate(x, w, (stride, stride), padding, ledger, True, "depthwise", pointwise,
-                      out, epilogue=epilogue)
+    return _correlate(x, w, (stride, stride), padding, ledger, True, "depthwise", pointwise, out)
 
 
-def conv3d_array(x, w, stride=1, padding="same", ledger=None, frames=None, epilogue=()):
+def conv3d_array(x, w, stride=1, padding="same", ledger=None, frames=None):
     """3-D cross-correlation, temporal stride 1: (Ci,L,H,W) x (Co,Ci,T,K,K) -> (Co,Lo,Ho,Wo),
-    or with ``frames`` the output frames [frames.done, frames.stop) (see Frames);
-    ``epilogue`` as in _correlate."""
+    or with ``frames`` the output frames [frames.done, frames.stop) (see Frames)."""
     return _correlate(x[None], w, (1, stride, stride), padding, ledger, False, "conv3d",
-                      frames=frames, epilogue=_batched(epilogue))[0]
+                      frames=frames)[0]
 
 
 def depthwise3d_array(x, w, stride=1, padding="same", ledger=None, pointwise=None, out=None,
-                      frames=None, epilogue=()):
+                      frames=None):
     """Grouped 3-D stage, temporal stride 1: (C,L,H,W) x (C,T,K,K) -> (C,Lo,Ho,Wo).
 
     With ``pointwise`` weights (Co,C,Tp,1,1) their Tp x 1 x 1 stage follows
     each block of output times, and the result is (Co,Lo,Ho,Wo):
     ds_conv3d_array. The result is written into ``out`` when given, which may
-    be x's own buffer, with ``epilogue`` (see _correlate). With ``frames``
-    only output frames [frames.done, frames.stop) are computed, from a window
-    of x (see Frames).
+    be x's own buffer. With ``frames`` only output frames
+    [frames.done, frames.stop) are computed, from a window of x (see Frames).
     """
     return _correlate(x[None], w, (1, stride, stride), padding, ledger, True, "depthwise",
-                      pointwise, out, frames, _batched(epilogue))[0]
+                      pointwise, out, frames)[0]
 
 
-def conv1d_array(x, w, stride=1, padding="same", ledger=None, epilogue=()):
-    """1-D cross-correlation over time: (Ci,L) x (Co,Ci,k) -> (Co,Lo), with
-    ``epilogue`` (see _correlate)."""
-    return _correlate(x[None], w, (stride,), padding, ledger, False, "temporal conv",
-                      epilogue=_batched(epilogue))[0]
+def conv1d_array(x, w, stride=1, padding="same", ledger=None):
+    """1-D cross-correlation over time: (Ci,L) x (Co,Ci,k) -> (Co,Lo)."""
+    return _correlate(x[None], w, (stride,), padding, ledger, False, "temporal conv")[0]
 
 
-def ds_conv2d_array(x, dw, pw, stride=1, padding="same", ledger=None, out=None, epilogue=()):
+def ds_conv2d_array(x, dw, pw, stride=1, padding="same", ledger=None, out=None):
     """Depthwise-separable 2-D conv on a batch: the grouped stage, then a dense
     1x1 pointwise stage, fused one block at a time; only the final output is
     written.
 
-    Returns a (B,Co,Ho,Wo) view of a channels-last buffer, ``out`` when given,
-    with ``epilogue`` (see _correlate).
+    Returns a (B,Co,Ho,Wo) view of a channels-last buffer, ``out`` when given.
     """
-    return depthwise2d_array(x, dw, stride, padding, ledger, pw, out, epilogue)
+    return depthwise2d_array(x, dw, stride, padding, ledger, pw, out)
 
 
-def ds_conv3d_array(x, dw, pw, stride=1, padding="same", ledger=None, out=None, frames=None,
-                    epilogue=()):
+def ds_conv3d_array(x, dw, pw, stride=1, padding="same", ledger=None, out=None, frames=None):
     """Depthwise-separable 3-D conv: the grouped stage, then a dense Tp x 1 x 1
     pointwise stage at stride 1 with same padding, so the frame count is kept,
     fused one block of output times at a time.
 
     Tp is read off the pointwise weights (Co,Ci,Tp,1,1); the layer spec fixes it.
-    The result is written into ``out`` when given, with ``epilogue`` (see
-    _correlate). With ``frames`` a call computes output frames
-    [frames.done, frames.stop) from a window of x, and carries the mid rows the
-    next call reads (see Frames).
+    The result is written into ``out`` when given. With ``frames`` a call
+    computes output frames [frames.done, frames.stop) from a window of x, and
+    carries the mid rows the next call reads (see Frames).
     """
-    return depthwise3d_array(x, dw, stride, padding, ledger, pw, out, frames, epilogue)
+    return depthwise3d_array(x, dw, stride, padding, ledger, pw, out, frames)
 
 
 def fc_array(x, w, ledger=None):
@@ -706,10 +646,6 @@ def _like(out, x):
     return out.reshape([x.shape[axis] for axis in order]).transpose(np.argsort(order))
 
 
-# relu as an epilogue step (see _correlate)
-RELU = (np.maximum, 0)
-
-
 def relu_array(x, out=None):
     """max(x, 0), written into ``out`` (see _like) when given; out may be x's own buffer."""
     return np.maximum(x, 0, out=None if out is None else _like(out, x))
@@ -722,8 +658,10 @@ def add_array(x, y, out=None):
 
 
 def batchnorm_steps(mean, var, gamma, beta, eps=1e-5) -> list:
-    """Inference-time normalization as two epilogue steps (see _correlate):
-    multiply by each channel's scale, then add its shift."""
+    """Inference-time normalization as two elementwise steps (ufunc, channel
+    operand): multiply by each channel's scale, then add its shift. The
+    engine runs them in place on a correlation's output when the batchnorm
+    is fused into it."""
     scale = gamma / np.sqrt(var + eps)
     return [(np.multiply, scale), (np.add, beta - mean * scale)]
 

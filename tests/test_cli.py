@@ -360,6 +360,17 @@ def test_infer_top_below_one_is_usage_error(tmp_path, capsys, top):
     assert "--top" in err and out == ""
 
 
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_init_weights_seed_below_zero_or_not_an_int_is_usage_error(tmp_path, graph_path, capsys,
+                                                                  seed):
+    # argparse rejects the value before the graph is read or weights are drawn
+    out_path = tmp_path / "w.bin"
+    code, out, err = run(capsys, "init-weights", str(graph_path), "--seed", seed,
+                         "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert "--seed" in err and not out_path.exists()
+
+
 def test_infer_missing_weights_is_io_error(tmp_path, graph_path, capsys):
     clipdir = tmp_path / "frames"
     clipdir.mkdir()

@@ -299,6 +299,13 @@ def test_run_graph_refuses_weights_that_are_not_a_dict_before_any_kernel():
     assert calls == []
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
+def test_init_weights_refuses_a_seed_that_is_not_a_non_negative_int(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative int"):
+        init_weights(GRAPHS["small"], seed=seed)
+    assert init_weights(GRAPHS["small"], seed=np.int64(2)).keys() == BUNDLES["small"].keys()
+
+
 # a small layer of every kind but residual_add, which only a graph runs, and
 # an input shape it takes
 SINGLE_LAYERS = {
@@ -613,14 +620,17 @@ def test_in_place_elementwise_nodes_write_only_values_run_graph_owns(case, as_te
     addend included, is still the one its node made, and the caller's array
     or Tensor is left as it was. With keep_outputs no value is written after
     it is made, and the planned run's output and ledger equal the kept run's
-    bit for bit. A fused chain runs in its producer's call, whose value is
-    bit for bit the kept run's value of the chain's last node."""
+    bit for bit. A fused chain runs right after its producer's call, on that
+    call's value, which is then bit for bit the kept run's value of the
+    chain's last node."""
     graph, bundle, x = case
     value = Tensor.from_array(x.copy()) if as_tensor else x.copy()
-    forward_layer, add_array = engine.forward_layer, kernels.add_array
+    forward_layer, add_array, run_tail = engine.forward_layer, kernels.add_array, engine._tail
 
     def run(**kwargs):
-        """The result, and (output, its copy when made) per node run, in node order."""
+        """The result, and [output, its copy] per node run, in node order; a
+        forward_layer call's output is copied once the tail that runs on it
+        after the call, if any, has run."""
         made = []
 
         def unchanged(*values):
@@ -630,19 +640,26 @@ def test_in_place_elementwise_nodes_write_only_values_run_graph_owns(case, as_te
                         assert np.array_equal(v, copy)
 
         def layer(spec, v, weights, ledger=None):
-            unchanged(v, *(operand for _, operand in getattr(weights, "epilogue", ())))
+            unchanged(v)
             out = forward_layer(spec, v, weights, ledger)
-            made.append((out, out.copy()))
+            made.append([out, None])
             return out
+
+        def tail(out, parts, read):
+            # every fused residual_add's addend is still the value its node made
+            unchanged(*(read(addend) for _, addend in parts if addend is not None))
+            run_tail(out, parts, read)
+            made[-1][1] = out.copy()
 
         def add(v, w, out=None):
             unchanged(v, w)
             out = add_array(v, w, out=out)
-            made.append((out, out.copy()))
+            made.append([out, out.copy()])
             return out
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "forward_layer", layer)
+            mp.setattr(engine, "_tail", tail)
             mp.setattr(kernels, "add_array", add)
             return run_graph(graph, bundle, value, counted=True, **kwargs), made
 
@@ -777,8 +794,8 @@ def test_every_costed_node_counts_its_exact_closed_forms(case):
 
 
 def _tails_of(graph, cut=0) -> dict:
-    """{producer id: [tail ids]}: the nodes run_graph fuses into a
-    correlation's kernel as its epilogue."""
+    """{producer id: [tail ids]}: the nodes run_graph runs in place on a
+    correlation's output, right after its call."""
     return engine._fused([spec.kind for _, spec in graph.nodes], node_inputs(graph), cut)
 
 
@@ -867,19 +884,73 @@ def test_renaming_every_node_leaves_the_fused_set_and_the_output_unchanged():
 
 
 def test_keep_outputs_runs_and_returns_every_node_fused_ones_included():
-    """keep_outputs runs no epilogue: every node of MobiVSR-1, each tail
-    node included, is run and returned, and its output equals a fused
-    pass's bit for bit."""
+    """keep_outputs fuses nothing: every node of MobiVSR-1, each tail node
+    included, runs on its own, a residual_add through add_array and every
+    other node through a forward_layer call of its own, and is returned;
+    its output equals a fused pass's bit for bit."""
     graph = GRAPHS["alpha1"]
-    epilogues = []
-    forward_layer = engine.forward_layer
+    calls, forward_layer, add_array = [], engine.forward_layer, kernels.add_array
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "forward_layer", lambda spec, v, weights, ledger=None: epilogues.append(
-            weights.epilogue) or forward_layer(spec, v, weights, ledger))
+        mp.setattr(engine, "forward_layer", lambda spec, *args: calls.append(spec.kind)
+                   or forward_layer(spec, *args))
+        mp.setattr(kernels, "add_array", lambda *args, **kwargs: calls.append("residual_add")
+                   or add_array(*args, **kwargs))
         kept = run_graph(graph, BUNDLES["alpha1"], INPUTS["alpha1"], keep_outputs=True)
     assert list(kept.node_outputs) == [node_id for node_id, _ in graph.nodes]
-    assert not any(epilogues)
+    assert calls == [spec.kind for _, spec in graph.nodes]
     assert _bits(kept.output.as_array()) == _bits(OUTPUTS["alpha1"])
+
+
+_CONV3 = {"in_channels": 3, "out_channels": 3, "kernel_size": 3}
+_RELU = LayerSpec("relu")
+# per producer: the node before it, whose value the tail's add adds; the
+# producer, a stride-1 same correlation of 3 channels; the input's shape; and
+# the frames of a tile (0: whole layers). The tiled case's first node widens
+# the clip, so that its graph has a region.
+TAIL_PRODUCERS = {
+    "conv2d": (_RELU, LayerSpec("conv2d", **_CONV3), (3, 6, 6), 0),
+    "conv2d per frame": (_RELU, LayerSpec("conv2d", **_CONV3), (3, 5, 6, 6), 0),
+    "ds_conv2d": (_RELU, LayerSpec("ds_conv2d", **_CONV3), (3, 5, 6, 6), 0),
+    "conv3d": (_RELU, LayerSpec("conv3d", **_CONV3, temporal_size=3), (3, 5, 6, 6), 0),
+    "ds_conv3d partial": (_RELU, LayerSpec("ds_conv3d", **_CONV3, temporal_size=3),
+                          (3, 5, 6, 6), 0),
+    "ds_conv3d full": (_RELU, LayerSpec("ds_conv3d", **_CONV3, temporal_size=3,
+                                        pointwise_mode="full"), (3, 5, 6, 6), 0),
+    "temporal_conv1d": (_RELU, LayerSpec("temporal_conv1d", **_CONV3), (3, 7), 0),
+    "ds_conv3d tiled": (LayerSpec("conv3d", in_channels=2, out_channels=3, kernel_size=1,
+                                  temporal_size=1),
+                        LayerSpec("ds_conv3d", **_CONV3, temporal_size=3), (2, 9, 6, 6), 2),
+}
+
+
+@pytest.mark.parametrize("name", TAIL_PRODUCERS)
+def test_a_batchnorm_relu_add_tail_equals_the_unfused_pass_after_each_producer(name):
+    """A batchnorm, a relu and a residual_add after each kind of correlation
+    run as its tail, in place on its output after its call, and the counted
+    pass equals the unfused one bit for bit, ledger included; the last case
+    runs the chain in tiles of 2 frames."""
+    stem, spec, shape, frames = TAIL_PRODUCERS[name]
+    nodes = [("stem", stem), ("conv", spec), ("bn", LayerSpec("batchnorm", in_channels=3)),
+             ("act", _RELU), ("add", LayerSpec("residual_add"))]
+    graph = LayerGraph(nodes=nodes, residual_edges=[("stem", "add")], input_shape=shape)
+    g = np.random.default_rng(6)
+    bundle = init_weights(graph, seed=5)
+    stats = g.uniform(0.5, 1.5, size=(4, 3)).astype(np.float32)
+    bundle["bn"] = {key: Tensor.from_array(a)
+                    for key, a in zip(("mean", "var", "gamma", "beta"), stats)}
+    x = g.normal(size=shape).astype(np.float32)
+    bn = run_graph(graph, bundle, x, keep_outputs=True).node_outputs["bn"]
+    assert (bn > 0).any() and (bn < 0).any()  # the relu leaves the batchnorm's mark
+    _, shapes = shape_infer(graph, shape)
+    with _tiles_of(frames, shapes) if frames else contextlib.nullcontext():
+        plan = plan_tiles(graph, shapes, node_inputs(graph))
+        assert (plan.region > 0, plan.frames) == (bool(frames), frames)
+        assert _tails_of(graph, plan.region) == {"conv": ["bn", "act", "add"]}
+        fused = run_graph(graph, bundle, x, counted=True)
+        with _unfused():
+            plain = run_graph(graph, bundle, x, counted=True)
+    assert _bits(fused.output.as_array()) == _bits(plain.output.as_array())
+    assert fused.ledger == plain.ledger
 
 
 @pytest.mark.parametrize("alpha,calls", [(1, 73), (4, 181)])

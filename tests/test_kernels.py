@@ -26,7 +26,6 @@ from mobivsr import (
 from mobivsr.kernels import (
     add_array,
     batchnorm_array,
-    batchnorm_steps,
     conv1d_array,
     conv2d_array,
     conv3d_array,
@@ -1171,88 +1170,3 @@ def test_a_correlations_scratch_starts_on_cache_lines(monkeypatch):
     for kind, array in made:
         assert kernels._address(array) % 64 == 0, kind
 
-
-# every correlation kernel: (kernel, input axes, weight axes per tensor); a
-# separable kernel's pointwise stage is Tp x 1 x 1 (partial) or 1x1
-CORRELATIONS = {
-    **{name: (kernel, x_axes, (w_axes,)) for name, (kernel, x_axes, w_axes, _)
-       in KERNEL_CASES.items()},
-    "ds_conv2d": (ds_conv2d_array, "bchw", ("ckk", "oc11")),
-    "ds_conv3d": (ds_conv3d_array, "clhw", ("ctkk", "oct11")),
-    "ds_conv3d full": (ds_conv3d_array, "clhw", ("ctkk", "oc111")),
-}
-CORRELATION_DIMS = st.fixed_dictionaries({
-    "b": st.integers(1, 3), "c": st.integers(1, 3), "o": st.integers(1, 3),
-    "t": st.integers(1, 3), "k": st.integers(1, 3),
-    "l": st.integers(3, 7), "h": st.integers(3, 6), "w": st.integers(3, 6)})
-
-
-def _correlation(name, dims, seed, stride, padding):
-    """call(**kwargs): the kernel on seeded data; whether its channel axis is
-    1, behind a batch axis; and the extent of the input's axis 1."""
-    kernel, x_axes, w_axes = CORRELATIONS[name]
-    g = rng(seed)
-    sizes = {**dims, "1": 1}
-    x = f32(g.normal(size=[sizes[a] for a in x_axes]))
-    weights = [f32(g.normal(size=[sizes[a] for a in axes])) for axes in w_axes]
-    return (lambda **kwargs: kernel(x, *weights, stride, padding, None, **kwargs)), \
-        x_axes[0] == "b", x.shape[1]
-
-
-def _walked(call, total, length, frames, **kwargs):
-    """A 3-D correlation's ``length`` output frames, of an input of ``total``,
-    computed [0, frames), [frames, 2 * frames), ... through one Frames walk,
-    each call given the whole input and its frames of any epilogue operand."""
-    walk, tiles = kernels.Frames(total), []
-    epilogue = kwargs.pop("epilogue", ())
-    for f0 in range(0, length, frames):
-        walk.stop = min(f0 + frames, length)
-        steps = [(ufunc, a[:, f0:walk.stop] if np.ndim(a) > 1 else a) for ufunc, a in epilogue]
-        tiles.append(call(frames=walk, epilogue=steps, **kwargs))
-    return np.concatenate(tiles, axis=1)
-
-
-@pytest.mark.parametrize("name", CORRELATIONS)
-@settings(max_examples=25, deadline=None)
-@given(dims=CORRELATION_DIMS, stride=st.sampled_from([1, 2]),
-       padding=st.sampled_from(["same", "valid"]), seed=st.integers(0, 2**16),
-       copy_bytes=st.sampled_from([1, kernels._COPY_BYTES]))
-def test_an_epilogue_equals_the_elementwise_kernels_after_the_correlation(
-        name, dims, stride, padding, seed, copy_bytes):
-    """A correlation given batchnorm, relu and a residual add as its epilogue,
-    run on each block of output rows (one row per block under a copy budget
-    of 1 byte), equals batchnorm_array, relu_array and add_array run on its
-    output, computed with the same blocks, in turn, bit for bit; so does a
-    3-D layer's Frames walk."""
-    call, batched, total = _correlation(name, dims, seed, stride, padding)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_COPY_BYTES", copy_bytes)
-        try:
-            plain = call()
-        except DimensionMismatch:  # valid padding past an extent
-            return
-    g = rng(seed + 1)
-    co = plain.shape[1 if batched else 0]
-    mean, gamma, beta = (f32(g.normal(size=co)) for _ in range(3))
-    var = f32(np.abs(g.normal(size=co)))
-    y = f32(g.normal(size=plain.shape))
-    fold = (lambda a: a.swapaxes(0, 1)) if batched else (lambda a: a)
-    expected = add_array(relu_array(fold(batchnorm_array(fold(plain), mean, var, gamma, beta))),
-                         y)
-    epilogue = [*batchnorm_steps(mean, var, gamma, beta), kernels.RELU, (np.add, y)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_COPY_BYTES", copy_bytes)
-        got = call(epilogue=epilogue)
-        if "3d" in name:
-            walked = _walked(call, total, plain.shape[1], 2, epilogue=epilogue)
-            unfused = _walked(call, total, plain.shape[1], 2)
-    assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
-    if "3d" in name:
-        assert walked.tobytes() == np.ascontiguousarray(add_array(relu_array(batchnorm_array(
-            unfused, mean, var, gamma, beta)), y)).tobytes()
-
-
-def test_an_epilogue_operand_of_another_shape_is_refused():
-    x, w = f32(rng(1).normal(size=(2, 3, 5, 5))), f32(rng(2).normal(size=(4, 3, 1, 1)))
-    with pytest.raises(ValueError, match="epilogue operand"):
-        conv2d_array(x, w, epilogue=[(np.add, np.zeros((2, 4, 5, 4), np.float32))])
