@@ -14,9 +14,10 @@ so no plan infers shapes again.
 ``graph.plan_tiles`` makes: each step runs one tile of frames through the
 graph's leading region, depth-first, and the last step runs every node past
 the region whole, as one tile of every frame. In MobiVSR the region is the
-front end through s2: no step holds more than a tile and 2 frames of ds3d1's
-output, where whole layers would hold all 29. ``keep_outputs`` runs the same
-loop on a plan with no region and no slots, fusing and freeing nothing.
+front end through s3's first block: no step holds more than a tile and 2
+frames of ds3d1's output, where whole layers would hold all 29.
+``keep_outputs`` runs the same loop on a plan with no region and no slots,
+fusing and freeing nothing.
 Each node outputs into a slot, a flat fp32 view its kernel writes into
 (``out=``): a region node's in a step arena that every step reuses, a held
 node's slot there being a window of the frames it keeps and then its tile,
@@ -56,9 +57,12 @@ output. Fused nodes make no ``forward_layer`` call, so a tracer that wraps
 it sees none of them. ``keep_outputs`` runs every node unfused. In
 MobiVSR-1 18 of the 40 nodes are tails, and MobiVSR-4 54 of its 100.
 
-int8 tensors are dequantized when their node runs, so at most one layer's
-fp32 weights sit beside the activations, but a region node's are dequantized
-once for all its tiles and held until the region ends. Counting stays weight
+int8 tensors are dequantized by the runner, for its call alone, so at most
+one layer's fp32 weights sit beside the activations; a region node's are
+dequantized again for each tile, and an fp32 tensor's array is a view of
+its data, so fp32 weights cost nothing per call. An int8 temporal_conv1d
+whose fp32 weights would exceed ``kernels._COPY_BYTES`` is dequantized one
+block of output channels at a time (``_conv1d``). Counting stays weight
 stationary: every tile's kernel tallies the layer's weights, but a node's
 tiles before its last tally into a ledger of its own, whose counts bar the
 weight reads its last tile adds to the pass's ledger. A node's counts for
@@ -79,6 +83,7 @@ import numpy as np
 from . import kernels
 from .errors import ValidationError
 from .graph import (
+    _TAIL_KINDS,
     LAYER_KINDS,
     ActivationPlan,
     LayerGraph,
@@ -87,6 +92,7 @@ from .graph import (
     checked_weights,
     frames_read,
     last_reads,
+    layer_output_shape,
     node_inputs,
     plan_tiles,
     shape_infer,
@@ -97,6 +103,8 @@ from .tensor import CounterLedger, Tensor, _real_array
 _LEDGER_FIELDS = tuple(f.name for f in fields(CounterLedger))
 # batchnorm statistics start as the identity transform
 _IDENTITY_STATS = {"mean": 0.0, "var": 1.0, "gamma": 1.0, "beta": 0.0}
+# batchnorm's tensors, in the order its kernel takes them
+_STATS = tuple(_IDENTITY_STATS)
 
 
 def init_weights(graph: LayerGraph, seed: int = 0) -> dict:
@@ -157,11 +165,6 @@ def _checked(spec: LayerSpec, tensors, where: str) -> dict:
     return checked
 
 
-def _arrays(tensors: dict) -> dict:
-    """{name: fp32 array}; int8 tensors are dequantized here."""
-    return {name: _array(t) for name, t in tensors.items()}
-
-
 def _per_frame(kernel, x: np.ndarray, *args, out=None) -> np.ndarray:
     """Run a batched 2-D kernel on a (C,H,W) frame, or on the L frames of a
     (C,L,H,W) value folded into the batch axis and unfolded after."""
@@ -170,50 +173,72 @@ def _per_frame(kernel, x: np.ndarray, *args, out=None) -> np.ndarray:
 
 
 class _Slotted(dict):
-    """A node's {name: array} weights, carrying what ``run_graph`` planned for
-    this call: ``slot``, the buffer its output goes to (or None); ``frames``,
-    the ``kernels.Frames`` walk of a 3-D layer run in tiles (or None);
-    and ``carried``, the counts its earlier tiles tallied (or None)."""
+    """A node's {name: Tensor or array} weights, carrying what ``run_graph``
+    planned for this call: ``slot``, the buffer its output goes to (or None);
+    ``frames``, the ``kernels.Frames`` walk of a 3-D layer run in tiles (or
+    None); and ``carried``, the counts its earlier tiles tallied (or None)."""
 
     def __init__(self, arrays: dict, slot=None, frames=None, carried=None):
         super().__init__(arrays)
         self.slot, self.frames, self.carried = slot, frames, carried
 
 
+def _conv1d(spec: LayerSpec, x: np.ndarray, w, ledger) -> np.ndarray:
+    """A temporal_conv1d call. An int8 weight tensor whose fp32 form exceeds
+    ``kernels._COPY_BYTES`` is dequantized and contracted in blocks of output
+    channels of at most that size, each block's call tallying its own
+    weights, so the layer's fp32 weights are never held whole. The blocks
+    are as even as their count allows: a GEMM of a few columns can take
+    another BLAS path, which rounds differently. The output is laid out
+    channels last, as one call's is."""
+    if not isinstance(w, Tensor) or w.quant is None or 4 * w.data.size <= kernels._COPY_BYTES:
+        return kernels.conv1d_array(x, _array(w), spec.stride, spec.padding, ledger)
+    co, per = w.shape[0], w.data.size // w.shape[0]  # codes per output channel
+    n = -(-co // max(kernels._COPY_BYTES // (4 * per), 1))
+    out = kernels.empty(layer_output_shape(spec, x.shape)[::-1])
+    for k in range(n):
+        o0, o1 = k * co // n, (k + 1) * co // n
+        block = Tensor((o1 - o0, *w.shape[1:]), w.data[o0 * per:o1 * per], w.quant)
+        out[:, o0:o1] = kernels.conv1d_array(x, block.as_array(), spec.stride, spec.padding,
+                                             ledger).T
+    return out.T
+
+
 # One runner per kind but residual_add: (spec, x, weights, ledger) -> array, the
 # weights a _Slotted. Each looks its kernel up in ``kernels`` when it runs,
-# never at import, and passes what was planned by keyword.
+# never at import, passes what was planned by keyword, and dequantizes the
+# int8 tensors it reads for that call alone.
 _RUNNERS = {
     "conv2d": lambda s, x, w, ledger: _per_frame(
-        kernels.conv2d_array, x, w["weights"], s.stride, s.padding, ledger, out=w.slot),
+        kernels.conv2d_array, x, _array(w["weights"]), s.stride, s.padding, ledger,
+        out=w.slot),
     "ds_conv2d": lambda s, x, w, ledger: _per_frame(
-        kernels.ds_conv2d_array, x, w["depthwise"], w["pointwise"], s.stride, s.padding,
-        ledger, out=w.slot),
+        kernels.ds_conv2d_array, x, _array(w["depthwise"]), _array(w["pointwise"]), s.stride,
+        s.padding, ledger, out=w.slot),
     "conv3d": lambda s, x, w, ledger: kernels.conv3d_array(
-        x, w["weights"], s.stride, s.padding, ledger, frames=w.frames),
+        x, _array(w["weights"]), s.stride, s.padding, ledger, frames=w.frames),
     "ds_conv3d": lambda s, x, w, ledger: kernels.ds_conv3d_array(
-        x, w["depthwise"], w["pointwise"], s.stride, s.padding, ledger, out=w.slot,
-        frames=w.frames),
-    "temporal_conv1d": lambda s, x, w, ledger: kernels.conv1d_array(
-        x, w["weights"], s.stride, s.padding, ledger),
-    "fc": lambda s, x, w, ledger: kernels.fc_array(x, w["weights"], ledger),
+        x, _array(w["depthwise"]), _array(w["pointwise"]), s.stride, s.padding, ledger,
+        out=w.slot, frames=w.frames),
+    "temporal_conv1d": lambda s, x, w, ledger: _conv1d(s, x, w["weights"], ledger),
+    "fc": lambda s, x, w, ledger: kernels.fc_array(x, _array(w["weights"]), ledger),
     "maxpool": lambda s, x, w, ledger: kernels.maxpool1d_array(x, s.window, s.stride),
     "relu": lambda s, x, w, ledger: kernels.relu_array(x, out=w.slot),
     "batchnorm": lambda s, x, w, ledger: kernels.batchnorm_array(
-        x, w["mean"], w["var"], w["gamma"], w["beta"], s.eps, out=w.slot),
+        x, *(_array(w[name]) for name in _STATS), s.eps, out=w.slot),
     "softmax": lambda s, x, w, ledger: kernels.softmax_array(x),
     "spatial_avg": lambda s, x, w, ledger: x.mean(axis=(-2, -1)),
     "temporal_avg": lambda s, x, w, ledger: x.mean(axis=-1),
 }
 # the kinds a chain of tail nodes can follow: the correlations
 _PRODUCERS = ("conv2d", "ds_conv2d", "conv3d", "ds_conv3d", "temporal_conv1d")
-# the in-place steps (ufunc, operand) of each kind that can run as a tail, from
-# its spec and fp32 weights, once per pass; a residual_add's step, adding its
-# addend, is made per call
+# the in-place steps (ufunc, operand) of each kind that can run as a tail
+# (each of graph._TAIL_KINDS), from its spec and weights, once per pass; a
+# residual_add's step, adding its addend, is made per call
 _TAILS = {
     "relu": lambda s, w: [(np.maximum, 0)],
-    "batchnorm": lambda s, w: kernels.batchnorm_steps(w["mean"], w["var"], w["gamma"],
-                                                      w["beta"], s.eps),
+    "batchnorm": lambda s, w: kernels.batchnorm_steps(*(_array(w[name]) for name in _STATS),
+                                                      s.eps),
     "residual_add": lambda s, w: [],
 }
 
@@ -221,7 +246,9 @@ _TAILS = {
 def forward_layer(spec: LayerSpec, x: np.ndarray, weights: dict | None,
                   ledger: CounterLedger | None = None) -> np.ndarray:
     """Run one layer on an array value the caller has checked against the spec;
-    residual_add is handled by run_graph. The output goes to the slot a
+    residual_add is handled by run_graph. ``weights`` maps tensor names to
+    Tensors or arrays; an int8 Tensor is dequantized for this call alone.
+    The output goes to the slot a
     ``_Slotted`` weights dict carries, else wherever the kernel puts it. When
     the kernel tallies multiplies into ``ledger``, the output's writes are
     tallied too; the counts the weights dict carries are added after."""
@@ -258,7 +285,7 @@ def counted_forward(layer: LayerSpec, input, weights: dict | None = None):
     if x.ndim not in LAYER_KINDS[layer.kind].ranks:
         raise ValidationError(f"{layer.kind} cannot take a rank {x.ndim} value")
     ledger = CounterLedger()
-    return Tensor.from_array(forward_layer(layer, x, _arrays(checked), ledger)), ledger
+    return Tensor.from_array(forward_layer(layer, x, checked, ledger)), ledger
 
 
 def _slots(plan, before=None) -> dict:
@@ -298,7 +325,7 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
     node may write over an input that dies there, but never over the caller's
     input or a value a later node still reads. Each arena is freed with the
     last value in it, so memory stays flat in depth. int8 tensors are
-    dequantized when their node runs, a region node's once for all its tiles.
+    dequantized for each call that reads them, a region node's once per tile.
     With ``keep_outputs`` the same loop runs a plan with no region and no
     slots: every node runs once, unfused, on its whole input, and its output
     array is fresh, retained and returned in ``node_outputs``.
@@ -317,29 +344,28 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
         plan, chains = TilePlan(0, 0, {}, {}, *[ActivationPlan({}, 0)] * 2), {}
     else:
         plan = plan_tiles(graph, shapes, inputs)
-        chains = _chains(steps, inputs, _fused([spec.kind for _, spec, _ in steps], inputs,
-                                                plan.region))
+        chains = _chains(steps, inputs, _fused([spec.kind for _, spec, _ in steps], inputs))
     values = _run(steps, inputs, shapes, plan, value, ledger, chains, keep_outputs)
     values.pop(None, None)
     return RunResult(Tensor.from_array(values[steps[-1][0]]), ledger,
                      values if keep_outputs else None)
 
 
-def _fused(kinds, inputs: dict, cut: int = 0) -> dict:
+def _fused(kinds, inputs: dict) -> dict:
     """{producer id: [tail ids]}: the relu, batchnorm and residual_add nodes
-    that run in place on the output of the correlation before them (see
-    _tail), read off the node ``kinds`` (in node order),
+    (graph._TAIL_KINDS) that run in place on the output of the correlation
+    before them (see _tail), read off the node ``kinds`` (in node order),
     ``graph.node_inputs``'s ``inputs`` and their last readers alone. A tail
     node reads the previous node's value, which no other node reads, and a
-    residual_add's addend must be made before the producer. No chain
-    crosses node index ``cut``, where the tiled region ends."""
+    residual_add's addend must be made before the producer. ``plan_tiles``
+    ends its region at no such node's input, so no chain crosses it."""
     ids, last = list(inputs), last_reads(inputs)
     order = {node_id: i for i, node_id in enumerate(ids)}
     tails, head = {}, {}
     for i in range(1, len(ids)):
         prev, (x, addend) = ids[i - 1], inputs[ids[i]]
         producer = head.get(prev, prev if kinds[i - 1] in _PRODUCERS else None)
-        if producer is None or i == cut or kinds[i] not in _TAILS or x != prev \
+        if producer is None or kinds[i] not in _TAIL_KINDS or x != prev \
                 or last[prev] != i or (addend is not None and order[addend] >= order[producer]):
             continue
         head[ids[i]] = producer
@@ -353,8 +379,8 @@ def _chains(steps, inputs, tails) -> dict:
     once per pass, and its addend (None but for a residual_add), read per
     call."""
     specs = {node_id: (spec, tensors) for node_id, spec, tensors in steps}
-    return {producer: (chain, [(_TAILS[specs[t][0].kind](specs[t][0], _arrays(specs[t][1])),
-                                inputs[t][1]) for t in chain])
+    return {producer: (chain, [(_TAILS[specs[t][0].kind](*specs[t]), inputs[t][1])
+                               for t in chain])
             for producer, chain in tails.items()}
 
 
@@ -396,7 +422,7 @@ def _run(steps, inputs, shapes, plan, clip, ledger, chains, keep=False) -> dict:
     tile's part of a slot in the step arena, which every step reuses, or of
     the region's whole output for the region's last node; past the region, a
     slot in ``plan.rest``'s arena, allocated only once nothing holds the step
-    arena, the carried frames or the region's weights. A held node's slot is
+    arena or the carried frames. A held node's slot is
     a window that holds the frames it keeps before its tile: after the
     node's turn the window takes the frames carried from the step before,
     and the frames the next step keeps are carried on, so that readers that
@@ -405,11 +431,10 @@ def _run(steps, inputs, shapes, plan, clip, ledger, chains, keep=False) -> dict:
     The tail nodes of ``chains`` (see _chains) run in place on their
     producer's output right after its call, which writes into the chain's
     last node's slot: the producer's own bytes when it has a slot, as the
-    chain runs in place there, or the region's output. A value is dropped after its last reader
-    (``graph.last_reads``) unless ``keep``. A region node's weights are
-    dequantized once, and its tiles but its last tally into a ledger of its
-    own that the last one adds, with the weights' reads once, to ``ledger``;
-    a later node's weights are dequantized for its call alone.
+    chain runs in place there, or the region's output. A value is dropped
+    after its last reader (``graph.last_reads``) unless ``keep``. A region
+    node's tiles but its last tally into a ledger of its own that the last
+    one adds, with the weights' reads once, to ``ledger``.
     """
     region, frames, held, final = plan.region, plan.frames, plan.held, steps[-1][0]
     end, total = (steps[region - 1][0], clip.shape[1]) if region else (None, 1)
@@ -424,10 +449,10 @@ def _run(steps, inputs, shapes, plan, clip, ledger, chains, keep=False) -> dict:
                                     for node_id, hold in held.items()})
         slots[end] = kernels.empty(size(end) * total)
         carried = {node_id: kernels.empty(size(node_id) * hold) for node_id, hold in held.items()}
-        # per region node: its fp32 weights, walk and own ledger, for all its tiles
-        state = {node_id: (_arrays(tensors), kernels.Frames(total) if frames_read(spec)[0]
-                           else None, CounterLedger())
-                 for node_id, spec, tensors in steps[:region] if node_id not in fused}
+        # per region node: its walk and own ledger, for all its tiles
+        state = {node_id: (kernels.Frames(total) if frames_read(spec)[0] else None,
+                           CounterLedger())
+                 for node_id, spec, _ in steps[:region] if node_id not in fused}
 
     def read(k, value, f0, f1):
         """Frames [f0, f1) of ``value`` in step ``k``; all of it when k is None."""
@@ -463,7 +488,7 @@ def _run(steps, inputs, shapes, plan, clip, ledger, chains, keep=False) -> dict:
                 if addend is not None:
                     out = kernels.add_array(read(k, x, f0, f1), read(k, addend, f0, f1), out=slot)
                 else:
-                    arrays, walk, own = state.get(node_id, (None, None, None))
+                    walk, own = state.get(node_id, (None, None))
                     if walk is not None:
                         walk.start, walk.stop = max(f0 - behind, 0), f1
                     carry = own if f1 == total else None
@@ -471,8 +496,7 @@ def _run(steps, inputs, shapes, plan, clip, ledger, chains, keep=False) -> dict:
                         carry.param_reads = 0  # the last tile's kernel reads the weights once
                     out = forward_layer(
                         spec, read(k, x, f0 - behind, f1 + ahead),
-                        _Slotted(_arrays(tensors) if arrays is None else arrays, slot, walk,
-                                 carry), ledger if f1 == total else own)
+                        _Slotted(tensors, slot, walk, carry), ledger if f1 == total else own)
                     _tail(out, parts, lambda value: read(k, value, f0, f1))
                 if hold or result == end:
                     _put(slot, shapes[result][1], out)

@@ -440,15 +440,23 @@ def frames_read(spec: LayerSpec) -> tuple:
     return ahead, ahead if kind.behind is None else kind.behind(spec)
 
 
+# the kinds run_graph may run in place on the output of the correlation
+# before them, as its tail (engine._TAILS); a tiled region never ends between
+# such a node and the value only it reads
+_TAIL_KINDS = ("relu", "batchnorm", "residual_add")
+
 # fp32 bytes a tile of a region's widest value may take, which fixes the
 # frames per tile: 4 of MobiVSR's ds3d1 output. The step arena grows by a
 # frame of ds3d1 output per tile frame, and each step costs every region node
-# a kernel call, whose geometry the kernels keep across calls. run_graph
-# peaks at 10.18 MB on whole layers, 7.56 MB in 8-frame tiles and 6.38 MB in
-# 4-frame ones at alpha=1 fp32, and at 11.09, 8.33 and 7.16 MB at alpha=4
-# int8 (counted). Run interleaved in one process on a 2-vCPU host (30 passes
-# each, tails fused), 8-frame tiles cost 6.8 % and 4-frame ones 11.0 % over
-# whole layers' median at alpha=1, and 2.8 % and 5.9 % at alpha=4
+# a kernel call, whose geometry the kernels keep across calls, and an int8
+# node the dequantizing of its weights. With the region through s3's first
+# block, run_graph peaks at 10.19 MB on whole layers, 6.49 MB in 8-frame tiles
+# and 5.31 MB in 4-frame ones at alpha=1 fp32, and at 11.09, 6.55 and 5.37 MB
+# at alpha=4 int8 (counted). Run interleaved in one process on a 2-vCPU host
+# (30 passes each), 8-frame tiles cost 11.6 % and 4-frame ones 21.0 % over
+# whole layers' median at alpha=1, and 8.9 % and 15.6 % at alpha=4; with the
+# region through s2 and a region node's weights dequantized once, 7.0 %,
+# 16.0 %, 3.1 % and 10.6 %, measured the same way right after
 _TILE_BYTES = 1152 * 1024
 
 
@@ -482,12 +490,15 @@ def plan_tiles(graph: LayerGraph, shapes: dict, inputs: dict) -> TilePlan:
     """The schedule of ``graph`` from the shapes ``shape_infer`` gives and the
     reads ``node_inputs`` gives alone.
 
-    The region is the longest run of leading nodes, on a rank-4 (C, L, H, W)
-    input, whose values all keep rank 4 and L frames and whose last value is
-    the only one read past it and is larger than the input. Past the region
-    every value at such a cut is no larger than the input, which stays live
-    throughout, so whole layers there cost less than the tiled region holds.
-    A tile is as many frames of the region's widest value as fit in
+    The region is a run of leading nodes, on a rank-4 (C, L, H, W) input,
+    whose values all keep rank 4 and L frames. It ends at a cut: a node whose
+    value is the only one read past it, and which is not followed by a
+    relu, batchnorm or residual_add reading that value alone, so that no
+    chain of tails ``run_graph`` fuses is split. Once some value is larger
+    than the input, the region ends at the first cut whose value is no
+    larger, whose whole output, which the rest reads, then takes no more
+    than the input, live throughout; without such a cut, at the last cut of
+    the run. A tile is as many frames of the region's widest value as fit in
     _TILE_BYTES; a region no longer than one tile runs whole.
 
     Lags run back from the region's last node: a node's lag is the largest
@@ -507,8 +518,12 @@ def plan_tiles(graph: LayerGraph, shapes: dict, inputs: dict) -> TilePlan:
             if len(in_shape) != 4 or len(out_shape) != 4 or out_shape[1] != clip[1]:
                 break
             widest = max(widest, volume(out_shape) // clip[1])
-            if read_past <= i and volume(out_shape) > volume(clip):
+            tail = i + 1 < len(ids) and kinds[ids[i + 1]].kind in _TAIL_KINDS \
+                and inputs[ids[i + 1]][0] == node_id and last_read[node_id] == i + 1
+            if read_past <= i and not tail and widest * clip[1] > volume(clip):
                 region, cut_widest = i + 1, widest
+                if volume(out_shape) <= volume(clip):
+                    break
             read_past = max(read_past, last_read.get(node_id, i))
     frames = max(_TILE_BYTES // (4 * cut_widest), 1) if region else 0
     if region and frames >= clip[1]:

@@ -361,10 +361,11 @@ def _plans(graph, shape=None):
 
 @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
 def test_the_mobivsr_arena_is_its_largest_activation(alpha):
-    """The front end through s2 runs in tiles of 4 frames, and each arena is
-    no larger than the largest activation it holds: relu1's window of a tile
-    and the 2 frames before it for the region's steps, two of s3's outputs
-    for the rest, which runs from s3's first node to s4's last relu. ds1's
+    """The front end through s3's first block runs in tiles of 4 frames, and
+    each arena is no larger than the largest activation it holds: relu1's
+    window of a tile and the 2 frames before it for the region's steps, two
+    of s3's outputs for the rest, which runs from s3's second block to s4's
+    last relu (two of s4's at α=1, where s4 follows s3's one block). ds1's
     chain writes its tile behind the 2 carried frames, ds3d2 writes over the
     window from its front, and s1's first output lies in the window's
     consumed frames. Whole layers would need an arena of all of ds3d1's
@@ -373,7 +374,7 @@ def test_the_mobivsr_arena_is_its_largest_activation(alpha):
     whole, plan = _plans(graph)
     assert whole.arena_bytes == DS3D1_BYTES == 8_552_448
     ids = [node_id for node_id, _ in graph.nodes]
-    assert ids[plan.region - 1] == f"s2.b{alpha}.relu2"
+    assert ids[plan.region - 1] == "s3.b1.relu2"
     assert (plan.frames, plan.held) == (4, {"frontend.relu1": 2})
     frame = DS3D1_BYTES // 29
     assert plan.steps.arena_bytes == frame * (4 + 2) == 1_769_472
@@ -381,7 +382,8 @@ def test_the_mobivsr_arena_is_its_largest_activation(alpha):
     assert slots["frontend.ds3d1"] == slots["frontend.relu1"] == (2 * frame, 4 * frame)
     assert slots["frontend.ds3d2"] == slots["frontend.relu2"] == (0, 2 * frame)
     assert slots["s1.b1.ds1"] == (2 * frame, 2 * frame)
-    assert plan.rest.arena_bytes == 2 * 256 * 29 * 6 * 6 * 4 == 2_138_112
+    s3, s4 = 256 * 29 * 6 * 6 * 4, 512 * 29 * 3 * 3 * 4
+    assert plan.rest.arena_bytes == 2 * (s3 if alpha > 1 else s4)
     planned = [node_id for node_id in ids if node_id in plan.rest.slots]
     assert planned == ids[plan.region:plan.region + len(planned)]
     assert planned[-1] == f"s4.b{alpha}.relu2"
@@ -445,7 +447,7 @@ def test_the_tile_plan_reads_shapes_and_edges_not_names():
     renamed = LayerGraph(nodes=[(names[n], spec) for n, spec in graph.nodes],
                          residual_edges=[(names[a], names[b]) for a, b in graph.residual_edges])
     plan, plan2 = _plans(graph)[1], _plans(renamed, graph.input_shape)[1]
-    assert (plan2.region, plan2.frames) == (plan.region, plan.frames) == (27, 4)
+    assert (plan2.region, plan2.frames) == (plan.region, plan.frames) == (33, 4)
     assert plan2.lags == {names[n]: lag for n, lag in plan.lags.items()}
     assert {n for n, lag in plan.lags.items() if lag} == \
         {"frontend.ds3d1", "frontend.bn1", "frontend.relu1"}
@@ -453,14 +455,16 @@ def test_the_tile_plan_reads_shapes_and_edges_not_names():
     assert plan.held == {"frontend.relu1": 2}
 
 
-def test_a_slim_mobivsr_tiles_only_up_to_the_last_value_larger_than_its_clip():
+def test_a_slim_mobivsr_tiles_up_to_the_first_cut_no_larger_than_its_clip():
     """In the slim plan s2's output is as large as the clip, so the region
-    ends with s1, and its narrower front end takes tiles of 8 frames."""
+    ends with s2's first block: its add's value is no larger, but the relu
+    that reads it alone is its tail, and the cut comes after that. Its
+    narrower front end takes tiles of 8 frames."""
     from mobivsr.arch import CHANNEL_PLAN_CANDIDATES
     slim = next(p for p in CHANNEL_PLAN_CANDIDATES if p.name == "slim")
     graph = build_mobivsr(3, slim)
     plan = _plans(graph)[1]
-    assert graph.nodes[plan.region - 1][0] == "s1.b3.relu2"
+    assert graph.nodes[plan.region - 1][0] == "s2.b1.relu2"
     assert plan.frames == 8
 
 
