@@ -136,13 +136,14 @@ def build_mobivsr(alpha: int, channel_plan: ChannelPlan | None = None) -> LayerG
     last = "frontend.relu2"
     prev_channels = subs[0]
     for sub_index, channels in enumerate(subs, start=1):
-        # blocks are frozen values, so one keep block serves every keep position
-        keep = build_lipres("keep", channels, channels)
+        # blocks are frozen values, so one keep block, made at its first
+        # position, serves every keep position
+        keep = None
         for block_index in range(1, alpha + 1):
             if sub_index > 1 and block_index == 1:
                 block = build_lipres("downsample", prev_channels, channels)
             else:
-                block = keep
+                keep = block = keep or build_lipres("keep", channels, channels)
             last = _splice(nodes, edges, block, f"s{sub_index}.b{block_index}.", last)
         prev_channels = channels
 

@@ -147,7 +147,9 @@ def _costed_tensor_count(graph: LayerGraph) -> int:
 
 
 def aggregate(graph: LayerGraph, input_shape=None, dtype: str = "fp32") -> CostReport:
-    """Cost every layer of a graph and sum the columns.
+    """Cost every layer of a graph and sum the columns. Within a call, nodes
+    that hold one LayerSpec object and read one shape share its LayerCost,
+    worked out once; ``shape_infer`` shares their output shapes the same way.
 
     size_bytes covers learned parameters only: 4 bytes each for fp32, or one
     byte each plus 8 bytes of scale/zero-point metadata per weight tensor for
@@ -162,10 +164,23 @@ def aggregate(graph: LayerGraph, input_shape=None, dtype: str = "fp32") -> CostR
         raise ValueError("graph has no input_shape: add one to the graph, "
                          "or pass input_shape= to aggregate")
     _, shapes = shape_infer(graph, input_shape)
-    per_layer = [(node_id, _cost(spec, *shapes[node_id])) for node_id, spec in graph.nodes]
-    totals = LayerCost(sum(c.params for _, c in per_layer),
-                       sum(c.memory_accesses for _, c in per_layer),
-                       sum(c.flops for _, c in per_layer))
+    costed = {}  # (id(spec), in_shape): that layer's cost
+    per_layer = []
+    params = accesses = flops = 0
+    for node_id, spec in graph.nodes:
+        if spec.kind not in _PARAMS:
+            per_layer.append((node_id, _FREE))
+            continue
+        in_shape, out_shape = shapes[node_id]
+        key = (id(spec), in_shape)
+        cost = costed.get(key)
+        if cost is None:
+            cost = costed[key] = _cost(spec, in_shape, out_shape)
+        per_layer.append((node_id, cost))
+        params += cost.params
+        accesses += cost.memory_accesses
+        flops += cost.flops
+    totals = LayerCost(params, accesses, flops)
     if dtype == "fp32":
         size_bytes = 4 * totals.params
     else:

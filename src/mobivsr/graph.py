@@ -317,27 +317,34 @@ def shape_infer(graph: LayerGraph, input_shape):
     derives from its edges.
 
     Returns (output_shape, {node_id: (in_shape, out_shape)}). Raises
-    GraphValidationError naming the first inconsistent edge or node.
+    GraphValidationError naming the first inconsistent edge or node. Within
+    a call, nodes that hold one LayerSpec object and read one shape share
+    its output shape, worked out once.
     """
     graph.validate()
     out_shape = checked_shape(input_shape)
-    made, shapes, kinds = {None: out_shape}, {}, dict(graph.nodes)
-    for node_id, (x, addend) in node_inputs(graph).items():
+    made, shapes = {None: out_shape}, {}
+    outs = {}  # (id(spec), in_shape): out_shape
+    for (node_id, spec), (x, addend) in zip(graph.nodes, node_inputs(graph).values()):
         in_shape = made[x]
         if addend is not None and made[addend] != in_shape:
             raise GraphValidationError(
                 f"residual edge ({addend!r}, {node_id!r}) joins shapes {made[addend]} and "
                 f"{in_shape}", edge=(addend, node_id))
-        try:
-            out_shape = made[node_id] = layer_output_shape(kinds[node_id], in_shape)
-        except DimensionMismatch as exc:
-            raise GraphValidationError(f"node {node_id!r}: {exc}", node_id=node_id) from exc
+        key = (id(spec), in_shape)
+        out_shape = outs.get(key)
+        if out_shape is None:
+            try:
+                out_shape = outs[key] = layer_output_shape(spec, in_shape)
+            except DimensionMismatch as exc:
+                raise GraphValidationError(f"node {node_id!r}: {exc}", node_id=node_id) from exc
+        made[node_id] = out_shape
         shapes[node_id] = (in_shape, out_shape)
     return out_shape, shapes
 
 
 def volume(shape) -> int:
-    return math.prod(int(v) for v in shape)
+    return math.prod(map(int, shape))
 
 
 def node_inputs(graph: LayerGraph) -> dict:

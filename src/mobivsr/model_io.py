@@ -1,6 +1,7 @@
 """File formats: graph JSON, weights binary, and clip preprocessing.
 
-Graph files are UTF-8 JSON::
+Graph files are UTF-8 JSON, written exactly as ``json.dumps(doc, indent=2)``
+writes their document::
 
     {
       "schema_version": 1,
@@ -35,6 +36,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -58,8 +60,7 @@ CROP_OFFSET = (FRAME_SIDE - CROP_SIDE) // 2  # 80
 # ---------------------------------------------------------------------------
 
 
-def serialize_graph(graph: LayerGraph) -> str:
-    graph.validate()
+def _graph_doc(graph: LayerGraph) -> dict:
     doc = {
         "schema_version": GRAPH_SCHEMA_VERSION,
         "channel_plan": graph.channel_plan,
@@ -68,7 +69,66 @@ def serialize_graph(graph: LayerGraph) -> str:
     }
     if graph.input_shape is not None:
         doc["input_shape"] = list(graph.input_shape)
-    return json.dumps(doc, indent=2)
+    return doc
+
+
+class _Unwritten(Exception):
+    """A value or spec that ``_write_graph`` leaves to ``json.dumps``."""
+
+
+def _scalar(value) -> str:
+    """``value`` as ``json.dumps`` writes it, when its type is exactly str,
+    int or float and a float is finite; else raises _Unwritten."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return repr(value)
+    raise _Unwritten
+
+
+def _items(items: list) -> str:
+    """A list whose items are written at depth 2, as ``json.dumps(indent=2)``
+    writes it at depth 1."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def _write_graph(graph: LayerGraph) -> str:
+    bodies = {}  # id(spec): its fields after the id, written once per spec object
+    nodes = []
+    for node_id, spec in graph.nodes:
+        body = bodies.get(id(spec))
+        if body is None:
+            if type(spec) is not LayerSpec:  # whose to_dict keys are its field names
+                raise _Unwritten
+            body = bodies[id(spec)] = "".join(
+                f",\n      {_scalar(name)}: {_scalar(value)}"
+                for name, value in spec.to_dict().items())
+        nodes.append(f'    {{\n      "id": {_scalar(node_id)}{body}\n    }}')
+    edges = [f"    [\n      {_scalar(src)},\n      {_scalar(dst)}\n    ]"
+             for src, dst in graph.residual_edges]
+    text = (f'{{\n  "schema_version": {GRAPH_SCHEMA_VERSION},\n'
+            f'  "channel_plan": {_scalar(graph.channel_plan)},\n'
+            f'  "nodes": {_items(nodes)},\n  "residual_edges": {_items(edges)}')
+    if graph.input_shape is not None:
+        text += f',\n  "input_shape": {_items([f"    {_scalar(v)}" for v in graph.input_shape])}'
+    return text + "\n}"
+
+
+def serialize_graph(graph: LayerGraph) -> str:
+    """The graph file's text: exactly ``json.dumps(doc, indent=2)`` of its
+    document, written without json's pure-Python indenting encoder.
+
+    Within a call, the fields of a LayerSpec that several nodes hold are
+    written once. A value whose type is not exactly str, int or a finite
+    float leaves the whole text to ``json.dumps``, so that text and errors
+    (a TypeError for a value JSON has no form for) are json's own.
+    """
+    graph.validate()
+    try:
+        return _write_graph(graph)
+    except _Unwritten:
+        return json.dumps(_graph_doc(graph), indent=2)
 
 
 def _list_field(doc: dict, name: str) -> list:
@@ -79,6 +139,14 @@ def _list_field(doc: dict, name: str) -> list:
 
 
 def parse_graph(text: str) -> LayerGraph:
+    """The graph a graph file's text holds; SchemaError names what is wrong.
+
+    Within a call, node entries whose fields are equal in value and type
+    share one LayerSpec, as ``build_mobivsr``'s keep blocks do, so that
+    ``shape_infer`` and ``aggregate`` work out each distinct layer once. An
+    entry with an unhashable value, or with a value equal to zero, gets a
+    LayerSpec of its own.
+    """
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -91,7 +159,7 @@ def parse_graph(text: str) -> LayerGraph:
     version = doc.get("schema_version")
     if not is_int(version) or version != GRAPH_SCHEMA_VERSION:
         raise SchemaError(f"unsupported graph schema_version {version!r}")
-    nodes = []
+    nodes, specs = [], {}  # specs: the LayerSpec made for each distinct node entry
     for index, entry in enumerate(_list_field(doc, "nodes")):
         if not isinstance(entry, dict) or "id" not in entry or "kind" not in entry:
             raise SchemaError(f"node #{index} must have 'id' and 'kind'", position=index)
@@ -99,12 +167,24 @@ def parse_graph(text: str) -> LayerGraph:
         if not isinstance(node_id, str):
             raise SchemaError(f"node #{index} id must be a string, got {node_id!r}",
                               position=index)
-        params = {k: v for k, v in entry.items() if k != "id"}
+        params = dict(entry)
+        del params["id"]
+        # the value types tell 1, 1.0 and true apart, which compare equal
+        key = (tuple(params.items()), tuple(map(type, params.values())))
         try:
-            spec = LayerSpec(**params)
-        except (TypeError, ValueError) as exc:
-            # TypeError: a field LayerSpec does not have
-            raise SchemaError(f"node {node_id!r}: {exc}", node_id=node_id) from exc
+            spec = specs.get(key)
+        except TypeError:  # an unhashable value, such as a list
+            spec = key = None
+        if spec is None:
+            try:
+                spec = LayerSpec(**params)
+            except (TypeError, ValueError) as exc:
+                # TypeError: a field LayerSpec does not have
+                raise SchemaError(f"node {node_id!r}: {exc}", node_id=node_id) from exc
+            # 0.0 and -0.0 are equal floats written apart, so an entry with
+            # a value equal to zero keeps its spec to itself
+            if key is not None and 0.0 not in params.values():
+                specs[key] = spec
         nodes.append((node_id, spec))
     edges = []
     for index, edge in enumerate(_list_field(doc, "residual_edges")):

@@ -30,6 +30,7 @@ from mobivsr import (
     quantize_weights,
     read_clip,
     read_graph,
+    serialize_graph,
     serialize_weights,
     write_clip,
     write_graph,
@@ -637,3 +638,119 @@ def test_ppm_with_comments_between_header_fields_loads_as_the_raw_frame(tmp_path
     for i, frame in enumerate(raw):
         (tmp_path / f"{i:02d}.ppm").write_bytes(header + frame.tobytes())
     assert np.array_equal(load_clip_dir(tmp_path), raw)
+
+
+# ---------------------------------------------------------------------------
+# the graph emitter and the shared parse
+# ---------------------------------------------------------------------------
+
+
+def dumped(graph) -> str:
+    """The graph file text as json.dumps writes it: the emitter's reference."""
+    doc = {"schema_version": 1, "channel_plan": graph.channel_plan,
+           "nodes": [{"id": node_id, **spec.to_dict()} for node_id, spec in graph.nodes],
+           "residual_edges": [list(edge) for edge in graph.residual_edges]}
+    if graph.input_shape is not None:
+        doc["input_shape"] = list(graph.input_shape)
+    return json.dumps(doc, indent=2)
+
+
+# any code point, lone surrogates included, with what JSON escapes and
+# pieces of its own syntax drawn often
+AWKWARD_TEXT = st.lists(
+    st.characters(exclude_categories=())
+    | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\ud800", "\U0001F600",
+                       "\u2028", "{", "}", "[", "]", ', "', '": ']),
+    max_size=8).map("".join)
+EPS = st.sampled_from([0.0, -0.0, 1e-300, 5e-324, 1e-5, 0.1, 2.5, 1e300, 0, 3, 10**30]) \
+    | st.floats(0, 1e308, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def awkward_graphs(draw):
+    """Valid graphs whose ids, channel plan and edge ends are arbitrary text,
+    with batchnorm eps values that json writes in every float form."""
+    ids = draw(st.lists(AWKWARD_TEXT, unique=True, max_size=6))
+    nodes = []
+    for node_id in ids:
+        spec = draw(st.sampled_from([
+            LayerSpec("relu"),
+            LayerSpec("conv2d", in_channels=2, out_channels=3, kernel_size=3, stride=2,
+                      padding="valid"),
+            None]))
+        nodes.append((node_id, spec or LayerSpec("batchnorm", in_channels=draw(st.integers(1, 9)),
+                                                 eps=draw(EPS))))
+    # each node takes at most one edge, from a node before it
+    edges = [(ids[draw(st.integers(0, j - 1))], ids[j]) for j in range(1, len(ids))
+             if draw(st.booleans())]
+    shape = draw(st.none() | st.lists(st.integers(1, 10**20), max_size=4))
+    return LayerGraph(nodes=nodes, residual_edges=edges, channel_plan=draw(AWKWARD_TEXT),
+                      input_shape=shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(awkward_graphs())
+def test_graph_text_is_json_dumps_with_indent_2(graph):
+    text = serialize_graph(graph)
+    assert text == dumped(graph)
+    reparsed = parse_graph(text)
+    assert reparsed == graph
+    assert serialize_graph(reparsed) == text
+
+
+def test_numpy_eps_is_written_as_json_writes_it():
+    spec = LayerSpec("batchnorm", in_channels=2, eps=np.float64(0.25))
+    graph = LayerGraph(nodes=[("bn", spec)])
+    assert serialize_graph(graph) == dumped(graph)
+    graph = LayerGraph(nodes=[("bn", LayerSpec("batchnorm", in_channels=2,
+                                                 eps=np.float32(0.25)))])
+    with pytest.raises(TypeError, match="float32 is not JSON serializable"):
+        serialize_graph(graph)
+
+
+def report_exit(tmp_path, text) -> int:
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["report", str(path), "--format", "json"])
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+def graph_text(*nodes, indent=None) -> str:
+    """A graph file of the given node entries, with ids n0, n1, ..., its
+    fields in the order serialize_graph writes them."""
+    return json.dumps({"schema_version": 1, "channel_plan": "custom",
+                       "nodes": [{"id": f"n{i}", **node} for i, node in enumerate(nodes)],
+                       "residual_edges": [], "input_shape": [2, 8, 8]}, indent=indent)
+
+
+CONV = {"kind": "conv2d", "in_channels": 2, "out_channels": 2, "kernel_size": 1}
+
+
+@pytest.mark.parametrize("field,value", [("stride", [2]), ("kind", ["relu"]), ("eps", {})])
+def test_node_entry_with_an_unhashable_value_is_schema_error_naming_it(tmp_path, field, value):
+    bad = {**CONV, field: value}
+    text = graph_text(CONV, bad, bad)
+    with pytest.raises(SchemaError) as exc:
+        parse_graph(text)
+    assert exc.value.node_id == "n1"
+    assert report_exit(tmp_path, text) == 2
+
+
+@pytest.mark.parametrize("stride", [True, 1.0])
+def test_a_node_equal_to_a_valid_one_but_for_its_stride_type_is_schema_error(tmp_path, stride):
+    text = graph_text({**CONV, "stride": 1}, {**CONV, "stride": stride})
+    with pytest.raises(SchemaError) as exc:
+        parse_graph(text)
+    assert exc.value.node_id == "n1"
+    assert report_exit(tmp_path, text) == 2
+
+
+def test_equal_eps_of_other_types_and_signs_round_trip_to_the_same_text():
+    bns = [{"kind": "batchnorm", "in_channels": 2, "eps": eps} for eps in (0, 0.0, -0.0, 0, 1, 1.0)]
+    text = graph_text(*bns, indent=2)
+    graph = parse_graph(text)
+    assert serialize_graph(graph) == text
+    assert [type(spec.eps) for _, spec in graph.nodes] == [int, float, float, int, int, float]
