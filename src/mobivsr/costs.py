@@ -140,12 +140,6 @@ def flops_of(layer: LayerSpec, input_shape) -> int:
     return _cost(layer, input_shape).flops
 
 
-def _costed_tensor_count(graph: LayerGraph) -> int:
-    return sum(
-        len(weight_shapes(spec)) for _, spec in graph.nodes if spec.kind in COSTED_KINDS
-    )
-
-
 def aggregate(graph: LayerGraph, input_shape=None, dtype: str = "fp32") -> CostReport:
     """Cost every layer of a graph and sum the columns. Within a call, nodes
     that hold one LayerSpec object and read one shape share its LayerCost,
@@ -164,27 +158,27 @@ def aggregate(graph: LayerGraph, input_shape=None, dtype: str = "fp32") -> CostR
         raise ValueError("graph has no input_shape: add one to the graph, "
                          "or pass input_shape= to aggregate")
     _, shapes = shape_infer(graph, input_shape)
-    costed = {}  # (id(spec), in_shape): that layer's cost
+    costed = {}  # (id(spec), in_shape): that layer's cost and its int8 tensor count
     per_layer = []
-    params = accesses = flops = 0
+    params = accesses = flops = tensors = 0
     for node_id, spec in graph.nodes:
         if spec.kind not in _PARAMS:
             per_layer.append((node_id, _FREE))
             continue
         in_shape, out_shape = shapes[node_id]
         key = (id(spec), in_shape)
-        cost = costed.get(key)
-        if cost is None:
-            cost = costed[key] = _cost(spec, in_shape, out_shape)
+        entry = costed.get(key)
+        if entry is None:
+            entry = costed[key] = (_cost(spec, in_shape, out_shape),
+                                   len(weight_shapes(spec)) if dtype == "int8" else 0)
+        cost, count = entry
         per_layer.append((node_id, cost))
         params += cost.params
         accesses += cost.memory_accesses
         flops += cost.flops
+        tensors += count
     totals = LayerCost(params, accesses, flops)
-    if dtype == "fp32":
-        size_bytes = 4 * totals.params
-    else:
-        size_bytes = totals.params + 8 * _costed_tensor_count(graph)
+    size_bytes = 4 * params if dtype == "fp32" else params + 8 * tensors
     return CostReport(per_layer=per_layer, totals=totals, size_bytes=size_bytes, dtype=dtype)
 
 

@@ -28,8 +28,10 @@ class EnergyTable:
     dram_default_pj: float = 1950.0
 
     def __post_init__(self):
-        if min(self.add_pj, self.multiply_pj, self.dram_low_pj) <= 0:
-            raise ValueError("per-operation energies must be positive")
+        # written so that NaN fails it too: every comparison with NaN is false
+        if not all(0 < pj < math.inf for pj in (self.add_pj, self.multiply_pj, self.dram_low_pj,
+                                                 self.dram_default_pj, self.dram_high_pj)):
+            raise ValueError("per-operation energies must be positive and finite")
         if not self.dram_low_pj <= self.dram_default_pj <= self.dram_high_pj:
             raise ValueError("dram default must lie between the low and high bounds")
 
@@ -50,8 +52,8 @@ class CarbonFactor:
     mg_per_mj: float = 0.1265
 
     def __post_init__(self):
-        if self.mg_per_mj <= 0:
-            raise ValueError("carbon factor must be positive")
+        if not 0 < self.mg_per_mj < math.inf:  # NaN fails it too
+            raise ValueError("carbon factor must be positive and finite")
 
 
 DEFAULT_ENERGY_TABLE = EnergyTable()

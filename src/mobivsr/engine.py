@@ -18,22 +18,23 @@ front end through s3's first block: no step holds more than a tile and 2
 frames of ds3d1's output, where whole layers would hold all 29.
 ``keep_outputs`` runs the same loop on a plan with no region and no slots,
 fusing and freeing nothing.
-Each node outputs into a slot, a flat fp32 view its kernel writes into
-(``out=``): a region node's in a step arena that every step reuses, a held
-node's slot there being a window of the frames it keeps and then its tile,
-the region's last node's in its whole output, and a later node's in an arena
-of its own. A slot may be the bytes of the node's own input when that input
-dies there: relu, batchnorm and residual_add then run in place, and a
-separable layer writes over its input block by block. The caller's input is
-never written, nor is any value before its last reader has run, by the
-lifetimes ``graph.last_reads`` gives the arenas' plans. Only the values in an
-arena hold it, so it is freed after the last reader of the last of them; in
-MobiVSR that is before the backend dequantizes its large weights. The step
-arena and the carried frames are freed, with every view of them, before the
-rest's arena is made. What a call needs beyond its weights, the slot, a 3-D
-layer's ``kernels.Frames`` walk and the counts of its earlier tiles, reaches
-the runner inside the weights dict, a ``_Slotted`` one, since
-``forward_layer``'s signature is the same for every caller.
+Each region node outputs into a slot, a flat fp32 view its kernel writes
+into (``out=``): in a step arena that every step reuses, a held node's slot
+there being a window of the frames it keeps and then its tile, and the
+region's last node's in its whole output. A slot may be the bytes of the
+node's own input when that input dies there: relu, batchnorm and
+residual_add then run in place, and a separable layer writes over its input
+block by block. The caller's input is never written, nor is any value
+before its last reader has run, by the lifetimes ``graph.last_reads`` gives
+the step arena's plan. The step arena and the carried frames are freed,
+with every view of them, once the region's last step has run. A node past
+the region, or of a graph without one, writes where its kernel puts it, and
+each value is freed after its last reader; in MobiVSR s4's values are gone
+before the backend dequantizes its large weights. What a call needs beyond
+its weights, the slot, a 3-D layer's ``kernels.Frames`` walk and the counts
+of its earlier tiles, reaches the runner inside the weights dict, a
+``_Slotted`` one, since ``forward_layer``'s signature is the same for every
+caller.
 ``counted_forward``, the one way to run a single layer, checks its input as
 ``run_graph`` does, then the layer's weights and the value's rank, and
 leaves channel counts to the kernels.
@@ -49,13 +50,15 @@ elementwise kernels apply, in node order, so outputs and ledgers are the
 unfused pass's (these kinds tally nothing); batchnorm's scale and shift
 are computed once per node per pass. The gain is the dispatch these nodes
 no longer make: running the tail on each output block inside the kernel,
-while the block is in cache, measured no faster. A chain writes into
-its last node's slot, which is the producer's own when the producer has
-one, as every tail node of it is planned in place over the value only it
-reads; a chain ending in the region's last node writes into the region's
-output. Fused nodes make no ``forward_layer`` call, so a tracer that wraps
-it sees none of them. ``keep_outputs`` runs every node unfused. In
-MobiVSR-1 18 of the 40 nodes are tails, and MobiVSR-4 54 of its 100.
+while the block is in cache, measured no faster. In the region a chain
+writes into its last node's slot, which is the producer's own when the
+producer has one, as every tail node of it is planned in place over the
+value only it reads; a chain ending in the region's last node writes into
+the region's output. Past the region a chain runs on the output its
+producer's kernel made. Fused nodes make no ``forward_layer`` call, so a
+tracer that wraps it sees none of them. ``keep_outputs`` runs every node
+unfused. In MobiVSR-1 18 of the 40 nodes are tails, and MobiVSR-4 54 of its
+100.
 
 int8 tensors are dequantized by the runner, for its call alone, so at most
 one layer's fp32 weights sit beside the activations; a region node's are
@@ -288,16 +291,6 @@ def counted_forward(layer: LayerSpec, input, weights: dict | None = None):
     return Tensor.from_array(forward_layer(layer, x, checked, ledger)), ledger
 
 
-def _slots(plan, before=None) -> dict:
-    """{node id: flat fp32 view of its slot} in a fresh arena, from the
-    ``before`` bytes the plan keeps before a held node's output. Only the
-    views hold the arena, so it is freed with the last value in it."""
-    arena = kernels.empty(plan.arena_bytes // 4)
-    before = before or {}
-    return {node_id: arena[(offset - before.get(node_id, 0)) // 4:(offset + size) // 4]
-            for node_id, (offset, size) in plan.slots.items()}
-
-
 @dataclass
 class RunResult:
     output: Tensor
@@ -320,12 +313,13 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
     single ledger accumulates over all layers.
 
     The graph runs as ``plan_tiles`` schedules it: its leading region, if it
-    has one, depth-first in tiles of frames, then the rest whole. Node
-    outputs go where the plan puts them, in arenas allocated for this call: a
-    node may write over an input that dies there, but never over the caller's
-    input or a value a later node still reads. Each arena is freed with the
-    last value in it, so memory stays flat in depth. int8 tensors are
-    dequantized for each call that reads them, a region node's once per tile.
+    has one, depth-first in tiles of frames, then the rest whole. A region
+    node's output goes where the plan puts it, in a step arena allocated for
+    this call: a node may write over an input that dies there, but never over
+    the caller's input or a value a later node still reads. The arena is
+    freed once the region has run, and every later value after its last
+    reader, so memory stays flat in depth. int8 tensors are dequantized for
+    each call that reads them, a region node's once per tile.
     With ``keep_outputs`` the same loop runs a plan with no region and no
     slots: every node runs once, unfused, on its whole input, and its output
     array is fresh, retained and returned in ``node_outputs``.
@@ -341,7 +335,7 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
              for node_id, spec in graph.nodes]
     ledger = CounterLedger() if counted else None
     if keep_outputs:  # every node runs whole and unfused, and every value is kept
-        plan, chains = TilePlan(0, 0, {}, {}, *[ActivationPlan({}, 0)] * 2), {}
+        plan, chains = TilePlan(0, 0, {}, {}, ActivationPlan({}, 0)), {}
     else:
         plan = plan_tiles(graph, shapes, inputs)
         chains = _chains(steps, inputs, _fused([spec.kind for _, spec, _ in steps], inputs))
@@ -418,23 +412,23 @@ def _run(steps, inputs, shapes, plan, clip, ledger, chains, keep=False) -> dict:
 
     Each step runs one tile of frames through the region's nodes, in node
     order; the last step runs every node past the region whole, as one tile
-    of every frame. A node's output goes to its slot: in the region, its
-    tile's part of a slot in the step arena, which every step reuses, or of
-    the region's whole output for the region's last node; past the region, a
-    slot in ``plan.rest``'s arena, allocated only once nothing holds the step
-    arena or the carried frames. A held node's slot is
-    a window that holds the frames it keeps before its tile: after the
-    node's turn the window takes the frames carried from the step before,
-    and the frames the next step keeps are carried on, so that readers that
-    lag it or reach across frames find them there. A 3-D layer in the region
-    reads its window, halo included, through its own ``kernels.Frames`` walk.
-    The tail nodes of ``chains`` (see _chains) run in place on their
-    producer's output right after its call, which writes into the chain's
-    last node's slot: the producer's own bytes when it has a slot, as the
-    chain runs in place there, or the region's output. A value is dropped
-    after its last reader (``graph.last_reads``) unless ``keep``. A region
-    node's tiles but its last tally into a ledger of its own that the last
-    one adds, with the weights' reads once, to ``ledger``.
+    of every frame. In the region a node's output goes to its tile's part of
+    its slot in the step arena, which every step reuses, or of the region's
+    whole output for the region's last node; past the region it goes where
+    its kernel puts it, once nothing holds the step arena or the carried
+    frames. A held node's slot is a window that holds the frames it keeps
+    before its tile: after the node's turn the window takes the frames
+    carried from the step before, and the frames the next step keeps are
+    carried on, so that readers that lag it or reach across frames find them
+    there. A 3-D layer in the region reads its window, halo included,
+    through its own ``kernels.Frames`` walk. The tail nodes of ``chains``
+    (see _chains) run in place on their producer's output right after its
+    call, which in the region writes into the chain's last node's slot: the
+    producer's own bytes when it has a slot, as the chain runs in place
+    there, or the region's output. A value is dropped after its last reader
+    (``graph.last_reads``) unless ``keep``. A region node's tiles but its
+    last tally into a ledger of its own that the last one adds, with the
+    weights' reads once, to ``ledger``.
     """
     region, frames, held, final = plan.region, plan.frames, plan.held, steps[-1][0]
     end, total = (steps[region - 1][0], clip.shape[1]) if region else (None, 1)
@@ -444,9 +438,11 @@ def _run(steps, inputs, shapes, plan, clip, ledger, chains, keep=False) -> dict:
     def size(node_id):  # the fp32 elements in one frame of a region node's output
         return math.prod(shapes[node_id][1]) // total
 
-    if region:
-        slots = _slots(plan.steps, {node_id: 4 * size(node_id) * hold
-                                    for node_id, hold in held.items()})
+    if region:  # a held node's slot starts with the window of frames it keeps
+        arena = kernels.empty(plan.steps.arena_bytes // 4)
+        slots = {node_id: arena[offset // 4 - size(node_id) * held.get(node_id, 0):
+                                (offset + nbytes) // 4]
+                 for node_id, (offset, nbytes) in plan.steps.slots.items()}
         slots[end] = kernels.empty(size(end) * total)
         carried = {node_id: kernels.empty(size(node_id) * hold) for node_id, hold in held.items()}
         # per region node: its walk and own ledger, for all its tiles
@@ -466,7 +462,6 @@ def _run(steps, inputs, shapes, plan, clip, ledger, chains, keep=False) -> dict:
 
     def run(k, nodes):
         """Run ``nodes`` on step ``k``'s tile of frames, or whole when k is None."""
-        take = slots.pop if k is None else slots.get
         # {value: index of its last reader}; a region value is read only in the region
         last = last_reads({node_id: inputs[node_id] for node_id, _, _ in nodes})
         for i, (node_id, spec, tensors) in enumerate(nodes):
@@ -478,10 +473,8 @@ def _run(steps, inputs, shapes, plan, clip, ledger, chains, keep=False) -> dict:
             s0 = 0 if k is None else (k - 1) * frames + plan.lags[node_id]  # the tile's first frame
             f0, f1 = max(s0, 0), total if k is None else min(s0 + frames, total)
             hold, n = held.get(result, 0), size(result)
-            # the chain's slot is its last node's; past the region the others'
-            # views would keep the arena alive
-            slot = [take(member, None) for member in members][-1]
-            if k is not None and slot is not None:
+            slot = slots.get(result)  # a chain writes into its last node's slot
+            if slot is not None:  # only the region's nodes have one
                 base = 0 if result == end else s0 - hold  # the frame at the slot's front
                 slot = slot[(f0 - base) * n:(f1 - base) * n]
             if f0 < f1:
@@ -514,8 +507,8 @@ def _run(steps, inputs, shapes, plan, clip, ledger, chains, keep=False) -> dict:
     if region:  # steps before 1 run only nodes that lead
         for k in range(1 - -(-max(plan.lags.values()) // frames), -(-total // frames) + 1):
             run(k, steps[:region])
-        # drop every reference into the step arena before the rest's arena is made
+        # free the step arena and the carried frames before the rest runs
         values, slots, carried, state = {end: _frames(slots[end], shapes[end][1])}, {}, {}, {}
-    slots = _slots(plan.rest)
+        del arena
     run(None, steps[region:])
     return values

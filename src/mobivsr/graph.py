@@ -17,9 +17,9 @@ applies them to a whole graph; the cost model and ``engine.run_graph`` both
 run it rather than checking shapes themselves. From those shapes and the
 reads, ``plan_tiles`` gives ``run_graph`` its schedule, which leading nodes
 run depth-first in tiles of frames and with what lag, and
-``plan_activations`` its static memory plans: where in an arena each node's
-output lives, for as long as ``last_reads`` says it is read, the lifetimes
-``run_graph`` frees values by.
+``plan_activations`` the static memory plan of those tiles: where in an
+arena each node's output lives, for as long as ``last_reads`` says it is
+read, the lifetimes ``run_graph`` frees values by.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class LayerKind:
     initialization order; ``output(spec, in_shape)`` gives the output shape
     once rank and leading extent have been checked. ``arena`` says where
     ``run_graph`` may put the output (see ``plan_activations``): None, where
-    the kernel allocates it; "slot", in a slot of the activation arena;
+    the kernel allocates it; "slot", in a slot of the step arena;
     "in_place", in such a slot, which may lie over an input that dies at the
     node when the output is no larger. ``reach(spec)`` is how many frames on
     either side of an output frame the input frames it reads lie, for a
@@ -481,8 +481,10 @@ class TilePlan:
     places every region output but the last, a tile's worth, in one arena
     that each step reuses, a held node's in a window of its held frames and
     then its tile; the region's last node keeps its whole output, the value
-    the rest reads. ``rest`` places the outputs past the region. Without a
-    region (``region`` 0) the whole graph runs on ``rest``.
+    the rest reads. No output past the region is planned: each goes where
+    its kernel puts it, and ``run_graph`` frees it after its last reader.
+    Without a region (``region`` 0) that holds for every node, and ``steps``
+    has no slots.
     """
 
     region: int
@@ -490,7 +492,6 @@ class TilePlan:
     lags: dict
     held: dict
     steps: ActivationPlan
-    rest: ActivationPlan
 
 
 def plan_tiles(graph: LayerGraph, shapes: dict, inputs: dict) -> TilePlan:
@@ -506,7 +507,8 @@ def plan_tiles(graph: LayerGraph, shapes: dict, inputs: dict) -> TilePlan:
     larger, whose whole output, which the rest reads, then takes no more
     than the input, live throughout; without such a cut, at the last cut of
     the run. A tile is as many frames of the region's widest value as fit in
-    _TILE_BYTES; a region no longer than one tile runs whole.
+    _TILE_BYTES; a region no longer than one tile runs whole, and a graph
+    without a region gets a plan of no slots.
 
     Lags run back from the region's last node: a node's lag is the largest
     of its readers' lag plus reach, so a reader finds every frame it reads
@@ -533,11 +535,8 @@ def plan_tiles(graph: LayerGraph, shapes: dict, inputs: dict) -> TilePlan:
                     break
             read_past = max(read_past, last_read.get(node_id, i))
     frames = max(_TILE_BYTES // (4 * cut_widest), 1) if region else 0
-    if region and frames >= clip[1]:
-        region = frames = 0
-    rest = plan_activations(graph, shapes, inputs, ids[region:-1])
-    if not region:
-        return TilePlan(0, 0, {}, {}, ActivationPlan({}, 0), rest)
+    if not region or frames >= clip[1]:
+        return TilePlan(0, 0, {}, {}, ActivationPlan({}, 0))
     inside = ids[:region]
     # per region value: (reader, frames it reads ahead, frames it reads behind)
     readers = {node_id: [] for node_id in inside}
@@ -558,4 +557,4 @@ def plan_tiles(graph: LayerGraph, shapes: dict, inputs: dict) -> TilePlan:
             for node_id in inside}
     steps = plan_activations(graph, tile, inputs, inside[:-1], {
         node_id: 4 * volume(shapes[node_id][1]) // clip[1] * hold for node_id, hold in held.items()})
-    return TilePlan(region, frames, lag, held, steps, rest)
+    return TilePlan(region, frames, lag, held, steps)

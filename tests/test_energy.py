@@ -79,6 +79,14 @@ def test_energy_table_invariants():
         EnergyTable(add_pj=-1.0)
     with pytest.raises(ValueError):
         CarbonFactor(mg_per_mj=0.0)
+    nan, inf = float("nan"), float("inf")
+    for field in ("add_pj", "multiply_pj", "dram_low_pj", "dram_default_pj", "dram_high_pj"):
+        for value in (nan, inf, -inf):
+            with pytest.raises(ValueError):
+                EnergyTable(**{field: value})
+    for value in (nan, inf, -inf):
+        with pytest.raises(ValueError):
+            CarbonFactor(value)
     with pytest.raises(ValueError):
         energy_per_inference(-1, 0)
     with pytest.raises(ValueError):

@@ -487,7 +487,9 @@ def test_the_regions_buffers_are_freed_before_the_rest_needs_their_memory(alpha,
     """When the first node past the tiled region calls forward_layer, the
     step arena and every carried-frame buffer kernels.empty made for the
     region are freed, and the region's output is freed by the first call
-    after its last reader: no tile, window or loop variable keeps them."""
+    after its last reader: no tile, window or loop variable keeps them. So
+    is every value made past the region: no arena or view holds it after
+    its last reader."""
     graph = build_mobivsr(alpha)
     bundle = init_weights(graph, seed=2)
     bundle = quantize_weights(bundle) if int8 else bundle
@@ -503,14 +505,18 @@ def test_the_regions_buffers_are_freed_before_the_rest_needs_their_memory(alpha,
     fused = {t for tails in _tails_of(graph).values() for t in tails}
     callers = [node_id for node_id in ids[plan.region:]
                if node_id not in fused and kinds[node_id].kind != "residual_add"]
-    after = next(i for i, node_id in enumerate(callers)
-                 if ids.index(node_id) > graph_module.last_reads(inputs)[end])
+    # so every value past the region is made by a call and its chain's tails
+    assert len(callers) == len([n for n in ids[plan.region:] if n not in fused])
+    last = graph_module.last_reads(inputs)
+    after = next(i for i, node_id in enumerate(callers) if ids.index(node_id) > last[end])
     # {index of a call past the region: element counts of buffers freed by then}
     freed = {0: [plan.steps.arena_bytes // 4, *(frame[node_id] * hold
                                                  for node_id, hold in plan.held.items())],
              after: [frame[end] * total]}
     region_specs = {id(spec) for _, spec in graph.nodes[:plan.region]}
     made, calls = {}, []  # {element count: weakrefs to the buffers made before the first call}
+    past_values = []  # (index of its last reader, weakref to its buffer) per value made past it
+    tails = _tails_of(graph)
     empty, forward_layer = kernels.empty, engine.forward_layer
 
     def recording_empty(shape, dtype=np.float32):
@@ -521,16 +527,26 @@ def test_the_regions_buffers_are_freed_before_the_rest_needs_their_memory(alpha,
 
     def layer(spec, v, weights, ledger=None):
         calls.append(id(spec) not in region_specs)
+        if not calls[-1]:
+            return forward_layer(spec, v, weights, ledger)
         past = calls.count(True) - 1
-        for size in freed.get(past, ()) if calls[-1] else ():
+        for size in freed.get(past, ()):
             assert made[size] and all(ref() is None for ref in made[size]), (past, size)
-        return forward_layer(spec, v, weights, ledger)
+        at = ids.index(callers[past])
+        alive = [ids[reader] for reader, ref in past_values if reader < at and ref() is not None]
+        assert not alive, (callers[past], alive)
+        out = forward_layer(spec, v, weights, ledger)
+        result = [callers[past], *tails.get(callers[past], ())][-1]
+        if result in last:  # the graph's output has no reader
+            past_values.append((last[result], weakref.ref(out if out.base is None else out.base)))
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "empty", recording_empty)
         mp.setattr(engine, "forward_layer", layer)
         run_graph(graph, bundle, x, counted=int8)
     assert calls.count(True) == len(callers) > after
+    assert len(past_values) == len(callers) - 1
 
 
 ELEMENTWISE = ("relu", "batchnorm")
@@ -1031,10 +1047,10 @@ def test_a_fused_pass_equals_the_unfused_pass(case):
     assert fused.ledger == plain.ledger
     whole = run_graph(graph, bundle, x, keep_outputs=True).output.as_array()
     assert np.abs(fused.output.as_array() - whole).max() <= 1e-5 * max(1.0, np.abs(whole).max())
+    slots = plan.steps.slots
     for producer, chain in tails.items():
-        for slots in (plan.steps.slots, plan.rest.slots):
-            if producer in slots and chain[-1] in slots:
-                assert slots[producer][0] == slots[chain[-1]][0]
+        if producer in slots and chain[-1] in slots:
+            assert slots[producer][0] == slots[chain[-1]][0]
 
 
 @pytest.mark.parametrize("dtype", ["fp32", "int8"])

@@ -362,14 +362,12 @@ def _plans(graph, shape=None):
 @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
 def test_the_mobivsr_arena_is_its_largest_activation(alpha):
     """The front end through s3's first block runs in tiles of 4 frames, and
-    each arena is no larger than the largest activation it holds: relu1's
-    window of a tile and the 2 frames before it for the region's steps, two
-    of s3's outputs for the rest, which runs from s3's second block to s4's
-    last relu (two of s4's at α=1, where s4 follows s3's one block). ds1's
-    chain writes its tile behind the 2 carried frames, ds3d2 writes over the
-    window from its front, and s1's first output lies in the window's
-    consumed frames. Whole layers would need an arena of all of ds3d1's
-    output."""
+    its step arena is no larger than the largest activation it holds, relu1's
+    window of a tile and the 2 frames before it; past the region nothing is
+    planned, as each value there is freed by its last reader. ds1's chain
+    writes its tile behind the 2 carried frames, ds3d2 writes over the window
+    from its front, and s1's first output lies in the window's consumed
+    frames. Whole layers would need an arena of all of ds3d1's output."""
     graph = build_mobivsr(alpha)
     whole, plan = _plans(graph)
     assert whole.arena_bytes == DS3D1_BYTES == 8_552_448
@@ -382,20 +380,15 @@ def test_the_mobivsr_arena_is_its_largest_activation(alpha):
     assert slots["frontend.ds3d1"] == slots["frontend.relu1"] == (2 * frame, 4 * frame)
     assert slots["frontend.ds3d2"] == slots["frontend.relu2"] == (0, 2 * frame)
     assert slots["s1.b1.ds1"] == (2 * frame, 2 * frame)
-    s3, s4 = 256 * 29 * 6 * 6 * 4, 512 * 29 * 3 * 3 * 4
-    assert plan.rest.arena_bytes == 2 * (s3 if alpha > 1 else s4)
-    planned = [node_id for node_id in ids if node_id in plan.rest.slots]
-    assert planned == ids[plan.region:plan.region + len(planned)]
-    assert planned[-1] == f"s4.b{alpha}.relu2"
+    assert set(slots) <= set(ids[:plan.region - 1])
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
 def test_every_mobivsr_slot_starts_a_multiple_of_64_bytes_in(alpha):
     """Every slot offset of the tile plan's step arena, a held node's window
-    included, and of the rest's arena is a multiple of 64 bytes, as is each
-    region value's frame, by which a tile's slot moves. That is why one
-    arena base on a cache line (``kernels.empty``) puts every slot and tile
-    on one too."""
+    included, is a multiple of 64 bytes, as is each region value's frame, by
+    which a tile's slot moves. That is why one arena base on a cache line
+    (``kernels.empty``) puts every slot and tile on one too."""
     graph = build_mobivsr(alpha)
     _, shapes = shape_infer(graph, graph.input_shape)
     plan = plan_tiles(graph, shapes, node_inputs(graph))
@@ -406,8 +399,6 @@ def test_every_mobivsr_slot_starts_a_multiple_of_64_bytes_in(alpha):
         assert offset % 64 == 0, node_id
         assert (offset - frame[node_id] * plan.held.get(node_id, 0)) % 64 == 0, node_id
     assert plan.held
-    for node_id, (offset, _) in plan.rest.slots.items():
-        assert offset % 64 == 0, node_id
 
 
 def test_ds3d2_writes_over_the_front_half_of_its_input():
@@ -470,11 +461,11 @@ def test_a_slim_mobivsr_tiles_up_to_the_first_cut_no_larger_than_its_clip():
 
 def test_no_region_without_frames_to_tile():
     """A rank-3 input has no time axis, and a clip no longer than one tile runs
-    whole: the rest's plan is then the whole graph's."""
+    whole: the plan then places no value, each freed by its last reader."""
     graph = LayerGraph(nodes=[("ds", LayerSpec("ds_conv2d", in_channels=2, out_channels=4,
                                                kernel_size=3)),
                               ("out", LayerSpec("relu"))])
     for shape in ((2, 5, 5), (2, 5, 5, 5)):
-        whole, plan = _plans(graph, shape)
+        plan = _plans(graph, shape)[1]
         assert (plan.region, plan.frames) == (0, 0)
-        assert plan.rest == whole
+        assert (plan.steps.slots, plan.steps.arena_bytes) == ({}, 0)
