@@ -39,26 +39,22 @@ caller.
 ``run_graph`` does, then the layer's weights and the value's rank, and
 leaves channel counts to the kernels.
 
-Fused tails. Once per pass ``run_graph`` reads which relu, batchnorm and
-residual_add nodes form a tail of the correlation before them (``_fused``),
-from ``graph.node_inputs`` and ``graph.last_reads`` alone, never from node
-ids: a tail node reads the previous node's value, which no other node
-reads, and a residual_add's addend must be made before the producer. Right
-after the producer's ``forward_layer`` call returns, the engine runs the
-tail in place on its whole output (``_tail``), the same fp32 ufuncs the
-elementwise kernels apply, in node order, so outputs and ledgers are the
-unfused pass's (these kinds tally nothing); batchnorm's scale and shift
-are computed once per node per pass. The gain is the dispatch these nodes
-no longer make: running the tail on each output block inside the kernel,
-while the block is in cache, measured no faster. In the region a chain
-writes into its last node's slot, which is the producer's own when the
-producer has one, as every tail node of it is planned in place over the
-value only it reads; a chain ending in the region's last node writes into
-the region's output. Past the region a chain runs on the output its
-producer's kernel made. Fused nodes make no ``forward_layer`` call, so a
-tracer that wraps it sees none of them. ``keep_outputs`` runs every node
-unfused. In MobiVSR-1 18 of the 40 nodes are tails, and MobiVSR-4 54 of its
-100.
+Fused tails. Once per pass ``run_graph`` takes the chains of relu,
+batchnorm and residual_add nodes it fuses from ``graph.fused_tails``, the
+rule ``plan_tiles`` cuts by too. Right after the head's call returns, its
+``forward_layer`` call or an unfused residual_add's ``kernels.add_array``,
+the engine runs the tail in place on the head's whole output (``_tail``),
+as the ``kernels.elementwise`` steps the elementwise kernels take, so
+outputs and ledgers are the unfused pass's (these kinds tally nothing).
+The gain is the dispatch these nodes no longer make: running the tail on
+each output block inside the kernel measured no faster. In the region a
+chain writes into its last node's slot, which is the head's own when the
+head has one, as every tail node of it is planned in place over the value
+only it reads; a chain ending in the region's last node writes into the
+region's output. Past the region a chain runs on the output its head's
+kernel made. Fused nodes make no ``forward_layer`` call, so a tracer that
+wraps it sees none of them. ``keep_outputs`` runs every node unfused. In
+MobiVSR-1 19 of the 40 nodes are tails, and MobiVSR-4 55 of its 100.
 
 int8 tensors are dequantized by the runner, for its call alone, so at most
 one layer's fp32 weights sit beside the activations; a region node's are
@@ -86,7 +82,6 @@ import numpy as np
 from . import kernels
 from .errors import ValidationError
 from .graph import (
-    _TAIL_KINDS,
     LAYER_KINDS,
     ActivationPlan,
     LayerGraph,
@@ -94,6 +89,7 @@ from .graph import (
     TilePlan,
     checked_weights,
     frames_read,
+    fused_tails,
     last_reads,
     layer_output_shape,
     node_inputs,
@@ -233,15 +229,12 @@ _RUNNERS = {
     "spatial_avg": lambda s, x, w, ledger: x.mean(axis=(-2, -1)),
     "temporal_avg": lambda s, x, w, ledger: x.mean(axis=-1),
 }
-# the kinds a chain of tail nodes can follow: the correlations
-_PRODUCERS = ("conv2d", "ds_conv2d", "conv3d", "ds_conv3d", "temporal_conv1d")
 # the in-place steps (ufunc, operand) of each kind that can run as a tail
 # (each of graph._TAIL_KINDS), from its spec and weights, once per pass; a
 # residual_add's step, adding its addend, is made per call
 _TAILS = {
-    "relu": lambda s, w: [(np.maximum, 0)],
-    "batchnorm": lambda s, w: kernels.batchnorm_steps(*(_array(w[name]) for name in _STATS),
-                                                      s.eps),
+    "relu": lambda s, w: kernels.RELU_STEPS,
+    "batchnorm": lambda s, w: kernels.batchnorm_steps(*(_array(w[n]) for n in _STATS), s.eps),
     "residual_add": lambda s, w: [],
 }
 
@@ -338,56 +331,29 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
         plan, chains = TilePlan(0, 0, {}, {}, ActivationPlan({}, 0)), {}
     else:
         plan = plan_tiles(graph, shapes, inputs)
-        chains = _chains(steps, inputs, _fused([spec.kind for _, spec, _ in steps], inputs))
+        chains = _chains(steps, inputs, fused_tails(graph, inputs))
     values = _run(steps, inputs, shapes, plan, value, ledger, chains, keep_outputs)
     values.pop(None, None)
     return RunResult(Tensor.from_array(values[steps[-1][0]]), ledger,
                      values if keep_outputs else None)
 
 
-def _fused(kinds, inputs: dict) -> dict:
-    """{producer id: [tail ids]}: the relu, batchnorm and residual_add nodes
-    (graph._TAIL_KINDS) that run in place on the output of the correlation
-    before them (see _tail), read off the node ``kinds`` (in node order),
-    ``graph.node_inputs``'s ``inputs`` and their last readers alone. A tail
-    node reads the previous node's value, which no other node reads, and a
-    residual_add's addend must be made before the producer. ``plan_tiles``
-    ends its region at no such node's input, so no chain crosses it."""
-    ids, last = list(inputs), last_reads(inputs)
-    order = {node_id: i for i, node_id in enumerate(ids)}
-    tails, head = {}, {}
-    for i in range(1, len(ids)):
-        prev, (x, addend) = ids[i - 1], inputs[ids[i]]
-        producer = head.get(prev, prev if kinds[i - 1] in _PRODUCERS else None)
-        if producer is None or kinds[i] not in _TAIL_KINDS or x != prev \
-                or last[prev] != i or (addend is not None and order[addend] >= order[producer]):
-            continue
-        head[ids[i]] = producer
-        tails.setdefault(producer, []).append(ids[i])
-    return tails
-
-
 def _chains(steps, inputs, tails) -> dict:
-    """{producer id: (its tail ids, [(steps, addend)] per tail)} for the
-    chains ``tails`` (see _fused) gives: each tail node's in-place steps, made
-    once per pass, and its addend (None but for a residual_add), read per
-    call."""
+    """{head id: (its tail ids, [(steps, addend)] per tail)} for the chains
+    ``tails`` (see graph.fused_tails) gives: each tail node's in-place steps,
+    made once per pass, and its addend (None but for a residual_add), read
+    per call."""
     specs = {node_id: (spec, tensors) for node_id, spec, tensors in steps}
-    return {producer: (chain, [(_TAILS[specs[t][0].kind](*specs[t]), inputs[t][1])
-                               for t in chain])
-            for producer, chain in tails.items()}
+    return {head: (chain, [(_TAILS[specs[t][0].kind](*specs[t]), inputs[t][1]) for t in chain])
+            for head, chain in tails.items()}
 
 
 def _tail(out, parts, read):
     """Run a chain's tail nodes, its ``parts`` (see _chains), in place on its
-    producer's output ``out``, in node order: ufunc(out, operand, out=out),
-    each residual_add's addend read by ``read``. Both are taken with their
-    axes reversed, so that a channel operand, which batchnorm's are,
-    broadcasts along axis 0 of ``out``."""
-    last = out.T
-    for steps, addend in parts:
-        for ufunc, operand in steps if addend is None else [(np.add, read(addend).T)]:
-            ufunc(last, operand, out=last)
+    head's output ``out``, in node order, as ``kernels.elementwise`` steps:
+    each residual_add's adds its addend, read by ``read``."""
+    kernels.elementwise(out, [step for steps, addend in parts for step in (
+        steps if addend is None else [(np.add, read(addend).T)])], out)
 
 
 def _frames(flat, shape) -> np.ndarray:
@@ -422,10 +388,10 @@ def _run(steps, inputs, shapes, plan, clip, ledger, chains, keep=False) -> dict:
     carried on, so that readers that lag it or reach across frames find them
     there. A 3-D layer in the region reads its window, halo included,
     through its own ``kernels.Frames`` walk. The tail nodes of ``chains``
-    (see _chains) run in place on their producer's output right after its
-    call, which in the region writes into the chain's last node's slot: the
-    producer's own bytes when it has a slot, as the chain runs in place
-    there, or the region's output. A value is dropped after its last reader
+    (see _chains) run in place on their head's output right after its call,
+    which in the region writes into the chain's last node's slot: the head's
+    own bytes when it has a slot, as the chain runs in place there, or the
+    region's output. A value is dropped after its last reader
     (``graph.last_reads``) unless ``keep``. A region node's tiles but its
     last tally into a ledger of its own that the last one adds, with the
     weights' reads once, to ``ledger``.
@@ -490,7 +456,7 @@ def _run(steps, inputs, shapes, plan, clip, ledger, chains, keep=False) -> dict:
                     out = forward_layer(
                         spec, read(k, x, f0 - behind, f1 + ahead),
                         _Slotted(tensors, slot, walk, carry), ledger if f1 == total else own)
-                    _tail(out, parts, lambda value: read(k, value, f0, f1))
+                _tail(out, parts, lambda value: read(k, value, f0, f1))
                 if hold or result == end:
                     _put(slot, shapes[result][1], out)
                 elif keep or result in last or result == final:

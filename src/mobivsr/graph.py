@@ -224,6 +224,18 @@ class LayerSpec:
 _OPTIONAL_FIELDS = tuple((f.name, f.default) for f in fields(LayerSpec) if f.name != "kind")
 
 
+def _pairs(name, items, form, second=object):
+    """``items``, once it is a list or tuple of pairs whose second item is a
+    ``second``; else a GraphValidationError naming ``name`` or the first item
+    that is no ``form`` pair (a str such as "ab" is no edge)."""
+    if not isinstance(items, (list, tuple)):
+        raise GraphValidationError(f"{name} must be a list, got {type(items).__name__}")
+    for item in items:
+        if not isinstance(item, (list, tuple)) or len(item) != 2 or not isinstance(item[1], second):
+            raise GraphValidationError(f"{name} holds {item!r}, which is no {form} pair")
+    return items
+
+
 @dataclass
 class LayerGraph:
     """Ordered layers plus residual edges; optionally a default input shape."""
@@ -234,8 +246,10 @@ class LayerGraph:
     input_shape: tuple | None = None
 
     def __post_init__(self):
-        self.nodes = [(str(i), s) for i, s in self.nodes]
-        self.residual_edges = [(str(a), str(b)) for a, b in self.residual_edges]
+        self.nodes = [(str(i), s) for i, s in _pairs("nodes", self.nodes, "(id, LayerSpec)",
+                                                     LayerSpec)]
+        self.residual_edges = [(str(a), str(b)) for a, b in _pairs(
+            "residual_edges", self.residual_edges, "(source, target)")]
         if not isinstance(self.channel_plan, str):
             raise ValueError(f"channel_plan must be a string, got {self.channel_plan!r}")
         if self.input_shape is not None:
@@ -447,10 +461,29 @@ def frames_read(spec: LayerSpec) -> tuple:
     return ahead, ahead if kind.behind is None else kind.behind(spec)
 
 
-# the kinds run_graph may run in place on the output of the correlation
-# before them, as its tail (engine._TAILS); a tiled region never ends between
-# such a node and the value only it reads
+# the kinds that may join the chain of the node before them (fused_tails)
 _TAIL_KINDS = ("relu", "batchnorm", "residual_add")
+
+
+def fused_tails(graph: LayerGraph, inputs: dict) -> dict:
+    """{head id: [tail ids]}: the chains ``run_graph`` fuses, from the node
+    kinds and ``node_inputs``'s reads alone. A relu, batchnorm or
+    residual_add joins the chain of the node before it when it reads that
+    node's value, which no other node reads; a residual_add's addend must be
+    made before the chain's head. Any kind may head a chain, as every runner,
+    and ``kernels.add_array`` for an unfused residual_add, returns a buffer
+    the engine owns, never a view of its input."""
+    ids, last, tails, head = list(inputs), last_reads(inputs), {}, {}
+    for i in range(1, len(ids)):
+        prev, (x, addend) = ids[i - 1], inputs[ids[i]]
+        first = head.get(prev, prev)
+        # an addend made before the chain's head is no member of the chain
+        if graph.nodes[i][1].kind in _TAIL_KINDS and x == prev and last[prev] == i \
+                and (addend is None or head.get(addend, addend) != first):
+            head[ids[i]] = first
+            tails.setdefault(first, []).append(ids[i])
+    return tails
+
 
 # fp32 bytes a tile of a region's widest value may take, which fixes the
 # frames per tile: 4 of MobiVSR's ds3d1 output. The step arena grows by a
@@ -500,14 +533,13 @@ def plan_tiles(graph: LayerGraph, shapes: dict, inputs: dict) -> TilePlan:
 
     The region is a run of leading nodes, on a rank-4 (C, L, H, W) input,
     whose values all keep rank 4 and L frames. It ends at a cut: a node whose
-    value is the only one read past it, and which is not followed by a
-    relu, batchnorm or residual_add reading that value alone, so that no
-    chain of tails ``run_graph`` fuses is split. Once some value is larger
-    than the input, the region ends at the first cut whose value is no
-    larger, whose whole output, which the rest reads, then takes no more
-    than the input, live throughout; without such a cut, at the last cut of
-    the run. A tile is as many frames of the region's widest value as fit in
-    _TILE_BYTES; a region no longer than one tile runs whole, and a graph
+    value is the only one read past it, and which no tail of a chain
+    (``fused_tails``) follows, so that no fused chain is split. Once some
+    value is larger than the input, the region ends at the first cut whose
+    value is no larger, whose whole output, which the rest reads, then takes
+    no more than the input, live throughout; without such a cut, at the last
+    cut of the run. A tile is as many frames of the region's widest value as
+    fit in _TILE_BYTES; a region no longer than one tile runs whole, and a graph
     without a region gets a plan of no slots.
 
     Lags run back from the region's last node: a node's lag is the largest
@@ -521,15 +553,14 @@ def plan_tiles(graph: LayerGraph, shapes: dict, inputs: dict) -> TilePlan:
     clip = shapes[ids[0]][0]
     region = widest = cut_widest = 0
     if len(clip) == 4:
+        tails = {t for chain in fused_tails(graph, inputs).values() for t in chain}
         read_past = 0  # the last reader of any value before node i
-        for i, node_id in enumerate(ids):
+        for i, (node_id, after) in enumerate(zip(ids, ids[1:] + [None])):
             in_shape, out_shape = shapes[node_id]
             if len(in_shape) != 4 or len(out_shape) != 4 or out_shape[1] != clip[1]:
                 break
             widest = max(widest, volume(out_shape) // clip[1])
-            tail = i + 1 < len(ids) and kinds[ids[i + 1]].kind in _TAIL_KINDS \
-                and inputs[ids[i + 1]][0] == node_id and last_read[node_id] == i + 1
-            if read_past <= i and not tail and widest * clip[1] > volume(clip):
+            if read_past <= i and after not in tails and widest * clip[1] > volume(clip):
                 region, cut_widest = i + 1, widest
                 if volume(out_shape) <= volume(clip):
                     break

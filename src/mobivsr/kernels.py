@@ -84,13 +84,11 @@ size.
   padding, so across the calls each mid row and each output frame is
   computed once. Each call tallies its own rows and the weights once.
 
-``batchnorm_array`` lays any input out channels last (which copies nothing
-for a kernel's channels-last output) and works on (rows, W*C) against
-scale and shift tiled to W*C, with the shift added in place: the same fp32
-operations as the broadcast form, so bit-identical to it, with one
-activation-sized temporary fewer. Relu and residual adds
-(``add_array``) keep the input's memory order, so each layer's move to
-channels last is a view, and its phases are contiguous copies.
+Relu, batchnorm and residual adds, and the engine's fused tails, run as
+``elementwise`` steps: batchnorm's are the broadcast form's fp32 multiply
+and add, so bit-identical to it, with no activation-sized temporary. Their
+output keeps the input's memory order, so each layer's move to channels
+last is a view, and its phases are contiguous copies.
 
 Every kernel that ``run_graph``'s activation plan gives a slot takes
 ``out=``, a contiguous 1-D fp32 buffer of the output's size, and returns a
@@ -637,54 +635,49 @@ def maxpool1d_array(x, window, stride):
     return out
 
 
-def _like(out, x):
-    """The flat fp32 buffer ``out`` as an array of x's shape whose axes lie in
-    memory in x's order, so an elementwise result keeps x's layout and, when
-    out holds x itself, lands on each element's own bytes."""
-    _check_out(out, x.size)
-    order = sorted(range(x.ndim), key=lambda axis: -x.strides[axis])  # outermost first
-    return out.reshape([x.shape[axis] for axis in order]).transpose(np.argsort(order))
+def elementwise(x, steps, out=None):
+    """Apply ``steps``, (ufunc, operand) pairs, to x with its axes reversed,
+    so that a channel operand (C,) broadcasts along x's leading axis: the
+    first from x into ``out``, each later one in place there. ``out`` is x,
+    a contiguous 1-D fp32 buffer of x's size (x's own bytes too) laid out
+    in x's memory order, or None for a fresh one."""
+    if out is not x:
+        flat = empty(x.size) if out is None else out
+        _check_out(flat, x.size)
+        order = sorted(range(x.ndim), key=lambda axis: -x.strides[axis])  # outermost first
+        out = flat.reshape([x.shape[axis] for axis in order]).transpose(np.argsort(order))
+    for k, (ufunc, operand) in enumerate(steps):
+        ufunc((out if k else x).T, operand, out=out.T)
+    return out
+
+
+RELU_STEPS = ((np.maximum, 0),)
 
 
 def relu_array(x, out=None):
-    """max(x, 0), written into ``out`` (see _like) when given; out may be x's own buffer."""
-    return np.maximum(x, 0, out=None if out is None else _like(out, x))
+    """max(x, 0) in x's memory order (see elementwise)."""
+    return elementwise(x, RELU_STEPS, out)
 
 
 def add_array(x, y, out=None):
-    """x + y in fp32 and x's memory order, written into ``out`` (see _like)
-    when given; out may be x's own buffer."""
-    return np.add(x, y, out=_like(empty(x.size) if out is None else out, x))
+    """x + y in fp32 and x's memory order (see elementwise)."""
+    return elementwise(x, [(np.add, y.T)], out)
 
 
 def batchnorm_steps(mean, var, gamma, beta, eps=1e-5) -> list:
-    """Inference-time normalization as two elementwise steps (ufunc, channel
-    operand): multiply by each channel's scale, then add its shift. The
-    engine runs them in place on a correlation's output when the batchnorm
-    is fused into it."""
+    """Inference-time normalization as elementwise steps (ufunc, channel
+    operand): multiply by each channel's scale, then add its shift."""
     scale = gamma / np.sqrt(var + eps)
     return [(np.multiply, scale), (np.add, beta - mean * scale)]
 
 
 def batchnorm_array(x, mean, var, gamma, beta, eps=1e-5, out=None):
-    """Inference-time normalization over the leading channel axis, written
-    channels last into ``out`` (a contiguous 1-D fp32 buffer of x's size)
-    when given; out may be x's own buffer."""
+    """Inference-time normalization over the leading channel axis, in x's
+    memory order (see elementwise)."""
     if x.shape[0] != mean.shape[0]:
         raise DimensionMismatch("channel", mean.shape[0], x.shape[0],
                                 "batchnorm input vs statistics")
-    (_, scale), (_, shift) = batchnorm_steps(mean, var, gamma, beta, eps)
-    # channels last, copied only when not already; numpy's inner loop then
-    # spans a whole (W*C) row, not the C channels. A rank-1 input is one row.
-    last = np.ascontiguousarray(x.transpose(*range(1, x.ndim), 0))
-    width = x.shape[-1] if x.ndim > 1 else 1
-    rows = last.reshape(-1, width * len(scale))
-    if out is not None:
-        _check_out(out, x.size)
-        out = out.reshape(rows.shape)
-    out = np.multiply(rows, np.tile(scale, width), out=out)
-    out += np.tile(shift, width)
-    return out.reshape(last.shape).transpose(x.ndim - 1, *range(x.ndim - 1))
+    return elementwise(x, batchnorm_steps(mean, var, gamma, beta, eps), out)
 
 
 def softmax_array(x):

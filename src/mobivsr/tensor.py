@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .graph import is_int
+from .graph import is_int, is_real
 
 
 def _real_array(value, what: str) -> np.ndarray:
@@ -38,8 +38,11 @@ class QuantParams:
     zero_point: int
 
     def __post_init__(self):
-        if not 0 < self.scale < math.inf:
-            raise ValueError(f"quantization scale must be positive and finite, got {self.scale}")
+        # NaN fails the bounds; bool is an int subclass, but True is no zero point
+        if not is_real(self.scale) or not 0 < self.scale < math.inf:
+            raise ValueError(f"quantization scale must be positive and finite, got {self.scale!r}")
+        if isinstance(self.zero_point, bool) or not isinstance(self.zero_point, (int, np.integer)):
+            raise ValueError(f"zero_point must be an int, got {self.zero_point!r}")
         if not -(2**31) <= self.zero_point < 2**31:
             raise ValueError(f"zero_point {self.zero_point} does not fit in int32")
 

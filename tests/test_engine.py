@@ -843,16 +843,16 @@ def test_every_costed_node_counts_its_exact_closed_forms(case):
 
 
 def _tails_of(graph) -> dict:
-    """{producer id: [tail ids]}: the nodes run_graph runs in place on a
-    correlation's output, right after its call."""
-    return engine._fused([spec.kind for _, spec in graph.nodes], node_inputs(graph))
+    """{head id: [tail ids]}: the nodes run_graph runs in place on a node's
+    output, right after its call."""
+    return graph_module.fused_tails(graph, node_inputs(graph))
 
 
 @contextlib.contextmanager
 def _unfused():
     """run_graph with no node fused while the context is open."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_fused", lambda kinds, inputs: {})
+        mp.setattr(engine, "fused_tails", lambda graph, inputs: {})
         yield
 
 
@@ -880,13 +880,14 @@ def _chain_graph(edges):
 
 @pytest.mark.parametrize("edges,tails", [
     ([], {"n1": ["n2", "n3"]}),
-    ([("n1", "n3")], {}),  # n1's value has a second reader: n3
-    ([("n0", "n2")], {}),  # n2 reads n0, not the value before it
+    ([("n1", "n3")], {"n2": ["n3"]}),  # n1's value has a second reader: n3
+    ([("n0", "n2")], {"n2": ["n3"]}),  # n2 reads n0, not the value before it
 ])
 def test_a_producer_whose_value_has_a_second_reader_is_not_fused(edges, tails):
     """A tail node reads the value just before it, which nothing else reads:
-    a relu or batchnorm after a correlation whose value another node also
-    reads runs on its own, and the pass equals an unfused one bit for bit,
+    a batchnorm after a correlation whose value another node also reads, or
+    that reads another value, runs on its own, and heads a chain of its own
+    with the node after it; the pass equals an unfused one bit for bit,
     ledger included."""
     graph, bundle, x = _chain_graph(edges)
     assert _tails_of(graph) == tails
@@ -895,7 +896,10 @@ def test_a_producer_whose_value_has_a_second_reader_is_not_fused(edges, tails):
         plain, plain_calls = _layer_calls(graph, bundle, x, counted=True)
     assert _bits(got.output.as_array()) == _bits(plain.output.as_array())
     assert got.ledger == plain.ledger
-    assert calls == plain_calls - sum(map(len, tails.values()))
+    # a residual_add makes no forward_layer call, fused or not
+    kinds = dict(graph.nodes)
+    assert calls == plain_calls - sum(kinds[t].kind != "residual_add"
+                                      for chain in tails.values() for t in chain)
 
 
 @pytest.mark.parametrize("source,tails", [
@@ -926,7 +930,7 @@ def test_renaming_every_node_leaves_the_fused_set_and_the_output_unchanged():
                          input_shape=graph.input_shape)
     bundle = {names[node_id]: tensors for node_id, tensors in BUNDLES["alpha1"].items()}
     tails = _tails_of(graph)
-    assert sum(map(len, tails.values())) == 18
+    assert sum(map(len, tails.values())) == 19
     assert _tails_of(renamed) == {names[p]: [names[t] for t in chain] for p, chain in tails.items()}
     assert _bits(run_graph(renamed, bundle, INPUTS["alpha1"]).output.as_array()) \
         == _bits(OUTPUTS["alpha1"])
@@ -952,10 +956,16 @@ def test_keep_outputs_runs_and_returns_every_node_fused_ones_included():
 
 _CONV3 = {"in_channels": 3, "out_channels": 3, "kernel_size": 3}
 _RELU = LayerSpec("relu")
-# per producer: the node before it, whose value the tail's add adds; the
-# producer, a stride-1 same correlation of 3 channels; the input's shape; and
-# the frames of a tile (0: whole layers). The tiled case's first node widens
-# the clip, so that its graph has a region.
+_WIDEN = LayerSpec("conv3d", in_channels=2, out_channels=3, kernel_size=1, temporal_size=1)
+# per head: the node before it, whose value the tail's add adds (None: the
+# head reads the graph input, and its tail has no add); the head, a stride-1
+# same correlation of 3 channels or a kind that is none; the input's shape;
+# the frames of a tile (0: whole layers); and maybe a side node, which reads
+# the node before the head and makes the add's addend in the head's shape,
+# the head then reading that node through an edge. A residual_add head adds
+# the node before it to itself, so that value has a second reader and the
+# head is no tail of it. The tiled cases' first node widens the clip, so
+# that their graphs have a region.
 TAIL_PRODUCERS = {
     "conv2d": (_RELU, LayerSpec("conv2d", **_CONV3), (3, 6, 6), 0),
     "conv2d per frame": (_RELU, LayerSpec("conv2d", **_CONV3), (3, 5, 6, 6), 0),
@@ -966,22 +976,40 @@ TAIL_PRODUCERS = {
     "ds_conv3d full": (_RELU, LayerSpec("ds_conv3d", **_CONV3, temporal_size=3,
                                         pointwise_mode="full"), (3, 5, 6, 6), 0),
     "temporal_conv1d": (_RELU, LayerSpec("temporal_conv1d", **_CONV3), (3, 7), 0),
-    "ds_conv3d tiled": (LayerSpec("conv3d", in_channels=2, out_channels=3, kernel_size=1,
-                                  temporal_size=1),
-                        LayerSpec("ds_conv3d", **_CONV3, temporal_size=3), (2, 9, 6, 6), 2),
+    "ds_conv3d tiled": (_WIDEN, LayerSpec("ds_conv3d", **_CONV3, temporal_size=3),
+                        (2, 9, 6, 6), 2),
+    "fc": (_RELU, LayerSpec("fc", in_features=3, out_features=3), (3,), 0),
+    "maxpool": (_RELU, LayerSpec("maxpool", window=2), (3, 8), 0, LayerSpec("maxpool", window=2)),
+    "spatial_avg": (_RELU, LayerSpec("spatial_avg"), (3, 5, 6, 6), 0, LayerSpec("spatial_avg")),
+    "relu on the graph input": (None, _RELU, (3, 6, 6), 0),
+    "residual_add": (_RELU, LayerSpec("residual_add"), (3, 5, 6, 6), 0),
+    "residual_add tiled": (_WIDEN, LayerSpec("residual_add"), (2, 9, 6, 6), 2),
 }
+
+
+def _tail_graph(name):
+    """The graph of TAIL_PRODUCERS[name], whose head is node "conv", and the
+    chain its head leads: a batchnorm, a relu and, after a stem, an add."""
+    stem, spec, shape, _, *side = TAIL_PRODUCERS[name]
+    chain = ["bn", "act", "add"] if stem else ["bn", "act"]
+    nodes = [("stem", stem)] if stem else []
+    nodes += [("side", node) for node in side]
+    nodes += [("conv", spec), ("bn", LayerSpec("batchnorm", in_channels=3)), ("act", _RELU)]
+    edges = [("stem", "conv")] if side or spec.kind == "residual_add" else []
+    if stem:
+        nodes.append(("add", LayerSpec("residual_add")))
+        edges.append(("side" if side else "stem", "add"))
+    return LayerGraph(nodes=nodes, residual_edges=edges, input_shape=shape), chain
 
 
 @pytest.mark.parametrize("name", TAIL_PRODUCERS)
 def test_a_batchnorm_relu_add_tail_equals_the_unfused_pass_after_each_producer(name):
-    """A batchnorm, a relu and a residual_add after each kind of correlation
-    run as its tail, in place on its output after its call, and the counted
-    pass equals the unfused one bit for bit, ledger included; the last case
-    runs the chain in tiles of 2 frames."""
-    stem, spec, shape, frames = TAIL_PRODUCERS[name]
-    nodes = [("stem", stem), ("conv", spec), ("bn", LayerSpec("batchnorm", in_channels=3)),
-             ("act", _RELU), ("add", LayerSpec("residual_add"))]
-    graph = LayerGraph(nodes=nodes, residual_edges=[("stem", "add")], input_shape=shape)
+    """A batchnorm, a relu and a residual_add after each kind of head, a
+    correlation or not, run as its tail, in place on its output after its
+    call, and the counted pass equals the unfused one bit for bit, ledger
+    included; the tiled cases run the chain in tiles of 2 frames."""
+    _, _, shape, frames, *_ = TAIL_PRODUCERS[name]
+    graph, chain = _tail_graph(name)
     g = np.random.default_rng(6)
     bundle = init_weights(graph, seed=5)
     stats = g.uniform(0.5, 1.5, size=(4, 3)).astype(np.float32)
@@ -994,7 +1022,7 @@ def test_a_batchnorm_relu_add_tail_equals_the_unfused_pass_after_each_producer(n
     with _tiles_of(frames, shapes) if frames else contextlib.nullcontext():
         plan = plan_tiles(graph, shapes, node_inputs(graph))
         assert (plan.region > 0, plan.frames) == (bool(frames), frames)
-        assert _tails_of(graph) == {"conv": ["bn", "act", "add"]}
+        assert _tails_of(graph) == {"conv": chain}
         fused = run_graph(graph, bundle, x, counted=True)
         with _unfused():
             plain = run_graph(graph, bundle, x, counted=True)
@@ -1002,7 +1030,27 @@ def test_a_batchnorm_relu_add_tail_equals_the_unfused_pass_after_each_producer(n
     assert fused.ledger == plain.ledger
 
 
-@pytest.mark.parametrize("alpha,calls", [(1, 92), (4, 200)])
+@pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+def test_mobivsr_fuses_the_head_relu_into_the_fc_before_it(alpha):
+    """head.relu runs as head.fc1's tail: an fc may head a chain."""
+    assert _tails_of(build_mobivsr(alpha))["head.fc1"] == ["head.relu"]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.one_of(elementwise_graphs().map(lambda case: (*case, None)), tiled_graphs()))
+def test_no_region_ends_inside_a_chain(case):
+    """plan_tiles cuts by fused_tails' chains: a chain's head and its last
+    tail lie both inside the region or both past it, at any tile size."""
+    graph, _, x, frames = case
+    _, shapes = shape_infer(graph, x.shape)
+    ids = [node_id for node_id, _ in graph.nodes]
+    with _tiles_of(frames, shapes) if frames else contextlib.nullcontext():
+        region = plan_tiles(graph, shapes, node_inputs(graph)).region
+    for head, chain in _tails_of(graph).items():
+        assert (ids.index(head) < region) == (ids.index(chain[-1]) < region), (head, chain)
+
+
+@pytest.mark.parametrize("alpha,calls", [(1, 91), (4, 199)])
 def test_a_mobivsr_pass_calls_forward_layer_once_per_unfused_node_and_tile(alpha, calls):
     """A pass makes one forward_layer call per node that is neither a fused
     tail nor a residual_add, per step it runs in: each tile its frames,

@@ -341,6 +341,40 @@ def test_graph_rejects_a_residual_add_as_its_first_node():
     assert exc.value.node_id == "add"
 
 
+_RELU = LayerSpec("relu")
+
+
+@pytest.mark.parametrize("nodes,edges,named", [
+    ([("a", "relu")], [], "('a', 'relu')"),  # a spec given as its kind
+    ([("a", {"kind": "relu"})], [], "{'kind': 'relu'}"),  # or as its dict
+    ([("a", _RELU, 1)], [], "('a', LayerSpec"),
+    (["ab"], [], "'ab'"),
+    ([_RELU], [], "LayerSpec(kind='relu'"),
+    (None, [], "nodes must be a list, got NoneType"),
+    ({"a": _RELU}, [], "nodes must be a list, got dict"),
+    ([("a", _RELU), ("b", _RELU)], ["ab"], "'ab'"),  # a str is no edge
+    ([("a", _RELU), ("b", _RELU)], [("a", "b", "c")], "('a', 'b', 'c')"),
+    ([("a", _RELU), ("b", _RELU)], [("a", "b"), 3], "3"),
+    ([("a", _RELU)], None, "residual_edges must be a list, got NoneType"),
+])
+def test_a_malformed_graph_is_refused_when_it_is_made(nodes, edges, named):
+    """A node that is no (id, LayerSpec) pair, an edge that is no pair of
+    ids, and nodes or edges that are no list end in a GraphValidationError
+    naming them when the LayerGraph is made, before shape_infer, run_graph,
+    aggregate or serialize_graph could meet them."""
+    with pytest.raises(GraphValidationError) as exc:
+        LayerGraph(nodes=nodes, residual_edges=edges)
+    assert named in str(exc.value)
+
+
+def test_a_graph_takes_nodes_and_edges_as_lists_or_tuples():
+    graph = LayerGraph(nodes=(["a", _RELU], ("b", LayerSpec("residual_add"))),
+                       residual_edges=(["a", "b"],))
+    assert graph.nodes == [("a", _RELU), ("b", LayerSpec("residual_add"))]
+    assert graph.residual_edges == [("a", "b")]
+    assert shape_infer(graph, (2, 3))[0] == (2, 3)
+
+
 def test_spatial_avg_on_a_rank_2_shape_names_the_accepted_ranks():
     with pytest.raises(DimensionMismatch, match="expected >= 3, got 2") as exc:
         layer_output_shape(LayerSpec("spatial_avg"), (4, 5))

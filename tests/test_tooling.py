@@ -1,11 +1,14 @@
-"""The test settings must let a failing test report itself."""
+"""The test settings must let a failing test report itself, and the
+project's tools count what they say they count."""
 
+import importlib.util
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
+ROOT = Path(__file__).parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 FAILING = '''
 from hypothesis import given, strategies as st
@@ -30,3 +33,34 @@ def test_a_failing_hypothesis_test_prints_its_falsifying_example(tmp_path):
     assert run.returncode == 1, output
     assert "Falsifying example" in output
     assert "INTERNALERROR" not in output
+
+
+COUNTED = '''"""A module docstring
+over two lines."""
+
+import math  # a code line with a comment
+
+# a comment line
+
+
+class Box:
+    """A class docstring."""
+
+    size = (1,
+            2)
+
+    def area(self):
+        """A function docstring."""
+        text = """a string
+        that is code"""
+        return math.prod(self.size), text
+'''
+
+
+def test_code_lines_leaves_out_blank_comment_and_docstring_lines():
+    """tools/code_lines.py counts every line a token other than a comment is
+    on, a multi-line string's included, but no docstring line: 8 here."""
+    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.code_lines(COUNTED) == 8
