@@ -58,7 +58,6 @@ from .graph import (
     LayerSpec,
     TilePlan,
     layer_output_shape,
-    node_inputs,
     plan_activations,
     plan_tiles,
     shape_infer,

@@ -2,13 +2,13 @@
 
 Each layer kind but ``residual_add`` has one runner in ``_RUNNERS``, which
 ``forward_layer`` dispatches to; the engine holds no shape rule of its own.
-``run_graph`` checks, then runs. Its check pass calls ``graph.shape_infer``
-on the input value's shape, which validates the graph and every node's input
-shape, and ``graph.checked_weights`` on every node's weights, with a weight
-given as an array held to the input's value rule, so a bad input or weight
-tensor fails naming its node before any kernel runs. Those shapes and
-``graph.node_inputs``'s reads then give ``graph.plan_tiles`` its schedule,
-so no plan infers shapes again.
+``run_graph`` checks, then runs. A ``LayerGraph`` was checked when it was
+made, so its check pass calls ``graph.shape_infer`` on the input value's
+shape, which checks every node's input shape, and ``graph.checked_weights``
+on every node's weights, with a weight given as an array held to the input's
+value rule, so a bad input or weight tensor fails naming its node before any
+kernel runs. Those shapes and the graph's reads (``LayerGraph.inputs``) then
+give ``graph.plan_tiles`` its schedule, so no plan infers shapes again.
 
 ``run_graph`` is one interpreter loop (``_run``) over the ``TilePlan``
 ``graph.plan_tiles`` makes: each step runs one tile of frames through the
@@ -92,7 +92,6 @@ from .graph import (
     fused_tails,
     last_reads,
     layer_output_shape,
-    node_inputs,
     plan_tiles,
     shape_infer,
     weight_shapes,
@@ -298,12 +297,12 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
     ``weights`` is the {node id: {name: Tensor}} bundle. Before the first
     kernel runs, the input must be an array of real numbers, all finite in
     fp32, and ``weights`` a dict (ValidationError naming the input or the
-    weights); ``shape_infer`` checks the graph and the input value's shape
-    against every node (GraphValidationError naming the node, or
-    ValidationError for a shape that is not all positive extents), and every
-    node's weights are checked, those given as arrays by the input's rule
-    (ValidationError naming the node and the tensor). With ``counted`` a
-    single ledger accumulates over all layers.
+    weights); ``shape_infer`` checks the input value's shape against every
+    node (GraphValidationError naming the node, or ValidationError for a
+    shape that is not all positive extents), and every node's weights are
+    checked, those given as arrays by the input's rule (ValidationError
+    naming the node and the tensor). The graph itself was checked when it
+    was made. With ``counted`` a single ledger accumulates over all layers.
 
     The graph runs as ``plan_tiles`` schedules it: its leading region, if it
     has one, depth-first in tiles of frames, then the rest whole. A region
@@ -322,7 +321,6 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
         raise ValidationError("run_graph weights must be a {node id: {name: Tensor}} dict, "
                               f"got {type(weights).__name__}")
     _, shapes = shape_infer(graph, value.shape)
-    inputs = node_inputs(graph)
     # check every node first: (id, spec, checked weights)
     steps = [(node_id, spec, _checked(spec, weights.get(node_id), f"node {node_id!r}"))
              for node_id, spec in graph.nodes]
@@ -330,9 +328,9 @@ def run_graph(graph: LayerGraph, weights: dict, input, counted: bool = False,
     if keep_outputs:  # every node runs whole and unfused, and every value is kept
         plan, chains = TilePlan(0, 0, {}, {}, ActivationPlan({}, 0)), {}
     else:
-        plan = plan_tiles(graph, shapes, inputs)
-        chains = _chains(steps, inputs, fused_tails(graph, inputs))
-    values = _run(steps, inputs, shapes, plan, value, ledger, chains, keep_outputs)
+        plan = plan_tiles(graph, shapes)
+        chains = _chains(steps, graph.inputs, fused_tails(graph))
+    values = _run(steps, graph.inputs, shapes, plan, value, ledger, chains, keep_outputs)
     values.pop(None, None)
     return RunResult(Tensor.from_array(values[steps[-1][0]]), ledger,
                      values if keep_outputs else None)

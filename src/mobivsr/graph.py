@@ -9,8 +9,10 @@ two edge-driven exceptions:
   source (a tap, used for skip-path convolutions).
 
 Edges always point forward in node order, so graphs are acyclic by
-construction. The edge rule above is coded once, in ``node_inputs``, which
-gives every node's reads; ``shape_infer`` and the plans all walk them.
+construction. A ``LayerGraph`` is frozen and checked once, when it is made:
+``LayerGraph.validate`` checks the edges and codes the edge rule above, the
+one place it lives, into the graph's ``inputs``, every node's reads.
+``shape_infer`` and the plans all walk them, and check nothing again.
 
 Every layer shape rule lives here, in ``LAYER_KINDS``. ``shape_infer``
 applies them to a whole graph; the cost model and ``engine.run_graph`` both
@@ -236,26 +238,40 @@ def _pairs(name, items, form, second=object):
     return items
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerGraph:
-    """Ordered layers plus residual edges; optionally a default input shape."""
+    """Ordered layers plus residual edges; optionally a default input shape.
 
-    nodes: list = field(default_factory=list)
-    residual_edges: list = field(default_factory=list)
+    A graph is frozen and checked when it is made: ``nodes`` and
+    ``residual_edges`` become tuples, and a graph that breaks a form rule
+    (ValueError) or the edge rules (GraphValidationError, from ``validate``)
+    is never made. ``inputs`` holds every node's reads, {node id: (input,
+    addend)} in node order: the id of the node whose output the node reads
+    (None: the graph's input) and, for a residual_add, the edge source it
+    adds (else None).
+    """
+
+    nodes: tuple = ()
+    residual_edges: tuple = ()
     channel_plan: str = "custom"
     input_shape: tuple | None = None
+    inputs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.nodes = [(str(i), s) for i, s in _pairs("nodes", self.nodes, "(id, LayerSpec)",
-                                                     LayerSpec)]
-        self.residual_edges = [(str(a), str(b)) for a, b in _pairs(
-            "residual_edges", self.residual_edges, "(source, target)")]
+        object.__setattr__(self, "nodes", tuple(
+            (str(i), s) for i, s in _pairs("nodes", self.nodes, "(id, LayerSpec)", LayerSpec)))
+        object.__setattr__(self, "residual_edges", tuple((str(a), str(b)) for a, b in _pairs(
+            "residual_edges", self.residual_edges, "(source, target)")))
         if not isinstance(self.channel_plan, str):
             raise ValueError(f"channel_plan must be a string, got {self.channel_plan!r}")
         if self.input_shape is not None:
-            self.input_shape = checked_shape(self.input_shape)
+            object.__setattr__(self, "input_shape", checked_shape(self.input_shape))
+        self.validate()
 
     def validate(self):
+        """Check the node ids, edges and residual adds, and set ``inputs`` in the
+        walk that checks the residual adds. Called once, by the constructor; a
+        method of its own, which ``bench/tracer.py`` times."""
         order = {}
         for idx, (node_id, spec) in enumerate(self.nodes):
             if node_id in order:
@@ -277,16 +293,23 @@ class LayerGraph:
                     f"node {dst!r} has more than one incoming edge", node_id=dst
                 )
             incoming[dst] = src
-        for idx, (node_id, spec) in enumerate(self.nodes):
+        inputs, prev = {}, None
+        for node_id, spec in self.nodes:
+            src = incoming.get(node_id)
             if spec.kind == "residual_add":
-                if idx == 0:
+                if prev is None:
                     raise GraphValidationError(
                         "residual_add cannot be the first node", node_id=node_id
                     )
-                if node_id not in incoming:
+                if src is None:
                     raise GraphValidationError(
                         f"residual_add node {node_id!r} has no incoming edge", node_id=node_id
                     )
+                inputs[node_id] = (prev, src)
+            else:  # an edge into any other node is a tap: the node reads its source
+                inputs[node_id] = (prev if src is None else src, None)
+            prev = node_id
+        object.__setattr__(self, "inputs", inputs)
 
 
 def weight_shapes(spec: LayerSpec) -> dict:
@@ -327,19 +350,18 @@ def layer_output_shape(spec: LayerSpec, in_shape) -> tuple:
 
 
 def shape_infer(graph: LayerGraph, input_shape):
-    """Propagate shapes through a graph, along the reads ``node_inputs``
-    derives from its edges.
+    """Propagate shapes through a graph, along its reads (``graph.inputs``).
 
     Returns (output_shape, {node_id: (in_shape, out_shape)}). Raises
-    GraphValidationError naming the first inconsistent edge or node. Within
+    GraphValidationError naming the first edge or node whose shapes do not
+    fit; the edges themselves were checked when the graph was made. Within
     a call, nodes that hold one LayerSpec object and read one shape share
     its output shape, worked out once.
     """
-    graph.validate()
     out_shape = checked_shape(input_shape)
     made, shapes = {None: out_shape}, {}
     outs = {}  # (id(spec), in_shape): out_shape
-    for (node_id, spec), (x, addend) in zip(graph.nodes, node_inputs(graph).values()):
+    for (node_id, spec), (x, addend) in zip(graph.nodes, graph.inputs.values()):
         in_shape = made[x]
         if addend is not None and made[addend] != in_shape:
             raise GraphValidationError(
@@ -359,20 +381,6 @@ def shape_infer(graph: LayerGraph, input_shape):
 
 def volume(shape) -> int:
     return math.prod(map(int, shape))
-
-
-def node_inputs(graph: LayerGraph) -> dict:
-    """{node id: (input, addend)} in node order, for a graph that validates:
-    the id of the node whose output the node reads (None: the graph's input)
-    and, for a residual_add, the edge source it adds (else None)."""
-    incoming = {dst: src for src, dst in graph.residual_edges}
-    inputs, prev = {}, None
-    for node_id, spec in graph.nodes:
-        src = incoming.get(node_id)
-        inputs[node_id] = (prev, src) if spec.kind == "residual_add" else \
-            (prev if src is None else src, None)
-        prev = node_id
-    return inputs
 
 
 def last_reads(inputs: dict) -> dict:
@@ -395,12 +403,10 @@ class ActivationPlan:
     arena_bytes: int
 
 
-def plan_activations(graph: LayerGraph, shapes: dict, inputs: dict, place=None,
-                     before=None) -> ActivationPlan:
+def plan_activations(graph: LayerGraph, shapes: dict, place, before=None) -> ActivationPlan:
     """A static memory plan for the outputs of the nodes ``place`` names (ids
-    in node order; by default every node but the last, whose output the caller
-    owns), from the shapes ``shape_infer`` gives and the reads ``node_inputs``
-    gives alone.
+    in node order), from the shapes ``shape_infer`` gives and the graph's
+    reads (``graph.inputs``) alone.
 
     A value of a node that ``place`` leaves out is the caller's. A node is
     planned when its kind has an ``arena`` rule and its input is the caller's
@@ -416,8 +422,8 @@ def plan_activations(graph: LayerGraph, shapes: dict, inputs: dict, place=None,
     largest first, each at the lowest offset where none of its members
     overlaps an output placed before it that is live at the same node.
     """
+    inputs, before = graph.inputs, before or {}
     order = {node_id: i for i, node_id in enumerate(inputs)}
-    place, before = list(inputs)[:-1] if place is None else list(place), before or {}
     last_read, kinds, placed = last_reads(inputs), dict(graph.nodes), set(place)
     size = {node_id: 4 * volume(shapes[node_id][1]) for node_id in place}
     head, chains = {}, {}  # each planned node's chain (by its first node) and its members
@@ -465,17 +471,17 @@ def frames_read(spec: LayerSpec) -> tuple:
 _TAIL_KINDS = ("relu", "batchnorm", "residual_add")
 
 
-def fused_tails(graph: LayerGraph, inputs: dict) -> dict:
+def fused_tails(graph: LayerGraph) -> dict:
     """{head id: [tail ids]}: the chains ``run_graph`` fuses, from the node
-    kinds and ``node_inputs``'s reads alone. A relu, batchnorm or
+    kinds and the graph's reads (``graph.inputs``) alone. A relu, batchnorm or
     residual_add joins the chain of the node before it when it reads that
     node's value, which no other node reads; a residual_add's addend must be
     made before the chain's head. Any kind may head a chain, as every runner,
     and ``kernels.add_array`` for an unfused residual_add, returns a buffer
     the engine owns, never a view of its input."""
-    ids, last, tails, head = list(inputs), last_reads(inputs), {}, {}
+    ids, last, tails, head = list(graph.inputs), last_reads(graph.inputs), {}, {}
     for i in range(1, len(ids)):
-        prev, (x, addend) = ids[i - 1], inputs[ids[i]]
+        prev, (x, addend) = ids[i - 1], graph.inputs[ids[i]]
         first = head.get(prev, prev)
         # an addend made before the chain's head is no member of the chain
         if graph.nodes[i][1].kind in _TAIL_KINDS and x == prev and last[prev] == i \
@@ -527,9 +533,9 @@ class TilePlan:
     steps: ActivationPlan
 
 
-def plan_tiles(graph: LayerGraph, shapes: dict, inputs: dict) -> TilePlan:
+def plan_tiles(graph: LayerGraph, shapes: dict) -> TilePlan:
     """The schedule of ``graph`` from the shapes ``shape_infer`` gives and the
-    reads ``node_inputs`` gives alone.
+    graph's reads (``graph.inputs``) alone.
 
     The region is a run of leading nodes, on a rank-4 (C, L, H, W) input,
     whose values all keep rank 4 and L frames. It ends at a cut: a node whose
@@ -549,11 +555,11 @@ def plan_tiles(graph: LayerGraph, shapes: dict, inputs: dict) -> TilePlan:
     next steps: the fused-layer schedule of Alwani et al. (MICRO 2016), with
     Halide's sliding-window storage folding (Ragan-Kelley et al., PLDI 2013).
     """
-    ids, kinds, last_read = list(inputs), dict(graph.nodes), last_reads(inputs)
+    ids, kinds, last_read = list(graph.inputs), dict(graph.nodes), last_reads(graph.inputs)
     clip = shapes[ids[0]][0]
     region = widest = cut_widest = 0
     if len(clip) == 4:
-        tails = {t for chain in fused_tails(graph, inputs).values() for t in chain}
+        tails = {t for chain in fused_tails(graph).values() for t in chain}
         read_past = 0  # the last reader of any value before node i
         for i, (node_id, after) in enumerate(zip(ids, ids[1:] + [None])):
             in_shape, out_shape = shapes[node_id]
@@ -572,7 +578,7 @@ def plan_tiles(graph: LayerGraph, shapes: dict, inputs: dict) -> TilePlan:
     # per region value: (reader, frames it reads ahead, frames it reads behind)
     readers = {node_id: [] for node_id in inside}
     for node_id in inside:
-        x, addend = inputs[node_id]
+        x, addend = graph.inputs[node_id]
         if x is not None:
             readers[x].append((node_id, *frames_read(kinds[node_id])))
         if addend is not None:
@@ -586,6 +592,6 @@ def plan_tiles(graph: LayerGraph, shapes: dict, inputs: dict) -> TilePlan:
             held[node_id] = hold
     tile = {node_id: (shapes[node_id][0], (shapes[node_id][1][0], frames, *shapes[node_id][1][2:]))
             for node_id in inside}
-    steps = plan_activations(graph, tile, inputs, inside[:-1], {
+    steps = plan_activations(graph, tile, inside[:-1], {
         node_id: 4 * volume(shapes[node_id][1]) // clip[1] * hold for node_id, hold in held.items()})
     return TilePlan(region, frames, lag, held, steps)

@@ -41,7 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, PayloadBoundsError, SchemaError, ValidationError
+from .errors import (DimensionMismatch, GraphValidationError, PayloadBoundsError, SchemaError,
+                     ValidationError)
 from .graph import LayerGraph, LayerSpec, checked_weights, is_int
 from .tensor import QuantParams, Tensor, _real_array
 
@@ -124,7 +125,6 @@ def serialize_graph(graph: LayerGraph) -> str:
     float leaves the whole text to ``json.dumps``, so that text and errors
     (a TypeError for a value JSON has no form for) are json's own.
     """
-    graph.validate()
     try:
         return _write_graph(graph)
     except _Unwritten:
@@ -202,12 +202,10 @@ def parse_graph(text: str) -> LayerGraph:
             channel_plan=doc.get("channel_plan", "custom"),
             input_shape=doc.get("input_shape"),
         )
+    except GraphValidationError as exc:  # from LayerGraph.validate
+        raise SchemaError(f"graph is structurally invalid: {exc}") from exc
     except ValueError as exc:
         raise SchemaError(f"graph {exc}") from exc
-    try:
-        graph.validate()
-    except ValueError as exc:
-        raise SchemaError(f"graph is structurally invalid: {exc}") from exc
     return graph
 
 

@@ -19,7 +19,6 @@ from mobivsr import (
     flops_of,
     init_weights,
     mem_access_of,
-    node_inputs,
     params_of,
     published_models,
     quantize_weights,
@@ -225,10 +224,10 @@ def test_exact_accesses_equal_each_mobivsr_nodes_counted_accesses():
     graph, bundle, x = _counted_mobivsr(1, "fp32")
     kept = run_graph(graph, bundle, x, keep_outputs=True).node_outputs
     _, shapes = shape_infer(graph, graph.input_shape)
-    inputs, costed = node_inputs(graph), 0
+    costed = 0
     for node_id, spec in graph.nodes:
         if spec.kind in COSTED_KINDS:
-            source = inputs[node_id][0]
+            source = graph.inputs[node_id][0]
             source = x if source is None else kept[source]
             _, ledger = counted_forward(spec, source, bundle[node_id])
             assert exact_accesses_of(spec, shapes[node_id][0]) == ledger.memory_accesses(), \

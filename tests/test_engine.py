@@ -29,7 +29,6 @@ from mobivsr import (
     flops_of,
     init_weights,
     layer_output_shape,
-    node_inputs,
     params_of,
     plan_activations,
     plan_tiles,
@@ -420,7 +419,7 @@ def _region_bytes(graph, shape) -> int:
     arena, the frames each held node carries from step to step and the
     region's whole output."""
     _, shapes = shape_infer(graph, shape)
-    plan = plan_tiles(graph, shapes, node_inputs(graph))
+    plan = plan_tiles(graph, shapes)
     frame = {node_id: 4 * math.prod(shapes[node_id][1]) // shape[1]
              for node_id, _ in graph.nodes[:plan.region]}
     last = graph.nodes[plan.region - 1][0]
@@ -496,9 +495,8 @@ def test_the_regions_buffers_are_freed_before_the_rest_needs_their_memory(alpha,
     x = np.random.default_rng(3).random(graph.input_shape, dtype=np.float32)
     total = graph.input_shape[1]
     _, shapes = shape_infer(graph, graph.input_shape)
-    inputs = node_inputs(graph)
-    plan = plan_tiles(graph, shapes, inputs)
-    ids, kinds = list(inputs), dict(graph.nodes)
+    plan = plan_tiles(graph, shapes)
+    ids, kinds = list(graph.inputs), dict(graph.nodes)
     frame = {node_id: math.prod(shapes[node_id][1]) // total for node_id in ids[:plan.region]}
     end = ids[plan.region - 1]
     # the nodes past the region that call forward_layer, in the order they run
@@ -507,7 +505,7 @@ def test_the_regions_buffers_are_freed_before_the_rest_needs_their_memory(alpha,
                if node_id not in fused and kinds[node_id].kind != "residual_add"]
     # so every value past the region is made by a call and its chain's tails
     assert len(callers) == len([n for n in ids[plan.region:] if n not in fused])
-    last = graph_module.last_reads(inputs)
+    last = graph_module.last_reads(graph.inputs)
     after = next(i for i, node_id in enumerate(callers) if ids.index(node_id) > last[end])
     # {index of a call past the region: element counts of buffers freed by then}
     freed = {0: [plan.steps.arena_bytes // 4, *(frame[node_id] * hold
@@ -631,8 +629,8 @@ def test_planned_slots_live_together_never_overlap(case):
     smaller."""
     graph, _, x = case
     _, shapes = shape_infer(graph, x.shape)
-    plan = plan_activations(graph, shapes, node_inputs(graph))
     ids = [node_id for node_id, _ in graph.nodes]
+    plan = plan_activations(graph, shapes, ids[:-1])
     assert set(plan.slots) == set(ids[:-1])
     sizes = {node_id: 4 * math.prod(shapes[node_id][1]) for node_id in ids}
     assert plan.arena_bytes >= max((sizes[n] for n in ids[:-1]), default=0)
@@ -804,7 +802,7 @@ def test_a_tiled_pass_equals_whole_layers(case):
     graph, bundle, x, frames = case
     _, shapes = shape_infer(graph, x.shape)
     with _tiles_of(frames, shapes):
-        plan = plan_tiles(graph, shapes, node_inputs(graph))
+        plan = plan_tiles(graph, shapes)
         assert not plan.region or frames <= plan.frames < x.shape[1]
         tiled = run_graph(graph, bundle, x, counted=True)
         kept = run_graph(graph, bundle, x, counted=True, keep_outputs=True)
@@ -825,14 +823,13 @@ def test_every_costed_node_counts_its_exact_closed_forms(case):
     flops_of; a tiled counted pass's ledger equals their sums."""
     graph, bundle, x, frames = case
     _, shapes = shape_infer(graph, x.shape)
-    inputs = node_inputs(graph)
     values = {None: x, **run_graph(graph, bundle, x, keep_outputs=True).node_outputs}
     accesses = flops = 0
     for node_id, spec in graph.nodes:
         if spec.kind not in COSTED_KINDS:
             continue
         in_shape, out_shape = shapes[node_id]
-        out, ledger = counted_forward(spec, values[inputs[node_id][0]], bundle[node_id])
+        out, ledger = counted_forward(spec, values[graph.inputs[node_id][0]], bundle[node_id])
         assert out.shape == out_shape
         assert ledger.memory_accesses() == exact_accesses_of(spec, in_shape)
         assert ledger.flops() == flops_of(spec, in_shape)
@@ -845,14 +842,14 @@ def test_every_costed_node_counts_its_exact_closed_forms(case):
 def _tails_of(graph) -> dict:
     """{head id: [tail ids]}: the nodes run_graph runs in place on a node's
     output, right after its call."""
-    return graph_module.fused_tails(graph, node_inputs(graph))
+    return graph_module.fused_tails(graph)
 
 
 @contextlib.contextmanager
 def _unfused():
     """run_graph with no node fused while the context is open."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "fused_tails", lambda graph, inputs: {})
+        mp.setattr(engine, "fused_tails", lambda graph: {})
         yield
 
 
@@ -1020,7 +1017,7 @@ def test_a_batchnorm_relu_add_tail_equals_the_unfused_pass_after_each_producer(n
     assert (bn > 0).any() and (bn < 0).any()  # the relu leaves the batchnorm's mark
     _, shapes = shape_infer(graph, shape)
     with _tiles_of(frames, shapes) if frames else contextlib.nullcontext():
-        plan = plan_tiles(graph, shapes, node_inputs(graph))
+        plan = plan_tiles(graph, shapes)
         assert (plan.region > 0, plan.frames) == (bool(frames), frames)
         assert _tails_of(graph) == {"conv": chain}
         fused = run_graph(graph, bundle, x, counted=True)
@@ -1045,7 +1042,7 @@ def test_no_region_ends_inside_a_chain(case):
     _, shapes = shape_infer(graph, x.shape)
     ids = [node_id for node_id, _ in graph.nodes]
     with _tiles_of(frames, shapes) if frames else contextlib.nullcontext():
-        region = plan_tiles(graph, shapes, node_inputs(graph)).region
+        region = plan_tiles(graph, shapes).region
     for head, chain in _tails_of(graph).items():
         assert (ids.index(head) < region) == (ids.index(chain[-1]) < region), (head, chain)
 
@@ -1061,7 +1058,7 @@ def test_a_mobivsr_pass_calls_forward_layer_once_per_unfused_node_and_tile(alpha
     x = np.random.default_rng(3).random(graph.input_shape, dtype=np.float32)
     bundle = BUNDLES["alpha1"] if alpha == 1 else init_weights(graph, seed=2)
     _, shapes = shape_infer(graph, graph.input_shape)
-    plan = plan_tiles(graph, shapes, node_inputs(graph))
+    plan = plan_tiles(graph, shapes)
     total, frames = graph.input_shape[1], plan.frames
     fused = {t for chain in _tails_of(graph).values() for t in chain}
     # tiles [(k - 1) * frames + lag, k * frames + lag) that meet [0, total)
@@ -1082,7 +1079,7 @@ def test_a_fused_pass_equals_the_unfused_pass(case):
     graph, bundle, x, frames = case
     _, shapes = shape_infer(graph, x.shape)
     with _tiles_of(frames, shapes) if frames else contextlib.nullcontext():
-        plan = plan_tiles(graph, shapes, node_inputs(graph))
+        plan = plan_tiles(graph, shapes)
         tails = _tails_of(graph)
         ids = [node_id for node_id, _ in graph.nodes]
         # the region never ends at a tail's input, so no chain crosses its end
@@ -1133,7 +1130,7 @@ def test_tiles_shorter_than_the_front_ends_lag_still_cover_every_frame(frames, l
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph_module, "_TILE_BYTES", frames * 32 * 16 * 16 * 4)
         _, shapes = shape_infer(graph, x.shape)
-        plan = plan_tiles(graph, shapes, node_inputs(graph))
+        plan = plan_tiles(graph, shapes)
         assert (plan.frames, plan.held) == ((frames, {"frontend.relu1": 2}) if frames < length
                                             else (0, {}))
         tiled = run_graph(graph, BUNDLES["alpha1"], x, counted=True)
@@ -1159,7 +1156,7 @@ def test_a_held_tail_of_a_producer_without_a_slot_runs_in_its_window():
     x = np.random.default_rng(2).normal(size=graph.input_shape).astype(np.float32)
     _, shapes = shape_infer(graph, graph.input_shape)
     with _tiles_of(3, shapes):
-        plan = plan_tiles(graph, shapes, node_inputs(graph))
+        plan = plan_tiles(graph, shapes)
         assert (plan.region, plan.held) == (5, {"r": 2})
         assert "c2" not in plan.steps.slots and _tails_of(graph)["c2"] == ["r"]
         tiled = run_graph(graph, bundle, x, counted=True)

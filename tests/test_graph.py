@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -17,16 +17,18 @@ from mobivsr import (
     PayloadBoundsError,
     SchemaError,
     Tensor,
+    aggregate,
     build_mobivsr,
+    impact_report,
     init_weights,
     layer_output_shape,
-    node_inputs,
     params_of,
     parse_graph,
     parse_weights,
     plan_activations,
     plan_tiles,
     quantize_weights,
+    run_graph,
     serialize_graph,
     serialize_weights,
     shape_infer,
@@ -191,24 +193,21 @@ def test_residual_shape_mismatch_names_edge():
 
 
 def test_edges_must_point_forward():
-    graph = LayerGraph(
-        nodes=[("a", LayerSpec("relu")), ("b", LayerSpec("relu"))],
-        residual_edges=[("b", "a")],
-    )
     with pytest.raises(GraphValidationError):
-        graph.validate()
+        LayerGraph(
+            nodes=[("a", LayerSpec("relu")), ("b", LayerSpec("relu"))],
+            residual_edges=[("b", "a")],
+        )
 
 
 def test_duplicate_ids_rejected():
-    graph = LayerGraph(nodes=[("a", LayerSpec("relu")), ("a", LayerSpec("relu"))])
     with pytest.raises(GraphValidationError):
-        graph.validate()
+        LayerGraph(nodes=[("a", LayerSpec("relu")), ("a", LayerSpec("relu"))])
 
 
 def test_residual_add_needs_an_edge():
-    graph = LayerGraph(nodes=[("a", LayerSpec("relu")), ("add", LayerSpec("residual_add"))])
     with pytest.raises(GraphValidationError):
-        graph.validate()
+        LayerGraph(nodes=[("a", LayerSpec("relu")), ("add", LayerSpec("residual_add"))])
 
 
 def test_graph_json_round_trip():
@@ -326,18 +325,16 @@ def test_layer_spec_rejects_an_unknown_pointwise_mode():
 
 
 def test_graph_rejects_a_node_with_two_incoming_edges():
-    graph = LayerGraph(nodes=[("a", LayerSpec("relu")), ("b", LayerSpec("relu")),
-                              ("c", LayerSpec("relu"))],
-                       residual_edges=[("a", "c"), ("b", "c")])
     with pytest.raises(GraphValidationError, match="more than one incoming edge") as exc:
-        graph.validate()
+        LayerGraph(nodes=[("a", LayerSpec("relu")), ("b", LayerSpec("relu")),
+                          ("c", LayerSpec("relu"))],
+                   residual_edges=[("a", "c"), ("b", "c")])
     assert exc.value.node_id == "c"
 
 
 def test_graph_rejects_a_residual_add_as_its_first_node():
-    graph = LayerGraph(nodes=[("add", LayerSpec("residual_add")), ("r", LayerSpec("relu"))])
     with pytest.raises(GraphValidationError, match="cannot be the first node") as exc:
-        graph.validate()
+        LayerGraph(nodes=[("add", LayerSpec("residual_add")), ("r", LayerSpec("relu"))])
     assert exc.value.node_id == "add"
 
 
@@ -370,9 +367,46 @@ def test_a_malformed_graph_is_refused_when_it_is_made(nodes, edges, named):
 def test_a_graph_takes_nodes_and_edges_as_lists_or_tuples():
     graph = LayerGraph(nodes=(["a", _RELU], ("b", LayerSpec("residual_add"))),
                        residual_edges=(["a", "b"],))
-    assert graph.nodes == [("a", _RELU), ("b", LayerSpec("residual_add"))]
-    assert graph.residual_edges == [("a", "b")]
+    assert graph.nodes == (("a", _RELU), ("b", LayerSpec("residual_add")))
+    assert graph.residual_edges == (("a", "b"),)
     assert shape_infer(graph, (2, 3))[0] == (2, 3)
+
+
+def test_a_graph_is_validated_once_when_it_is_made(monkeypatch):
+    """validate runs once per LayerGraph made, and nowhere else: twice in a
+    cost_sweep request (build_mobivsr's graph and parse_graph's copy of it)
+    and never in run_graph. A graph is frozen, and its inputs are the reads
+    the edge rule gives: a tap reads its edge's source, a residual_add the
+    node before it and then its edge's source."""
+    calls = []
+    validate = LayerGraph.validate
+
+    def counted(graph):
+        calls.append(graph)
+        return validate(graph)
+
+    monkeypatch.setattr(LayerGraph, "validate", counted)
+    graph = build_mobivsr(1)
+    report = aggregate(graph)
+    aggregate(graph, dtype="int8")
+    impact_report(report)
+    aggregate(parse_graph(serialize_graph(graph)))
+    assert len(calls) == 2
+    bundle = init_weights(graph, seed=0)
+    x = np.random.default_rng(0).random(graph.input_shape, dtype=np.float32)
+    calls.clear()
+    run_graph(graph, bundle, x)
+    assert calls == []
+    with pytest.raises(FrozenInstanceError):
+        graph.nodes = ()
+    for alpha in (1, 2, 3, 4):
+        graph = build_mobivsr(alpha)
+        incoming = {dst: src for src, dst in graph.residual_edges}
+        before = [None] + [node_id for node_id, _ in graph.nodes]
+        assert graph.inputs == {
+            node_id: (before[i], incoming[node_id]) if spec.kind == "residual_add"
+            else (incoming.get(node_id, before[i]), None)
+            for i, (node_id, spec) in enumerate(graph.nodes)}
 
 
 def test_spatial_avg_on_a_rank_2_shape_names_the_accepted_ranks():
@@ -389,8 +423,8 @@ DS3D1_BYTES = 32 * 29 * 48 * 48 * 4
 def _plans(graph, shape=None):
     """(whole-graph activation plan, tile plan) for ``graph`` on ``shape``."""
     _, shapes = shape_infer(graph, shape or graph.input_shape)
-    inputs = node_inputs(graph)
-    return plan_activations(graph, shapes, inputs), plan_tiles(graph, shapes, inputs)
+    place = [node_id for node_id, _ in graph.nodes[:-1]]
+    return plan_activations(graph, shapes, place), plan_tiles(graph, shapes)
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
@@ -425,7 +459,7 @@ def test_every_mobivsr_slot_starts_a_multiple_of_64_bytes_in(alpha):
     (``kernels.empty``) puts every slot and tile on one too."""
     graph = build_mobivsr(alpha)
     _, shapes = shape_infer(graph, graph.input_shape)
-    plan = plan_tiles(graph, shapes, node_inputs(graph))
+    plan = plan_tiles(graph, shapes)
     frame = {node_id: 4 * math.prod(shapes[node_id][1]) // graph.input_shape[1]
              for node_id, _ in graph.nodes[:plan.region]}
     assert all(size % 64 == 0 for size in frame.values())

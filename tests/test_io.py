@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from mobivsr import (
     Clip,
+    GraphValidationError,
     LayerGraph,
     LayerSpec,
     MobiVSRError,
@@ -696,6 +697,71 @@ def test_graph_text_is_json_dumps_with_indent_2(graph):
     reparsed = parse_graph(text)
     assert reparsed == graph
     assert serialize_graph(reparsed) == text
+
+
+@st.composite
+def broken_graphs(draw):
+    """(nodes, edges, message): a valid graph's nodes and edges with one
+    structural defect injected, and the GraphValidationError text it earns."""
+    ids = draw(st.lists(AWKWARD_TEXT, unique=True, min_size=2, max_size=6))
+    nodes, edges = [(ids[0], LayerSpec("relu"))], []
+    for j in range(1, len(ids)):  # each node takes at most one edge, from a node before it
+        src = ids[draw(st.integers(0, j - 1))] if draw(st.booleans()) else None
+        if src is not None:
+            edges.append((src, ids[j]))
+        kind = "residual_add" if src is not None and draw(st.booleans()) else "relu"
+        nodes.append((ids[j], LayerSpec(kind)))
+    fresh = draw(AWKWARD_TEXT.filter(lambda text: text not in ids))
+    defect = draw(st.sampled_from(["duplicate", "missing", "backward", "second", "add"]))
+    if defect == "duplicate":
+        dup = draw(st.sampled_from(ids))
+        nodes.append((dup, LayerSpec("relu")))
+        return nodes, edges, f"duplicate node id {dup!r}"
+    if defect == "missing":
+        known = draw(st.sampled_from(ids))
+        edge = draw(st.sampled_from([(known, fresh), (fresh, known)]))
+        return nodes, edges + [edge], f"edge {edge!r} references a missing node"
+    if defect == "backward":  # a self-edge points no more forward than a backward one
+        i = draw(st.integers(0, len(ids) - 1))
+        edge = (ids[draw(st.integers(i, len(ids) - 1))], ids[i])
+        return nodes, edges + [edge], f"edge {edge!r} must point forward in node order"
+    if defect == "second":
+        j = draw(st.integers(1, len(ids) - 1))
+        into = [(ids[draw(st.integers(0, j - 1))], ids[j])
+                for _ in range(1 if any(dst == ids[j] for _, dst in edges) else 2)]
+        return nodes, edges + into, f"node {ids[j]!r} has more than one incoming edge"
+    if draw(st.booleans()):
+        return [(fresh, LayerSpec("residual_add"))] + nodes, edges, \
+            "residual_add cannot be the first node"
+    return nodes + [(fresh, LayerSpec("residual_add"))], edges, \
+        f"residual_add node {fresh!r} has no incoming edge"
+
+
+@settings(max_examples=200, deadline=None)
+@given(broken_graphs())
+def test_a_structural_defect_is_refused_at_every_entry_point(case):
+    """A graph with one structural defect is never made: the LayerGraph
+    constructor raises GraphValidationError with the defect's text,
+    parse_graph a SchemaError that prefixes it, and the report command exits
+    2 with nothing on stdout and no traceback."""
+    nodes, edges, message = case
+    with pytest.raises(GraphValidationError) as made:
+        LayerGraph(nodes=nodes, residual_edges=edges)
+    assert str(made.value) == message
+    text = json.dumps({"schema_version": 1,
+                       "nodes": [{"id": node_id, **spec.to_dict()} for node_id, spec in nodes],
+                       "residual_edges": [list(edge) for edge in edges]})
+    with pytest.raises(SchemaError) as parsed:
+        parse_graph(text)
+    assert str(parsed.value) == "graph is structurally invalid: " + message
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.json"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["report", str(path)])
+    assert (code, out.getvalue()) == (2, "")
+    assert "Traceback" not in err.getvalue()
 
 
 def test_numpy_eps_is_written_as_json_writes_it():
